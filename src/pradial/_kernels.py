@@ -1,10 +1,7 @@
-"""Hot chain kernels: random-scan Metropolis-within-Gibbs sweeps.
+"""Hot chain kernel: random-scan Metropolis-within-Gibbs sweeps.
 
-Two implementations of the same loop live here.  ``_chain_py`` is plain
-numpy/python and always available; the numba-compiled twin is selected by
-default and can be disabled by setting the environment variable
-``PRADIAL_DISABLE_NUMBA=1``.  Both consume identical pre-generated random
-arrays, so they produce bit-identical chains.
+``run_chain`` is plain numpy/python.  All randomness arrives pre-generated
+from the caller, so a seed fixes the chain bit for bit.
 
 Target densities on R^n (or the positive orthant) of the form
 
@@ -19,16 +16,13 @@ pairwise-distance structure.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_NUMBA = os.environ.get("PRADIAL_DISABLE_NUMBA", "0") == "1"
-
+BACKEND = "numpy"
 NEG_INF = -np.inf
 
 
-def _delta_logf_py(x, i, xi_new, kind, beta):
+def _delta_logf(x, i, xi_new, kind, beta):
     """Change in log f when coordinate i moves to xi_new.  -inf marks a
     forbidden proposal (tie, or boundary violation for kind 2)."""
     n = x.shape[0]
@@ -54,7 +48,7 @@ def _delta_logf_py(x, i, xi_new, kind, beta):
     return out
 
 
-def _chain_py(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
+def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
               adapt_until, adapt_up, adapt_down, thin, out, acc_count):
     """Run the chain.  All randomness arrives pre-generated:
 
@@ -64,8 +58,7 @@ def _chain_py(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
     scales        -- per-coordinate proposal scales; while t < adapt_until
                      they are driven multiplicatively by adapt_up[t] on an
                      accept and adapt_down[t] on a reject (Robbins-Monro
-                     factors precomputed by the caller, which keeps the
-                     compiled and fallback paths bit-identical)
+                     factors precomputed by the caller)
     out           -- (n_keep, n) buffer receiving every thin-th post-adapt state
     acc_count     -- per-coordinate [accepts, proposals] tallies (post-adapt)
 
@@ -82,7 +75,7 @@ def _chain_py(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
         xi_new = xi_old + scales[i] * normals[t]
         if kind == 2 and xi_new < 0.0:
             xi_new = -xi_new  # reflect at the orthant boundary
-        dlogf = _delta_logf_py(x, i, xi_new, kind, beta)
+        dlogf = _delta_logf(x, i, xi_new, kind, beta)
         if dlogf == NEG_INF:
             accepted = False
         else:
@@ -102,58 +95,3 @@ def _chain_py(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
                     out[keep, j] = x[j]
                 keep += 1
 
-
-if not DISABLE_NUMBA:
-    try:
-        from numba import njit
-
-        _delta_logf = njit(cache=True)(_delta_logf_py)
-
-        # the kernel body is identical; re-bind the inner helper so numba
-        # compiles the whole sweep
-        @njit(cache=True)
-        def _chain_numba(x0, p, kind, beta, coord_idx, normals, log_unifs,
-                         scales, adapt_until, adapt_up, adapt_down,
-                         thin, out, acc_count):
-            n = x0.shape[0]
-            n_steps = coord_idx.shape[0]
-            x = x0.copy()
-            keep = 0
-            kept_steps = 0
-            for t in range(n_steps):
-                i = coord_idx[t]
-                xi_old = x[i]
-                xi_new = xi_old + scales[i] * normals[t]
-                if kind == 2 and xi_new < 0.0:
-                    xi_new = -xi_new
-                dlogf = _delta_logf(x, i, xi_new, kind, beta)
-                if dlogf == NEG_INF:
-                    accepted = False
-                else:
-                    dlog = dlogf - abs(xi_new) ** p + abs(xi_old) ** p
-                    accepted = log_unifs[t] <= dlog
-                if accepted:
-                    x[i] = xi_new
-                if t < adapt_until:
-                    if accepted:
-                        scales[i] = scales[i] * adapt_up[t]
-                    else:
-                        scales[i] = scales[i] * adapt_down[t]
-                else:
-                    acc_count[i, 1] += 1
-                    if accepted:
-                        acc_count[i, 0] += 1
-                    kept_steps += 1
-                    if kept_steps % thin == 0 and keep < out.shape[0]:
-                        for j in range(n):
-                            out[keep, j] = x[j]
-                        keep += 1
-
-        run_chain = _chain_numba
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        run_chain = _chain_py
-        BACKEND = "numpy"
-else:
-    run_chain = _chain_py
-    BACKEND = "numpy"

@@ -165,28 +165,27 @@ def cmd_sample(args) -> int:
 
     diag = None
     if target == "cone":
-        res = sample_cone(n, p, rng, size=count, positive=positive)
-        points = res.points
+        points = sample_cone(n, p, rng, size=count, positive=positive).points
     elif target == "uniform":
-        res = sample_uniform_ball(n, p, rng, size=count, positive=positive)
-        points = res.points
+        points = sample_uniform_ball(n, p, rng, size=count,
+                                     positive=positive).points
     elif target == "pnpw":
-        res = sample_pnpw(n, p, law, rng, size=count, positive=positive)
-        points = res.points
-    elif target == "weighted-pnpw":
-        weight = WeightFn.delta_beta(float(cfg["beta"]))
-        res = sample_weighted_pnpw(n, p, weight, law, rng, size=count)
-        points = res.points
-    elif target == "eigen-PH":
-        spec = EnsembleSpec(n=n, p=p, beta=float(cfg["beta"]), law=law)
-        s = sample_eigenvalues_PH(spec, rng, size=count)
-        points = s.spectra
-        diag = {"chain_ok": s.chain_ok, "accept_rate": s.accept_rate}
-    elif target == "singular-PM":
-        spec = EnsembleSpec(n=n, p=p, beta=float(cfg["beta"]), law=law)
-        s = sample_sq_singular_PM(spec, rng, size=count)
-        points = s.spectra
-        diag = {"chain_ok": s.chain_ok, "accept_rate": s.accept_rate}
+        points = sample_pnpw(n, p, law, rng, size=count,
+                             positive=positive).points
+    elif target in ("weighted-pnpw", "eigen-PH", "singular-PM"):
+        beta = float(cfg["beta"])
+        if target == "weighted-pnpw":
+            s = sample_weighted_pnpw(n, p, WeightFn.delta_beta(beta), law,
+                                     rng, size=count)
+            points, chain_ok, accept_rate = (s.points, s.chain.ok,
+                                             s.chain.accept_rate)
+        else:
+            sampler = (sample_eigenvalues_PH if target == "eigen-PH"
+                       else sample_sq_singular_PM)
+            s = sampler(EnsembleSpec(n=n, p=p, beta=beta, law=law), rng,
+                        size=count)
+            points, chain_ok, accept_rate = s.spectra, s.chain_ok, s.accept_rate
+        diag = {"chain_ok": chain_ok, "accept_rate": accept_rate}
     else:
         print(f"unknown sample target {target!r}", file=sys.stderr)
         return EXIT_USAGE

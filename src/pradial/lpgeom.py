@@ -14,6 +14,7 @@ psi describing how mass accumulates near the sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import integrate
@@ -30,6 +31,9 @@ from .distributions import (
     _check_positive,
 )
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .mcmc import ChainResult
 
 
 def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
@@ -62,20 +66,24 @@ class PBallSample:
     """Draws from a law on the ell_p ball plus bookkeeping.
 
     points has shape (size, n); norms_p holds ||x||_p per row; on_sphere
-    flags rows that sit exactly on the boundary (W drew its atom at 0).
+    flags rows that sit exactly on the boundary (W drew its atom at 0);
+    chain holds the mcmc.ChainResult when X came from a chain, else None.
     """
 
     points: np.ndarray
     norms_p: np.ndarray
     on_sphere: np.ndarray
     p: float
+    chain: ChainResult | None = None
 
 
-def _finish_sample(x: np.ndarray, w: np.ndarray, p: float) -> PBallSample:
+def _finish_sample(x: np.ndarray, w: np.ndarray, p: float,
+                   chain: ChainResult | None = None) -> PBallSample:
+    """The radial mixture step: each row x becomes x / (||x||_p^p + w)^(1/p)."""
     norm_pow = np.sum(np.abs(x) ** p, axis=-1)
     pts = x / (norm_pow + w)[:, None] ** (1.0 / p)
     return PBallSample(points=pts, norms_p=lp_norm(pts, p),
-                       on_sphere=(w == 0.0), p=p)
+                       on_sphere=(w == 0.0), p=p, chain=chain)
 
 
 def sample_cone(n: int, p: float, rng: RngStream, size: int = 1,

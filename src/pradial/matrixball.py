@@ -24,11 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import ParameterError, RadialLawW, sample_W, _check_positive
-from .lpgeom import lp_norm
-from .mcmc import ChainConfig, mcmc_sample
+from .distributions import ParameterError, RadialLawW, _check_positive
+from .mcmc import ChainConfig, sample_weighted_pnpw
 from .rng import RngStream
-from .weights import WeightFn, log_delta_beta, log_nabla_beta
+from .weights import WeightFn
+
+
+def _log_weyl_terms(n: int, beta: float) -> tuple[float, float]:
+    """The terms the H and M constants share: -log(n!) - n * log(cell) and
+    log prod_{k=1}^n 2 (2 pi)^(beta k / 2) / (2^(beta/2) Gamma(beta k / 2))."""
+    _check_positive("beta", beta)
+    k = np.arange(1, n + 1)
+    log_prod = np.sum(np.log(2.0) + (beta * k / 2.0) * np.log(2.0 * np.pi)
+                      - (beta / 2.0) * np.log(2.0) - gammaln(beta * k / 2.0))
+    log_cell = np.log(2.0) + (beta / 2.0) * np.log(np.pi) - gammaln(beta / 2.0)
+    return -gammaln(n + 1.0) - n * log_cell, log_prod
 
 
 def log_weyl_const_H(n: int, beta: float) -> float:
@@ -38,24 +48,16 @@ def log_weyl_const_H(n: int, beta: float) -> float:
         c_H = (1/n!) * (2 pi^(beta/2)/Gamma(beta/2))^(-n)
               * prod_{k=1}^n 2 (2 pi)^(beta k / 2) / (2^(beta/2) Gamma(beta k / 2)).
     """
-    _check_positive("beta", beta)
-    k = np.arange(1, n + 1)
-    log_prod = np.sum(np.log(2.0) + (beta * k / 2.0) * np.log(2.0 * np.pi)
-                      - (beta / 2.0) * np.log(2.0) - gammaln(beta * k / 2.0))
-    log_cell = np.log(2.0) + (beta / 2.0) * np.log(np.pi) - gammaln(beta / 2.0)
-    return float(-gammaln(n + 1.0) - n * log_cell + log_prod)
+    head, log_prod = _log_weyl_terms(n, beta)
+    return float(head + log_prod)
 
 
 def log_weyl_const_M(n: int, beta: float) -> float:
     """log of the squared-singular-value normalization for the general
     (M) symmetry class; relative to the H constant the product is squared
     and a factor 2^(-(beta/2) n (n-1)) appears."""
-    _check_positive("beta", beta)
-    k = np.arange(1, n + 1)
-    log_prod = np.sum(np.log(2.0) + (beta * k / 2.0) * np.log(2.0 * np.pi)
-                      - (beta / 2.0) * np.log(2.0) - gammaln(beta * k / 2.0))
-    log_cell = np.log(2.0) + (beta / 2.0) * np.log(np.pi) - gammaln(beta / 2.0)
-    return float(-gammaln(n + 1.0) - n * log_cell + 2.0 * log_prod
+    head, log_prod = _log_weyl_terms(n, beta)
+    return float(head + 2.0 * log_prod
                  - (beta / 2.0) * n * (n - 1) * np.log(2.0))
 
 
@@ -87,22 +89,23 @@ class SpectralSample:
     accept_rate: float
 
 
+def _spectral_sample(spec: EnsembleSpec, family: str, weight: WeightFn,
+                     exponent: float, rng: RngStream, size: int,
+                     config: ChainConfig | None) -> SpectralSample:
+    s = sample_weighted_pnpw(spec.n, exponent, weight, spec.law, rng,
+                             size=size, config=config)
+    # the chain emits sorted rows and the radial division keeps their order
+    return SpectralSample(spectra=s.points, on_sphere=s.on_sphere,
+                          family=family, spec=spec, chain_ok=s.chain.ok,
+                          accept_rate=s.chain.accept_rate)
+
+
 def sample_eigenvalues_PH(spec: EnsembleSpec, rng: RngStream, size: int = 1,
                           config: ChainConfig | None = None) -> SpectralSample:
     """Eigenvalue vectors of the H-family matrix ball law: the weighted
     radial mixture with weight Delta_beta, exponent p."""
-    weight = WeightFn.delta_beta(spec.beta)
-    r_chain, r_w = rng.split(2)
-    cfg = config or ChainConfig()
-    cfg.n_samples = size
-    res = mcmc_sample(spec.n, spec.p, weight, r_chain, cfg)
-    w = np.atleast_1d(sample_W(spec.law, r_w, size=size))
-    x = res.samples
-    norm_pow = np.sum(np.abs(x) ** spec.p, axis=-1)
-    lam = x / (norm_pow + w)[:, None] ** (1.0 / spec.p)
-    return SpectralSample(spectra=np.sort(lam, axis=1), on_sphere=(w == 0.0),
-                          family="H", spec=spec, chain_ok=res.ok,
-                          accept_rate=res.accept_rate)
+    return _spectral_sample(spec, "H", WeightFn.delta_beta(spec.beta), spec.p,
+                            rng, size, config)
 
 
 def sample_sq_singular_PM(spec: EnsembleSpec, rng: RngStream, size: int = 1,
@@ -110,19 +113,8 @@ def sample_sq_singular_PM(spec: EnsembleSpec, rng: RngStream, size: int = 1,
     """Squared singular values of the M-family matrix ball law: the
     orthant weighted radial mixture with weight nabla_beta and exponent
     q = p/2."""
-    q = spec.p / 2.0
-    weight = WeightFn.nabla_beta(spec.beta)
-    r_chain, r_w = rng.split(2)
-    cfg = config or ChainConfig()
-    cfg.n_samples = size
-    res = mcmc_sample(spec.n, q, weight, r_chain, cfg)
-    w = np.atleast_1d(sample_W(spec.law, r_w, size=size))
-    x = res.samples
-    norm_pow = np.sum(np.abs(x) ** q, axis=-1)
-    s2 = x / (norm_pow + w)[:, None] ** (1.0 / q)
-    return SpectralSample(spectra=np.sort(s2, axis=1), on_sphere=(w == 0.0),
-                          family="M", spec=spec, chain_ok=res.ok,
-                          accept_rate=res.accept_rate)
+    return _spectral_sample(spec, "M", WeightFn.nabla_beta(spec.beta),
+                            spec.p / 2.0, rng, size, config)
 
 
 def _haar_unitary(n: int, gen: np.random.Generator, real: bool) -> np.ndarray:

@@ -7,21 +7,20 @@ with f a homogeneous weight (see weights.py).  The chain state feeds the
 radial mixture construction: dividing a draw X ~ pi by
 (||X||_p^p + W)^(1/p) produces the weighted law on the ell_p ball.
 
-The hot sweep lives in _kernels.py (numba with a numpy fallback).  All
-randomness is pre-generated from the counter-based stream, so both
-backends produce identical chains for a given seed.
+The hot sweep lives in _kernels.py.  All randomness is pre-generated
+from the counter-based stream, so a seed fixes the chain bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import _kernels
 from .distributions import ParameterError, RadialLawW, sample_W, _check_positive
-from .lpgeom import PBallSample
+from .lpgeom import PBallSample, _finish_sample
 from .rng import RngStream
 from .weights import KIND_CUSTOM, WeightFn
 
@@ -109,7 +108,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     if weight.kind == KIND_CUSTOM:
         raise ParameterError(
             "custom weights need a bespoke chain; only coded weights are "
-            "supported by the compiled kernel")
+            "supported by the chain kernel")
 
     per_chain = -(-cfg.n_samples // cfg.n_chains)  # ceil
     streams = rng.split(cfg.n_chains)
@@ -142,9 +141,7 @@ def _run_one_chain(n, p, weight, stream, cfg, n_keep):
     coord_idx = gen.integers(0, n, size=n_steps).astype(np.int64)
     normals = gen.standard_normal(n_steps)
     log_unifs = np.log(gen.random(n_steps))
-    # Robbins-Monro step sizes t^(-0.6), frozen after burn-in; the
-    # multiplicative factors are precomputed so the compiled kernel and
-    # the numpy fallback apply bit-identical updates
+    # Robbins-Monro step sizes t^(-0.6), frozen after burn-in
     adapt_rates = 1.0 / (1.0 + np.arange(n_steps, dtype=np.float64)) ** 0.6
     adapt_up = np.exp(adapt_rates * (1.0 - cfg.target_accept))
     adapt_down = np.exp(adapt_rates * (0.0 - cfg.target_accept))
@@ -165,19 +162,13 @@ def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,
                          rng: RngStream, size: int = 1,
                          config: ChainConfig | None = None) -> PBallSample:
     """The weighted radial mixture on the ball: X ~ pi from the chain, then
-    X / (||X||_p^p + W)^(1/p)."""
-    cfg = config or ChainConfig(n_samples=size)
-    cfg.n_samples = size
+    X / (||X||_p^p + W)^(1/p).  The chain's ChainResult rides along as
+    ``chain``; the caller's config is left untouched."""
+    cfg = replace(config or ChainConfig(), n_samples=size)
     r_chain, r_w = rng.split(2)
     res = mcmc_sample(n, p, weight, r_chain, cfg)
-    x = res.samples
     w = np.atleast_1d(sample_W(law, r_w, size=size))
-    norm_pow = np.sum(np.abs(x) ** p, axis=-1)
-    pts = x / (norm_pow + w)[:, None] ** (1.0 / p)
-    from .lpgeom import lp_norm
-
-    return PBallSample(points=pts, norms_p=lp_norm(pts, p),
-                       on_sphere=(w == 0.0), p=p)
+    return _finish_sample(res.samples, w, p, chain=res)
 
 
 def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,

@@ -94,20 +94,6 @@ def _rate_beta_generic(x: float, g: float, alpha: float, ktheta: str,
             - (g + alpha) * np.log(g + alpha) - c)
 
 
-def rate_beta_euclid(x: float, spec: RateFnSpec) -> float:
-    return _rate_beta_generic(x, 1.0 / spec.p, spec.alpha, spec.ktheta, spec.c)
-
-
-def rate_beta_H(x: float, spec: RateFnSpec) -> float:
-    return _rate_beta_generic(x, spec.beta / (2.0 * spec.p), spec.alpha,
-                              spec.ktheta, spec.c)
-
-
-def rate_beta_M(x: float, spec: RateFnSpec) -> float:
-    return _rate_beta_generic(x, spec.beta / spec.p, spec.alpha, spec.ktheta,
-                              spec.c)
-
-
 def rate_beta(x: float, spec: RateFnSpec) -> float:
     """Dispatch on spec.target."""
     return _rate_beta_generic(x, spec.gate, spec.alpha, spec.ktheta, spec.c)
@@ -207,18 +193,6 @@ def rate_emp_itemized(mu: MeasureRep, spec: RateFnSpec) -> dict:
     terms = _emp_terms(cone, m, g, spec.alpha, spec.c)
     return {"value": sum(terms.values()), "branch": "alpha-positive",
             "terms": terms}
-
-
-def rate_emp_euclid(mu: MeasureRep, spec: RateFnSpec) -> float:
-    return rate_emp_itemized(mu, spec)["value"]
-
-
-def rate_emp_H(mu: MeasureRep, spec: RateFnSpec) -> float:
-    return rate_emp_itemized(mu, spec)["value"]
-
-
-def rate_emp_M(mu: MeasureRep, spec: RateFnSpec) -> float:
-    return rate_emp_itemized(mu, spec)["value"]
 
 
 def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, float]:

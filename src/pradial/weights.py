@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import ParameterError
 
-# integer codes shared with the compiled chain kernels
+# integer codes shared with the chain kernel
 KIND_CONSTANT = 0
 KIND_DELTA_BETA = 1
 KIND_NABLA_BETA = 2

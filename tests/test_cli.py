@@ -67,6 +67,15 @@ class TestSample:
         assert diag["chain_ok"] is True
         assert 0.2 <= diag["accept_rate"] <= 0.6
 
+    def test_weighted_pnpw_writes_diagnostics(self, tmp_path):
+        code, out = run(tmp_path, "sample", "--target", "weighted-pnpw",
+                        "--n", "3", "--count", "50", "--seed", "3")
+        assert code == 0
+        diag = read_json(out / "diagnostics.json")
+        assert diag["chain_ok"] is True
+        assert 0.2 <= diag["accept_rate"] <= 0.6
+        assert "diagnostics.json" in read_json(out / "manifest.json")["outputs"]
+
     def test_manifest_reruns_as_config(self, tmp_path):
         code, out1 = run(tmp_path / "a", "sample", "--target", "uniform",
                          "--n", "2", "--count", "30", "--seed", "5")

@@ -170,6 +170,13 @@ class TestSamplers:
                            atol=1e-10)
         assert np.all(s.on_sphere)
 
+    def test_caller_config_not_mutated(self):
+        cfg = ChainConfig(n_samples=7)
+        s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=2.0), rng(18), size=5,
+                                  config=cfg)
+        assert s.spectra.shape == (5, 3)
+        assert cfg.n_samples == 7
+
     def test_beta_validation(self):
         with pytest.raises(ParameterError):
             EnsembleSpec(n=3, p=2.0, beta=3.0)

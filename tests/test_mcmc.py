@@ -99,34 +99,59 @@ class TestMcmcSample:
         with pytest.raises(ParameterError):
             mcmc_sample(3, 2.0, w, rng(6))
 
-    def test_backends_bit_identical(self):
-        # the pure-python kernel and the compiled kernel produce identical
-        # trajectories on identical pre-generated randomness
-        n, steps, keep = 6, 5000, 100
-        gen = rng(7).gen
-        x0 = np.sort(gen.standard_normal(n))
-        coord_idx = gen.integers(0, n, size=steps)
-        normals = gen.standard_normal(steps)
-        log_unifs = np.log(gen.random(steps))
-        adapt_until = 2000
+    def test_kernel_matches_full_target_metropolis(self):
+        # run_chain scores each flip with the O(n) incremental _delta_logf;
+        # a textbook loop that rescores the full log target on the same
+        # pre-generated randomness must take the same accept/reject path
+        n, steps, keep, adapt_until = 6, 5000, 100, 2000
         t = np.arange(adapt_until, dtype=float)
         rates = 1.0 / (1.0 + t) ** 0.6
         up = np.exp(rates * (1.0 - 0.35))
         down = np.exp(rates * (0.0 - 0.35))
         thin = (steps - adapt_until) // keep
 
-        def run(fn):
+        def reference(x0, p, weight, coord_idx, normals, log_unifs, scales):
+            x = x0.copy()
+            out, acc = [], np.zeros((n, 2), dtype=np.int64)
+            for step, i in enumerate(coord_idx):
+                y = x.copy()
+                y[i] = x[i] + scales[i] * normals[step]
+                if weight.orthant_only:
+                    y[i] = abs(y[i])
+                accepted = bool(log_unifs[step] <= log_target(y, p, weight)
+                                - log_target(x, p, weight))
+                if accepted:
+                    x = y
+                if step < adapt_until:
+                    scales[i] *= up[step] if accepted else down[step]
+                else:
+                    acc[i] += (accepted, 1)
+                    if (step - adapt_until + 1) % thin == 0 and len(out) < keep:
+                        out.append(x.copy())
+            return np.array(out), acc
+
+        cases = [(constant_one(), 2.0), (delta_beta(2.0), 2.0),
+                 (delta_beta(1.0), 1.5), (nabla_beta(1.0), 1.0),
+                 (nabla_beta(2.0), 2.0)]
+        for stream, (weight, p) in enumerate(cases, start=70):
+            gen = rng(stream).gen
+            x0 = np.sort(gen.random(n)) + np.arange(n) * 0.5 + 0.1
+            coord_idx = gen.integers(0, n, size=steps)
+            normals = gen.standard_normal(steps)
+            log_unifs = np.log(gen.random(steps))
             scales = np.full(n, 1.0)
             out = np.empty((keep, n))
             acc = np.zeros((n, 2), dtype=np.int64)
-            fn(x0.copy(), 2.0, 1, 2.0, coord_idx, normals, log_unifs,
-               scales, adapt_until, up, down, thin, out, acc)
-            return out, acc
-
-        out_py, acc_py = run(_kernels._chain_py)
-        out_hot, acc_hot = run(_kernels.run_chain)
-        assert np.array_equal(out_py, out_hot)
-        assert np.array_equal(acc_py, acc_hot)
+            _kernels.run_chain(x0.copy(), p, weight.kind, weight.beta,
+                               coord_idx, normals, log_unifs, scales,
+                               adapt_until, up, down, thin, out, acc)
+            ref_scales = np.full(n, 1.0)
+            ref_out, ref_acc = reference(x0, p, weight, coord_idx, normals,
+                                         log_unifs, ref_scales)
+            assert 0 < acc[:, 0].sum() < acc[:, 1].sum()
+            assert np.array_equal(out, ref_out), weight.name
+            assert np.array_equal(acc, ref_acc), weight.name
+            assert np.array_equal(scales, ref_scales), weight.name
 
     def test_reproducible(self):
         a = mcmc_sample(4, 1.5, delta_beta(1.0), rng(8),
