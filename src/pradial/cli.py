@@ -6,7 +6,9 @@ configuration; running a command again with the same configuration
 produces byte-identical CSV output.
 
 Exit codes: 0 success, 2 usage/parameter error, 3 statistical or chain
-diagnostic failure (partial outputs are retained).
+diagnostic failure, or a non-finite result (partial outputs are retained).
+JSON outputs are strict: non-finite floats are written as "inf", "-inf"
+or "nan".
 
 Configuration merge order: packaged defaults < --config file < explicit
 flags.  The default output root comes from the PRADIAL_OUTPUT_ROOT
@@ -16,8 +18,8 @@ environment variable (falling back to ./pradial-out).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,37 +51,56 @@ def load_defaults() -> dict:
         return json.load(fh)
 
 
-def _fmt(v):
-    """CSV cell formatting; repr for floats gives byte-stable roundtrips."""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+# cells formatted per block: bounds the Python objects alive at once
+_CSV_BLOCK_CELLS = 1 << 14
 
 
 def write_csv(path: Path, header, rows):
+    """Write a header and rows (an array or a list of tuples) as CSV.
+
+    Cells are numbers or strings free of commas, quotes and newlines, so
+    no cell needs quoting.  A float cell, Python or numpy, is the ``repr``
+    of its value widened to a Python float: the shortest text that reads
+    back to the same bits.  The builtin ``format`` gives exactly that text
+    for numpy scalars too, whatever numpy's print options, and costs no
+    Python call per cell.  Rows go out in blocks, one write per block; an
+    array block is boxed into Python scalars by a single ``tolist``.
+    """
+    step = max(1, _CSV_BLOCK_CELLS // len(header))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join([",".join(map(format, row)) + "\n"
+                              for row in block]))
+
+
+def _strict(o):
+    """``o`` with numpy values made plain and non-finite floats spelled
+    "inf", "-inf" or "nan", which strict JSON can hold."""
+    if isinstance(o, dict):
+        return {k: _strict(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(v) for v in o]
+    if isinstance(o, np.ndarray):
+        return _strict(o.tolist())
+    if isinstance(o, (float, np.floating)):
+        v = float(o)
+        if math.isfinite(v):
+            return v
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    if isinstance(o, np.integer):
+        return int(o)
+    return o
 
 
 def write_json(path: Path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if o == np.inf:
-        return "inf"
-    raise TypeError(type(o).__name__)
 
 
 def write_manifest(outdir: Path, command: str, config: dict, outputs: list,
@@ -149,6 +170,9 @@ def _law_from(cfg) -> RadialLawW:
 
 # --- sample -----------------------------------------------------------------
 
+_CHAIN_TARGETS = ("weighted-pnpw", "eigen-PH", "singular-PM")
+
+
 def cmd_sample(args) -> int:
     keys = ["target", "n", "p", "beta", "theta", "alpha", "count", "seed",
             "orthant"]
@@ -156,12 +180,18 @@ def cmd_sample(args) -> int:
     cfg.setdefault("orthant", False)
     if _require(cfg, "target", "n"):
         return EXIT_USAGE
+    target = cfg["target"]
+    positive = bool(cfg["orthant"])
+    if positive and target in _CHAIN_TARGETS:
+        # the weights are not invariant under flipping one coordinate's
+        # sign, so folding chain draws into the orthant changes their law
+        print(f"--orthant is not supported for target {target!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     outdir = _outdir(args)
     rng = RngStream(int(cfg["seed"]))
     n, p, count = int(cfg["n"]), float(cfg["p"]), int(cfg["count"])
-    target = cfg["target"]
     law = _law_from(cfg)
-    positive = bool(cfg["orthant"])
 
     diag = None
     if target == "cone":
@@ -172,7 +202,7 @@ def cmd_sample(args) -> int:
     elif target == "pnpw":
         points = sample_pnpw(n, p, law, rng, size=count,
                              positive=positive).points
-    elif target in ("weighted-pnpw", "eigen-PH", "singular-PM"):
+    elif target in _CHAIN_TARGETS:
         beta = float(cfg["beta"])
         if target == "weighted-pnpw":
             s = sample_weighted_pnpw(n, p, WeightFn.delta_beta(beta), law,
@@ -370,8 +400,6 @@ def cmd_rate(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
-    if "value" in report and report["value"] == np.inf:
-        report["value"] = "inf"
     write_json(outdir / "rate_report.json", report)
     outputs.append("rate_report.json")
     write_manifest(outdir, "rate", cfg, outputs, overridden)
@@ -430,6 +458,10 @@ def cmd_ldp_verify(args) -> int:
     write_json(outdir / "ldp_report.json", report)
     write_manifest(outdir, "ldp-verify", cfg,
                    ["ldp_decay.csv", "ldp_report.json"], overridden)
+    if not all(np.isfinite(gaps)):
+        print("decay gap is not finite: the exact tail probability "
+              "underflowed; outputs retained", file=sys.stderr)
+        return EXIT_STAT
     return EXIT_OK
 
 

@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pradial.cli import main
+from pradial.cli import main, write_csv
 
 
 def run(tmp_path, *argv):
@@ -24,6 +26,100 @@ def read_json(path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def read_strict_json(path):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def sha16(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def _reference_fmt(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def reference_write_csv(path, header, rows):
+    """The row-at-a-time csv.writer the block writer replaced; its bytes
+    are the format every CSV output keeps."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_reference_fmt(v) for v in row])
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            1e-5, 1e-4, 1e16, 1e15, 0.1, -2.5, 1.0 / 3.0, 1.7976931348623157e308]
+
+
+class TestWriteCsv:
+    def assert_same(self, tmp_path, header, rows):
+        write_csv(tmp_path / "new.csv", header, rows)
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_float64_specials(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.array(_SPECIAL * 3).reshape(-1, 5),
+                            rng.standard_normal((20_000, 5)) ** 9])
+        self.assert_same(tmp_path, [f"x{i}" for i in range(1, 6)], x)
+        back = np.loadtxt(tmp_path / "new.csv", delimiter=",", skiprows=1)
+        assert back.tobytes() == x.tobytes()
+
+    def test_float32_widens_like_repr(self, tmp_path):
+        x = (np.random.default_rng(6).standard_normal((300, 3)) * 1e-3) \
+            .astype(np.float32)
+        self.assert_same(tmp_path, ["a", "b", "c"], x)
+        first = read_csv(tmp_path / "new.csv")[1][0]
+        assert first == repr(float(x[0, 0]))
+
+    def test_strided_and_transposed(self, tmp_path):
+        x = np.random.default_rng(7).standard_normal((9000, 8))
+        self.assert_same(tmp_path, ["a", "b", "c"], x[::3, 1:7:2])
+        self.assert_same(tmp_path, [f"c{i}" for i in range(9000)], x.T)
+
+    def test_zero_and_one_row(self, tmp_path):
+        self.assert_same(tmp_path, ["x1", "x2"], np.empty((0, 2)))
+        assert (tmp_path / "new.csv").read_bytes() == b"x1,x2\n"
+        self.assert_same(tmp_path, ["x1", "x2"], np.array([[0.1, -0.0]]))
+
+    @pytest.mark.parametrize("legacy", [False, "1.13"])
+    def test_mixed_tuple_rows(self, tmp_path, legacy):
+        # numpy's legacy print mode shortens str(np.float64) to 12 digits;
+        # the cells must not follow it
+        rows = [(20, 1.5e-9, np.float64(1.0 / 3.0), "", 0, 0.125,
+                 np.float64(0.1)),
+                (4000, 0.0, math.inf, 3.0 / 2000, 1, 0.125, np.float64(np.inf)),
+                (np.int64(7), np.float32(0.1), -math.inf, "", 1, math.nan,
+                 -0.0)]
+        with np.printoptions(legacy=legacy):
+            self.assert_same(tmp_path, ["n", "prob_exact",
+                                        "neg_log_prob_over_n", "freq_mc",
+                                        "censored", "rate_infimum", "gap"],
+                             rows)
+
+    def test_streams_in_blocks(self, tmp_path):
+        # boxing the whole 20000 x 50 table at once costs about 70 MB of
+        # traced Python objects; one block at a time stays near 1 MB
+        x = np.random.default_rng(8).standard_normal((20_000, 50))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", [f"x{i}" for i in range(50)], x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSample:
@@ -75,6 +171,27 @@ class TestSample:
         assert diag["chain_ok"] is True
         assert 0.2 <= diag["accept_rate"] <= 0.6
         assert "diagnostics.json" in read_json(out / "manifest.json")["outputs"]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--target", "cone", "--n", "4", "--seed", "1", "--count", "2000"),
+         "7b22feb579edb3a6"),
+        (("--target", "eigen-PH", "--n", "4", "--seed", "1", "--theta",
+          "0.3", "--count", "300"), "eb04c6920a3e31fe"),
+    ])
+    def test_golden_digest(self, tmp_path, argv, digest):
+        code, out = run(tmp_path, "sample", *argv)
+        assert code == 0
+        assert sha16(out / "samples.csv") == digest
+
+    @pytest.mark.parametrize("target", ["weighted-pnpw", "eigen-PH",
+                                        "singular-PM"])
+    def test_orthant_rejected_for_chain_targets(self, tmp_path, capsys,
+                                                target):
+        code, out = run(tmp_path, "sample", "--target", target, "--n", "3",
+                        "--count", "5", "--seed", "1", "--orthant")
+        assert code == 2
+        assert "--orthant" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
 
     def test_manifest_reruns_as_config(self, tmp_path):
         code, out1 = run(tmp_path / "a", "sample", "--target", "uniform",
@@ -188,6 +305,14 @@ class TestLdpVerify:
         for r in rows[1:]:
             assert float(r[6]) > 0
 
+    def test_underflow_is_strict_json_and_exit_3(self, tmp_path):
+        code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
+                        "2", "--n-list", "20,4000", "--seed", "1")
+        assert code == 3
+        rep = read_strict_json(out / "ldp_report.json")
+        assert rep["gap_final"] == "inf"
+        assert (out / "ldp_decay.csv").exists()
+
     def test_monte_carlo_censoring(self, tmp_path):
         # at n = 80 the event probability is ~1e-12: MC sees zero hits and
         # reports the rule-of-three bound with the censoring flag set
@@ -226,6 +351,15 @@ class TestNormConst:
         rep = read_json(out / "norm_const.json")
         expected = -3.0 * (math.log(2.0) + math.lgamma(1.5))
         assert rep["log_norm_const"] == pytest.approx(expected, abs=1e-12)
+
+    def test_degenerate_estimate_is_strict_json(self, tmp_path):
+        # no draws: the estimate degenerates to log C = -inf
+        code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
+                        "2", "--count", "0", "--seed", "2")
+        assert code == 3
+        rep = read_strict_json(out / "norm_const.json")
+        assert rep["log_norm_const"] == "-inf"
+        assert rep["se_log"] == "inf"
 
     def test_unknown_weight(self, tmp_path):
         code, _ = run(tmp_path, "norm-const", "--weight", "frob", "--n", "3")
