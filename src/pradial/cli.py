@@ -151,6 +151,12 @@ def _require(cfg: dict, *names) -> str | None:
     return None
 
 
+def _check_count(cfg: dict) -> None:
+    """A draw count below 1 is a usage error, raised before any output."""
+    if int(cfg["count"]) < 1:
+        raise ParameterError(f"--count must be at least 1, got {cfg['count']}")
+
+
 def _outdir(args) -> Path:
     root = os.environ.get("PRADIAL_OUTPUT_ROOT", "pradial-out")
     out = Path(args.out) if args.out else Path(root)
@@ -207,15 +213,16 @@ def cmd_sample(args) -> int:
         if target == "weighted-pnpw":
             s = sample_weighted_pnpw(n, p, WeightFn.delta_beta(beta), law,
                                      rng, size=count)
-            points, chain_ok, accept_rate = (s.points, s.chain.ok,
-                                             s.chain.accept_rate)
+            points = s.points
         else:
             sampler = (sample_eigenvalues_PH if target == "eigen-PH"
                        else sample_sq_singular_PM)
             s = sampler(EnsembleSpec(n=n, p=p, beta=beta, law=law), rng,
                         size=count)
-            points, chain_ok, accept_rate = s.spectra, s.chain_ok, s.accept_rate
-        diag = {"chain_ok": chain_ok, "accept_rate": accept_rate}
+            points = s.spectra
+        diag = {"chain_ok": s.chain.ok, "accept_rate": s.chain.accept_rate,
+                "accept_per_chain": s.chain.accept_per_chain,
+                "ess": s.chain.ess}
     else:
         print(f"unknown sample target {target!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -415,6 +422,8 @@ def cmd_ldp_verify(args) -> int:
     cfg.setdefault("event_b", 0.1)
     cfg.setdefault("alpha_rate", 1.0)
     cfg.setdefault("monte_carlo", False)
+    if cfg["monte_carlo"]:
+        _check_count(cfg)
     outdir = _outdir(args)
     p = float(cfg["p"])
     bcut = float(cfg["event_b"])
@@ -502,6 +511,7 @@ def cmd_norm_const(args) -> int:
     cfg.setdefault("weight", "one")
     if _require(cfg, "n"):
         return EXIT_USAGE
+    _check_count(cfg)
     outdir = _outdir(args)
     n, p = int(cfg["n"]), float(cfg["p"])
     name = cfg["weight"]

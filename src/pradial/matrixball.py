@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import ParameterError, RadialLawW, _check_positive
-from .mcmc import ChainConfig, sample_weighted_pnpw
+from .mcmc import ChainConfig, ChainResult, sample_weighted_pnpw
 from .rng import RngStream
 from .weights import WeightFn
 
@@ -85,8 +85,15 @@ class SpectralSample:
     on_sphere: np.ndarray
     family: str  # "H" or "M"
     spec: EnsembleSpec
-    chain_ok: bool
-    accept_rate: float
+    chain: ChainResult
+
+    @property
+    def chain_ok(self) -> bool:
+        return self.chain.ok
+
+    @property
+    def accept_rate(self) -> float:
+        return self.chain.accept_rate
 
 
 def _spectral_sample(spec: EnsembleSpec, family: str, weight: WeightFn,
@@ -96,8 +103,7 @@ def _spectral_sample(spec: EnsembleSpec, family: str, weight: WeightFn,
                              size=size, config=config)
     # the chain emits sorted rows and the radial division keeps their order
     return SpectralSample(spectra=s.points, on_sphere=s.on_sphere,
-                          family=family, spec=spec, chain_ok=s.chain.ok,
-                          accept_rate=s.chain.accept_rate)
+                          family=family, spec=spec, chain=s.chain)
 
 
 def sample_eigenvalues_PH(spec: EnsembleSpec, rng: RngStream, size: int = 1,

@@ -41,6 +41,7 @@ class ChainResult:
     samples: np.ndarray          # (n_samples, n), pooled across chains
     accept_rate: float
     accept_per_coord: np.ndarray
+    accept_per_chain: np.ndarray  # (n_chains,) post-burn-in acceptance
     ess: float                   # effective sample size of ||x||_p^p
     ok: bool                     # acceptance inside the required window
     backend: str = _kernels.BACKEND
@@ -95,67 +96,78 @@ def geyer_ess(series: np.ndarray) -> float:
     return float(m / tau)
 
 
+def _check_config(cfg: ChainConfig) -> None:
+    if cfg.n_chains < 1:
+        raise ParameterError(f"n_chains must be >= 1, got {cfg.n_chains}")
+    if cfg.thin < 1:
+        raise ParameterError(f"thin must be >= 1, got {cfg.thin}")
+    if cfg.burn_in < 0:
+        raise ParameterError(f"burn_in must be >= 0, got {cfg.burn_in}")
+
+
 def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
                 config: ChainConfig | None = None) -> ChainResult:
     """Draw from pi(x) ~ exp(-||x||_p^p) f(x).
 
     Repulsive weights produce exchangeable coordinates; states are emitted
-    sorted ascending so the output is the ordered vector.  Chains run with
-    independent substreams and are pooled.
+    sorted ascending so the output is the ordered vector.  The chains run
+    in lockstep, each on its own substream, and are pooled chain by chain.
     """
     _check_positive("p", p)
     cfg = config or ChainConfig()
+    _check_config(cfg)
     if weight.kind == KIND_CUSTOM:
         raise ParameterError(
             "custom weights need a bespoke chain; only coded weights are "
             "supported by the chain kernel")
 
-    per_chain = -(-cfg.n_samples // cfg.n_chains)  # ceil
-    streams = rng.split(cfg.n_chains)
-    all_samples = []
-    acc = np.zeros((n, 2))
-    for s in streams:
-        out, a = _run_one_chain(n, p, weight, s, cfg, per_chain)
-        all_samples.append(out)
-        acc += a
-
-    # ordered emission: every state is reported sorted ascending; callers
-    # that need exchangeable coordinates apply a uniform permutation
-    samples = np.sort(np.concatenate(all_samples, axis=0)[:cfg.n_samples], axis=1)
-    rate = acc[:, 0].sum() / max(acc[:, 1].sum(), 1.0)
-    per_coord = acc[:, 0] / np.maximum(acc[:, 1], 1.0)
-    norm_series = np.sum(np.abs(samples) ** p, axis=1)
-    ess = geyer_ess(norm_series)
-    lo, hi = cfg.accept_window
-    return ChainResult(samples=samples, accept_rate=float(rate),
-                       accept_per_coord=per_coord, ess=ess,
-                       ok=bool(lo <= rate <= hi))
-
-
-def _run_one_chain(n, p, weight, stream, cfg, n_keep):
-    gen = stream.gen
+    n_chains = cfg.n_chains
+    per_chain = -(-cfg.n_samples // n_chains)  # ceil
     n_adapt = cfg.burn_in
-    n_post = n_keep * cfg.thin * n  # sweeps -> coordinate flips
-    n_steps = n_adapt + n_post
+    n_steps = n_adapt + per_chain * cfg.thin * n  # sweeps -> coordinate flips
 
-    coord_idx = gen.integers(0, n, size=n_steps).astype(np.int64)
-    normals = gen.standard_normal(n_steps)
-    log_unifs = np.log(gen.random(n_steps))
+    # each chain's substream is drawn in the order a lone chain draws it:
+    # coordinates, increments, uniforms, then the start from a rewound copy
+    coord_idx = np.empty((n_steps, n_chains), dtype=np.int64)
+    normals = np.empty((n_steps, n_chains))
+    log_unifs = np.empty((n_steps, n_chains))
+    x0 = np.empty((n_chains, n))
+    for k, s in enumerate(rng.split(n_chains)):
+        gen = s.gen
+        coord_idx[:, k] = gen.integers(0, n, size=n_steps)
+        normals[:, k] = gen.standard_normal(n_steps)
+        log_unifs[:, k] = np.log(gen.random(n_steps))
+        x0[k] = _initial_state(n, p, weight, s.fresh())
     # Robbins-Monro step sizes t^(-0.6), frozen after burn-in
     adapt_rates = 1.0 / (1.0 + np.arange(n_steps, dtype=np.float64)) ** 0.6
     adapt_up = np.exp(adapt_rates * (1.0 - cfg.target_accept))
     adapt_down = np.exp(adapt_rates * (0.0 - cfg.target_accept))
 
-    x0 = _initial_state(n, p, weight, stream.fresh())
-    scales = np.full(n, cfg.init_scale)
-    out = np.empty((n_keep, n))
-    acc_count = np.zeros((n, 2), dtype=np.int64)
+    scales = np.full((n_chains, n), cfg.init_scale)
+    out = np.empty((per_chain, n_chains, n))
+    acc = np.zeros((n_chains, n, 2), dtype=np.int64)
     # thinning counts sweeps of n flips; translate to flip units
     _kernels.run_chain(x0, float(p), int(weight.kind), float(weight.beta),
                        coord_idx, normals, log_unifs, scales,
                        int(n_adapt), adapt_up, adapt_down,
-                       int(cfg.thin * n), out, acc_count)
-    return out, acc_count
+                       int(cfg.thin * n), out, acc)
+
+    # ordered emission: every state is reported sorted ascending; callers
+    # that need exchangeable coordinates apply a uniform permutation
+    pooled = out.transpose(1, 0, 2).reshape(n_chains * per_chain, n)
+    samples = np.sort(pooled[:cfg.n_samples], axis=1)
+    tally = acc.sum(axis=0)
+    rate = tally[:, 0].sum() / max(tally[:, 1].sum(), 1.0)
+    per_coord = tally[:, 0] / np.maximum(tally[:, 1], 1.0)
+    per_chain_rate = acc[..., 0].sum(axis=1) / np.maximum(
+        acc[..., 1].sum(axis=1), 1.0)
+    norm_series = np.sum(np.abs(samples) ** p, axis=1)
+    ess = geyer_ess(norm_series)
+    lo, hi = cfg.accept_window
+    return ChainResult(samples=samples, accept_rate=float(rate),
+                       accept_per_coord=per_coord,
+                       accept_per_chain=per_chain_rate, ess=ess,
+                       ok=bool(lo <= rate <= hi))
 
 
 def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,

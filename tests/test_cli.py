@@ -163,6 +163,18 @@ class TestSample:
         assert diag["chain_ok"] is True
         assert 0.2 <= diag["accept_rate"] <= 0.6
 
+    @pytest.mark.parametrize("target", ["weighted-pnpw", "eigen-PH",
+                                        "singular-PM"])
+    def test_per_chain_diagnostics(self, tmp_path, target):
+        code, out = run(tmp_path, "sample", "--target", target, "--n", "4",
+                        "--count", "200", "--seed", "5")
+        assert code == 0
+        diag = read_strict_json(out / "diagnostics.json")
+        per_chain = diag["accept_per_chain"]
+        assert len(per_chain) == 4  # the default number of chains
+        assert all(0.0 < a < 1.0 for a in per_chain)
+        assert 0.0 < diag["ess"] <= 200
+
     def test_weighted_pnpw_writes_diagnostics(self, tmp_path):
         code, out = run(tmp_path, "sample", "--target", "weighted-pnpw",
                         "--n", "3", "--count", "50", "--seed", "3")
@@ -177,6 +189,10 @@ class TestSample:
          "7b22feb579edb3a6"),
         (("--target", "eigen-PH", "--n", "4", "--seed", "1", "--theta",
           "0.3", "--count", "300"), "eb04c6920a3e31fe"),
+        (("--target", "eigen-PH", "--n", "16", "--seed", "1", "--theta",
+          "0.3", "--count", "300"), "918044d7be227a1b"),
+        (("--target", "singular-PM", "--n", "16", "--seed", "1", "--theta",
+          "0.3", "--count", "300"), "61ea39af8ec2e876"),
     ])
     def test_golden_digest(self, tmp_path, argv, digest):
         code, out = run(tmp_path, "sample", *argv)
@@ -313,6 +329,14 @@ class TestLdpVerify:
         assert rep["gap_final"] == "inf"
         assert (out / "ldp_decay.csv").exists()
 
+    def test_monte_carlo_count_below_one_is_usage_error(self, tmp_path,
+                                                        capsys):
+        code, out = run(tmp_path, "ldp-verify", "--n-list", "20",
+                        "--count", "0", "--monte-carlo", "--seed", "1")
+        assert code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_monte_carlo_censoring(self, tmp_path):
         # at n = 80 the event probability is ~1e-12: MC sees zero hits and
         # reports the rule-of-three bound with the censoring flag set
@@ -352,14 +376,23 @@ class TestNormConst:
         expected = -3.0 * (math.log(2.0) + math.lgamma(1.5))
         assert rep["log_norm_const"] == pytest.approx(expected, abs=1e-12)
 
-    def test_degenerate_estimate_is_strict_json(self, tmp_path):
-        # no draws: the estimate degenerates to log C = -inf
+    def test_degenerate_estimate_is_strict_json(self, tmp_path, monkeypatch):
+        # a weight that vanished on every draw degenerates to log C = -inf
+        monkeypatch.setattr("pradial.cli.estimate_norm_const",
+                            lambda *a, **k: (-math.inf, math.inf))
         code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
-                        "2", "--count", "0", "--seed", "2")
+                        "2", "--count", "10", "--seed", "2")
         assert code == 3
         rep = read_strict_json(out / "norm_const.json")
         assert rep["log_norm_const"] == "-inf"
         assert rep["se_log"] == "inf"
+
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
+                        "2", "--count", "0", "--seed", "2")
+        assert code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_weight(self, tmp_path):
         code, _ = run(tmp_path, "norm-const", "--weight", "frob", "--n", "3")

@@ -100,10 +100,11 @@ class TestMcmcSample:
             mcmc_sample(3, 2.0, w, rng(6))
 
     def test_kernel_matches_full_target_metropolis(self):
-        # run_chain scores each flip with the O(n) incremental _delta_logf;
-        # a textbook loop that rescores the full log target on the same
-        # pre-generated randomness must take the same accept/reject path
-        n, steps, keep, adapt_until = 6, 5000, 100, 2000
+        # run_chain moves K chains in lockstep and scores each flip with an
+        # O(n) incremental update; a textbook loop that rescores the full
+        # log target on one chain's pre-generated randomness must take the
+        # same accept/reject path as that chain's column of the batch
+        n, n_chains, steps, keep, adapt_until = 6, 3, 5000, 100, 2000
         t = np.arange(adapt_until, dtype=float)
         rates = 1.0 / (1.0 + t) ** 0.6
         up = np.exp(rates * (1.0 - 0.35))
@@ -134,24 +135,48 @@ class TestMcmcSample:
                  (delta_beta(1.0), 1.5), (nabla_beta(1.0), 1.0),
                  (nabla_beta(2.0), 2.0)]
         for stream, (weight, p) in enumerate(cases, start=70):
-            gen = rng(stream).gen
-            x0 = np.sort(gen.random(n)) + np.arange(n) * 0.5 + 0.1
-            coord_idx = gen.integers(0, n, size=steps)
-            normals = gen.standard_normal(steps)
-            log_unifs = np.log(gen.random(steps))
-            scales = np.full(n, 1.0)
-            out = np.empty((keep, n))
-            acc = np.zeros((n, 2), dtype=np.int64)
+            draws = []
+            for s in rng(stream).split(n_chains):
+                gen = s.gen
+                draws.append((np.sort(gen.random(n)) + np.arange(n) * 0.5 + 0.1,
+                              gen.integers(0, n, size=steps),
+                              gen.standard_normal(steps),
+                              np.log(gen.random(steps))))
+            x0 = np.stack([d[0] for d in draws])
+            coord_idx, normals, log_unifs = (
+                np.stack([d[j] for d in draws], axis=1) for j in (1, 2, 3))
+            scales = np.full((n_chains, n), 1.0)
+            out = np.empty((keep, n_chains, n))
+            acc = np.zeros((n_chains, n, 2), dtype=np.int64)
             _kernels.run_chain(x0.copy(), p, weight.kind, weight.beta,
                                coord_idx, normals, log_unifs, scales,
                                adapt_until, up, down, thin, out, acc)
-            ref_scales = np.full(n, 1.0)
-            ref_out, ref_acc = reference(x0, p, weight, coord_idx, normals,
-                                         log_unifs, ref_scales)
-            assert 0 < acc[:, 0].sum() < acc[:, 1].sum()
-            assert np.array_equal(out, ref_out), weight.name
-            assert np.array_equal(acc, ref_acc), weight.name
-            assert np.array_equal(scales, ref_scales), weight.name
+            for k in range(n_chains):
+                ref_scales = np.full(n, 1.0)
+                ref_out, ref_acc = reference(x0[k], p, weight, coord_idx[:, k],
+                                             normals[:, k], log_unifs[:, k],
+                                             ref_scales)
+                assert 0 < acc[k, :, 0].sum() < acc[k, :, 1].sum()
+                assert np.array_equal(out[:, k], ref_out), (weight.name, k)
+                assert np.array_equal(acc[k], ref_acc), (weight.name, k)
+                assert np.array_equal(scales[k], ref_scales), (weight.name, k)
+
+    @pytest.mark.parametrize("field, value", [("n_chains", 0), ("thin", 0),
+                                              ("burn_in", -1)])
+    def test_invalid_config_rejected(self, field, value):
+        cfg = ChainConfig(n_samples=10, **{field: value})
+        with pytest.raises(ParameterError, match=field):
+            mcmc_sample(3, 2.0, delta_beta(2.0), rng(6), cfg)
+
+    def test_accept_per_chain(self):
+        # one acceptance rate per chain, pooling to the overall rate since
+        # every chain makes the same number of post-burn-in proposals
+        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(7),
+                          ChainConfig(n_samples=300, n_chains=3))
+        assert res.accept_per_chain.shape == (3,)
+        assert np.all((0.2 <= res.accept_per_chain)
+                      & (res.accept_per_chain <= 0.6))
+        assert np.mean(res.accept_per_chain) == pytest.approx(res.accept_rate)
 
     def test_reproducible(self):
         a = mcmc_sample(4, 1.5, delta_beta(1.0), rng(8),
