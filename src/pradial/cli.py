@@ -194,6 +194,7 @@ def cmd_sample(args) -> int:
         print(f"--orthant is not supported for target {target!r}",
               file=sys.stderr)
         return EXIT_USAGE
+    _check_count(cfg)
     outdir = _outdir(args)
     rng = RngStream(int(cfg["seed"]))
     n, p, count = int(cfg["n"]), float(cfg["p"]), int(cfg["count"])

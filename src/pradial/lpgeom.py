@@ -184,16 +184,17 @@ def psi_density(spec: PsiSpec, s) -> np.ndarray:
     return out
 
 
-def _kernel_moment(k: float, t: float, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """int_{w0}^{w1} w^k e^{-t w} dw per cell, exactly via the regularized
-    lower incomplete gamma function."""
+def _kernel_moment(k: float, t: float, w: np.ndarray) -> np.ndarray:
+    """int w^k e^{-t w} dw over each cell [w[i], w[i+1]] of the knots w,
+    exactly via the regularized lower incomplete gamma function, which is
+    evaluated once per knot."""
     from scipy.special import gammainc
 
-    if t * float(np.max(w1)) < 1e-8:
+    if t * float(np.max(w[1:])) < 1e-8:
         # e^{-t w} is 1 to well below quadrature tolerance
-        return (w1 ** (k + 1.0) - w0 ** (k + 1.0)) / (k + 1.0)
+        return np.diff(w ** (k + 1.0)) / (k + 1.0)
     scale = np.exp(gammaln(k + 1.0) - (k + 1.0) * np.log(t))
-    return scale * (gammainc(k + 1.0, t * w1) - gammainc(k + 1.0, t * w0))
+    return scale * np.diff(gammainc(k + 1.0, t * w))
 
 
 def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
@@ -223,8 +224,8 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
                 val += wgt * np.exp(d * np.log(x) - t * x)
             # the atom at 0 contributes 0 to the integral (w^d = 0 for d > 0)
         if law.grid is not None:
-            val += float(np.sum(intercept * _kernel_moment(d, t, w0, w1)
-                                + slope * _kernel_moment(d + 1.0, t, w0, w1)))
+            val += float(np.sum(intercept * _kernel_moment(d, t, law.grid)
+                                + slope * _kernel_moment(d + 1.0, t, law.grid)))
         out[i] = val * np.exp(-(d + 1.0) * np.log1p(-si ** p) - gammaln(d + 1.0))
     return out if np.ndim(s) else float(out[0])
 

@@ -234,20 +234,19 @@ def _psi_cell(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_pair_energy(a: float, b: float, c: float, d: float) -> float:
-    """Exact double integral of log|x - y| over [a,b] x [c,d], divided by
-    the cell areas, via the closed-form second antiderivative."""
-    combo = (_psi_cell(np.array([b - c])) - _psi_cell(np.array([b - d]))
-             - _psi_cell(np.array([a - c])) + _psi_cell(np.array([a - d])))
-    return float(combo[0]) / ((b - a) * (d - c))
-
-
 def log_energy(mu: MeasureRep) -> float:
     """The logarithmic energy -int int log|x - y| mu(dx) mu(dy).
 
     Atoms: pairwise sum off the diagonal; coincident atoms give +inf.
-    Grid: exact per-cell-pair closed form for piecewise-constant cell
-    masses, which integrates the log singularity analytically.
+    Grid: the trapezoid cell masses m, spread uniformly over their cells
+    [a_i, b_i] of width w_i, give E = -m^T L m with
+
+        L[i, j] = [Psi(b_i - a_j) - Psi(b_i - b_j) - Psi(a_i - a_j)
+                   + Psi(a_i - b_j)] / (w_i w_j),
+
+    the exact mean of log|x - y| over cell i x cell j (the log singularity
+    is integrated analytically), built for all pairs of cells with positive
+    mass in one broadcast.
     Analytic: nested quadrature in quantile coordinates with the diagonal
     singularity split out.
     """
@@ -269,21 +268,18 @@ def log_energy(mu: MeasureRep) -> float:
 
     if mu.kind == "grid":
         g, dens = mu.grid, mu.density
+        w = np.diff(g)
         # piecewise-constant cell masses from the trapezoid weights
-        masses = 0.5 * (dens[1:] + dens[:-1]) * np.diff(g)
+        masses = 0.5 * (dens[1:] + dens[:-1]) * w
         masses = masses / masses.sum()
-        edges_a, edges_b = g[:-1], g[1:]
-        k = masses.size
-        total = 0.0
-        for i in range(k):
-            if masses[i] == 0.0:
-                continue
-            for j in range(k):
-                if masses[j] == 0.0:
-                    continue
-                total += masses[i] * masses[j] * _cell_pair_energy(
-                    edges_a[i], edges_b[i], edges_a[j], edges_b[j])
-        return float(-total)
+        # cells of zero mass add nothing; dropping them also drops the
+        # zero-width cells of a repeated knot, where L would divide 0 by 0
+        keep = masses > 0.0
+        masses, w = masses[keep], w[keep]
+        a, b = g[:-1][keep, None], g[1:][keep, None]
+        pair = (_psi_cell(b - a.T) - _psi_cell(b - b.T)
+                - _psi_cell(a - a.T) + _psi_cell(a - b.T)) / np.outer(w, w)
+        return float(-(masses @ pair @ masses))
 
     # analytic: E = -int_0^1 int_0^1 log|Q(u) - Q(v)| du dv.  Split at the
     # diagonal so each inner integral sees the singularity only at an

@@ -14,10 +14,12 @@ The speed regime enters through the parameter ktheta: "critical" selects
 the nondegenerate case (speed n for Euclidean targets, n^2 for matrix
 targets); "greater" collapses the rate to the point mass at 1.
 
-Also provided: a numerical Legendre-Fenchel transform with golden-section
-refinement, a Monte-Carlo scaled cumulant generating function with its
-analytic counterpart, and Laplace / boundary-Laplace (Breitung) ratio
-checks used by the desk-scale verification experiments.
+Also provided: a numerical Legendre-Fenchel transform that refines each
+discrete maximum to the closed-form maximum of the cubic-spline
+interpolant on the two grid cells beside it, a Monte-Carlo scaled
+cumulant generating function with its analytic counterpart, and
+Laplace / boundary-Laplace (Breitung) ratio checks used by the
+desk-scale verification experiments.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from scipy.special import gammaln, logsumexp
 
 from .distributions import ParameterError, _check_positive
 from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gaussian
+
+_LEGENDRE_BLOCK = 1 << 20  # cells per row block in legendre_transform
 
 _EUCLID_TARGETS = ("cone-euclid", "beta-euclid", "emp-euclid")
 _MATRIX_TARGETS = ("cone-H", "beta-H", "emp-H", "cone-M", "beta-M", "emp-M")
@@ -216,29 +220,46 @@ def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
     """Lambda*(x) = sup_t [x t - Lambda(t)] for Lambda sampled on a grid.
 
     Lambda is treated as +inf outside the grid interval, so the supremum
-    is over [t[0], t[-1]].  Interior maxima are refined by golden-section
-    search on a cubic-spline interpolant within the bracketing cells.
+    is over [t[0], t[-1]].  For each x the discrete maximiser t[i] of
+    x t - f is found first.  The value is then refined to the exact
+    maximum of x s - S(s), with S the cubic-spline interpolant, over the
+    two cells [t[i-1], t[i+1]] beside it: on each cell S' = x is a
+    quadratic, whose roots inside the cell are the interior candidates,
+    and the knot values bound the rest.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     if t.size < 4 or np.any(np.diff(t) <= 0):
         raise ParameterError("grid must be increasing with at least 4 knots")
-    spline = CubicSpline(t, f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for j, xj in enumerate(xs):
-        h = xj * t - f
-        i = int(np.argmax(h))
-        lo = t[max(i - 1, 0)]
-        hi = t[min(i + 1, t.size - 1)]
-        if hi > lo:
-            res = optimize.minimize_scalar(
-                lambda s: -(xj * s - spline(s)), bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-12})
-            out[j] = max(float(-res.fun), float(h[i]))
-        else:
-            out[j] = float(h[i])
+    idx = np.empty(xs.size, dtype=np.intp)
+    best = np.empty_like(xs)
+    # row blocks bound the (points x knots) array of x t - f
+    rows = max(1, _LEGENDRE_BLOCK // t.size)
+    for lo in range(0, xs.size, rows):
+        h = np.multiply.outer(xs[lo:lo + rows], t)
+        h -= f
+        i = np.argmax(h, axis=1)
+        idx[lo:lo + rows] = i
+        best[lo:lo + rows] = h[np.arange(i.size), i]
+
+    c = CubicSpline(t, f).c
+    # cells i-1 and i, clipped to the grid; on cell k with u = s - t[k],
+    # S'(u) = x  <=>  qa u^2 + qb u + qc = 0
+    cell = np.clip(np.stack([idx - 1, idx], axis=1), 0, t.size - 2)
+    xc = xs[:, None]
+    a3, a2, a1, a0 = c[:, cell]
+    qa, qb, qc = 3.0 * a3, 2.0 * a2, a1 - xc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # stable roots q/qa and qc/q; qa = 0 leaves the one root
+        # -qc/qb in qc/q
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        roots = np.stack([q / qa, qc / q])
+    inside = (roots >= 0.0) & (roots <= (t[cell + 1] - t[cell]))
+    u = np.where(inside, roots, 0.0)
+    vals = xc * (t[cell] + u) - (((a3 * u + a2) * u + a1) * u + a0)
+    vals = np.where(inside, vals, -np.inf).max(axis=(0, 2))
+    out = np.maximum(vals, best)
     return out if np.ndim(x) else float(out[0])
 
 

@@ -209,6 +209,14 @@ class TestSample:
         assert "--orthant" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
 
+    @pytest.mark.parametrize("target", ["eigen-PH", "cone"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, target):
+        code, out = run(tmp_path, "sample", "--target", target, "--n", "3",
+                        "--count", "0", "--seed", "1")
+        assert code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_reruns_as_config(self, tmp_path):
         code, out1 = run(tmp_path / "a", "sample", "--target", "uniform",
                          "--n", "2", "--count", "30", "--seed", "5")

@@ -4,11 +4,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from pradial.distributions import ParameterError
-from pradial.measures import (MeasureRep, log_energy, moment_p,
+from pradial.measures import (MeasureRep, _psi_cell, log_energy, moment_p,
                               relative_entropy_gen_gaussian)
+
+
+def _grid_energy_reference(mu):
+    """The cell-pair double loop: the same closed form per pair of cells,
+    skipping cells of zero mass."""
+    g, dens = mu.grid, mu.density
+    masses = 0.5 * (dens[1:] + dens[:-1]) * np.diff(g)
+    masses = masses / masses.sum()
+    total = 0.0
+    for i in range(masses.size):
+        if masses[i] == 0.0:
+            continue
+        a, b = g[i], g[i + 1]
+        for j in range(masses.size):
+            if masses[j] == 0.0:
+                continue
+            c, d = g[j], g[j + 1]
+            combo = (_psi_cell(np.array([b - c])) - _psi_cell(np.array([b - d]))
+                     - _psi_cell(np.array([a - c]))
+                     + _psi_cell(np.array([a - d])))
+            total += masses[i] * masses[j] * float(combo[0]) / (
+                (b - a) * (d - c))
+    return -total
+
+
+def _random_grid(gen, cells):
+    g = np.sort(gen.uniform(-2.0, 3.0, cells + 1))
+    d = gen.uniform(0.0, 1.0, cells + 1)
+    d[gen.random(cells + 1) < 0.3] = 0.0  # zero-mass cells included
+    d[cells // 2] = 1.0
+    return MeasureRep.from_grid(g, d / np.trapezoid(d, g))
 
 
 class TestMeasureRep:
@@ -140,6 +173,32 @@ class TestLogEnergy:
         mu = MeasureRep.beta_law(2.0, 2.0)
         grid = mu.to_grid(n_bins=800)
         assert log_energy(grid) == pytest.approx(log_energy(mu), abs=2e-3)
+
+    @pytest.mark.parametrize("cells", [2, 7, 40, 120])
+    def test_grid_matches_reference(self, cells):
+        gen = np.random.default_rng(cells)
+        for _ in range(3):
+            mu = _random_grid(gen, cells)
+            ref = _grid_energy_reference(mu)
+            assert log_energy(mu) == pytest.approx(ref, rel=1e-12)
+
+    def test_grid_repeated_knot(self):
+        # a repeated knot tabulates a jump; its zero-width cell has no mass
+        mu = MeasureRep.from_grid([0.0, 0.3, 0.5, 0.5, 1.0],
+                                  [0.5, 0.5, 0.5, 1.5, 1.5])
+        assert np.isfinite(log_energy(mu))
+        assert log_energy(mu) == pytest.approx(_grid_energy_reference(mu),
+                                               rel=1e-12)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40),
+           st.floats(0.05, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_scaling_property(self, seed, cells, c):
+        # E(c mu) = E(mu) - log c for the dilated grid measure
+        mu = _random_grid(np.random.default_rng(seed), cells)
+        scaled = MeasureRep.from_grid(c * mu.grid, mu.density / c)
+        assert log_energy(scaled) == pytest.approx(
+            log_energy(mu) - math.log(c), abs=1e-12)
 
     def test_scaling_identity(self):
         # the energy is -integral integral log|x-y|, so a dilation by c

@@ -2,9 +2,14 @@
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, stats
+from scipy.interpolate import CubicSpline
 
 from pradial.distributions import ParameterError
 from pradial.measures import MeasureRep, log_energy, moment_p
@@ -187,7 +192,90 @@ class TestEmpRates:
         assert rate_emp_itemized(mu, spec)["branch"] == "moment-gate-saturated"
 
 
+def _legendre_reference(t, f, x):
+    """The per-point transform: the discrete maximiser, then a bounded
+    scalar search of x s - S(s) on [t[i-1], t[i+1]]."""
+    spline = CubicSpline(t, f)
+    out = np.empty(len(x))
+    for j, xj in enumerate(x):
+        h = xj * t - f
+        i = int(np.argmax(h))
+        lo = t[max(i - 1, 0)]
+        hi = t[min(i + 1, t.size - 1)]
+        res = optimize.minimize_scalar(
+            lambda s: -(xj * s - spline(s)), bounds=(lo, hi),
+            method="bounded", options={"xatol": 1e-12})
+        out[j] = max(float(-res.fun), float(h[i]))
+    return out
+
+
+_COSH_T = np.linspace(-3, 3, 601)
+_BUMP_T = np.linspace(-2, 2, 801)
+_COARSE_T = np.linspace(-3, 3, 13)
+_CUBIC_T = np.array([-0.15, 0.15, 0.6, 1.0, 1.5])
+_LEGENDRE_CASES = {
+    "cosh": (_COSH_T, np.cosh(_COSH_T), np.linspace(-9, 9, 301)),
+    # non-convex: the bump of test_biconjugate_convexifies
+    "bump": (_BUMP_T, _BUMP_T ** 2 + 0.5 * np.exp(-20 * _BUMP_T ** 2),
+             np.linspace(-4.5, 4.5, 181)),
+    # x = 0.8 is nearest the knot 1.0, so the maximiser s = 0.8 lies in
+    # the cell left of the discrete one
+    "cell-left": (_COARSE_T, _COARSE_T ** 2 / 2,
+                  np.array([0.8, -1.3, 0.1, 2.2])),
+    # S' = x has the two roots -0.1 and 0.1 in the cell [-0.15, 0.15] at
+    # x = 0.03; the maximum is at 0.1, left of the discrete 0.15
+    "two-roots": (_CUBIC_T, _CUBIC_T ** 3, np.array([0.03, 0.02, 0.05])),
+}
+
+
 class TestLegendre:
+    @pytest.mark.parametrize("case", list(_LEGENDRE_CASES))
+    def test_matches_reference(self, case):
+        t, f, xs = _LEGENDRE_CASES[case]
+        got = legendre_transform(t, f, xs)
+        assert np.max(np.abs(got - _legendre_reference(t, f, xs))) < 1e-10
+
+    def test_closed_form_on_coarse_grids(self):
+        # the cubic spline reproduces t^2/2 and t^3, so these maxima are
+        # exact: 0.8^2/2 (cell left of the discrete maximiser) and
+        # 2 (x/3)^(3/2) at x = 0.03 (larger of two roots in one cell)
+        assert legendre_transform(_COARSE_T, _COARSE_T ** 2 / 2,
+                                  0.8) == pytest.approx(0.32, abs=1e-14)
+        assert legendre_transform(_CUBIC_T, _CUBIC_T ** 3,
+                                  0.03) == pytest.approx(0.002, abs=1e-14)
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=40),
+           st.floats(-10.0, 10.0), st.floats(0.1, 5.0),
+           st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_quadratic_property(self, gaps, t0, a, b, c, us):
+        # a t^2 + b t + c has conjugate (x - b)^2 / (4a) - c wherever the
+        # maximiser (x - b) / (2a) lies in the grid.  The ranges keep the
+        # spline fit's own rounding (its t^3 coefficient is not exactly
+        # 0) well below the tolerance: with gaps of 0.01 next to gaps of
+        # 1 and |f| near 1e4, the fit alone is off by about 4e-9
+        t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+        f = a * t ** 2 + b * t + c
+        s = t[0] + np.array(us) * (t[-1] - t[0])
+        xs = 2.0 * a * s + b
+        got = legendre_transform(t, f, xs)
+        assert np.allclose(got, (xs - b) ** 2 / (4.0 * a) - c, rtol=0,
+                           atol=1e-9)
+
+    def test_memory_is_blocked(self):
+        # a dense 4000 x 4000 float64 temporary would take 128 MB
+        t = np.linspace(-3, 3, 4000)
+        f = np.cosh(t)
+        xs = np.linspace(-9, 9, 4000)
+        tracemalloc.start()
+        try:
+            legendre_transform(t, f, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_quadratic(self):
         # f(t) = t^2/2 -> f*(x) = x^2/2
         t = np.linspace(-5, 5, 801)
