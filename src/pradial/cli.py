@@ -10,9 +10,15 @@ diagnostic failure, or a non-finite result (partial outputs are retained).
 JSON outputs are strict: non-finite floats are written as "inf", "-inf"
 or "nan".
 
-Configuration merge order: packaged defaults < --config file < explicit
-flags.  The default output root comes from the PRADIAL_OUTPUT_ROOT
-environment variable (falling back to ./pradial-out).
+Each subcommand's parameters are declared once, as the rows of its table
+in COMMANDS (name, type, choices, default, fallback, required).  The
+table generates the subcommand's flags and config keys and checks the
+merged values.  Configuration merge order: a row's default < packaged
+defaults (defaults.json) < --config file < explicit flags.  A config-file
+value is checked like a flag: its text is parsed by the row's type and
+held to the row's choices, so {"p": 2} is recorded as 2.0 and
+{"n": "abc"} is a usage error.  The default output root comes from the
+PRADIAL_OUTPUT_ROOT environment variable (falling back to ./pradial-out).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from . import __version__
 from .distributions import ParameterError, RadialLawW
 from .lpgeom import sample_cone, sample_pnpw, sample_uniform_ball
 from .matrixball import EnsembleSpec, sample_eigenvalues_PH, sample_sq_singular_PM
-from .mcmc import ChainConfig, estimate_norm_const, sample_weighted_pnpw
+from .mcmc import estimate_norm_const, sample_weighted_pnpw
 from .measures import MeasureRep
 from .rng import RngStream
 from .weights import WeightFn
@@ -117,44 +123,115 @@ def write_manifest(outdir: Path, command: str, config: dict, outputs: list,
     write_json(outdir / "manifest.json", manifest)
 
 
-def resolve_config(args: argparse.Namespace, keys: list) -> tuple[dict, bool]:
-    """Merge defaults < config file < explicit flags.  Flags are declared
-    with default None, so a non-None value means the user set it (or the
-    file supplied it)."""
-    merged = {k: v for k, v in load_defaults().items()
-              if k in keys or k in ("seed", "count")}
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        # manifests are accepted directly as config files
-        if "config" in file_cfg and "artifact" in file_cfg:
-            file_cfg = file_cfg["config"]
-    overridden = False
-    for k in keys:
-        if k in file_cfg:
-            merged[k] = file_cfg[k]
-        v = getattr(args, k.replace("-", "_"), None)
-        if v is not None:
-            if k.endswith("threshold") and k in merged and merged[k] != v:
-                overridden = True
-            merged[k] = v
-    return merged, overridden
+# --- parameter tables -----------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
-def _require(cfg: dict, *names) -> str | None:
-    missing = [k for k in names if cfg.get(k) is None]
+def _n_list(text: str) -> str:
+    """Checked, then kept as the text given, which the manifest records."""
+    if min(int(s) for s in text.split(",")) < 1:
+        raise ValueError(text)
+    return text
+
+
+_EXPECTS = {int: "an integer", float: "a number", bool: "true or false",
+            _positive_int: "an integer >= 1",
+            _n_list: "comma-separated integers >= 1"}
+
+
+class Param:
+    """One row of a subcommand's parameter table.
+
+    name is the config key; the flag is --name with "-" for "_".  type
+    parses the text of a value, from a flag or a config file alike (a
+    bool row is a switch, and a config file gives it true or false);
+    choices limit the parsed value.  default is recorded in the manifest
+    when nothing else sets the parameter; fallback is used then but not
+    recorded.
+    """
+
+    def __init__(self, name, type=float, choices=None, default=None,
+                 fallback=None, required=False):
+        self.name, self.type, self.choices = name, type, choices
+        self.default, self.fallback = default, fallback
+        self.required = required
+        self.flag = "--" + name.replace("_", "-")
+
+    def parse(self, raw):
+        if self.type is bool:
+            if isinstance(raw, bool):
+                return raw
+        else:
+            try:
+                value = self.type(str(raw))
+            except ValueError:
+                pass
+            else:
+                if self.choices is None or value in self.choices:
+                    return value
+        expects = (f"one of {', '.join(self.choices)}" if self.choices
+                   else _EXPECTS[self.type])
+        raise ParameterError(f"{self.flag} expects {expects}, got {raw!r}")
+
+
+class _Config(dict):
+    """The resolved parameters, as the manifest records them.  An unset
+    parameter with a fallback reads as its fallback."""
+
+    def __init__(self, fallbacks: dict):
+        super().__init__()
+        self.fallbacks = fallbacks
+
+    def __missing__(self, name):
+        return self.fallbacks[name]
+
+
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"--config {path}: not JSON ({exc})") from None
+    # manifests are accepted directly as config files
+    if isinstance(cfg, dict) and "config" in cfg and "artifact" in cfg:
+        cfg = cfg["config"]
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"--config {path}: expected a JSON object")
+    return cfg
+
+
+def resolve_config(args: argparse.Namespace, params) -> tuple[dict, bool]:
+    """Merge each row's default < defaults.json < config file < explicit
+    flags, parse the winning value through its row, and report whether a
+    flag changed a threshold that a default or the config file had set.
+    Flags are declared with default None, so a non-None value means the
+    user set it."""
+    defaults = load_defaults()
+    file_cfg = _read_config(args.config) if args.config else {}
+    cfg = _Config({prm.name: prm.fallback for prm in params
+                   if prm.fallback is not None})
+    overridden, missing = False, []
+    for prm in params:
+        flag = getattr(args, prm.name)
+        given = [v for v in (prm.default, defaults.get(prm.name),
+                             file_cfg.get(prm.name), flag) if v is not None]
+        if not given:
+            if prm.required:
+                missing.append(prm.name)
+            continue
+        cfg[prm.name] = prm.parse(given[-1])
+        if (flag is not None and prm.name.endswith("threshold")
+                and len(given) > 1 and prm.parse(given[-2]) != cfg[prm.name]):
+            overridden = True
     if missing:
-        msg = f"missing required parameter(s): {', '.join(missing)}"
-        print(msg, file=sys.stderr)
-        return msg
-    return None
-
-
-def _check_count(cfg: dict) -> None:
-    """A draw count below 1 is a usage error, raised before any output."""
-    if int(cfg["count"]) < 1:
-        raise ParameterError(f"--count must be at least 1, got {cfg['count']}")
+        raise ParameterError(
+            f"missing required parameter(s): {', '.join(missing)}")
+    return cfg, overridden
 
 
 def _outdir(args) -> Path:
@@ -165,8 +242,7 @@ def _outdir(args) -> Path:
 
 
 def _law_from(cfg) -> RadialLawW:
-    theta = float(cfg["theta"])
-    alpha = float(cfg["alpha"])
+    theta, alpha = cfg["theta"], cfg["alpha"]
     if theta == 1.0:
         return RadialLawW.dirac()
     if theta == 0.0:
@@ -174,68 +250,63 @@ def _law_from(cfg) -> RadialLawW:
     return RadialLawW.mixture(theta, alpha)
 
 
+def _ensemble(cfg, law) -> EnsembleSpec:
+    return EnsembleSpec(n=cfg["n"], p=cfg["p"], beta=cfg["beta"], law=law)
+
+
 # --- sample -----------------------------------------------------------------
 
-_CHAIN_TARGETS = ("weighted-pnpw", "eigen-PH", "singular-PM")
+# target -> (draw(cfg, law, rng), weight of beta, q/p).  A draw's rows are
+# its `points`; a chain target's `chain` holds its diagnostics, and the
+# norm-split statistic of a row, sum |x_i|^q, has the Beta shape
+# (n + weight.degree(n)) / q.  The lambdas look samplers up when called,
+# so a rebound module-level name is the one that runs.
+_TARGETS = {
+    "cone": (lambda c, law, rng: sample_cone(
+        c["n"], c["p"], rng, size=c["count"], positive=c["orthant"]),
+        None, None),
+    "uniform": (lambda c, law, rng: sample_uniform_ball(
+        c["n"], c["p"], rng, size=c["count"], positive=c["orthant"]),
+        None, None),
+    "pnpw": (lambda c, law, rng: sample_pnpw(
+        c["n"], c["p"], law, rng, size=c["count"], positive=c["orthant"]),
+        None, None),
+    "weighted-pnpw": (lambda c, law, rng: sample_weighted_pnpw(
+        c["n"], c["p"], WeightFn.delta_beta(c["beta"]), law, rng,
+        size=c["count"]),
+        lambda beta: WeightFn.delta_beta(beta), 1.0),
+    "eigen-PH": (lambda c, law, rng: sample_eigenvalues_PH(
+        _ensemble(c, law), rng, size=c["count"]),
+        lambda beta: WeightFn.delta_beta(beta), 1.0),
+    "singular-PM": (lambda c, law, rng: sample_sq_singular_PM(
+        _ensemble(c, law), rng, size=c["count"]),
+        lambda beta: WeightFn.nabla_beta(beta), 0.5),
+}
 
 
-def cmd_sample(args) -> int:
-    keys = ["target", "n", "p", "beta", "theta", "alpha", "count", "seed",
-            "orthant"]
-    cfg, overridden = resolve_config(args, keys)
-    cfg.setdefault("orthant", False)
-    if _require(cfg, "target", "n"):
-        return EXIT_USAGE
-    target = cfg["target"]
-    positive = bool(cfg["orthant"])
-    if positive and target in _CHAIN_TARGETS:
+def cmd_sample(args, cfg, overridden) -> int:
+    draw, weight, _ = _TARGETS[cfg["target"]]
+    if cfg["orthant"] and weight is not None:
         # the weights are not invariant under flipping one coordinate's
         # sign, so folding chain draws into the orthant changes their law
-        print(f"--orthant is not supported for target {target!r}",
+        print(f"--orthant is not supported for target {cfg['target']!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    _check_count(cfg)
     outdir = _outdir(args)
-    rng = RngStream(int(cfg["seed"]))
-    n, p, count = int(cfg["n"]), float(cfg["p"]), int(cfg["count"])
-    law = _law_from(cfg)
+    rng = RngStream(cfg["seed"])
+    s = draw(cfg, _law_from(cfg), rng)
+    chain = s.chain
 
-    diag = None
-    if target == "cone":
-        points = sample_cone(n, p, rng, size=count, positive=positive).points
-    elif target == "uniform":
-        points = sample_uniform_ball(n, p, rng, size=count,
-                                     positive=positive).points
-    elif target == "pnpw":
-        points = sample_pnpw(n, p, law, rng, size=count,
-                             positive=positive).points
-    elif target in _CHAIN_TARGETS:
-        beta = float(cfg["beta"])
-        if target == "weighted-pnpw":
-            s = sample_weighted_pnpw(n, p, WeightFn.delta_beta(beta), law,
-                                     rng, size=count)
-            points = s.points
-        else:
-            sampler = (sample_eigenvalues_PH if target == "eigen-PH"
-                       else sample_sq_singular_PM)
-            s = sampler(EnsembleSpec(n=n, p=p, beta=beta, law=law), rng,
-                        size=count)
-            points = s.spectra
-        diag = {"chain_ok": s.chain.ok, "accept_rate": s.chain.accept_rate,
-                "accept_per_chain": s.chain.accept_per_chain,
-                "ess": s.chain.ess}
-    else:
-        print(f"unknown sample target {target!r}", file=sys.stderr)
-        return EXIT_USAGE
-
-    header = [f"x{i + 1}" for i in range(n)]
-    write_csv(outdir / "samples.csv", header, points)
+    header = [f"x{i + 1}" for i in range(cfg["n"])]
+    write_csv(outdir / "samples.csv", header, s.points)
     outputs = ["samples.csv"]
-    if diag is not None:
-        write_json(outdir / "diagnostics.json", diag)
+    if chain is not None:
+        write_json(outdir / "diagnostics.json", {
+            "chain_ok": chain.ok, "accept_rate": chain.accept_rate,
+            "accept_per_chain": chain.accept_per_chain, "ess": chain.ess})
         outputs.append("diagnostics.json")
     write_manifest(outdir, "sample", cfg, outputs, overridden)
-    if diag is not None and not diag["chain_ok"]:
+    if chain is not None and not chain.ok:
         print("chain diagnostics failed; outputs retained", file=sys.stderr)
         return EXIT_STAT
     return EXIT_OK
@@ -245,49 +316,25 @@ def cmd_sample(args) -> int:
 
 def _norm_split_samples(cfg, rng):
     """B draws and the beta shape parameter for the selected target."""
-    n, p = int(cfg["n"]), float(cfg["p"])
-    count = int(cfg["count"])
+    n, p = cfg["n"], cfg["p"]
     law = _law_from(cfg)
-    target = cfg["target"]
-    if target == "euclid":
-        m = float(cfg.get("m", 0.0) or 0.0)
-        b = norm_split_B(n, p, m, law, rng, size=count)
-        shape = (n + m) / p
-    elif target == "eigen-PH":
-        beta = float(cfg["beta"])
-        spec = EnsembleSpec(n=n, p=p, beta=beta, law=law)
-        s = sample_eigenvalues_PH(spec, rng, size=count)
-        # the norm-split statistic is recovered exactly from the spectrum
-        b = np.sum(np.abs(s.spectra) ** p, axis=1)
-        shape = (n + beta * n * (n - 1) / 2.0) / p
-    elif target == "singular-PM":
-        beta = float(cfg["beta"])
-        spec = EnsembleSpec(n=n, p=p, beta=beta, law=law)
-        s = sample_sq_singular_PM(spec, rng, size=count)
-        q = p / 2.0
-        b = np.sum(np.abs(s.spectra) ** q, axis=1)
-        shape = beta * n * n / p
-    else:
-        raise ParameterError(f"unknown norm-law target {target!r}")
-    return np.asarray(b), shape
+    if cfg["target"] == "euclid":
+        m = cfg["m"]
+        b = norm_split_B(n, p, m, law, rng, size=cfg["count"])
+        return np.asarray(b), (n + m) / p
+    draw, weight, q_per_p = _TARGETS[cfg["target"]]
+    q = p * q_per_p
+    # the norm-split statistic is recovered exactly from the draws
+    b = np.sum(np.abs(draw(cfg, law, rng).points) ** q, axis=1)
+    return b, (n + weight(cfg["beta"]).degree(n)) / q
 
 
-def cmd_test_norm_law(args) -> int:
-    keys = ["target", "n", "p", "m", "beta", "theta", "alpha", "count",
-            "seed", "ks_pvalue_threshold"]
-    cfg, overridden = resolve_config(args, keys)
-    if _require(cfg, "target", "n"):
-        return EXIT_USAGE
+def cmd_test_norm_law(args, cfg, overridden) -> int:
     outdir = _outdir(args)
-    rng = RngStream(int(cfg["seed"]))
-    try:
-        b, shape = _norm_split_samples(cfg, rng)
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    rng = RngStream(cfg["seed"])
+    b, shape = _norm_split_samples(cfg, rng)
 
-    theta = float(cfg["theta"])
-    alpha = float(cfg["alpha"])
+    theta, alpha = cfg["theta"], cfg["alpha"]
     atoms = b >= 1.0 - 1e-12
     atom_frac = float(atoms.mean())
     cont = b[~atoms]
@@ -307,7 +354,7 @@ def cmd_test_norm_law(args) -> int:
             ks = stats.kstest(cont, lambda x: betainc(shape, alpha, x))
             report["ks_statistic"] = float(ks.statistic)
             report["p_value"] = float(ks.pvalue)
-            flagged = ks.pvalue <= float(cfg["ks_pvalue_threshold"])
+            flagged = ks.pvalue <= cfg["ks_pvalue_threshold"]
         # exact binomial interval for the atom count
         lo, hi = stats.binom.interval(load_defaults()["atom_confidence"],
                                       b.size, theta) if 0 < theta < 1 else (
@@ -324,89 +371,76 @@ def cmd_test_norm_law(args) -> int:
 
 # --- rate -------------------------------------------------------------------
 
+def _set(cfg, **names) -> dict:
+    """Keyword arguments taken from the parameters that cfg sets."""
+    return {arg: cfg[name] for arg, name in names.items() if name in cfg}
+
+
+# --analytic family -> its measure; an unset --z, --a or --b takes the
+# constructor's own default
+_FAMILIES = {
+    "scaled-np": lambda c: MeasureRep.gen_gaussian_scaled(c["p"],
+                                                          **_set(c, z="z")),
+    "arcsine": lambda c: MeasureRep.arcsine(**_set(c, a="a", b="b")),
+    "uniform": lambda c: MeasureRep.uniform(**_set(c, a="a", b="b")),
+    "semicircle": lambda c: MeasureRep.semicircle(**_set(c, radius="b")),
+}
+
+
 def _measure_from(cfg) -> MeasureRep:
-    if cfg.get("atoms_csv"):
-        data = np.loadtxt(cfg["atoms_csv"], delimiter=",", skiprows=1, ndmin=1)
-        return MeasureRep.from_atoms(data)
-    if cfg.get("grid_csv"):
-        data = np.loadtxt(cfg["grid_csv"], delimiter=",", skiprows=1, ndmin=2)
-        return MeasureRep.from_grid(data[:, 0], data[:, 1])
-    name = cfg.get("analytic") or "scaled-np"
-    if name == "scaled-np":
-        return MeasureRep.gen_gaussian_scaled(float(cfg["p"]),
-                                              float(cfg.get("z", 1.0) or 1.0))
-    if name == "arcsine":
-        return MeasureRep.arcsine(float(cfg.get("a", -1.0) or -1.0),
-                                  float(cfg.get("b", 1.0) or 1.0))
-    if name == "uniform":
-        return MeasureRep.uniform(float(cfg.get("a", 0.0) or 0.0),
-                                  float(cfg.get("b", 1.0) or 1.0))
-    if name == "semicircle":
-        return MeasureRep.semicircle(float(cfg.get("b", 1.0) or 1.0))
-    raise ParameterError(f"unknown analytic family {name!r}")
-
-
-def cmd_rate(args) -> int:
-    keys = ["target", "p", "beta", "alpha", "ktheta", "c", "x", "x_min",
-            "x_max", "x_steps", "atoms_csv", "grid_csv", "analytic", "z",
-            "a", "b", "seed"]
-    cfg, overridden = resolve_config(args, keys)
-    cfg.setdefault("ktheta", "critical")
-    cfg.setdefault("c", 0.0)
-    cfg.setdefault("alpha", 0.0)
-    if _require(cfg, "target"):
-        return EXIT_USAGE
-    outdir = _outdir(args)
     try:
-        spec = rates.RateFnSpec(target=cfg["target"], p=float(cfg["p"]),
-                                beta=float(cfg["beta"]),
-                                alpha=float(cfg["alpha"]),
-                                ktheta=cfg["ktheta"], c=float(cfg["c"]))
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        if cfg.get("atoms_csv"):
+            data = np.loadtxt(cfg["atoms_csv"], delimiter=",", skiprows=1,
+                              ndmin=1)
+            if data.ndim != 1:
+                raise ValueError("an atoms CSV has one column")
+            return MeasureRep.from_atoms(data)
+        if cfg.get("grid_csv"):
+            x, density = np.loadtxt(cfg["grid_csv"], delimiter=",",
+                                    skiprows=1, ndmin=2).T
+            return MeasureRep.from_grid(x, density)
+    except ValueError as exc:
+        raise ParameterError(f"unreadable measure CSV: {exc}") from None
+    return _FAMILIES[cfg["analytic"]](cfg)
+
+
+def cmd_rate(args, cfg, overridden) -> int:
+    spec = rates.RateFnSpec(target=cfg["target"], p=cfg["p"],
+                            beta=cfg["beta"], alpha=cfg["alpha"],
+                            ktheta=cfg["ktheta"], c=cfg["c"])
+    kind = spec.target.split("-", 1)[0]
+    mu = None if kind == "beta" else _measure_from(cfg)
+    outdir = _outdir(args)
 
     outputs = []
     report = {"target": spec.target, "p": spec.p, "beta": spec.beta,
               "alpha": spec.alpha, "ktheta": spec.ktheta, "c": spec.c}
-    try:
-        if spec.target.startswith("beta-"):
-            if cfg.get("x") is not None:
-                x = float(cfg["x"])
-                report["x"] = x
-                report["value"] = rates.rate_beta(x, spec)
-                report["branch"] = ("greater" if spec.ktheta == "greater"
-                                    else ("alpha-zero" if spec.alpha == 0.0
-                                          else "alpha-positive"))
-            else:
-                xs = np.linspace(float(cfg.get("x_min", 0.01) or 0.01),
-                                 float(cfg.get("x_max", 0.99) or 0.99),
-                                 int(cfg.get("x_steps", 99) or 99))
-                rows = [(x, rates.rate_beta(float(x), spec)) for x in xs]
-                write_csv(outdir / "rate_scan.csv", ["x", "rate"], rows)
-                outputs.append("rate_scan.csv")
-                finite = [r for r in rows if np.isfinite(r[1])]
-                xmin, vmin = min(finite, key=lambda r: r[1])
-                report["min_x"] = float(xmin)
-                report["min_value"] = float(vmin)
-        elif spec.target.startswith("cone-"):
-            mu = _measure_from(cfg)
-            if spec.target == "cone-euclid":
-                report["value"] = rates.rate_cone_euclid(mu, spec.p)
-            elif spec.target == "cone-H":
-                report["value"] = rates.rate_cone_H(mu, spec.p, spec.beta)
-            else:
-                report["value"] = rates.rate_cone_M(mu, spec.p, spec.beta)
-            report["branch"] = ("finite" if np.isfinite(report["value"])
-                                else "moment-gate")
+    if kind == "beta":
+        if "x" in cfg:
+            report["x"] = cfg["x"]
+            report["value"] = rates.rate_beta(cfg["x"], spec)
+            report["branch"] = ("greater" if spec.ktheta == "greater"
+                                else ("alpha-zero" if spec.alpha == 0.0
+                                      else "alpha-positive"))
         else:
-            mu = _measure_from(cfg)
-            item = rates.rate_emp_itemized(mu, spec)
-            report.update(value=item["value"], branch=item["branch"],
-                          summands=item["terms"])
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+            xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_steps"])
+            rows = [(x, rates.rate_beta(float(x), spec)) for x in xs]
+            write_csv(outdir / "rate_scan.csv", ["x", "rate"], rows)
+            outputs.append("rate_scan.csv")
+            # the first smallest finite value; the first row if none is
+            # finite (rate_beta never returns nan)
+            xmin, vmin = min(rows, key=lambda r: r[1])
+            report["min_x"] = float(xmin)
+            report["min_value"] = float(vmin)
+    elif kind == "cone":
+        report["value"] = rates.rate_cone(mu, spec.family, spec.p,
+                                          spec.beta)[0]
+        report["branch"] = ("finite" if np.isfinite(report["value"])
+                            else "moment-gate")
+    else:
+        item = rates.rate_emp_itemized(mu, spec)
+        report.update(value=item["value"], branch=item["branch"],
+                      summands=item["terms"])
 
     write_json(outdir / "rate_report.json", report)
     outputs.append("rate_report.json")
@@ -416,21 +450,10 @@ def cmd_rate(args) -> int:
 
 # --- ldp-verify ---------------------------------------------------------------
 
-def cmd_ldp_verify(args) -> int:
-    keys = ["event_b", "p", "alpha_rate", "n_list", "count", "seed",
-            "monte_carlo"]
-    cfg, overridden = resolve_config(args, keys)
-    cfg.setdefault("event_b", 0.1)
-    cfg.setdefault("alpha_rate", 1.0)
-    cfg.setdefault("monte_carlo", False)
-    if cfg["monte_carlo"]:
-        _check_count(cfg)
+def cmd_ldp_verify(args, cfg, overridden) -> int:
     outdir = _outdir(args)
-    p = float(cfg["p"])
-    bcut = float(cfg["event_b"])
-    alpha_rate = float(cfg["alpha_rate"])
-    n_list = cfg.get("n_list") or "20,40,80"
-    ns = [int(s) for s in str(n_list).split(",")]
+    p, bcut, alpha_rate = cfg["p"], cfg["event_b"], cfg["alpha_rate"]
+    ns = [int(s) for s in cfg["n_list"].split(",")]
     spec = rates.RateFnSpec(target="beta-euclid", p=p, alpha=alpha_rate)
     # the rate function is decreasing left of its minimizer, so the infimum
     # over {x <= b} is checked by grid search
@@ -438,7 +461,7 @@ def cmd_ldp_verify(args) -> int:
     rate_inf = min(rates.rate_beta(float(x), spec) for x in xs)
 
     rows = []
-    rng = RngStream(int(cfg["seed"]))
+    rng = RngStream(cfg["seed"])
     for n, sub in zip(ns, rng.split(len(ns))):
         alpha_n = alpha_rate * n
         prob = float(betainc(n / p, alpha_n, bcut))
@@ -446,7 +469,7 @@ def cmd_ldp_verify(args) -> int:
         freq = ""
         censored = 0
         if cfg["monte_carlo"]:
-            count = int(cfg["count"])
+            count = cfg["count"]
             b = norm_split_B(n, p, 0.0, RadialLawW.gamma(alpha_n), sub,
                              size=count)
             hits = int(np.sum(b <= bcut))
@@ -477,11 +500,9 @@ def cmd_ldp_verify(args) -> int:
 
 # --- asymptotics ----------------------------------------------------------------
 
-def cmd_asymptotics(args) -> int:
-    keys = ["n_list", "seed"]
-    cfg, overridden = resolve_config(args, keys)
+def cmd_asymptotics(args, cfg, overridden) -> int:
     outdir = _outdir(args)
-    ns = [int(s) for s in str(cfg.get("n_list") or "50,100,200,400").split(",")]
+    ns = [int(s) for s in cfg["n_list"].split(",")]
 
     rows = []
     for n in ns:
@@ -506,32 +527,26 @@ def cmd_asymptotics(args) -> int:
 
 # --- norm-const ---------------------------------------------------------------
 
-def cmd_norm_const(args) -> int:
-    keys = ["weight", "beta", "m", "n", "p", "count", "seed"]
-    cfg, overridden = resolve_config(args, keys)
-    cfg.setdefault("weight", "one")
-    if _require(cfg, "n"):
-        return EXIT_USAGE
-    _check_count(cfg)
+def _power_weight(m: float, n: int) -> WeightFn:
+    """prod_i |x_i|^m, homogeneous of degree m n."""
+    return WeightFn.custom(lambda x: m * np.sum(np.log(np.abs(x)), axis=-1),
+                           m * n, name=f"|x|^{m}")
+
+
+_WEIGHTS = {
+    "one": lambda c: WeightFn.constant_one(),
+    "delta": lambda c: WeightFn.delta_beta(c["beta"]),
+    "nabla": lambda c: WeightFn.nabla_beta(c["beta"]),
+    "power": lambda c: _power_weight(c["m"], c["n"]),
+}
+
+
+def cmd_norm_const(args, cfg, overridden) -> int:
     outdir = _outdir(args)
-    n, p = int(cfg["n"]), float(cfg["p"])
-    name = cfg["weight"]
-    if name == "one":
-        weight = WeightFn.constant_one()
-    elif name == "delta":
-        weight = WeightFn.delta_beta(float(cfg["beta"]))
-    elif name == "nabla":
-        weight = WeightFn.nabla_beta(float(cfg["beta"]))
-    elif name == "power":
-        m = float(cfg.get("m", 1.0) or 1.0)
-        weight = WeightFn.custom(
-            lambda x: m * np.sum(np.log(np.abs(x)), axis=-1), m * n,
-            name=f"|x|^{m}")
-    else:
-        print(f"unknown weight {name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    rng = RngStream(int(cfg["seed"]))
-    log_c, se = estimate_norm_const(n, p, weight, rng, size=int(cfg["count"]))
+    n, p = cfg["n"], cfg["p"]
+    weight = _WEIGHTS[cfg["weight"]](cfg)
+    rng = RngStream(cfg["seed"])
+    log_c, se = estimate_norm_const(n, p, weight, rng, size=cfg["count"])
     report = {"weight": weight.name, "n": n, "p": p,
               "log_norm_const": log_c, "se_log": se}
     write_json(outdir / "norm_const.json", report)
@@ -545,6 +560,52 @@ def cmd_norm_const(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+_COMMON = (Param("seed", int), Param("count", _positive_int))
+
+# subcommand -> (help, handler, parameter table); the flags follow the
+# table's order, then --out and --config
+COMMANDS = {
+    "sample": ("draw from one of the ball laws", cmd_sample, (
+        Param("target", str, choices=tuple(_TARGETS), required=True),
+        Param("n", int, required=True),
+        Param("p"), Param("beta"), Param("theta"), Param("alpha"),
+        Param("orthant", bool, default=False)) + _COMMON),
+    "test-norm-law": ("KS/atom test of the norm-split statistic",
+                      cmd_test_norm_law, (
+        Param("target", str, choices=("euclid", "eigen-PH", "singular-PM"),
+              required=True),
+        Param("n", int, required=True),
+        Param("p"), Param("m", fallback=0.0), Param("beta"), Param("theta"),
+        Param("alpha"), Param("ks_pvalue_threshold")) + _COMMON),
+    "rate": ("evaluate a rate function", cmd_rate, (
+        Param("target", str, choices=rates.TARGETS, required=True),
+        Param("p"), Param("beta"), Param("alpha"),
+        Param("ktheta", str, choices=("critical", "greater"),
+              default="critical"),
+        Param("c", default=0.0), Param("x"),
+        Param("x_min", fallback=0.01), Param("x_max", fallback=0.99),
+        Param("x_steps", _positive_int, fallback=99),
+        Param("atoms_csv", str), Param("grid_csv", str),
+        Param("analytic", str, choices=tuple(_FAMILIES),
+              fallback="scaled-np"),
+        Param("z"), Param("a"), Param("b")) + _COMMON),
+    "ldp-verify": ("decay of an exactly computable tail event",
+                   cmd_ldp_verify, (
+        Param("event_b", default=0.1), Param("p"),
+        Param("alpha_rate", default=1.0),
+        Param("n_list", _n_list, fallback="20,40,80"),
+        Param("monte_carlo", bool, default=False)) + _COMMON),
+    "asymptotics": ("Laplace / boundary-Laplace ratio table",
+                    cmd_asymptotics, (
+        Param("n_list", _n_list, fallback="50,100,200,400"),) + _COMMON),
+    "norm-const": ("normalization constant of a weighted density",
+                   cmd_norm_const, (
+        Param("weight", str, choices=tuple(_WEIGHTS), default="one"),
+        Param("beta"), Param("m", fallback=1.0),
+        Param("n", int, required=True), Param("p")) + _COMMON),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pradial",
@@ -552,95 +613,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "p-balls: samplers, exact-law tests, rate functions, "
                     "and desk-scale LDP checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--count", type=int, default=None)
+    for command, (help_text, _, params) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        # values stay text here: resolve_config parses flags and
+        # config-file values alike
+        for prm in params:
+            if prm.type is bool:
+                sp.add_argument(prm.flag, action="store_true", default=None)
+            else:
+                sp.add_argument(prm.flag, default=None, choices=prm.choices)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--config", default=None,
                         help="JSON config (a manifest is also accepted)")
-
-    sp = sub.add_parser("sample", help="draw from one of the ball laws")
-    sp.add_argument("--target", required=False, default=None,
-                    choices=["cone", "uniform", "pnpw", "weighted-pnpw",
-                             "eigen-PH", "singular-PM"])
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--orthant", action="store_true", default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("test-norm-law",
-                        help="KS/atom test of the norm-split statistic")
-    sp.add_argument("--target", default=None,
-                    choices=["euclid", "eigen-PH", "singular-PM"])
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--m", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--ks-pvalue-threshold", dest="ks_pvalue_threshold",
-                    type=float, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_test_norm_law)
-
-    sp = sub.add_parser("rate", help="evaluate a rate function")
-    sp.add_argument("--target", default=None,
-                    choices=["cone-euclid", "beta-euclid", "emp-euclid",
-                             "cone-H", "beta-H", "emp-H",
-                             "cone-M", "beta-M", "emp-M"])
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--ktheta", default=None, choices=["critical", "greater"])
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--x-min", dest="x_min", type=float, default=None)
-    sp.add_argument("--x-max", dest="x_max", type=float, default=None)
-    sp.add_argument("--x-steps", dest="x_steps", type=int, default=None)
-    sp.add_argument("--atoms-csv", dest="atoms_csv", default=None)
-    sp.add_argument("--grid-csv", dest="grid_csv", default=None)
-    sp.add_argument("--analytic", default=None,
-                    choices=["scaled-np", "arcsine", "uniform", "semicircle"])
-    sp.add_argument("--z", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_rate)
-
-    sp = sub.add_parser("ldp-verify",
-                        help="decay of an exactly computable tail event")
-    sp.add_argument("--event-b", dest="event_b", type=float, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--alpha-rate", dest="alpha_rate", type=float,
-                    default=None)
-    sp.add_argument("--n-list", dest="n_list", default=None)
-    sp.add_argument("--monte-carlo", dest="monte_carlo",
-                    action="store_true", default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_ldp_verify)
-
-    sp = sub.add_parser("asymptotics",
-                        help="Laplace / boundary-Laplace ratio table")
-    sp.add_argument("--n-list", dest="n_list", default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_asymptotics)
-
-    sp = sub.add_parser("norm-const",
-                        help="normalization constant of a weighted density")
-    sp.add_argument("--weight", default=None,
-                    choices=["one", "delta", "nabla", "power"])
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--m", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_norm_const)
-
     return ap
 
 
@@ -651,12 +635,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
+    _, handler, params = COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg, overridden = resolve_config(args, params)
+        return handler(args, cfg, overridden)
     except ParameterError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing or unreadable --config, --atoms-csv, --grid-csv or --out
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -88,6 +88,11 @@ class SpectralSample:
     chain: ChainResult
 
     @property
+    def points(self) -> np.ndarray:
+        """The spectra under the name PBallSample gives its rows."""
+        return self.spectra
+
+    @property
     def chain_ok(self) -> bool:
         return self.chain.ok
 

@@ -38,6 +38,7 @@ _LEGENDRE_BLOCK = 1 << 20  # cells per row block in legendre_transform
 
 _EUCLID_TARGETS = ("cone-euclid", "beta-euclid", "emp-euclid")
 _MATRIX_TARGETS = ("cone-H", "beta-H", "emp-H", "cone-M", "beta-M", "emp-M")
+TARGETS = _EUCLID_TARGETS + _MATRIX_TARGETS
 
 
 @dataclass
@@ -58,7 +59,7 @@ class RateFnSpec:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.target not in _EUCLID_TARGETS + _MATRIX_TARGETS:
+        if self.target not in TARGETS:
             raise ParameterError(f"unknown rate target {self.target!r}")
         _check_positive("p", self.p)
         if self.alpha < 0:
@@ -69,6 +70,11 @@ class RateFnSpec:
             raise ParameterError("ktheta must be 'critical' or 'greater'")
         if self.target in _MATRIX_TARGETS and self.beta not in (1.0, 2.0, 4.0):
             raise ParameterError("matrix targets require beta in {1, 2, 4}")
+
+    @property
+    def family(self) -> str:
+        """The target's suffix: "euclid", "H" or "M"."""
+        return self.target.split("-", 1)[1]
 
     @property
     def gate(self) -> float:
@@ -99,20 +105,12 @@ def _rate_beta_generic(x: float, g: float, alpha: float, ktheta: str,
 
 
 def rate_beta(x: float, spec: RateFnSpec) -> float:
-    """Dispatch on spec.target."""
+    """The closed-form rate of the norm-split statistic B at x.  The target
+    enters only through spec.gate, the shape rate of B's Beta law."""
     return _rate_beta_generic(x, spec.gate, spec.alpha, spec.ktheta, spec.c)
 
 
 # --- cone rates ---------------------------------------------------------------
-
-def rate_cone_euclid(mu: MeasureRep, p: float) -> float:
-    """H(mu || N_p) + (1 - m_p(mu)) on {m_p <= 1}, +inf outside."""
-    m = moment_p(mu, p)
-    if m > 1.0:
-        return np.inf
-    h = relative_entropy_gen_gaussian(mu, p)
-    return h + (1.0 - m)
-
 
 def log_energy_constant(p: float) -> float:
     """log of sqrt(pi) p Gamma(p/2) / (2^p sqrt(e) Gamma((p+1)/2)), the
@@ -123,22 +121,39 @@ def log_energy_constant(p: float) -> float:
             - p * np.log(2.0) - 0.5 - gammaln((p + 1.0) / 2.0))
 
 
+def rate_cone(mu: MeasureRep, family: str, p: float,
+              beta: float = 2.0) -> tuple[float, float]:
+    """(cone rate, gating moment) of mu for a target family: "euclid", "H"
+    or "M", a rate target's suffix.  The moment is m_p, or m_{p/2} for "M";
+    the rate is +inf where it exceeds 1, and below that is the formula of
+    rate_cone_euclid, rate_cone_H or rate_cone_M."""
+    if family not in ("euclid", "H", "M"):
+        raise ParameterError(f"unknown rate family {family!r}")
+    if family == "M":
+        _require_nonnegative_support(mu)
+    m = moment_p(mu, p / 2.0 if family == "M" else p)
+    if m > 1.0:
+        return np.inf, m
+    if family == "euclid":
+        return relative_entropy_gen_gaussian(mu, p) + (1.0 - m), m
+    scale = beta / (2.0 * p) if family == "H" else beta / p
+    return (beta / 2.0) * log_energy(mu) + scale * log_energy_constant(p), m
+
+
+def rate_cone_euclid(mu: MeasureRep, p: float) -> float:
+    """H(mu || N_p) + (1 - m_p(mu)) on {m_p <= 1}, +inf outside."""
+    return rate_cone(mu, "euclid", p)[0]
+
+
 def rate_cone_H(mu: MeasureRep, p: float, beta: float) -> float:
     """(beta/2) * log-energy + (beta/(2p)) * constant on {m_p <= 1}."""
-    m = moment_p(mu, p)
-    if m > 1.0:
-        return np.inf
-    return (beta / 2.0) * log_energy(mu) + (beta / (2.0 * p)) * log_energy_constant(p)
+    return rate_cone(mu, "H", p, beta)[0]
 
 
 def rate_cone_M(mu: MeasureRep, p: float, beta: float) -> float:
     """(beta/2) * log-energy + (beta/p) * constant on {m_{p/2} <= 1},
     nonnegative support required."""
-    _require_nonnegative_support(mu)
-    m = moment_p(mu, p / 2.0)
-    if m > 1.0:
-        return np.inf
-    return (beta / 2.0) * log_energy(mu) + (beta / p) * log_energy_constant(p)
+    return rate_cone(mu, "M", p, beta)[0]
 
 
 def _require_nonnegative_support(mu: MeasureRep):
@@ -171,18 +186,10 @@ def rate_emp_itemized(mu: MeasureRep, spec: RateFnSpec) -> dict:
 
     Returns a dict with keys "value", "branch", and "terms".
     """
-    target = spec.target
-    if target == "emp-euclid":
-        cone = rate_cone_euclid(mu, spec.p)
-        m = moment_p(mu, spec.p)
-    elif target == "emp-H":
-        cone = rate_cone_H(mu, spec.p, spec.beta)
-        m = moment_p(mu, spec.p)
-    elif target == "emp-M":
-        cone = rate_cone_M(mu, spec.p, spec.beta)
-        m = moment_p(mu, spec.p / 2.0)
-    else:
-        raise ParameterError(f"{target!r} is not an empirical-measure target")
+    if not spec.target.startswith("emp-"):
+        raise ParameterError(
+            f"{spec.target!r} is not an empirical-measure target")
+    cone, m = rate_cone(mu, spec.family, spec.p, spec.beta)
 
     g = spec.gate
     if spec.alpha == 0.0:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from pradial.cli import main, write_csv
+from pradial.measures import MeasureRep
+from pradial.rates import rate_cone_M
 
 
 def run(tmp_path, *argv):
@@ -314,6 +316,26 @@ class TestRate:
                       "--beta", "3")
         assert code == 2
 
+    def test_zero_support_bound_is_kept(self, tmp_path):
+        # --a 0 is the arcsine law on [0, 1], not the fallback a = -1
+        code, out = run(tmp_path, "rate", "--target", "cone-M", "--p", "2",
+                        "--analytic", "arcsine", "--a", "0", "--b", "1")
+        assert code == 0
+        rep = read_json(out / "rate_report.json")
+        assert rep["branch"] == "finite"
+        assert rep["value"] == pytest.approx(
+            rate_cone_M(MeasureRep.arcsine(0.0, 1.0), 2.0, 2.0), abs=1e-12)
+
+    def test_scan_starts_at_zero(self, tmp_path):
+        code, out = run(tmp_path, "rate", "--target", "beta-euclid",
+                        "--x-min", "0", "--x-max", "0.5", "--x-steps", "3")
+        assert code == 0
+        rows = read_csv(out / "rate_scan.csv")
+        assert [r[0] for r in rows[1:]] == ["0.0", "0.25", "0.5"]
+        assert rows[1][1] == "inf"
+        rep = read_json(out / "rate_report.json")
+        assert rep["min_x"] == 0.25
+
 
 class TestLdpVerify:
     def test_gap_shrinks(self, tmp_path):
@@ -402,6 +424,17 @@ class TestNormConst:
         assert "--count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_power_zero_is_the_constant_weight(self, tmp_path):
+        # |x|^0 is the constant weight: the exact constant, not |x|^1
+        code, out = run(tmp_path, "norm-const", "--weight", "power", "--m",
+                        "0", "--n", "3", "--p", "2", "--count", "1000",
+                        "--seed", "2")
+        assert code == 0
+        rep = read_json(out / "norm_const.json")
+        assert rep["weight"] == "|x|^0.0"
+        expected = -3.0 * (math.log(2.0) + math.lgamma(1.5))
+        assert rep["log_norm_const"] == pytest.approx(expected, abs=1e-12)
+
     def test_unknown_weight(self, tmp_path):
         code, _ = run(tmp_path, "norm-const", "--weight", "frob", "--n", "3")
         assert code == 2
@@ -414,3 +447,93 @@ class TestNormConst:
                      "--count", "500", "--seed", "4"])
         assert code == 0
         assert (root / "norm_const.json").exists()
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("argv, files", [
+        (["ldp-verify", "--n-list", "20,abc"], {}),
+        (["asymptotics", "--n-list", "50,0"], {}),
+        (["rate", "--target", "beta-euclid", "--x-steps", "0"], {}),
+        (["sample", "--n", "abc", "--target", "cone"], {}),
+        (["sample", "--config", "c.json"], {"c.json": "{not json"}),
+        (["sample", "--config", "c.json"], {"c.json": '["cone"]'}),
+        (["sample", "--config", "."], {}),
+        (["sample", "--config", "c.json"],
+         {"c.json": '{"target": "cone", "n": "abc"}'}),
+        (["sample", "--config", "c.json"],
+         {"c.json": '{"target": "blob", "n": 3}'}),
+        (["sample", "--config", "c.json"],
+         {"c.json": '{"target": "cone", "n": 3, "orthant": "yes"}'}),
+        (["norm-const", "--config", "c.json"],
+         {"c.json": '{"n": 3, "weight": "frob"}'}),
+        (["ldp-verify", "--config", "c.json"], {"c.json": '{"n_list": "20,-1"}'}),
+        (["rate", "--target", "emp-euclid", "--atoms-csv", "a.csv"],
+         {"a.csv": "x,y\n0.1,0.2\n0.3,0.4\n"}),
+        (["rate", "--target", "emp-H", "--grid-csv", "g.csv"],
+         {"g.csv": "x\n0.1\n0.2\n"}),
+    ])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys,
+                                            monkeypatch, argv, files):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_values_parsed_like_flags(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"target": "cone", "n": "3", "p": 2, "count": 5,'
+                        ' "seed": 4, "unused": 1}')
+        code, out = run(tmp_path, "sample", "--config", str(path))
+        assert code == 0
+        config = read_json(out / "manifest.json")["config"]
+        assert config["n"] == 3 and config["count"] == 5
+        assert type(config["p"]) is float and config["p"] == 2.0
+        assert "unused" not in config
+        code, flagged = run(tmp_path / "b", "sample", "--target", "cone",
+                            "--n", "3", "--count", "5", "--seed", "4")
+        assert (out / "samples.csv").read_bytes() == \
+            (flagged / "samples.csv").read_bytes()
+        assert (out / "manifest.json").read_bytes() == \
+            (flagged / "manifest.json").read_bytes()
+
+    # sha16 of manifest.json, pinned before the CLI became table-driven.
+    # Recorded defaults they hold: rate alpha 1.0 (from defaults.json),
+    # ktheta, c and count; sample orthant false; ldp-verify event_b,
+    # alpha_rate and monte_carlo; norm-const weight "one".
+    @pytest.mark.parametrize("argv, digest", [
+        (("sample", "--target", "cone", "--n", "3", "--count", "20",
+          "--seed", "5"), "51f9edbe193a1b9b"),
+        (("test-norm-law", "--target", "euclid", "--n", "4", "--count",
+          "200", "--seed", "6"), "fa57251626c2a104"),
+        (("rate", "--target", "beta-euclid", "--p", "2", "--x", "0.3"),
+         "9937fd1c892c3ee0"),
+        (("ldp-verify", "--n-list", "20,40", "--seed", "7"),
+         "d04e91cd595541eb"),
+        (("asymptotics", "--n-list", "50", "--seed", "8"),
+         "eb2cca8e8a4369a1"),
+        (("norm-const", "--n", "2", "--count", "50", "--seed", "9"),
+         "05a4ca05c9c2bdf9"),
+    ])
+    def test_manifest_digest(self, tmp_path, argv, digest):
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        assert sha16(out / "manifest.json") == digest
+        # a rerun from the manifest records the same bytes
+        code, again = run(tmp_path / "again", argv[0], "--config",
+                          str(out / "manifest.json"))
+        assert code == 0
+        assert sha16(again / "manifest.json") == digest
+
+    @pytest.mark.parametrize("target, shape", [("eigen-PH", 4.5),
+                                               ("singular-PM", 9.0)])
+    def test_chain_norm_law_shape(self, tmp_path, target, shape):
+        # (n + weight degree) / q at n = 3, p = 2, beta = 2: Delta_2 has
+        # degree 6 with q = p; nabla_2 has degree 6 with q = p/2
+        code, out = run(tmp_path, "test-norm-law", "--target", target, "--n",
+                        "3", "--count", "200", "--seed", "3")
+        assert code in (0, 3)
+        assert read_json(out / "norm_law_report.json")["beta_shape_a"] == shape

@@ -17,8 +17,8 @@ from pradial.rates import (RateFnSpec, adapted_breitung_limit,
                            adapted_laplace_limit, analytic_scaled_cgf,
                            breitung_check, laplace_check,
                            legendre_biconjugate, legendre_transform,
-                           log_energy_constant, rate_beta, rate_cone_euclid,
-                           rate_cone_H, rate_cone_M, rate_emp_itemized,
+                           log_energy_constant, rate_beta, rate_cone,
+                           rate_cone_euclid, rate_cone_H, rate_cone_M, rate_emp_itemized,
                            scaled_cgf_estimate,
                            scaled_family_cone_minimum)
 from pradial.rng import RngStream
@@ -146,6 +146,28 @@ class TestConeRates:
         assert rate_cone_M(mu, 2.0, 2.0) == pytest.approx(expected, abs=1e-6)
         with pytest.raises(ParameterError):
             rate_cone_M(MeasureRep.uniform(-1.0, 1.0), 2.0, 2.0)
+
+    @pytest.mark.parametrize("family, mu, q", [
+        ("euclid", MeasureRep.gen_gaussian_scaled(3.0, 1.0), 3.0),
+        ("H", MeasureRep.arcsine(-1.2, 1.2), 3.0),
+        ("H", MeasureRep.arcsine(-2.0, 2.0), 3.0),
+        ("M", MeasureRep.uniform(0.0, 1.0), 1.5),
+        ("M", MeasureRep.uniform(0.0, 3.0), 1.5),
+    ])
+    def test_dispatch_returns_gating_moment(self, family, mu, q):
+        # one dispatcher behind the three cone rates: the moment it returns
+        # is m_p, or m_{p/2} for the M family, at p = 3
+        public = {"euclid": lambda: rate_cone_euclid(mu, 3.0),
+                  "H": lambda: rate_cone_H(mu, 3.0, 4.0),
+                  "M": lambda: rate_cone_M(mu, 3.0, 4.0)}[family]
+        value, m = rate_cone(mu, family, 3.0, 4.0)
+        assert m == moment_p(mu, q)
+        assert value == public()
+        assert np.isfinite(value) == (m <= 1.0)
+
+    def test_dispatch_rejects_unknown_family(self):
+        with pytest.raises(ParameterError):
+            rate_cone(MeasureRep.arcsine(), "h", 2.0, 2.0)
 
 
 class TestEmpRates:
