@@ -8,8 +8,8 @@ Target densities on R^n (or the positive orthant) of the form
 
     log pi(x) = -||x||_p^p + log f(x),
 
-where f is one of the coded weights: constant one (0), the pairwise
-repulsion prod |x_i - x_j|^beta (1), or the orthant repulsion
+where f is one of the coded weights: the pairwise repulsion
+prod |x_i - x_j|^beta (1), or the orthant repulsion
 prod |x_i - x_j|^beta * prod x_i^(beta/2 - 1) (2).
 
 Layout: the K chain states are the rows of one (K, n) array.  Step t
@@ -94,19 +94,15 @@ def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
                 xi_new = np.where(xi_new < 0.0, -xi_new, xi_new)
             v[0] = xi_new
             v[1] = xi_old
-            if kind == 0:
-                dlogf = 0.0
-                ok = True
-            else:
-                np.subtract(v[:, :, None], x, out=d)
-                np.abs(d, out=d)
-                d_flat[self_pos[t]] = 1.0
-                np.log(d, out=d)
-                terms = coef * (d[0] - d[1])
-                dlogf = np.add.accumulate(terms, axis=1)[:, -1]
-                ok = dlogf != -np.inf  # a tie with another coordinate
-                if power:
-                    ok &= xi_new > 0.0
+            np.subtract(v[:, :, None], x, out=d)
+            np.abs(d, out=d)
+            d_flat[self_pos[t]] = 1.0
+            np.log(d, out=d)
+            terms = coef * (d[0] - d[1])
+            dlogf = np.add.accumulate(terms, axis=1)[:, -1]
+            ok = dlogf != -np.inf  # a tie with another coordinate
+            if power:
+                ok &= xi_new > 0.0
             # |v|^p one numpy scalar at a time: the C library pow
             pw = np.array([a ** p for a in np.abs(v).ravel()]).reshape(2, -1)
             dlog = dlogf - pw[0] + pw[1]

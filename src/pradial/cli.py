@@ -256,45 +256,40 @@ def _ensemble(cfg, law) -> EnsembleSpec:
 
 # --- sample -----------------------------------------------------------------
 
-# target -> (draw(cfg, law, rng), weight of beta, q/p).  A draw's rows are
-# its `points`; a chain target's `chain` holds its diagnostics, and the
-# norm-split statistic of a row, sum |x_i|^q, has the Beta shape
-# (n + weight.degree(n)) / q.  The lambdas look samplers up when called,
-# so a rebound module-level name is the one that runs.
+# target -> draw(cfg, law, rng), a PBallSample.  A draw's rows are its
+# `points`; a chain target's `chain` holds its diagnostics, and the
+# norm-split statistic of a row, sum |x_i|^q with q the sample's p, has
+# the Beta shape (n + degree) / q.  The lambdas look samplers up when
+# called, so a rebound module-level name is the one that runs.
 _TARGETS = {
-    "cone": (lambda c, law, rng: sample_cone(
+    "cone": lambda c, law, rng: sample_cone(
         c["n"], c["p"], rng, size=c["count"], positive=c["orthant"]),
-        None, None),
-    "uniform": (lambda c, law, rng: sample_uniform_ball(
+    "uniform": lambda c, law, rng: sample_uniform_ball(
         c["n"], c["p"], rng, size=c["count"], positive=c["orthant"]),
-        None, None),
-    "pnpw": (lambda c, law, rng: sample_pnpw(
+    "pnpw": lambda c, law, rng: sample_pnpw(
         c["n"], c["p"], law, rng, size=c["count"], positive=c["orthant"]),
-        None, None),
-    "weighted-pnpw": (lambda c, law, rng: sample_weighted_pnpw(
+    "weighted-pnpw": lambda c, law, rng: sample_weighted_pnpw(
         c["n"], c["p"], WeightFn.delta_beta(c["beta"]), law, rng,
         size=c["count"]),
-        lambda beta: WeightFn.delta_beta(beta), 1.0),
-    "eigen-PH": (lambda c, law, rng: sample_eigenvalues_PH(
+    "eigen-PH": lambda c, law, rng: sample_eigenvalues_PH(
         _ensemble(c, law), rng, size=c["count"]),
-        lambda beta: WeightFn.delta_beta(beta), 1.0),
-    "singular-PM": (lambda c, law, rng: sample_sq_singular_PM(
+    "singular-PM": lambda c, law, rng: sample_sq_singular_PM(
         _ensemble(c, law), rng, size=c["count"]),
-        lambda beta: WeightFn.nabla_beta(beta), 0.5),
 }
+
+# the exact targets, whose laws are invariant under flipping one
+# coordinate's sign; folding chain draws into the orthant changes their law
+_ORTHANT_TARGETS = ("cone", "uniform", "pnpw")
 
 
 def cmd_sample(args, cfg, overridden) -> int:
-    draw, weight, _ = _TARGETS[cfg["target"]]
-    if cfg["orthant"] and weight is not None:
-        # the weights are not invariant under flipping one coordinate's
-        # sign, so folding chain draws into the orthant changes their law
+    if cfg["orthant"] and cfg["target"] not in _ORTHANT_TARGETS:
         print(f"--orthant is not supported for target {cfg['target']!r}",
               file=sys.stderr)
         return EXIT_USAGE
     outdir = _outdir(args)
     rng = RngStream(cfg["seed"])
-    s = draw(cfg, _law_from(cfg), rng)
+    s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), rng)
     chain = s.chain
 
     header = [f"x{i + 1}" for i in range(cfg["n"])]
@@ -322,14 +317,18 @@ def _norm_split_samples(cfg, rng):
         m = cfg["m"]
         b = norm_split_B(n, p, m, law, rng, size=cfg["count"])
         return np.asarray(b), (n + m) / p
-    draw, weight, q_per_p = _TARGETS[cfg["target"]]
-    q = p * q_per_p
+    s = _TARGETS[cfg["target"]](cfg, law, rng)
     # the norm-split statistic is recovered exactly from the draws
-    b = np.sum(np.abs(draw(cfg, law, rng).points) ** q, axis=1)
-    return b, (n + weight(cfg["beta"]).degree(n)) / q
+    b = np.sum(np.abs(s.points) ** s.p, axis=1)
+    return b, (n + s.degree) / s.p
 
 
 def cmd_test_norm_law(args, cfg, overridden) -> int:
+    if "m" in cfg and cfg["target"] != "euclid":
+        # a chain target's degree is its weight's, fixed by n and beta
+        print(f"--m is not supported for target {cfg['target']!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     outdir = _outdir(args)
     rng = RngStream(cfg["seed"])
     b, shape = _norm_split_samples(cfg, rng)

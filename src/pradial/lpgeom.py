@@ -23,7 +23,6 @@ from scipy.special import gammaln
 from .distributions import (
     ParameterError,
     RadialLawW,
-    sample_beta,
     sample_gamma,
     sample_gen_gaussian,
     sample_gen_gaussian_positive,
@@ -67,7 +66,10 @@ class PBallSample:
 
     points has shape (size, n); norms_p holds ||x||_p per row; on_sphere
     flags rows that sit exactly on the boundary (W drew its atom at 0);
-    chain holds the mcmc.ChainResult when X came from a chain, else None.
+    chain holds the mcmc.ChainResult when X came from a chain, else None;
+    degree is the homogeneity degree m of the weight that tilted X (0 for
+    the exact samplers), so sum |x_i|^p over a row has the Beta shape
+    (n + m)/p.
     """
 
     points: np.ndarray
@@ -75,15 +77,17 @@ class PBallSample:
     on_sphere: np.ndarray
     p: float
     chain: ChainResult | None = None
+    degree: float = 0.0
 
 
 def _finish_sample(x: np.ndarray, w: np.ndarray, p: float,
-                   chain: ChainResult | None = None) -> PBallSample:
+                   chain: ChainResult | None = None,
+                   degree: float = 0.0) -> PBallSample:
     """The radial mixture step: each row x becomes x / (||x||_p^p + w)^(1/p)."""
     norm_pow = np.sum(np.abs(x) ** p, axis=-1)
     pts = x / (norm_pow + w)[:, None] ** (1.0 / p)
     return PBallSample(points=pts, norms_p=lp_norm(pts, p),
-                       on_sphere=(w == 0.0), p=p, chain=chain)
+                       on_sphere=(w == 0.0), p=p, chain=chain, degree=degree)
 
 
 def sample_cone(n: int, p: float, rng: RngStream, size: int = 1,

@@ -12,9 +12,16 @@ quaternionic self-dual):
   orthant of the ell_q ball, q = p/2, with weight
   nabla_beta(x) = Delta_beta(x) * prod_i x_i^(beta/2 - 1).
 
+This module is the one place that pairs a family with its weight and
+exponent.  Both samplers return the lpgeom.PBallSample of the weighted
+radial mixture, whose p is the exponent (p for H, p/2 for M) and whose
+degree is the weight's homogeneity degree.
+
 Normalization constants from the Weyl integration formula are computed in
 log space.  Matrix assembly (conjugating a spectrum by Haar-distributed
-frames) is provided for beta in {1, 2}; beta = 4 is spectral-only.
+frames) is provided for beta in {1, 2}; beta = 4 is spectral-only.  The
+exact beta-ensemble oracle draws both families' chain targets at p = 2
+for beta in {1, 2, 4}.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from .distributions import ParameterError, RadialLawW, _check_positive
-from .mcmc import ChainConfig, ChainResult, sample_weighted_pnpw
+from .lpgeom import PBallSample
+from .mcmc import ChainConfig, sample_weighted_pnpw
 from .rng import RngStream
 from .weights import WeightFn
 
@@ -76,56 +85,22 @@ class EnsembleSpec:
             self.law = RadialLawW.exponential()
 
 
-@dataclass
-class SpectralSample:
-    """Sorted spectra (eigenvalues or squared singular values), one row per
-    draw, plus the chain diagnostics that produced them."""
-
-    spectra: np.ndarray
-    on_sphere: np.ndarray
-    family: str  # "H" or "M"
-    spec: EnsembleSpec
-    chain: ChainResult
-
-    @property
-    def points(self) -> np.ndarray:
-        """The spectra under the name PBallSample gives its rows."""
-        return self.spectra
-
-    @property
-    def chain_ok(self) -> bool:
-        return self.chain.ok
-
-    @property
-    def accept_rate(self) -> float:
-        return self.chain.accept_rate
-
-
-def _spectral_sample(spec: EnsembleSpec, family: str, weight: WeightFn,
-                     exponent: float, rng: RngStream, size: int,
-                     config: ChainConfig | None) -> SpectralSample:
-    s = sample_weighted_pnpw(spec.n, exponent, weight, spec.law, rng,
-                             size=size, config=config)
-    # the chain emits sorted rows and the radial division keeps their order
-    return SpectralSample(spectra=s.points, on_sphere=s.on_sphere,
-                          family=family, spec=spec, chain=s.chain)
-
-
 def sample_eigenvalues_PH(spec: EnsembleSpec, rng: RngStream, size: int = 1,
-                          config: ChainConfig | None = None) -> SpectralSample:
+                          config: ChainConfig | None = None) -> PBallSample:
     """Eigenvalue vectors of the H-family matrix ball law: the weighted
-    radial mixture with weight Delta_beta, exponent p."""
-    return _spectral_sample(spec, "H", WeightFn.delta_beta(spec.beta), spec.p,
-                            rng, size, config)
+    radial mixture with weight Delta_beta, exponent p.  Rows are sorted."""
+    return sample_weighted_pnpw(spec.n, spec.p, WeightFn.delta_beta(spec.beta),
+                                spec.law, rng, size=size, config=config)
 
 
 def sample_sq_singular_PM(spec: EnsembleSpec, rng: RngStream, size: int = 1,
-                          config: ChainConfig | None = None) -> SpectralSample:
+                          config: ChainConfig | None = None) -> PBallSample:
     """Squared singular values of the M-family matrix ball law: the
     orthant weighted radial mixture with weight nabla_beta and exponent
-    q = p/2."""
-    return _spectral_sample(spec, "M", WeightFn.nabla_beta(spec.beta),
-                            spec.p / 2.0, rng, size, config)
+    q = p/2, which the sample carries as its p.  Rows are sorted."""
+    return sample_weighted_pnpw(spec.n, spec.p / 2.0,
+                                WeightFn.nabla_beta(spec.beta), spec.law, rng,
+                                size=size, config=config)
 
 
 def _haar_unitary(n: int, gen: np.random.Generator, real: bool) -> np.ndarray:
@@ -168,61 +143,56 @@ def assemble_matrix_M(sq_singular: np.ndarray, beta: float,
     return (u * s) @ v.conj().T
 
 
-def empirical_spectral_measure(values: np.ndarray, p: float, kind: str):
-    """The rescaled empirical spectral measure of one spectrum.
-
-    Eigenvalues (kind "H") are blown up by n^(1/p); squared singular
-    values (kind "M") by n^(2/p).  Returns a MeasureRep with uniform atom
-    weights.
+def empirical_spectral_measure(values: np.ndarray, q: float):
+    """The rescaled empirical spectral measure of one row of a sample on
+    the ell_q ball: the values blown up by n^(1/q).  Eigenvalues take
+    q = p and squared singular values q = p/2.  Returns a MeasureRep with
+    uniform atom weights.
     """
     from .measures import MeasureRep
 
     values = np.asarray(values, dtype=float)
-    n = values.size
-    if kind == "H":
-        scale = n ** (1.0 / p)
-    elif kind == "M":
-        scale = n ** (2.0 / p)
+    return MeasureRep.from_atoms(values * values.size ** (1.0 / q))
+
+
+def spectral_measures(sample: PBallSample):
+    """empirical_spectral_measure applied to every row of a spectral sample."""
+    return [empirical_spectral_measure(row, sample.p) for row in sample.points]
+
+
+# --- independent oracle -----------------------------------------------------
+
+def beta_ensemble_oracle(family: str, n: int, beta: float, rng: RngStream,
+                         size: int = 1) -> np.ndarray:
+    """Exact draws of the chain targets at p = 2, one sorted spectrum per row,
+    from the tridiagonal matrix models of Dumitriu & Edelman, "Matrix
+    models for beta ensembles" (J. Math. Phys. 43, 2002).
+
+    "H": eigenvalues with density proportional to
+    exp(-sum lambda_i^2) * Delta_beta(lambda): the Hermite model with
+    diagonal N(0, 2) and off-diagonal chi_{beta(n-1)}, ..., chi_beta, all
+    divided by 2.
+
+    "M": squared singular values with density proportional to
+    exp(-sum x_i) * nabla_beta(x) on the orthant: half the eigenvalues of
+    B B^T, B lower bidiagonal with diagonal chi_{beta(n-k)} (k = 0..n-1)
+    and subdiagonal chi_{beta(n-1)}, ..., chi_beta.
+    """
+    if family not in ("H", "M"):
+        raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
+    _check_positive("beta", beta)
+    gen = rng.gen
+    sub_dof = beta * np.arange(n - 1, 0, -1)
+    if family == "H":
+        diag = gen.standard_normal((size, n)) * np.sqrt(2.0) / 2.0
+        off = np.sqrt(gen.chisquare(sub_dof, size=(size, n - 1))) / 2.0
     else:
-        raise ParameterError(f"kind must be 'H' or 'M', got {kind!r}")
-    return MeasureRep.from_atoms(values * scale)
-
-
-def spectral_measures(sample: SpectralSample):
-    """empirical_spectral_measure applied to every row of a SpectralSample."""
-    return [empirical_spectral_measure(row, sample.spec.p, sample.family)
-            for row in sample.spectra]
-
-
-# --- independent oracles ----------------------------------------------------
-
-def gue_eigenvalue_oracle(n: int, rng: RngStream, size: int = 1) -> np.ndarray:
-    """Sorted eigenvalues of an n x n GUE matrix scaled so the joint
-    eigenvalue density is proportional to exp(-sum lambda_i^2) *
-    prod |lambda_i - lambda_j|^2: diagonal N(0, 1/2), off-diagonal real
-    and imaginary parts N(0, 1/4)."""
-    gen = rng.gen
-    out = np.empty((size, n))
-    for k in range(size):
-        d = gen.standard_normal(n) / np.sqrt(2.0)
-        re = gen.standard_normal((n, n)) / 2.0
-        im = gen.standard_normal((n, n)) / 2.0
-        h = np.diag(d).astype(complex)
-        iu = np.triu_indices(n, k=1)
-        h[iu] = re[iu] + 1j * im[iu]
-        h[(iu[1], iu[0])] = re[iu] - 1j * im[iu]
-        out[k] = np.sort(np.linalg.eigvalsh(h))
-    return out
-
-
-def laguerre_sq_singular_oracle(n: int, rng: RngStream, size: int = 1) -> np.ndarray:
-    """Sorted eigenvalues of A A* for A a complex n x n Ginibre matrix with
-    entrywise Re/Im variance 1/2; the joint density is proportional to
-    exp(-sum x_i) * prod |x_i - x_j|^2 on the positive orthant (beta = 2
-    Laguerre with unit scale)."""
-    gen = rng.gen
-    out = np.empty((size, n))
-    for k in range(size):
-        a = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2.0)
-        out[k] = np.sort(np.linalg.eigvalsh(a @ a.conj().T))
-    return out
+        b_diag = np.sqrt(gen.chisquare(beta * np.arange(n, 0, -1),
+                                       size=(size, n)))
+        b_sub = np.sqrt(gen.chisquare(sub_dof, size=(size, n - 1)))
+        # B B^T is tridiagonal: diagonal d_k^2 + e_{k-1}^2, off-diagonal
+        # d_k e_k
+        diag = b_diag ** 2 / 2.0
+        diag[:, 1:] += b_sub ** 2 / 2.0
+        off = b_diag[:, :-1] * b_sub / 2.0
+    return np.array([eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)])

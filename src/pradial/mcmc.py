@@ -22,7 +22,7 @@ from . import _kernels
 from .distributions import ParameterError, RadialLawW, sample_W, _check_positive
 from .lpgeom import PBallSample, _finish_sample
 from .rng import RngStream
-from .weights import KIND_CUSTOM, WeightFn
+from .weights import KIND_CONSTANT, KIND_CUSTOM, WeightFn
 
 
 @dataclass
@@ -120,6 +120,10 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
         raise ParameterError(
             "custom weights need a bespoke chain; only coded weights are "
             "supported by the chain kernel")
+    if weight.kind == KIND_CONSTANT:
+        raise ParameterError(
+            "the constant weight needs no chain: lpgeom.sample_pnpw draws "
+            "its law exactly")
 
     n_chains = cfg.n_chains
     per_chain = -(-cfg.n_samples // n_chains)  # ceil
@@ -180,7 +184,8 @@ def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,
     r_chain, r_w = rng.split(2)
     res = mcmc_sample(n, p, weight, r_chain, cfg)
     w = np.atleast_1d(sample_W(law, r_w, size=size))
-    return _finish_sample(res.samples, w, p, chain=res)
+    return _finish_sample(res.samples, w, p, chain=res,
+                          degree=weight.degree(n))
 
 
 def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import ParameterError
 
-# integer codes shared with the chain kernel
+# integer codes; the chain kernel runs the two repulsion weights (1 and 2)
 KIND_CONSTANT = 0
 KIND_DELTA_BETA = 1
 KIND_NABLA_BETA = 2

@@ -18,8 +18,7 @@ from pradial.cli import main as cli_main
 from pradial.distributions import ParameterError, RadialLawW
 from pradial.lpgeom import (PsiSpec, norm_split_B, psi_density,
                             psi_normalization_defect)
-from pradial.matrixball import (EnsembleSpec, gue_eigenvalue_oracle,
-                                laguerre_sq_singular_oracle,
+from pradial.matrixball import (EnsembleSpec, beta_ensemble_oracle,
                                 sample_eigenvalues_PH)
 from pradial.mcmc import ChainConfig, mcmc_sample
 from pradial.measures import MeasureRep, log_energy
@@ -124,8 +123,8 @@ def test_criterion_04_matrix_cross_check():
     res_h = mcmc_sample(4, 2.0, WeightFn.delta_beta(2.0),
                         RngStream(SEED, stream_id=200), cfg)
     stat_h = res_h.samples[:, -1] / np.linalg.norm(res_h.samples, axis=1)
-    oracle = gue_eigenvalue_oracle(4, RngStream(SEED, stream_id=201),
-                                   size=20000)
+    oracle = beta_ensemble_oracle("H", 4, 2.0,
+                                  RngStream(SEED, stream_id=201), size=20000)
     ks_h = stats.ks_2samp(stat_h, oracle[:, -1]
                           / np.linalg.norm(oracle, axis=1)).statistic
 
@@ -133,8 +132,8 @@ def test_criterion_04_matrix_cross_check():
     res_m = mcmc_sample(3, 1.0, WeightFn.nabla_beta(2.0),
                         RngStream(SEED, stream_id=202), cfg)  # q = p/2 = 1
     stat_m = res_m.samples[:, -1] / res_m.samples.sum(axis=1)
-    oracle = laguerre_sq_singular_oracle(3, RngStream(SEED, stream_id=203),
-                                         size=20000)
+    oracle = beta_ensemble_oracle("M", 3, 2.0,
+                                  RngStream(SEED, stream_id=203), size=20000)
     ks_m = stats.ks_2samp(stat_m, oracle[:, -1]
                           / oracle.sum(axis=1)).statistic
     ok = (res_h.ess >= 1e4 and res_m.ess >= 1e4 and ks_h < 0.03
@@ -155,11 +154,11 @@ def test_criterion_05_matrix_norm_split():
         s = sample_eigenvalues_PH(spec, RngStream(SEED, stream_id=300 + i),
                                   size=4000,
                                   config=ChainConfig(n_samples=4000, thin=10))
-        b = np.sum(np.abs(s.spectra) ** p, axis=1)
+        b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
         ks = stats.kstest(b, lambda t: betainc(a, alpha, t))
         worst = min(worst, ks.pvalue)
-        ok = ok and ks.pvalue > 0.001 and s.chain_ok
+        ok = ok and ks.pvalue > 0.001 and s.chain.ok
     report(5, ok, f"4 (beta, p) combos at n=3, alpha=2; min KS p-value "
                   f"{worst:.4f} > 0.001")
 

@@ -201,15 +201,21 @@ class TestSample:
         assert code == 0
         assert sha16(out / "samples.csv") == digest
 
-    @pytest.mark.parametrize("target", ["weighted-pnpw", "eigen-PH",
-                                        "singular-PM"])
+    # a chain target's weight fixes its support and its degree, so
+    # `sample --orthant` and `test-norm-law --m` are usage errors there
+    @pytest.mark.parametrize("command, target, flags", [
+        pytest.param("sample", t, ("--orthant",), id=t)
+        for t in ("weighted-pnpw", "eigen-PH", "singular-PM")] + [
+        pytest.param("test-norm-law", t, ("--m", "2"), id=f"m-{t}")
+        for t in ("eigen-PH", "singular-PM")])
     def test_orthant_rejected_for_chain_targets(self, tmp_path, capsys,
-                                                target):
-        code, out = run(tmp_path, "sample", "--target", target, "--n", "3",
-                        "--count", "5", "--seed", "1", "--orthant")
+                                                command, target, flags):
+        code, out = run(tmp_path, command, "--target", target, "--n", "3",
+                        "--count", "5", "--seed", "1", *flags)
         assert code == 2
-        assert "--orthant" in capsys.readouterr().err
-        assert not (out / "samples.csv").exists()
+        err = capsys.readouterr().err
+        assert flags[0] in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("target", ["eigen-PH", "cone"])
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, target):

@@ -8,9 +8,8 @@ from scipy import stats
 
 from pradial.distributions import ParameterError, RadialLawW
 from pradial.matrixball import (EnsembleSpec, assemble_matrix_H,
-                                assemble_matrix_M, empirical_spectral_measure,
-                                gue_eigenvalue_oracle,
-                                laguerre_sq_singular_oracle,
+                                assemble_matrix_M, beta_ensemble_oracle,
+                                empirical_spectral_measure,
                                 log_weyl_const_H, log_weyl_const_M,
                                 sample_eigenvalues_PH, sample_sq_singular_PM,
                                 spectral_measures)
@@ -71,70 +70,120 @@ class TestWeightValues:
 
 
 class TestGueOracle:
+    # the H family of beta_ensemble_oracle at beta = 2
     def test_n1_matches_gaussian(self):
         # n = 1: single eigenvalue ~ N(0, 1/2)
-        vals = gue_eigenvalue_oracle(1, rng(1), size=20000).ravel()
+        vals = beta_ensemble_oracle("H", 1, 2.0, rng(1), size=20000).ravel()
         ks = stats.kstest(vals, lambda t: stats.norm.cdf(t, scale=1 / math.sqrt(2)))
         assert ks.pvalue > 0.01
 
     def test_trace_variance(self):
         # Var(Tr H) = sum of diagonal variances = n/2
         n = 6
-        vals = gue_eigenvalue_oracle(n, rng(2), size=20000)
+        vals = beta_ensemble_oracle("H", n, 2.0, rng(2), size=20000)
         tr = vals.sum(axis=1)
         assert np.var(tr) == pytest.approx(n / 2.0, rel=0.05)
 
     def test_sorted(self):
-        vals = gue_eigenvalue_oracle(5, rng(3), size=50)
+        vals = beta_ensemble_oracle("H", 5, 2.0, rng(3), size=50)
         assert np.all(np.diff(vals, axis=1) >= 0)
 
 
 class TestLaguerreOracle:
+    # the M family of beta_ensemble_oracle at beta = 2
     def test_positive_and_sorted(self):
-        vals = laguerre_sq_singular_oracle(4, rng(4), size=100)
+        vals = beta_ensemble_oracle("M", 4, 2.0, rng(4), size=100)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals, axis=1) >= 0)
 
     def test_trace_mean(self):
         # E Tr(A A*) = n^2 * E|a_ij|^2 = n^2
         n = 5
-        vals = laguerre_sq_singular_oracle(n, rng(5), size=20000)
+        vals = beta_ensemble_oracle("M", n, 2.0, rng(5), size=20000)
         assert np.mean(vals.sum(axis=1)) == pytest.approx(n * n, rel=0.03)
 
 
+class TestBetaEnsembleOracle:
+    # R = sum |x_i|^q of exp(-sum |x_i|^q) f(x), f of degree m, is
+    # Gamma((n + m)/q): Gamma((n + beta n(n-1)/2)/2) for the eigenvalues
+    # (q = 2) and Gamma(beta n^2 / 2) for the squared singular values
+    # (q = 1)
+    @staticmethod
+    def radius(family, vals):
+        return np.sum(vals ** 2, axis=1) if family == "H" else vals.sum(axis=1)
+
+    @staticmethod
+    def radius_shape(family, n, beta):
+        if family == "H":
+            return (n + beta * n * (n - 1) / 2.0) / 2.0
+        return beta * n * n / 2.0
+
+    @pytest.mark.parametrize("family", ["H", "M"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_radius_law(self, family, beta):
+        n = 5
+        vals = beta_ensemble_oracle(family, n, beta, rng(19), size=5000)
+        a = self.radius_shape(family, n, beta)
+        ks = stats.kstest(self.radius(family, vals), stats.gamma(a).cdf)
+        assert ks.pvalue > 1e-3
+
+    @pytest.mark.parametrize("family", ["H", "M"])
+    def test_beta2_rejects_beta1_law(self, family):
+        n = 5
+        vals = beta_ensemble_oracle(family, n, 2.0, rng(20), size=5000)
+        a = self.radius_shape(family, n, 1.0)
+        ks = stats.kstest(self.radius(family, vals), stats.gamma(a).cdf)
+        assert ks.pvalue < 1e-6
+
+    def test_sorted_and_orthant(self):
+        for beta in (1.0, 4.0):
+            h = beta_ensemble_oracle("H", 6, beta, rng(21), size=50)
+            m = beta_ensemble_oracle("M", 6, beta, rng(22), size=50)
+            assert h.shape == m.shape == (50, 6)
+            assert np.all(np.diff(h, axis=1) >= 0)
+            assert np.all(np.diff(m, axis=1) >= 0) and np.all(m > 0)
+
+    def test_bad_family(self):
+        with pytest.raises(ParameterError):
+            beta_ensemble_oracle("X", 3, 2.0, rng(23))
+
+
 class TestSamplers:
-    def test_ph_direction_matches_gue(self):
-        # beta = 2, p = 2: the chain targets the GUE eigenvalue density, so
-        # the direction lambda/||lambda||_2 must match the GUE oracle's
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_ph_direction_matches_gue(self, beta):
+        # p = 2: the chain targets the Hermite beta-ensemble eigenvalue
+        # density (GUE at beta = 2), so the direction lambda/||lambda||_2
+        # must match the oracle's
         n = 4
-        spec = EnsembleSpec(n=n, p=2.0, beta=2.0)
+        spec = EnsembleSpec(n=n, p=2.0, beta=beta)
         cfg = ChainConfig(n_samples=4000, thin=4)
         s = sample_eigenvalues_PH(spec, rng(6), size=4000, config=cfg)
-        assert s.chain_ok
-        oracle = gue_eigenvalue_oracle(n, rng(7), size=4000)
+        assert s.chain.ok
+        oracle = beta_ensemble_oracle("H", n, beta, rng(7), size=4000)
 
         def direction_stat(v):
             return v[:, -1] / np.linalg.norm(v, axis=1)
 
-        ks = stats.ks_2samp(direction_stat(s.spectra),
+        ks = stats.ks_2samp(direction_stat(s.points),
                             direction_stat(oracle))
         assert ks.pvalue > 1e-3
 
-    def test_pm_direction_matches_laguerre(self):
-        # beta = 2, p = 2 (q = 1): the chain targets the unit-scale Laguerre
-        # density for the squared singular values
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_pm_direction_matches_laguerre(self, beta):
+        # p = 2 (q = 1): the chain targets the unit-scale Laguerre
+        # beta-ensemble density for the squared singular values
         n = 3
-        spec = EnsembleSpec(n=n, p=2.0, beta=2.0)
+        spec = EnsembleSpec(n=n, p=2.0, beta=beta)
         cfg = ChainConfig(n_samples=4000, thin=4)
         s = sample_sq_singular_PM(spec, rng(8), size=4000, config=cfg)
-        assert s.chain_ok
-        assert np.all(s.spectra > 0)
-        oracle = laguerre_sq_singular_oracle(n, rng(9), size=4000)
+        assert s.chain.ok
+        assert np.all(s.points > 0)
+        oracle = beta_ensemble_oracle("M", n, beta, rng(9), size=4000)
 
         def direction_stat(v):
             return v[:, -1] / v.sum(axis=1)
 
-        ks = stats.ks_2samp(direction_stat(s.spectra),
+        ks = stats.ks_2samp(direction_stat(s.points),
                             direction_stat(oracle))
         assert ks.pvalue > 1e-3
 
@@ -145,7 +194,8 @@ class TestSamplers:
                             law=RadialLawW(variant="exponential", alpha=alpha))
         cfg = ChainConfig(n_samples=4000, thin=4)
         s = sample_eigenvalues_PH(spec, rng(10), size=4000, config=cfg)
-        b = np.sum(np.abs(s.spectra) ** p, axis=1)
+        assert s.p == p and s.degree == beta * n * (n - 1) / 2.0
+        b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
         ks = stats.kstest(b, lambda t: stats.beta.cdf(t, a, alpha))
         assert ks.statistic < 0.05
@@ -157,7 +207,8 @@ class TestSamplers:
                             law=RadialLawW(variant="exponential", alpha=alpha))
         cfg = ChainConfig(n_samples=4000, thin=4)
         s = sample_sq_singular_PM(spec, rng(11), size=4000, config=cfg)
-        b = np.sum(s.spectra ** (p / 2.0), axis=1)
+        assert s.p == p / 2.0 and s.degree == beta * n * n / 2.0 - n
+        b = np.sum(s.points ** (p / 2.0), axis=1)
         a = beta * n * n / p
         ks = stats.kstest(b, lambda t: stats.beta.cdf(t, a, alpha))
         assert ks.statistic < 0.05
@@ -166,7 +217,7 @@ class TestSamplers:
         spec = EnsembleSpec(n=3, p=3.0, beta=2.0, law=RadialLawW.dirac())
         s = sample_eigenvalues_PH(spec, rng(12), size=200,
                                   config=ChainConfig(n_samples=200))
-        assert np.allclose(np.sum(np.abs(s.spectra) ** 3.0, axis=1), 1.0,
+        assert np.allclose(np.sum(np.abs(s.points) ** 3.0, axis=1), 1.0,
                            atol=1e-10)
         assert np.all(s.on_sphere)
 
@@ -174,7 +225,7 @@ class TestSamplers:
         cfg = ChainConfig(n_samples=7)
         s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=2.0), rng(18), size=5,
                                   config=cfg)
-        assert s.spectra.shape == (5, 3)
+        assert s.points.shape == (5, 3)
         assert cfg.n_samples == 7
 
     def test_beta_validation(self):
@@ -222,7 +273,7 @@ class TestAssembly:
 
 class TestEmpiricalMeasure:
     def test_single_atom(self):
-        mu = empirical_spectral_measure(np.array([0.5]), 2.0, "H")
+        mu = empirical_spectral_measure(np.array([0.5]), 2.0)
         assert mu.kind == "atoms"
         assert mu.weights.sum() == pytest.approx(1.0)
         assert mu.positions[0] == pytest.approx(0.5)  # n = 1, scale = 1
@@ -237,10 +288,17 @@ class TestEmpiricalMeasure:
             assert moment_p(mu, 2.5) == pytest.approx(1.0, abs=1e-10)
 
     def test_m_scaling(self):
+        # squared singular values at p = 2 live on the ell_1 ball (q = 1):
+        # blown up by n^(1/q) = n^(2/p)
         vals = np.array([0.1, 0.4])
-        mu = empirical_spectral_measure(vals, 2.0, "M")
+        mu = empirical_spectral_measure(vals, 1.0)
         assert np.allclose(np.sort(mu.positions), np.sort(vals) * 2.0 ** 1.0)
 
-    def test_bad_kind(self):
-        with pytest.raises(ParameterError):
-            empirical_spectral_measure(np.array([1.0]), 2.0, "X")
+    def test_m_sample_on_sphere_q_moment_is_one(self):
+        # an M sample carries q = p/2 as its p, so spectral_measures blows
+        # it up by n^(2/p) and the rescaled q-th moment is exactly 1
+        spec = EnsembleSpec(n=4, p=3.0, beta=2.0, law=RadialLawW.dirac())
+        s = sample_sq_singular_PM(spec, rng(24), size=5,
+                                  config=ChainConfig(n_samples=5))
+        for mu in spectral_measures(s):
+            assert moment_p(mu, 1.5) == pytest.approx(1.0, abs=1e-10)
