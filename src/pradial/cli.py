@@ -407,39 +407,25 @@ def cmd_rate(args, cfg, overridden) -> int:
     spec = rates.RateFnSpec(target=cfg["target"], p=cfg["p"],
                             beta=cfg["beta"], alpha=cfg["alpha"],
                             ktheta=cfg["ktheta"], c=cfg["c"])
-    kind = spec.target.split("-", 1)[0]
-    mu = None if kind == "beta" else _measure_from(cfg)
+    scan = spec.kind == "beta" and "x" not in cfg
+    mu = None if scan else _measure_from(cfg)
     outdir = _outdir(args)
 
     outputs = []
     report = {"target": spec.target, "p": spec.p, "beta": spec.beta,
               "alpha": spec.alpha, "ktheta": spec.ktheta, "c": spec.c}
-    if kind == "beta":
-        if "x" in cfg:
-            report["x"] = cfg["x"]
-            report["value"] = rates.rate_beta(cfg["x"], spec)
-            report["branch"] = ("greater" if spec.ktheta == "greater"
-                                else ("alpha-zero" if spec.alpha == 0.0
-                                      else "alpha-positive"))
-        else:
-            xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_steps"])
-            rows = [(x, rates.rate_beta(float(x), spec)) for x in xs]
-            write_csv(outdir / "rate_scan.csv", ["x", "rate"], rows)
-            outputs.append("rate_scan.csv")
-            # the first smallest finite value; the first row if none is
-            # finite (rate_beta never returns nan)
-            xmin, vmin = min(rows, key=lambda r: r[1])
-            report["min_x"] = float(xmin)
-            report["min_value"] = float(vmin)
-    elif kind == "cone":
-        report["value"] = rates.rate_cone(mu, spec.family, spec.p,
-                                          spec.beta)[0]
-        report["branch"] = ("finite" if np.isfinite(report["value"])
-                            else "moment-gate")
+    if scan:
+        xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_steps"])
+        rows = [(x, rates.rate_beta(float(x), spec)) for x in xs]
+        write_csv(outdir / "rate_scan.csv", ["x", "rate"], rows)
+        outputs.append("rate_scan.csv")
+        # the first smallest finite value; the first row if none is
+        # finite (rate_beta never returns nan)
+        xmin, vmin = min(rows, key=lambda r: r[1])
+        report["min_x"] = float(xmin)
+        report["min_value"] = float(vmin)
     else:
-        item = rates.rate_emp_itemized(mu, spec)
-        report.update(value=item["value"], branch=item["branch"],
-                      summands=item["terms"])
+        report.update(rates.rate(spec, mu, cfg.get("x")))
 
     write_json(outdir / "rate_report.json", report)
     outputs.append("rate_report.json")
@@ -450,14 +436,15 @@ def cmd_rate(args, cfg, overridden) -> int:
 # --- ldp-verify ---------------------------------------------------------------
 
 def cmd_ldp_verify(args, cfg, overridden) -> int:
-    outdir = _outdir(args)
     p, bcut, alpha_rate = cfg["p"], cfg["event_b"], cfg["alpha_rate"]
+    if not 0.0 < bcut <= 1.0:
+        raise ParameterError(f"--event-b must lie in (0, 1], got {bcut!r}")
+    outdir = _outdir(args)
     ns = [int(s) for s in cfg["n_list"].split(",")]
     spec = rates.RateFnSpec(target="beta-euclid", p=p, alpha=alpha_rate)
-    # the rate function is decreasing left of its minimizer, so the infimum
-    # over {x <= b} is checked by grid search
-    xs = np.linspace(1e-6, bcut, 2000)
-    rate_inf = min(rates.rate_beta(float(x), spec) for x in xs)
+    # the rate decreases left of its minimizer x*, so its infimum over
+    # the event {B <= b} is its value at min(b, x*)
+    rate_inf = rates.rate_beta(min(bcut, rates.rate_beta_argmin(spec)), spec)
 
     rows = []
     rng = RngStream(cfg["seed"])
@@ -505,13 +492,9 @@ def cmd_asymptotics(args, cfg, overridden) -> int:
 
     rows = []
     for n in ns:
-        lap = rates.laplace_check(lambda x: 1.0,
-                                  lambda x: -(x - 0.3) ** 2, (0.0, 1.0), n)
-        brt = rates.breitung_check(lambda x: 1.0 + x,
-                                   lambda x: -x - x * x, n)
-        est_l, lim_l = rates.adapted_laplace_limit(
+        lap, est_l, lim_l = rates.laplace_check(
             lambda x: 1.0, lambda x: -(x - 0.3) ** 2, (0.0, 1.0), n, c=0.05)
-        est_b, lim_b = rates.adapted_breitung_limit(
+        brt, est_b, lim_b = rates.breitung_check(
             lambda x: 1.0 + x, lambda x: -x - x * x, n, c=0.05)
         rows.append((n, lap, brt, est_l, lim_l, abs(est_l - lim_l),
                      est_b, lim_b, abs(est_b - lim_b)))
@@ -559,7 +542,11 @@ def cmd_norm_const(args, cfg, overridden) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-_COMMON = (Param("seed", int), Param("count", _positive_int))
+# rate and asymptotics draw nothing, so they take no --count; they keep
+# --seed because the benchmark (pradbench's cli_op) appends it to every
+# CLI call it makes
+_SEED = Param("seed", int)
+_COMMON = (_SEED, Param("count", _positive_int))
 
 # subcommand -> (help, handler, parameter table); the flags follow the
 # table's order, then --out and --config
@@ -587,7 +574,7 @@ COMMANDS = {
         Param("atoms_csv", str), Param("grid_csv", str),
         Param("analytic", str, choices=tuple(_FAMILIES),
               fallback="scaled-np"),
-        Param("z"), Param("a"), Param("b")) + _COMMON),
+        Param("z"), Param("a"), Param("b"), _SEED)),
     "ldp-verify": ("decay of an exactly computable tail event",
                    cmd_ldp_verify, (
         Param("event_b", default=0.1), Param("p"),
@@ -596,7 +583,7 @@ COMMANDS = {
         Param("monte_carlo", bool, default=False)) + _COMMON),
     "asymptotics": ("Laplace / boundary-Laplace ratio table",
                     cmd_asymptotics, (
-        Param("n_list", _n_list, fallback="50,100,200,400"),) + _COMMON),
+        Param("n_list", _n_list, fallback="50,100,200,400"), _SEED)),
     "norm-const": ("normalization constant of a weighted density",
                    cmd_norm_const, (
         Param("weight", str, choices=tuple(_WEIGHTS), default="one"),

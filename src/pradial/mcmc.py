@@ -25,15 +25,17 @@ from .rng import RngStream
 from .weights import KIND_CONSTANT, KIND_CUSTOM, WeightFn
 
 
+TARGET_ACCEPT = 0.35         # acceptance the proposal scales adapt toward
+INIT_SCALE = 1.0             # proposal scale before adaptation
+ACCEPT_WINDOW = (0.2, 0.6)   # acceptable mean acceptance band
+
+
 @dataclass
 class ChainConfig:
     n_samples: int = 1000
     burn_in: int = 2000          # adaptation steps (coordinate flips)
     thin: int = 1                # post-burn-in sweeps between kept states
     n_chains: int = 4
-    target_accept: float = 0.35
-    init_scale: float = 1.0
-    accept_window: tuple = (0.2, 0.6)  # acceptable mean acceptance band
 
 
 @dataclass
@@ -144,10 +146,10 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
         x0[k] = _initial_state(n, p, weight, s.fresh())
     # Robbins-Monro step sizes t^(-0.6), frozen after burn-in
     adapt_rates = 1.0 / (1.0 + np.arange(n_steps, dtype=np.float64)) ** 0.6
-    adapt_up = np.exp(adapt_rates * (1.0 - cfg.target_accept))
-    adapt_down = np.exp(adapt_rates * (0.0 - cfg.target_accept))
+    adapt_up = np.exp(adapt_rates * (1.0 - TARGET_ACCEPT))
+    adapt_down = np.exp(adapt_rates * (0.0 - TARGET_ACCEPT))
 
-    scales = np.full((n_chains, n), cfg.init_scale)
+    scales = np.full((n_chains, n), INIT_SCALE)
     out = np.empty((per_chain, n_chains, n))
     acc = np.zeros((n_chains, n, 2), dtype=np.int64)
     # thinning counts sweeps of n flips; translate to flip units
@@ -167,7 +169,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
         acc[..., 1].sum(axis=1), 1.0)
     norm_series = np.sum(np.abs(samples) ** p, axis=1)
     ess = geyer_ess(norm_series)
-    lo, hi = cfg.accept_window
+    lo, hi = ACCEPT_WINDOW
     return ChainResult(samples=samples, accept_rate=float(rate),
                        accept_per_coord=per_coord,
                        accept_per_chain=per_chain_rate, ess=ess,

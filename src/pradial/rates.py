@@ -10,6 +10,11 @@ self-adjoint matrix ("H") and a non-self-adjoint matrix ("M") flavour:
 * empirical-measure rates combining the cone rate with the mixture
   corrections.
 
+The nine targets ("cone-H", "beta-euclid", "emp-M", ...) have one entry
+point, rate(spec, mu, x), which picks the formula of spec's target and
+names the branch that gave the value.  It calls rate_beta and rate_cone;
+both read the shape-rate gate 1/p, beta/(2p) or beta/p from _gate.
+
 The speed regime enters through the parameter ktheta: "critical" selects
 the nondegenerate case (speed n for Euclidean targets, n^2 for matrix
 targets); "greater" collapses the rate to the point mass at 1.
@@ -18,8 +23,9 @@ Also provided: a numerical Legendre-Fenchel transform that refines each
 discrete maximum to the closed-form maximum of the cubic-spline
 interpolant on the two grid cells beside it, a Monte-Carlo scaled
 cumulant generating function with its analytic counterpart, and
-Laplace / boundary-Laplace (Breitung) ratio checks used by the
-desk-scale verification experiments.
+Laplace / boundary-Laplace (Breitung) checks used by the desk-scale
+verification experiments, each giving its ratio and its adapted
+(estimate, limit) pair from one maximisation and one quadrature.
 """
 
 from __future__ import annotations
@@ -36,9 +42,21 @@ from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gau
 
 _LEGENDRE_BLOCK = 1 << 20  # cells per row block in legendre_transform
 
+# slack of the moment gate m <= 1: moment_p's quadrature lands a hair
+# above 1 on a law whose moment is exactly 1 (1 + 5.9e-14 on the
+# semicircle of radius 2, the zero of the cone-H rate at p = 2)
+MOMENT_TOL = 1e-9
+
 _EUCLID_TARGETS = ("cone-euclid", "beta-euclid", "emp-euclid")
 _MATRIX_TARGETS = ("cone-H", "beta-H", "emp-H", "cone-M", "beta-M", "emp-M")
 TARGETS = _EUCLID_TARGETS + _MATRIX_TARGETS
+
+
+def _gate(family: str, p: float, beta: float) -> float:
+    """The beta-law shape rate of a family: 1/p, beta/(2p) or beta/p."""
+    if family == "euclid":
+        return 1.0 / p
+    return beta / (2.0 * p) if family == "H" else beta / p
 
 
 @dataclass
@@ -72,6 +90,11 @@ class RateFnSpec:
             raise ParameterError("matrix targets require beta in {1, 2, 4}")
 
     @property
+    def kind(self) -> str:
+        """The target's prefix: "cone", "beta" or "emp"."""
+        return self.target.split("-", 1)[0]
+
+    @property
     def family(self) -> str:
         """The target's suffix: "euclid", "H" or "M"."""
         return self.target.split("-", 1)[1]
@@ -79,35 +102,83 @@ class RateFnSpec:
     @property
     def gate(self) -> float:
         """The beta-law shape rate: 1/p, beta/(2p), or beta/p."""
-        if self.target.endswith("euclid"):
-            return 1.0 / self.p
-        if self.target.endswith("H"):
-            return self.beta / (2.0 * self.p)
-        return self.beta / self.p
+        return _gate(self.family, self.p, self.beta)
+
+
+# --- the one entry point ------------------------------------------------------
+
+def rate(spec: RateFnSpec, mu: MeasureRep | None = None,
+         x: float | None = None) -> dict:
+    """The rate of spec's target and the branch that gave it: {"x",
+    "value", "branch"} of a beta target at the point x; {"value",
+    "branch"} of a cone target and, with "summands", of an emp target on
+    the measure mu.  The input a target does not read is ignored.
+
+    A cone branch is "finite", "moment-gate" (the gating moment exceeds
+    1 + MOMENT_TOL) or "cone-infinite" (infinite entropy or energy below
+    the gate).  An emp target with alpha > 0 is "moment-gate-saturated"
+    from m = 1 on."""
+    if spec.kind == "beta":
+        if x is None:
+            raise ParameterError(f"{spec.target} is evaluated at a point x")
+        return {"x": x, "value": rate_beta(x, spec),
+                "branch": _beta_branch(spec)}
+    if mu is None:
+        raise ParameterError(f"{spec.target} rates a measure mu")
+    cone, m = rate_cone(mu, spec.family, spec.p, spec.beta)
+    if spec.kind == "cone":
+        branch = ("finite" if np.isfinite(cone) else "moment-gate"
+                  if m > 1.0 + MOMENT_TOL else "cone-infinite")
+        return {"value": cone, "branch": branch}
+    if spec.alpha == 0.0:
+        return {"value": cone - spec.c, "branch": "alpha-zero",
+                "summands": {"cone": cone, "neg_c": -spec.c}}
+    if m >= 1.0:
+        return {"value": np.inf, "branch": "moment-gate-saturated",
+                "summands": {}}
+    if not np.isfinite(cone):
+        return {"value": np.inf, "branch": "cone-infinite", "summands": {}}
+    g, alpha = spec.gate, spec.alpha
+    summands = {"cone": cone, "g_log_g": g * np.log(g),
+                "neg_sum_log": -(g + alpha) * np.log(g + alpha),
+                "alpha_term": -alpha * np.log((1.0 - m) / alpha),
+                "neg_c": -spec.c}
+    return {"value": sum(summands.values()), "branch": "alpha-positive",
+            "summands": summands}
 
 
 # --- beta rates ---------------------------------------------------------------
 
-def _rate_beta_generic(x: float, g: float, alpha: float, ktheta: str,
-                       c: float) -> float:
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError("the norm-split statistic lives on [0, 1]")
-    if ktheta == "greater":
-        return 0.0 if x == 1.0 else np.inf
-    if alpha == 0.0:
-        if x == 0.0:
-            return np.inf
-        return -g * np.log(x) - c
-    if x == 0.0 or x == 1.0:
-        return np.inf
-    return (-g * np.log(x / g) - alpha * np.log((1.0 - x) / alpha)
-            - (g + alpha) * np.log(g + alpha) - c)
+def _beta_branch(spec: RateFnSpec) -> str:
+    if spec.ktheta == "greater":
+        return "greater"
+    return "alpha-zero" if spec.alpha == 0.0 else "alpha-positive"
 
 
 def rate_beta(x: float, spec: RateFnSpec) -> float:
     """The closed-form rate of the norm-split statistic B at x.  The target
     enters only through spec.gate, the shape rate of B's Beta law."""
-    return _rate_beta_generic(x, spec.gate, spec.alpha, spec.ktheta, spec.c)
+    if not (0.0 <= x <= 1.0):
+        raise ParameterError("the norm-split statistic lives on [0, 1]")
+    g, alpha, branch = spec.gate, spec.alpha, _beta_branch(spec)
+    if branch == "greater":
+        return 0.0 if x == 1.0 else np.inf
+    if branch == "alpha-zero":
+        return np.inf if x == 0.0 else -g * np.log(x) - spec.c
+    if x == 0.0 or x == 1.0:
+        return np.inf
+    return (-g * np.log(x / g) - alpha * np.log((1.0 - x) / alpha)
+            - (g + alpha) * np.log(g + alpha) - spec.c)
+
+
+def rate_beta_argmin(spec: RateFnSpec) -> float:
+    """x* where rate_beta takes its minimum -c: g/(g + alpha), or 1 when
+    alpha = 0 or ktheta is "greater".  The rate decreases left of x*, so
+    its infimum over {x <= b} is rate_beta(min(b, x*))."""
+    if _beta_branch(spec) != "alpha-positive":
+        return 1.0
+    g = spec.gate
+    return g / (g + spec.alpha)
 
 
 # --- cone rates ---------------------------------------------------------------
@@ -124,36 +195,22 @@ def log_energy_constant(p: float) -> float:
 def rate_cone(mu: MeasureRep, family: str, p: float,
               beta: float = 2.0) -> tuple[float, float]:
     """(cone rate, gating moment) of mu for a target family: "euclid", "H"
-    or "M", a rate target's suffix.  The moment is m_p, or m_{p/2} for "M";
-    the rate is +inf where it exceeds 1, and below that is the formula of
-    rate_cone_euclid, rate_cone_H or rate_cone_M."""
+    or "M", a rate target's suffix.  The moment is m_p, or m_{p/2} for "M"
+    (which requires nonnegative support); the rate is +inf where it
+    exceeds 1 + MOMENT_TOL.  Below that it is H(mu || N_p) + (1 - m_p)
+    for "euclid", and (beta/2) * log-energy + gate * log_energy_constant(p)
+    for "H" and "M", with gate beta/(2p) and beta/p."""
     if family not in ("euclid", "H", "M"):
         raise ParameterError(f"unknown rate family {family!r}")
     if family == "M":
         _require_nonnegative_support(mu)
     m = moment_p(mu, p / 2.0 if family == "M" else p)
-    if m > 1.0:
+    if m > 1.0 + MOMENT_TOL:
         return np.inf, m
     if family == "euclid":
         return relative_entropy_gen_gaussian(mu, p) + (1.0 - m), m
-    scale = beta / (2.0 * p) if family == "H" else beta / p
-    return (beta / 2.0) * log_energy(mu) + scale * log_energy_constant(p), m
-
-
-def rate_cone_euclid(mu: MeasureRep, p: float) -> float:
-    """H(mu || N_p) + (1 - m_p(mu)) on {m_p <= 1}, +inf outside."""
-    return rate_cone(mu, "euclid", p)[0]
-
-
-def rate_cone_H(mu: MeasureRep, p: float, beta: float) -> float:
-    """(beta/2) * log-energy + (beta/(2p)) * constant on {m_p <= 1}."""
-    return rate_cone(mu, "H", p, beta)[0]
-
-
-def rate_cone_M(mu: MeasureRep, p: float, beta: float) -> float:
-    """(beta/2) * log-energy + (beta/p) * constant on {m_{p/2} <= 1},
-    nonnegative support required."""
-    return rate_cone(mu, "M", p, beta)[0]
+    return ((beta / 2.0) * log_energy(mu)
+            + _gate(family, p, beta) * log_energy_constant(p)), m
 
 
 def _require_nonnegative_support(mu: MeasureRep):
@@ -167,45 +224,6 @@ def _require_nonnegative_support(mu: MeasureRep):
         raise ParameterError("this rate target requires nonnegative support")
 
 
-# --- empirical-measure rates --------------------------------------------------
-
-def _emp_terms(cone_val: float, m: float, g: float, alpha: float,
-               c: float) -> dict:
-    """Itemized summands of the empirical rate in the alpha > 0 branch."""
-    return {
-        "cone": cone_val,
-        "g_log_g": g * np.log(g),
-        "neg_sum_log": -(g + alpha) * np.log(g + alpha),
-        "alpha_term": -alpha * np.log((1.0 - m) / alpha),
-        "neg_c": -c,
-    }
-
-
-def rate_emp_itemized(mu: MeasureRep, spec: RateFnSpec) -> dict:
-    """The empirical-measure rate with each summand reported.
-
-    Returns a dict with keys "value", "branch", and "terms".
-    """
-    if not spec.target.startswith("emp-"):
-        raise ParameterError(
-            f"{spec.target!r} is not an empirical-measure target")
-    cone, m = rate_cone(mu, spec.family, spec.p, spec.beta)
-
-    g = spec.gate
-    if spec.alpha == 0.0:
-        value = cone - spec.c
-        return {"value": value, "branch": "alpha-zero",
-                "terms": {"cone": cone, "neg_c": -spec.c}}
-    if m >= 1.0:
-        return {"value": np.inf, "branch": "moment-gate-saturated",
-                "terms": {}}
-    if not np.isfinite(cone):
-        return {"value": np.inf, "branch": "cone-infinite", "terms": {}}
-    terms = _emp_terms(cone, m, g, spec.alpha, spec.c)
-    return {"value": sum(terms.values()), "branch": "alpha-positive",
-            "terms": terms}
-
-
 def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, float]:
     """Diagnostic: minimum of the Euclidean cone rate over the scaled
     generalized-Gaussian family (densities proportional to exp(-|x|^p/z)).
@@ -215,8 +233,8 @@ def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, floa
     otherwise; this is reported as-is, no recentering is applied.
     """
     zs = np.exp(np.linspace(np.log(0.2), np.log(5.0 * p), n_grid))
-    vals = np.array([rate_cone_euclid(MeasureRep.gen_gaussian_scaled(p, z), p)
-                     for z in zs])
+    vals = np.array([rate_cone(MeasureRep.gen_gaussian_scaled(p, z),
+                               "euclid", p)[0] for z in zs])
     i = int(np.argmin(vals))
     return float(zs[i]), float(vals[i])
 
@@ -343,61 +361,46 @@ def _interior_max(pfn, lo, hi):
     return float(res.x), float(-res.fun)
 
 
-def _second_derivative(pfn, x0, h=1e-4):
-    return (pfn(x0 + h) - 2.0 * pfn(x0) + pfn(x0 - h)) / h ** 2
-
-
-def _log_integral(q, pfn, lo, hi, n, shift):
-    """log of integral q(x) exp(n (pfn(x) - shift)) dx, numerically safe."""
-    val, _ = integrate.quad(lambda x: q(x) * np.exp(n * (pfn(x) - shift)),
+def _checked(q, pfn, lo, hi, n, p0, log_den, c):
+    """(ratio, estimate, limit) of the integral of q e^{n p} over [lo, hi]
+    from one quadrature.  p0 is the maximum of p and log_den the log of
+    the approximation less n p0; the estimate is (1/n) log [1 + e^{c n}
+    integral], and the limit c + p0."""
+    val, _ = integrate.quad(lambda x: q(x) * np.exp(n * (pfn(x) - p0)),
                             lo, hi, limit=400)
-    return np.log(val) + 0.0  # shift re-applied by callers in log space
+    log_num = np.log(val)
+    est = float(np.logaddexp(0.0, c * n + (log_num + n * p0)) / n)
+    return float(np.exp(log_num - log_den)), est, float(c + p0)
 
 
-def laplace_check(q, pfn, interval, n) -> float:
-    """Ratio of integral q e^{n p} over the interval to the interior
-    Laplace approximation sqrt(2 pi / (n |p''(x0)|)) q(x0) e^{n p(x0)};
-    tends to 1 as n grows."""
+def laplace_check(q, pfn, interval, n, c: float) -> tuple[float, float, float]:
+    """(ratio, estimate, limit) for integral q e^{n p} over the interval,
+    from one maximisation of p and one quadrature.
+
+    ratio is the integral over the interior Laplace approximation
+    sqrt(2 pi / (n |p''(x0)|)) q(x0) e^{n p(x0)}; it tends to 1 as n
+    grows.  estimate is the expanded two-coefficient form, with s1 = 1
+    and s2 = e^{c n}, (1/n) log [s1 + s2 * integral]; it tends to limit,
+    c + p(x0)."""
     lo, hi = interval
     x0, p0 = _interior_max(pfn, lo, hi)
-    d2 = _second_derivative(pfn, x0)
+    h = 1e-4
+    d2 = (pfn(x0 + h) - 2.0 * pfn(x0) + pfn(x0 - h)) / h ** 2
     if d2 >= 0:
         raise ParameterError("pfn must have a strict interior maximum")
-    log_num = _log_integral(q, pfn, lo, hi, n, p0)
     log_den = 0.5 * np.log(2.0 * np.pi / (n * abs(d2))) + np.log(q(x0))
-    return float(np.exp(log_num - log_den))
+    return _checked(q, pfn, lo, hi, n, p0, log_den, c)
 
 
-def adapted_laplace_limit(q, pfn, interval, n, c: float) -> tuple[float, float]:
-    """The expanded two-coefficient form: with s1 = 1 and s2 = e^{c n},
-
-        (1/n) log [ s1 + s2 * integral q e^{n p} ]
-
-    is returned along with its limit c + p(x0)."""
-    lo, hi = interval
-    x0, p0 = _interior_max(pfn, lo, hi)
-    log_int = _log_integral(q, pfn, lo, hi, n, p0) + n * p0
-    est = float(np.logaddexp(0.0, c * n + log_int) / n)
-    return est, float(c + p0)
-
-
-def breitung_check(q, pfn, n, hi: float = 1.0) -> float:
-    """Boundary case: p maximal at 0 with p'(0) < 0.  Ratio of
-    integral_0^hi q e^{n p} to n^{-1} |p'(0)|^{-1} q(0) e^{n p(0)}."""
+def breitung_check(q, pfn, n, c: float,
+                   hi: float = 1.0) -> tuple[float, float, float]:
+    """Boundary case of laplace_check: p maximal at 0 with p'(0) < 0.  The
+    ratio is integral_0^hi q e^{n p} over n^{-1} |p'(0)|^{-1} q(0)
+    e^{n p(0)}; the estimate of (1/n) log [1 + e^{c n} integral] tends to
+    c + p(0)."""
     h = 1e-7
     dp0 = (pfn(h) - pfn(0.0)) / h
     if dp0 >= 0:
         raise ParameterError("pfn must decrease from the boundary")
-    p0 = pfn(0.0)
-    log_num = _log_integral(q, pfn, 0.0, hi, n, p0)
     log_den = -np.log(n) - np.log(abs(dp0)) + np.log(q(0.0))
-    return float(np.exp(log_num - log_den))
-
-
-def adapted_breitung_limit(q, pfn, n, c: float, hi: float = 1.0) -> tuple[float, float]:
-    """Boundary analogue of adapted_laplace_limit: the estimate of
-    (1/n) log [1 + e^{c n} integral] and its limit c + p(0)."""
-    p0 = pfn(0.0)
-    log_int = _log_integral(q, pfn, 0.0, hi, n, p0) + n * p0
-    est = float(np.logaddexp(0.0, c * n + log_int) / n)
-    return est, float(c + p0)
+    return _checked(q, pfn, 0.0, hi, n, pfn(0.0), log_den, c)

@@ -239,7 +239,7 @@ def test_criterion_07_rate_case_battery():
     for name, target, mu, alpha, c, expect in battery:
         sp = spec(target, alpha, c)
         try:
-            val = rates.rate_emp_itemized(mu, sp)["value"]
+            val = rates.rate(sp, mu)["value"]
             got = "finite" if np.isfinite(val) else "inf"
         except ParameterError:
             got = "error"
@@ -301,10 +301,8 @@ def test_criterion_11_laplace_breitung():
     p1 = lambda x: -(x - 0.3) ** 2
     q2 = lambda x: 1.0 + x
     p2 = lambda x: -x - x * x
-    lap = rates.laplace_check(q1, p1, (0.0, 1.0), 400)
-    brt = rates.breitung_check(q2, p2, 400)
-    est_l, lim_l = rates.adapted_laplace_limit(q1, p1, (0.0, 1.0), 400, c=0.05)
-    est_b, lim_b = rates.adapted_breitung_limit(q2, p2, 400, c=0.05)
+    lap, est_l, lim_l = rates.laplace_check(q1, p1, (0.0, 1.0), 400, c=0.05)
+    brt, est_b, lim_b = rates.breitung_check(q2, p2, 400, c=0.05)
     ok = (abs(lap - 1.0) < 0.02 and abs(brt - 1.0) < 0.02
           and abs(est_l - lim_l) < 0.02 and abs(est_b - lim_b) < 0.02)
     report(11, ok, f"n=400: Laplace ratio {lap:.4f}, boundary ratio "

@@ -11,7 +11,7 @@ import pytest
 
 from pradial.cli import main, write_csv
 from pradial.measures import MeasureRep
-from pradial.rates import rate_cone_M
+from pradial.rates import rate_cone
 
 
 def run(tmp_path, *argv):
@@ -317,6 +317,36 @@ class TestRate:
         assert rep["branch"] == "cone-infinite"
         assert rep["value"] == "inf"
 
+    def test_cone_infinite_below_gate(self, tmp_path):
+        # m_2 of the atoms is 0.0467: the gate did not fire, the entropy
+        # of an atomic measure is infinite
+        csv_path = tmp_path / "atoms.csv"
+        csv_path.write_text("x\n0.1\n0.2\n0.3\n")
+        code, out = run(tmp_path, "rate", "--target", "cone-euclid", "--p",
+                        "2", "--atoms-csv", str(csv_path))
+        assert code == 0
+        rep = read_json(out / "rate_report.json")
+        assert rep["branch"] == "cone-infinite"
+        assert rep["value"] == "inf"
+
+    def test_wigner_law_on_the_gate_is_finite(self, tmp_path, monkeypatch):
+        # the semicircle of radius 2 has m_2 = 1 exactly and is the zero
+        # of the cone-H rate; quadrature puts its moment 6e-14 above 1.
+        # Its energy takes the closed form 1/4 here, since the analytic
+        # quadrature costs about 50 s
+        monkeypatch.setattr("pradial.rates.log_energy", lambda mu: 0.25)
+        code, out = run(tmp_path, "rate", "--target", "cone-H", "--p", "2",
+                        "--beta", "2", "--analytic", "semicircle", "--b", "2")
+        assert code == 0
+        rep = read_json(out / "rate_report.json")
+        assert rep["branch"] == "finite"
+        assert rep["value"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_count_is_not_a_rate_flag(self, tmp_path):
+        code, _ = run(tmp_path, "rate", "--target", "beta-euclid", "--x",
+                      "0.3", "--count", "5")
+        assert code == 2
+
     def test_invalid_target(self, tmp_path):
         code, _ = run(tmp_path, "rate", "--target", "beta-H", "--p", "2",
                       "--beta", "3")
@@ -330,7 +360,8 @@ class TestRate:
         rep = read_json(out / "rate_report.json")
         assert rep["branch"] == "finite"
         assert rep["value"] == pytest.approx(
-            rate_cone_M(MeasureRep.arcsine(0.0, 1.0), 2.0, 2.0), abs=1e-12)
+            rate_cone(MeasureRep.arcsine(0.0, 1.0), "M", 2.0, 2.0)[0],
+            abs=1e-12)
 
     def test_scan_starts_at_zero(self, tmp_path):
         code, out = run(tmp_path, "rate", "--target", "beta-euclid",
@@ -356,6 +387,32 @@ class TestLdpVerify:
         # exact decay rates exceed the infimum (upper-bound direction)
         for r in rows[1:]:
             assert float(r[6]) > 0
+
+    def test_infimum_inside_event_is_zero(self, tmp_path):
+        # b = 0.5 lies right of the minimizer x* = 1/3, so the event
+        # holds the rate's zero
+        code, out = run(tmp_path, "ldp-verify", "--event-b", "0.5", "--p",
+                        "2", "--n-list", "20", "--seed", "1")
+        assert code == 0
+        rep = read_json(out / "ldp_report.json")
+        assert rep["rate_infimum"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b", ["0", "1.5", "-0.1"])
+    def test_event_outside_unit_interval(self, tmp_path, capsys, b):
+        code, out = run(tmp_path, "ldp-verify", "--event-b", b,
+                        "--n-list", "20", "--seed", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--event-b" in err
+        assert not out.exists()
+
+    def test_decay_bytes_at_b_0_1(self, tmp_path):
+        # the infimum at b = 0.1 is rate_beta(0.1): the former 2000-point
+        # grid ended exactly at b, and these bytes are the ones it wrote
+        code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
+                        "2", "--n-list", "20,40,80", "--seed", "1")
+        assert code == 0
+        assert sha16(out / "ldp_decay.csv") == "8e1abf8d84fee979"
 
     def test_underflow_is_strict_json_and_exit_3(self, tmp_path):
         code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
@@ -506,21 +563,22 @@ class TestParameterTable:
         assert (out / "manifest.json").read_bytes() == \
             (flagged / "manifest.json").read_bytes()
 
-    # sha16 of manifest.json, pinned before the CLI became table-driven.
-    # Recorded defaults they hold: rate alpha 1.0 (from defaults.json),
-    # ktheta, c and count; sample orthant false; ldp-verify event_b,
-    # alpha_rate and monte_carlo; norm-const weight "one".
+    # sha16 of manifest.json, pinned before the CLI became table-driven;
+    # rate and asymptotics re-pinned when they lost count, which neither
+    # reads.  Recorded defaults they hold: rate alpha 1.0 (from
+    # defaults.json), ktheta and c; sample orthant false; ldp-verify
+    # event_b, alpha_rate and monte_carlo; norm-const weight "one".
     @pytest.mark.parametrize("argv, digest", [
         (("sample", "--target", "cone", "--n", "3", "--count", "20",
           "--seed", "5"), "51f9edbe193a1b9b"),
         (("test-norm-law", "--target", "euclid", "--n", "4", "--count",
           "200", "--seed", "6"), "fa57251626c2a104"),
         (("rate", "--target", "beta-euclid", "--p", "2", "--x", "0.3"),
-         "9937fd1c892c3ee0"),
+         "a947a190b11f1a3a"),
         (("ldp-verify", "--n-list", "20,40", "--seed", "7"),
          "d04e91cd595541eb"),
         (("asymptotics", "--n-list", "50", "--seed", "8"),
-         "eb2cca8e8a4369a1"),
+         "ae95f3a5963c68d9"),
         (("norm-const", "--n", "2", "--count", "50", "--seed", "9"),
          "05a4ca05c9c2bdf9"),
     ])
@@ -533,6 +591,22 @@ class TestParameterTable:
                           str(out / "manifest.json"))
         assert code == 0
         assert sha16(again / "manifest.json") == digest
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--target", "beta-euclid", "--p", "2", "--x", "0.3"),
+        ("asymptotics", "--n-list", "50", "--seed", "8")])
+    def test_manifest_with_count_still_loads(self, tmp_path, argv):
+        # manifests written while rate and asymptotics recorded count
+        # rerun as before: a config key no row declares is ignored
+        code, out = run(tmp_path, *argv)
+        manifest = read_json(out / "manifest.json")
+        manifest["config"]["count"] = 10000
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        code, again = run(tmp_path / "again", argv[0], "--config", str(old))
+        assert code == 0
+        assert (again / "manifest.json").read_bytes() == \
+            (out / "manifest.json").read_bytes()
 
     @pytest.mark.parametrize("target, shape", [("eigen-PH", 4.5),
                                                ("singular-PM", 9.0)])

@@ -13,13 +13,11 @@ from scipy.interpolate import CubicSpline
 
 from pradial.distributions import ParameterError
 from pradial.measures import MeasureRep, log_energy, moment_p
-from pradial.rates import (RateFnSpec, adapted_breitung_limit,
-                           adapted_laplace_limit, analytic_scaled_cgf,
+from pradial.rates import (MOMENT_TOL, RateFnSpec, analytic_scaled_cgf,
                            breitung_check, laplace_check,
                            legendre_biconjugate, legendre_transform,
-                           log_energy_constant, rate_beta, rate_cone,
-                           rate_cone_euclid, rate_cone_H, rate_cone_M, rate_emp_itemized,
-                           scaled_cgf_estimate,
+                           log_energy_constant, rate, rate_beta,
+                           rate_beta_argmin, rate_cone, scaled_cgf_estimate,
                            scaled_family_cone_minimum)
 from pradial.rng import RngStream
 
@@ -110,13 +108,13 @@ class TestConeRates:
         # H(N_p||N_p) = 0 and m_p = 1/p, so the rate is 1 - 1/p
         for p in (1.0, 2.0, 3.0):
             mu = MeasureRep.gen_gaussian_scaled(p, 1.0)
-            assert rate_cone_euclid(mu, p) == pytest.approx(1.0 - 1.0 / p,
-                                                            abs=1e-7)
+            assert rate_cone(mu, "euclid", p)[0] == pytest.approx(
+                1.0 - 1.0 / p, abs=1e-7)
 
     def test_euclid_moment_gate(self):
         # scaled family with z > p has m_p = z/p > 1 -> +inf
         mu = MeasureRep.gen_gaussian_scaled(2.0, 3.0)
-        assert rate_cone_euclid(mu, 2.0) == np.inf
+        assert rate_cone(mu, "euclid", 2.0)[0] == np.inf
 
     def test_scaled_family_minimum(self):
         # minimum over the scaled family sits at z = p with value
@@ -132,20 +130,21 @@ class TestConeRates:
         # beta/2 * energy + beta/(2p) * constant; arcsine on [-1,1] at
         # p = 2, beta = 2: log 2 - 1/4
         mu = MeasureRep.arcsine()
-        assert rate_cone_H(mu, 2.0, 2.0) == pytest.approx(
+        assert rate_cone(mu, "H", 2.0, 2.0)[0] == pytest.approx(
             math.log(2.0) - 0.25, abs=1e-6)
 
     def test_cone_h_moment_gate(self):
         # arcsine dilated to [-2,2] has m_2 = 2 > 1
         mu = MeasureRep.arcsine(-2.0, 2.0)
-        assert rate_cone_H(mu, 2.0, 2.0) == np.inf
+        assert rate_cone(mu, "H", 2.0, 2.0)[0] == np.inf
 
     def test_cone_m_support_and_value(self):
         mu = MeasureRep.uniform(0.0, 1.0)
         expected = log_energy(mu) + log_energy_constant(2.0)
-        assert rate_cone_M(mu, 2.0, 2.0) == pytest.approx(expected, abs=1e-6)
+        assert rate_cone(mu, "M", 2.0, 2.0)[0] == pytest.approx(expected,
+                                                               abs=1e-6)
         with pytest.raises(ParameterError):
-            rate_cone_M(MeasureRep.uniform(-1.0, 1.0), 2.0, 2.0)
+            rate_cone(MeasureRep.uniform(-1.0, 1.0), "M", 2.0, 2.0)
 
     @pytest.mark.parametrize("family, mu, q", [
         ("euclid", MeasureRep.gen_gaussian_scaled(3.0, 1.0), 3.0),
@@ -157,12 +156,10 @@ class TestConeRates:
     def test_dispatch_returns_gating_moment(self, family, mu, q):
         # one dispatcher behind the three cone rates: the moment it returns
         # is m_p, or m_{p/2} for the M family, at p = 3
-        public = {"euclid": lambda: rate_cone_euclid(mu, 3.0),
-                  "H": lambda: rate_cone_H(mu, 3.0, 4.0),
-                  "M": lambda: rate_cone_M(mu, 3.0, 4.0)}[family]
+        spec = RateFnSpec(target=f"cone-{family}", p=3.0, beta=4.0)
         value, m = rate_cone(mu, family, 3.0, 4.0)
         assert m == moment_p(mu, q)
-        assert value == public()
+        assert value == rate(spec, mu)["value"]
         assert np.isfinite(value) == (m <= 1.0)
 
     def test_dispatch_rejects_unknown_family(self):
@@ -170,48 +167,130 @@ class TestConeRates:
             rate_cone(MeasureRep.arcsine(), "h", 2.0, 2.0)
 
 
+class TestMomentGate:
+    # moment_p of semicircle(2) is 1 + 5.9e-14: the tolerance must
+    # absorb quadrature error at the boundary, and nothing much larger
+    def test_tolerance_is_small(self):
+        assert 0.0 < MOMENT_TOL <= 1e-9
+
+    def test_hair_above_one_is_finite(self):
+        # atoms at +-(1 + 1e-15): m_2 = 1.0000000000000022
+        mu = MeasureRep.from_atoms([-(1.0 + 1e-15), 1.0 + 1e-15])
+        assert 1.0 < moment_p(mu, 2.0) <= 1.0 + MOMENT_TOL
+        out = rate(RateFnSpec(target="cone-H", p=2.0, beta=2.0), mu)
+        assert np.isfinite(out["value"])
+        assert out["branch"] == "finite"
+
+    def test_beyond_tolerance_is_gated(self):
+        mu = MeasureRep.from_atoms([-(1.0 + 1e-6), 1.0 + 1e-6])
+        out = rate(RateFnSpec(target="cone-H", p=2.0, beta=2.0), mu)
+        assert out["value"] == np.inf
+        assert out["branch"] == "moment-gate"
+
+    def test_wigner_law_is_the_zero(self, monkeypatch):
+        # the semicircle of radius 2 has m_2 = 1 and is the cone-H zero;
+        # its energy takes the closed form 1/4 here, since the analytic
+        # quadrature costs about 50 s
+        from pradial import rates
+        monkeypatch.setattr(rates, "log_energy", lambda mu: 0.25)
+        mu = MeasureRep.semicircle(radius=2.0)
+        assert moment_p(mu, 2.0) > 1.0
+        out = rate(RateFnSpec(target="cone-H", p=2.0, beta=2.0), mu)
+        assert out["branch"] == "finite"
+        assert out["value"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_emp_keeps_saturation_at_one(self):
+        mu = MeasureRep.from_atoms([-(1.0 + 1e-15), 1.0 + 1e-15])
+        spec = RateFnSpec(target="emp-H", p=2.0, beta=2.0, alpha=1.0)
+        out = rate(spec, mu)
+        assert out["branch"] == "moment-gate-saturated"
+        assert out["value"] == np.inf
+
+
+class TestRateEntryPoint:
+    def test_beta_target_echoes_x(self):
+        spec = RateFnSpec(target="beta-euclid", p=2.0, alpha=1.0)
+        out = rate(spec, x=0.6)
+        assert out == {"x": 0.6, "value": rate_beta(0.6, spec),
+                       "branch": "alpha-positive"}
+
+    @pytest.mark.parametrize("kwargs, branch", [
+        ({"alpha": 1.0}, "alpha-positive"), ({"alpha": 0.0}, "alpha-zero"),
+        ({"alpha": 1.0, "ktheta": "greater"}, "greater")])
+    def test_beta_branches(self, kwargs, branch):
+        spec = RateFnSpec(target="beta-H", p=2.0, beta=2.0, **kwargs)
+        assert rate(spec, x=0.5)["branch"] == branch
+
+    def test_missing_input(self):
+        with pytest.raises(ParameterError):
+            rate(RateFnSpec(target="beta-euclid", p=2.0))
+        with pytest.raises(ParameterError):
+            rate(RateFnSpec(target="cone-euclid", p=2.0), x=0.5)
+
+    @pytest.mark.parametrize("mu, branch", [
+        (MeasureRep.gen_gaussian_scaled(2.0, 1.0), "finite"),
+        # m_2 = 3/2 is over the gate
+        (MeasureRep.gen_gaussian_scaled(2.0, 3.0), "moment-gate"),
+        # m_2 = 0.0467 is under it, but atoms have infinite entropy
+        (MeasureRep.from_atoms([0.1, 0.2, 0.3]), "cone-infinite"),
+    ])
+    def test_cone_labels(self, mu, branch):
+        out = rate(RateFnSpec(target="cone-euclid", p=2.0), mu)
+        assert out["branch"] == branch
+        assert np.isfinite(out["value"]) == (branch == "finite")
+
+    def test_argmin(self):
+        spec = RateFnSpec(target="beta-M", p=2.0, beta=2.0, alpha=1.0)
+        assert rate_beta_argmin(spec) == 0.5
+        for kwargs in ({"alpha": 0.0}, {"alpha": 1.0, "ktheta": "greater"}):
+            spec = RateFnSpec(target="beta-euclid", p=2.0, c=-0.2, **kwargs)
+            assert rate_beta_argmin(spec) == 1.0
+            assert rate_beta(1.0, spec) == min(
+                rate_beta(x, spec) for x in np.linspace(0.0, 1.0, 101))
+
+
 class TestEmpRates:
     def test_alpha_zero_is_cone_minus_c(self):
         mu = MeasureRep.gen_gaussian_scaled(2.0, 1.0)
         spec = RateFnSpec(target="emp-euclid", p=2.0, alpha=0.0, c=-0.4)
-        out = rate_emp_itemized(mu, spec)
+        out = rate(spec, mu)
         assert out["branch"] == "alpha-zero"
         assert out["value"] == pytest.approx(
-            rate_cone_euclid(mu, 2.0) + 0.4, abs=1e-9)
+            rate_cone(mu, "euclid", 2.0)[0] + 0.4, abs=1e-9)
 
     def test_alpha_positive_composition(self):
         mu = MeasureRep.gen_gaussian_scaled(2.0, 1.0)
         spec = RateFnSpec(target="emp-euclid", p=2.0, alpha=1.0, c=-0.1)
-        out = rate_emp_itemized(mu, spec)
+        out = rate(spec, mu)
         assert out["branch"] == "alpha-positive"
         g, alpha, m = 0.5, 1.0, moment_p(mu, 2.0)
-        expected = (rate_cone_euclid(mu, 2.0) + g * math.log(g)
+        expected = (rate_cone(mu, "euclid", 2.0)[0] + g * math.log(g)
                     - (g + alpha) * math.log(g + alpha)
                     - alpha * math.log((1.0 - m) / alpha) + 0.1)
         assert out["value"] == pytest.approx(expected, abs=1e-9)
-        assert sum(out["terms"].values()) == pytest.approx(out["value"],
-                                                           abs=1e-12)
+        assert sum(out["summands"].values()) == pytest.approx(out["value"],
+                                                              abs=1e-12)
 
     def test_moment_gate_saturated(self):
         # m_p = z/p > 1 is outside the alpha > 0 domain
         mu = MeasureRep.gen_gaussian_scaled(2.0, 2.5)
         spec = RateFnSpec(target="emp-euclid", p=2.0, alpha=1.0)
-        out = rate_emp_itemized(mu, spec)
+        out = rate(spec, mu)
         assert out["branch"] == "moment-gate-saturated"
         assert out["value"] == np.inf
 
     def test_cone_infinite_branch(self):
         mu = MeasureRep.from_atoms([0.1, 0.2])  # atoms: entropy infinite
         spec = RateFnSpec(target="emp-euclid", p=2.0, alpha=1.0)
-        out = rate_emp_itemized(mu, spec)
+        out = rate(spec, mu)
         assert out["branch"] == "cone-infinite"
-        assert rate_emp_itemized(mu, spec)["value"] == np.inf
+        assert out["value"] == np.inf
 
     def test_emp_m_uses_half_exponent_moment(self):
         # uniform on [0, 3] has m_1 = 1.5 > 1 -> saturated for emp-M at p=2
         mu = MeasureRep.uniform(0.0, 3.0)
         spec = RateFnSpec(target="emp-M", p=2.0, beta=2.0, alpha=1.0)
-        assert rate_emp_itemized(mu, spec)["branch"] == "moment-gate-saturated"
+        assert rate(spec, mu)["branch"] == "moment-gate-saturated"
 
 
 def _legendre_reference(t, f, x):
@@ -380,37 +459,56 @@ class TestLaplace:
     def test_interior_ratio_tends_to_one(self):
         q = lambda x: 1.0
         pfn = lambda x: -(x - 0.3) ** 2
-        r_small = laplace_check(q, pfn, (0.0, 1.0), 50)
-        r_big = laplace_check(q, pfn, (0.0, 1.0), 400)
+        r_small = laplace_check(q, pfn, (0.0, 1.0), 50, c=0.05)[0]
+        r_big = laplace_check(q, pfn, (0.0, 1.0), 400, c=0.05)[0]
         assert abs(r_big - 1.0) < abs(r_small - 1.0) + 1e-6
         assert abs(r_big - 1.0) < 0.01
 
     def test_interior_requires_max(self):
         with pytest.raises(ParameterError):
-            laplace_check(lambda x: 1.0, lambda x: x, (0.0, 1.0), 50)
+            laplace_check(lambda x: 1.0, lambda x: x, (0.0, 1.0), 50, c=0.05)
 
     def test_adapted_laplace_limit(self):
         q = lambda x: 1.0
         pfn = lambda x: -(x - 0.3) ** 2
-        est, lim = adapted_laplace_limit(q, pfn, (0.0, 1.0), 400, c=0.05)
+        _, est, lim = laplace_check(q, pfn, (0.0, 1.0), 400, c=0.05)
         assert lim == pytest.approx(0.05, abs=1e-9)
         assert abs(est - lim) < 0.02
 
     def test_breitung_ratio_tends_to_one(self):
         q = lambda x: 1.0 + x
         pfn = lambda x: -x - x ** 2
-        r_small = breitung_check(q, pfn, 50)
-        r_big = breitung_check(q, pfn, 400)
+        r_small = breitung_check(q, pfn, 50, c=0.05)[0]
+        r_big = breitung_check(q, pfn, 400, c=0.05)[0]
         assert abs(r_big - 1.0) < abs(r_small - 1.0) + 1e-6
         assert abs(r_big - 1.0) < 0.01
 
     def test_breitung_requires_decrease(self):
         with pytest.raises(ParameterError):
-            breitung_check(lambda x: 1.0, lambda x: x, 50)
+            breitung_check(lambda x: 1.0, lambda x: x, 50, c=0.05)
 
     def test_adapted_breitung_limit(self):
         q = lambda x: 1.0 + x
         pfn = lambda x: -x - x ** 2
-        est, lim = adapted_breitung_limit(q, pfn, 400, c=0.05)
+        _, est, lim = breitung_check(q, pfn, 400, c=0.05)
         assert lim == pytest.approx(0.05, abs=1e-9)
         assert abs(est - lim) < 0.02
+
+    def test_one_maximisation_and_one_quadrature(self, monkeypatch):
+        # each check evaluates its integral once and, in the interior
+        # case, maximises once; the ratio and the adapted pair share them
+        from pradial import rates
+        calls = {"max": 0, "quad": 0}
+        for owner, name, key in ((rates, "_interior_max", "max"),
+                                 (rates.integrate, "quad", "quad")):
+            orig = getattr(owner, name)
+
+            def counted(*a, _orig=orig, _key=key, **kw):
+                calls[_key] += 1
+                return _orig(*a, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        laplace_check(lambda x: 1.0, lambda x: -(x - 0.3) ** 2, (0.0, 1.0),
+                      100, c=0.05)
+        breitung_check(lambda x: 1.0 + x, lambda x: -x - x * x, 100, c=0.05)
+        assert calls == {"max": 1, "quad": 2}
