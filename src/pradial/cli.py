@@ -1,14 +1,20 @@
 """Reproducible experiment harness.
 
 Subcommands: sample, test-norm-law, rate, ldp-verify, asymptotics,
-norm-const.  Every run writes a JSON manifest echoing the fully resolved
-configuration; running a command again with the same configuration
+norm-const.  A subcommand's handler computes and writes nothing: it takes
+the resolved configuration and returns (outputs, failure).  outputs maps
+each file name, in write order, to (header, rows) for a .csv or to a JSON
+object for a .json; failure is None or a one-line reason.  main alone
+does the I/O: it makes the output directory, writes the outputs and then
+manifest.json, which echoes the fully resolved configuration and lists
+the outputs.  Running a command again with the same configuration
 produces byte-identical CSV output.
 
-Exit codes: 0 success, 2 usage/parameter error, 3 statistical or chain
-diagnostic failure, or a non-finite result (partial outputs are retained).
-JSON outputs are strict: non-finite floats are written as "inf", "-inf"
-or "nan".
+Exit codes: 0 success, 2 usage/parameter error (nothing is written), 3
+statistical or chain diagnostic failure, or a non-finite result (the
+outputs are still written).  Every non-zero exit prints one line to
+stderr.  JSON outputs are strict: non-finite floats are written as "inf",
+"-inf" or "nan".
 
 Each subcommand's parameters are declared once, as the rows of its table
 in COMMANDS (name, type, choices, default, fallback, required).  The
@@ -107,20 +113,6 @@ def write_json(path: Path, obj):
         json.dump(_strict(obj), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
-
-
-def write_manifest(outdir: Path, command: str, config: dict, outputs: list,
-                   overridden: bool):
-    manifest = {
-        "artifact": "pradial",
-        "artifact_version": __version__,
-        "defaults_version": load_defaults()["defaults_version"],
-        "command": command,
-        "config": config,
-        "outputs": outputs,
-        "threshold_overridden": overridden,
-    }
-    write_json(outdir / "manifest.json", manifest)
 
 
 # --- parameter tables -----------------------------------------------------------
@@ -234,13 +226,6 @@ def resolve_config(args: argparse.Namespace, params) -> tuple[dict, bool]:
     return cfg, overridden
 
 
-def _outdir(args) -> Path:
-    root = os.environ.get("PRADIAL_OUTPUT_ROOT", "pradial-out")
-    out = Path(args.out) if args.out else Path(root)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _law_from(cfg) -> RadialLawW:
     theta, alpha = cfg["theta"], cfg["alpha"]
     if theta == 1.0:
@@ -282,29 +267,21 @@ _TARGETS = {
 _ORTHANT_TARGETS = ("cone", "uniform", "pnpw")
 
 
-def cmd_sample(args, cfg, overridden) -> int:
+def cmd_sample(cfg):
     if cfg["orthant"] and cfg["target"] not in _ORTHANT_TARGETS:
-        print(f"--orthant is not supported for target {cfg['target']!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    outdir = _outdir(args)
-    rng = RngStream(cfg["seed"])
-    s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), rng)
+        raise ParameterError(
+            f"--orthant is not supported for target {cfg['target']!r}")
+    s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), RngStream(cfg["seed"]))
+    outputs = {"samples.csv": ([f"x{i + 1}" for i in range(cfg["n"])],
+                               s.points)}
     chain = s.chain
-
-    header = [f"x{i + 1}" for i in range(cfg["n"])]
-    write_csv(outdir / "samples.csv", header, s.points)
-    outputs = ["samples.csv"]
-    if chain is not None:
-        write_json(outdir / "diagnostics.json", {
-            "chain_ok": chain.ok, "accept_rate": chain.accept_rate,
-            "accept_per_chain": chain.accept_per_chain, "ess": chain.ess})
-        outputs.append("diagnostics.json")
-    write_manifest(outdir, "sample", cfg, outputs, overridden)
-    if chain is not None and not chain.ok:
-        print("chain diagnostics failed; outputs retained", file=sys.stderr)
-        return EXIT_STAT
-    return EXIT_OK
+    if chain is None:
+        return outputs, None
+    outputs["diagnostics.json"] = {
+        "chain_ok": chain.ok, "accept_rate": chain.accept_rate,
+        "accept_per_chain": chain.accept_per_chain, "ess": chain.ess}
+    return outputs, (None if chain.ok
+                     else "chain diagnostics failed; outputs retained")
 
 
 # --- test-norm-law -----------------------------------------------------------
@@ -323,15 +300,12 @@ def _norm_split_samples(cfg, rng):
     return b, (n + s.degree) / s.p
 
 
-def cmd_test_norm_law(args, cfg, overridden) -> int:
+def cmd_test_norm_law(cfg):
     if "m" in cfg and cfg["target"] != "euclid":
         # a chain target's degree is its weight's, fixed by n and beta
-        print(f"--m is not supported for target {cfg['target']!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    outdir = _outdir(args)
-    rng = RngStream(cfg["seed"])
-    b, shape = _norm_split_samples(cfg, rng)
+        raise ParameterError(
+            f"--m is not supported for target {cfg['target']!r}")
+    b, shape = _norm_split_samples(cfg, RngStream(cfg["seed"]))
 
     theta, alpha = cfg["theta"], cfg["alpha"]
     atoms = b >= 1.0 - 1e-12
@@ -344,16 +318,18 @@ def cmd_test_norm_law(args, cfg, overridden) -> int:
         "beta_shape_a": shape,
         "beta_shape_b": alpha,
     }
-    flagged = False
+    reasons = []
     if cont.size == 0 and theta < 1.0:
         report["flag"] = "no-continuous-part-samples"
-        flagged = True
     else:
         if theta < 1.0:
             ks = stats.kstest(cont, lambda x: betainc(shape, alpha, x))
             report["ks_statistic"] = float(ks.statistic)
             report["p_value"] = float(ks.pvalue)
-            flagged = ks.pvalue <= cfg["ks_pvalue_threshold"]
+            threshold = cfg["ks_pvalue_threshold"]
+            if ks.pvalue <= threshold:
+                reasons.append(f"KS p-value {ks.pvalue:.3g} <= "
+                               f"threshold {threshold}")
         # exact binomial interval for the atom count
         lo, hi = stats.binom.interval(load_defaults()["atom_confidence"],
                                       b.size, theta) if 0 < theta < 1 else (
@@ -361,11 +337,11 @@ def cmd_test_norm_law(args, cfg, overridden) -> int:
         report["atom_count_interval"] = [int(lo), int(hi)]
         if not (lo <= atoms.sum() <= hi):
             report["flag"] = "atom-fraction-outside-interval"
-            flagged = True
-    write_json(outdir / "norm_law_report.json", report)
-    write_manifest(outdir, "test-norm-law", cfg, ["norm_law_report.json"],
-                   overridden)
-    return EXIT_STAT if flagged else EXIT_OK
+    if "flag" in report:
+        reasons.append(report["flag"])
+    return {"norm_law_report.json": report}, (
+        f"norm-split law flagged: {', '.join(reasons)}; outputs retained"
+        if reasons else None)
 
 
 # --- rate -------------------------------------------------------------------
@@ -403,43 +379,34 @@ def _measure_from(cfg) -> MeasureRep:
     return _FAMILIES[cfg["analytic"]](cfg)
 
 
-def cmd_rate(args, cfg, overridden) -> int:
+def cmd_rate(cfg):
     spec = rates.RateFnSpec(target=cfg["target"], p=cfg["p"],
                             beta=cfg["beta"], alpha=cfg["alpha"],
                             ktheta=cfg["ktheta"], c=cfg["c"])
-    scan = spec.kind == "beta" and "x" not in cfg
-    mu = None if scan else _measure_from(cfg)
-    outdir = _outdir(args)
-
-    outputs = []
+    outputs = {}
     report = {"target": spec.target, "p": spec.p, "beta": spec.beta,
               "alpha": spec.alpha, "ktheta": spec.ktheta, "c": spec.c}
-    if scan:
+    if spec.kind == "beta" and "x" not in cfg:
         xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_steps"])
         rows = [(x, rates.rate_beta(float(x), spec)) for x in xs]
-        write_csv(outdir / "rate_scan.csv", ["x", "rate"], rows)
-        outputs.append("rate_scan.csv")
+        outputs["rate_scan.csv"] = (["x", "rate"], rows)
         # the first smallest finite value; the first row if none is
         # finite (rate_beta never returns nan)
         xmin, vmin = min(rows, key=lambda r: r[1])
         report["min_x"] = float(xmin)
         report["min_value"] = float(vmin)
     else:
-        report.update(rates.rate(spec, mu, cfg.get("x")))
-
-    write_json(outdir / "rate_report.json", report)
-    outputs.append("rate_report.json")
-    write_manifest(outdir, "rate", cfg, outputs, overridden)
-    return EXIT_OK
+        report.update(rates.rate(spec, _measure_from(cfg), cfg.get("x")))
+    outputs["rate_report.json"] = report
+    return outputs, None
 
 
 # --- ldp-verify ---------------------------------------------------------------
 
-def cmd_ldp_verify(args, cfg, overridden) -> int:
+def cmd_ldp_verify(cfg):
     p, bcut, alpha_rate = cfg["p"], cfg["event_b"], cfg["alpha_rate"]
     if not 0.0 < bcut <= 1.0:
         raise ParameterError(f"--event-b must lie in (0, 1], got {bcut!r}")
-    outdir = _outdir(args)
     ns = [int(s) for s in cfg["n_list"].split(",")]
     spec = rates.RateFnSpec(target="beta-euclid", p=p, alpha=alpha_rate)
     # the rate decreases left of its minimizer x*, so its infimum over
@@ -466,28 +433,22 @@ def cmd_ldp_verify(args, cfg, overridden) -> int:
                 freq = hits / count
         rows.append((n, prob, decay, freq, censored, rate_inf,
                      decay - rate_inf))
-    write_csv(outdir / "ldp_decay.csv",
-              ["n", "prob_exact", "neg_log_prob_over_n", "freq_mc",
-               "censored", "rate_infimum", "gap"], rows)
     gaps = [r[-1] for r in rows]
-    report = {"rate_infimum": rate_inf,
-              "gap_final": gaps[-1],
-              "gap_monotone_decreasing": all(
-                  g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))}
-    write_json(outdir / "ldp_report.json", report)
-    write_manifest(outdir, "ldp-verify", cfg,
-                   ["ldp_decay.csv", "ldp_report.json"], overridden)
-    if not all(np.isfinite(gaps)):
-        print("decay gap is not finite: the exact tail probability "
-              "underflowed; outputs retained", file=sys.stderr)
-        return EXIT_STAT
-    return EXIT_OK
+    outputs = {
+        "ldp_decay.csv": (["n", "prob_exact", "neg_log_prob_over_n",
+                           "freq_mc", "censored", "rate_infimum", "gap"],
+                          rows),
+        "ldp_report.json": {"rate_infimum": rate_inf, "gap_final": gaps[-1],
+                            "gap_monotone_decreasing": all(
+                                g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))}}
+    return outputs, (None if all(np.isfinite(gaps)) else
+                     "decay gap is not finite: the exact tail probability "
+                     "underflowed; outputs retained")
 
 
 # --- asymptotics ----------------------------------------------------------------
 
-def cmd_asymptotics(args, cfg, overridden) -> int:
-    outdir = _outdir(args)
+def cmd_asymptotics(cfg):
     ns = [int(s) for s in cfg["n_list"].split(",")]
 
     rows = []
@@ -498,13 +459,10 @@ def cmd_asymptotics(args, cfg, overridden) -> int:
             lambda x: 1.0 + x, lambda x: -x - x * x, n, c=0.05)
         rows.append((n, lap, brt, est_l, lim_l, abs(est_l - lim_l),
                      est_b, lim_b, abs(est_b - lim_b)))
-    write_csv(outdir / "asymptotics.csv",
-              ["n", "laplace_ratio", "breitung_ratio", "adapted_laplace",
-               "adapted_laplace_limit", "adapted_laplace_err",
-               "adapted_breitung", "adapted_breitung_limit",
-               "adapted_breitung_err"], rows)
-    write_manifest(outdir, "asymptotics", cfg, ["asymptotics.csv"], overridden)
-    return EXIT_OK
+    return {"asymptotics.csv": (
+        ["n", "laplace_ratio", "breitung_ratio", "adapted_laplace",
+         "adapted_laplace_limit", "adapted_laplace_err", "adapted_breitung",
+         "adapted_breitung_limit", "adapted_breitung_err"], rows)}, None
 
 
 # --- norm-const ---------------------------------------------------------------
@@ -523,21 +481,16 @@ _WEIGHTS = {
 }
 
 
-def cmd_norm_const(args, cfg, overridden) -> int:
-    outdir = _outdir(args)
+def cmd_norm_const(cfg):
     n, p = cfg["n"], cfg["p"]
     weight = _WEIGHTS[cfg["weight"]](cfg)
-    rng = RngStream(cfg["seed"])
-    log_c, se = estimate_norm_const(n, p, weight, rng, size=cfg["count"])
+    log_c, se = estimate_norm_const(n, p, weight, RngStream(cfg["seed"]),
+                                    size=cfg["count"])
     report = {"weight": weight.name, "n": n, "p": p,
               "log_norm_const": log_c, "se_log": se}
-    write_json(outdir / "norm_const.json", report)
-    write_manifest(outdir, "norm-const", cfg, ["norm_const.json"], overridden)
-    if not np.isfinite(log_c):
-        print("degenerate estimate: weight vanished on every draw",
-              file=sys.stderr)
-        return EXIT_STAT
-    return EXIT_OK
+    return {"norm_const.json": report}, (
+        None if np.isfinite(log_c)
+        else "degenerate estimate: weight vanished on every draw")
 
 
 # --- parser -------------------------------------------------------------------
@@ -549,7 +502,8 @@ _SEED = Param("seed", int)
 _COMMON = (_SEED, Param("count", _positive_int))
 
 # subcommand -> (help, handler, parameter table); the flags follow the
-# table's order, then --out and --config
+# table's order, then --out and --config.  handler(cfg) returns (outputs,
+# failure), which main writes; see the module docstring
 COMMANDS = {
     "sample": ("draw from one of the ball laws", cmd_sample, (
         Param("target", str, choices=tuple(_TARGETS), required=True),
@@ -624,14 +578,29 @@ def main(argv=None) -> int:
     _, handler, params = COMMANDS[args.command]
     try:
         cfg, overridden = resolve_config(args, params)
-        return handler(args, cfg, overridden)
-    except ParameterError as exc:
+        outputs, failure = handler(cfg)
+        out = Path(args.out or os.environ.get("PRADIAL_OUTPUT_ROOT",
+                                              "pradial-out"))
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                write_json(out / name, content)
+        write_json(out / "manifest.json", {
+            "artifact": "pradial", "artifact_version": __version__,
+            "defaults_version": load_defaults()["defaults_version"],
+            "command": args.command, "config": cfg, "outputs": list(outputs),
+            "threshold_overridden": overridden})
+    except (ParameterError, OSError) as exc:
+        # OSError: a missing or unreadable --config, --atoms-csv,
+        # --grid-csv or --out
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        # a missing or unreadable --config, --atoms-csv, --grid-csv or --out
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    if failure is None:
+        return EXIT_OK
+    print(failure, file=sys.stderr)
+    return EXIT_STAT
 
 
 if __name__ == "__main__":

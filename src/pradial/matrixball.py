@@ -103,9 +103,14 @@ def sample_sq_singular_PM(spec: EnsembleSpec, rng: RngStream, size: int = 1,
                                 size=size, config=config)
 
 
-def _haar_unitary(n: int, gen: np.random.Generator, real: bool) -> np.ndarray:
-    """Haar orthogonal/unitary matrix via QR with the sign-fixed R."""
-    if real:
+def _haar_unitary(n: int, gen: np.random.Generator, beta: float) -> np.ndarray:
+    """Haar orthogonal (beta = 1) or unitary (beta = 2) matrix via QR with
+    the sign-fixed R."""
+    if beta not in (1.0, 2.0):
+        raise ParameterError(
+            "matrix assembly is implemented for beta in {1, 2}; the "
+            "beta = 4 ensemble is exposed through its spectrum only")
+    if beta == 1.0:
         a = gen.standard_normal((n, n))
     else:
         a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
@@ -118,12 +123,8 @@ def _haar_unitary(n: int, gen: np.random.Generator, real: bool) -> np.ndarray:
 def assemble_matrix_H(eigs: np.ndarray, beta: float, rng: RngStream) -> np.ndarray:
     """A self-adjoint matrix with the given spectrum, conjugated by a Haar
     frame.  Supported for beta in {1, 2}; beta = 4 is spectral-only."""
-    if beta not in (1.0, 2.0):
-        raise ParameterError(
-            "matrix assembly is implemented for beta in {1, 2}; the "
-            "beta = 4 ensemble is exposed through its spectrum only")
     eigs = np.asarray(eigs, dtype=float)
-    u = _haar_unitary(eigs.shape[0], rng.gen, real=(beta == 1.0))
+    u = _haar_unitary(eigs.shape[0], rng.gen, beta)
     return (u * eigs) @ u.conj().T
 
 
@@ -131,15 +132,9 @@ def assemble_matrix_M(sq_singular: np.ndarray, beta: float,
                       rng: RngStream) -> np.ndarray:
     """A matrix U diag(s) V* with the given squared singular values, U and
     V independent Haar frames.  beta in {1, 2} only."""
-    if beta not in (1.0, 2.0):
-        raise ParameterError(
-            "matrix assembly is implemented for beta in {1, 2}; the "
-            "beta = 4 ensemble is exposed through its spectrum only")
     s = np.sqrt(np.asarray(sq_singular, dtype=float))
-    gen = rng.gen
-    real = beta == 1.0
-    u = _haar_unitary(s.shape[0], gen, real)
-    v = _haar_unitary(s.shape[0], gen, real)
+    u = _haar_unitary(s.shape[0], rng.gen, beta)
+    v = _haar_unitary(s.shape[0], rng.gen, beta)
     return (u * s) @ v.conj().T
 
 

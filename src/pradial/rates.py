@@ -116,8 +116,9 @@ def rate(spec: RateFnSpec, mu: MeasureRep | None = None,
 
     A cone branch is "finite", "moment-gate" (the gating moment exceeds
     1 + MOMENT_TOL) or "cone-infinite" (infinite entropy or energy below
-    the gate).  An emp target with alpha > 0 is "moment-gate-saturated"
-    from m = 1 on."""
+    the gate).  A finite emp target with alpha = 0 is "alpha-zero"; an
+    infinite one takes its cone label.  An emp target with alpha > 0 is
+    "moment-gate-saturated" from m = 1 on."""
     if spec.kind == "beta":
         if x is None:
             raise ParameterError(f"{spec.target} is evaluated at a point x")
@@ -126,12 +127,13 @@ def rate(spec: RateFnSpec, mu: MeasureRep | None = None,
     if mu is None:
         raise ParameterError(f"{spec.target} rates a measure mu")
     cone, m = rate_cone(mu, spec.family, spec.p, spec.beta)
+    cone_branch = ("finite" if np.isfinite(cone) else "moment-gate"
+                   if m > 1.0 + MOMENT_TOL else "cone-infinite")
     if spec.kind == "cone":
-        branch = ("finite" if np.isfinite(cone) else "moment-gate"
-                  if m > 1.0 + MOMENT_TOL else "cone-infinite")
-        return {"value": cone, "branch": branch}
+        return {"value": cone, "branch": cone_branch}
     if spec.alpha == 0.0:
-        return {"value": cone - spec.c, "branch": "alpha-zero",
+        return {"value": cone - spec.c,
+                "branch": "alpha-zero" if np.isfinite(cone) else cone_branch,
                 "summands": {"cone": cone, "neg_c": -spec.c}}
     if m >= 1.0:
         return {"value": np.inf, "branch": "moment-gate-saturated",

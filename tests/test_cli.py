@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pradial import cli
 from pradial.cli import main, write_csv
 from pradial.measures import MeasureRep
 from pradial.rates import rate_cone
@@ -263,12 +264,21 @@ class TestNormLaw:
         lo, hi = rep["atom_count_interval"]
         assert lo <= rep["atom_fraction"] * rep["n_samples"] <= hi
 
-    def test_flagged_exit_3(self, tmp_path):
-        # an (artificially) extreme p-value threshold trips the gate
-        code, out = run(tmp_path, "test-norm-law", "--target", "euclid",
-                        "--n", "5", "--count", "2000", "--seed", "17",
-                        "--ks-pvalue-threshold", "0.9999")
-        assert code == 3
+    def test_flagged_exit_3(self, tmp_path, capsys):
+        # an (artificially) extreme p-value threshold trips the gate, with
+        # and without atoms, and stderr says which test flagged
+        for i, flags in enumerate([
+                ("--count", "2000", "--seed", "17",
+                 "--ks-pvalue-threshold", "0.9999"),
+                ("--count", "200", "--theta", "0.5", "--alpha", "1",
+                 "--ks-pvalue-threshold", "0.99")]):
+            code, out = run(tmp_path / str(i), "test-norm-law", "--target",
+                            "euclid", "--n", "5", *flags)
+            assert code == 3
+            rep = read_json(out / "norm_law_report.json")
+            assert capsys.readouterr().err == (
+                f"norm-split law flagged: KS p-value {rep['p_value']:.3g} "
+                f"<= threshold {flags[-1]}; outputs retained\n")
 
 
 class TestRate:
@@ -534,6 +544,10 @@ class TestParameterTable:
          {"a.csv": "x,y\n0.1,0.2\n0.3,0.4\n"}),
         (["rate", "--target", "emp-H", "--grid-csv", "g.csv"],
          {"g.csv": "x\n0.1\n0.2\n"}),
+        # these two fail inside the handler, after the config resolved
+        (["rate", "--target", "cone-M", "--analytic", "uniform", "--a", "-1",
+          "--b", "1"], {}),
+        (["norm-const", "--weight", "delta", "--beta", "-1", "--n", "3"], {}),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys,
                                             monkeypatch, argv, files):
@@ -617,3 +631,63 @@ class TestParameterTable:
                         "3", "--count", "200", "--seed", "3")
         assert code in (0, 3)
         assert read_json(out / "norm_law_report.json")["beta_shape_a"] == shape
+
+
+class TestRunProtocol:
+    """main writes a handler's outputs in order, then a manifest that lists
+    exactly them, whatever the exit code."""
+
+    def _run_recorded(self, tmp_path, monkeypatch, argv):
+        written = []
+        for name in ("write_csv", "write_json"):
+            real = getattr(cli, name)
+
+            def spy(path, *rest, real=real):
+                written.append(path.name)
+                return real(path, *rest)
+
+            monkeypatch.setattr(cli, name, spy)
+        code, out = run(tmp_path, *argv, "--seed", "1")
+        manifest = read_json(out / "manifest.json")
+        assert written == manifest["outputs"] + ["manifest.json"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(written)
+        return code, manifest["outputs"]
+
+    @pytest.mark.parametrize("argv, code, outputs", [
+        pytest.param(("sample", "--target", "cone", "--n", "3", "--count",
+                      "20"), 0, ["samples.csv"], id="sample"),
+        pytest.param(("sample", "--target", "eigen-PH", "--n", "3",
+                      "--count", "50"), 0, ["samples.csv", "diagnostics.json"],
+                     id="sample-chain"),
+        pytest.param(("test-norm-law", "--target", "euclid", "--n", "5",
+                      "--count", "2000", "--ks-pvalue-threshold", "0.9999"),
+                     3, ["norm_law_report.json"], id="test-norm-law-flagged"),
+        pytest.param(("rate", "--target", "beta-euclid", "--p", "2"), 0,
+                     ["rate_scan.csv", "rate_report.json"], id="rate-scan"),
+        pytest.param(("rate", "--target", "cone-euclid", "--p", "2"), 0,
+                     ["rate_report.json"], id="rate-point"),
+        pytest.param(("ldp-verify", "--n-list", "20,40"), 0,
+                     ["ldp_decay.csv", "ldp_report.json"], id="ldp-verify"),
+        pytest.param(("ldp-verify", "--event-b", "0.1", "--p", "2",
+                      "--n-list", "20,4000"), 3,
+                     ["ldp_decay.csv", "ldp_report.json"],
+                     id="ldp-verify-underflow"),
+        pytest.param(("asymptotics", "--n-list", "50"), 0,
+                     ["asymptotics.csv"], id="asymptotics"),
+        pytest.param(("norm-const", "--n", "2", "--count", "50"), 0,
+                     ["norm_const.json"], id="norm-const"),
+    ])
+    def test_manifest_lists_outputs_in_write_order(
+            self, tmp_path, monkeypatch, argv, code, outputs):
+        assert self._run_recorded(tmp_path, monkeypatch, argv) == (
+            code, outputs)
+
+    def test_degenerate_norm_const_writes_all(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr("pradial.cli.estimate_norm_const",
+                            lambda *a, **k: (-math.inf, math.inf))
+        assert self._run_recorded(tmp_path, monkeypatch,
+                                  ("norm-const", "--n", "2", "--count", "10")
+                                  ) == (3, ["norm_const.json"])
+        assert capsys.readouterr().err == (
+            "degenerate estimate: weight vanished on every draw\n")

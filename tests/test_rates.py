@@ -258,6 +258,21 @@ class TestEmpRates:
         assert out["value"] == pytest.approx(
             rate_cone(mu, "euclid", 2.0)[0] + 0.4, abs=1e-9)
 
+    @pytest.mark.parametrize("target, mu, branch", [
+        # m_2 = 2 is over the gate
+        ("emp-H", MeasureRep.arcsine(-2.0, 2.0), "moment-gate"),
+        # m_2 = 0.0467 is under it, but atoms have infinite entropy
+        ("emp-euclid", MeasureRep.from_atoms([0.1, 0.2, 0.3]),
+         "cone-infinite"),
+    ])
+    def test_alpha_zero_infinite_takes_cone_label(self, target, mu, branch):
+        spec = RateFnSpec(target=target, p=2.0, beta=2.0, alpha=0.0)
+        out = rate(spec, mu)
+        assert out["branch"] == branch
+        assert out["value"] == np.inf
+        assert rate(RateFnSpec(target="cone-" + spec.family, p=2.0,
+                               beta=2.0), mu)["branch"] == branch
+
     def test_alpha_positive_composition(self):
         mu = MeasureRep.gen_gaussian_scaled(2.0, 1.0)
         spec = RateFnSpec(target="emp-euclid", p=2.0, alpha=1.0, c=-0.1)
