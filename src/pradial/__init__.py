@@ -1,9 +1,10 @@
 """Weighted p-radial distributions on lp-balls and matrix p-balls.
 
-Exact samplers for cone / uniform / radially mixed laws on the unit
-lp-ball, MCMC samplers for repulsion-weighted base densities, spectral
-samplers for matrix p-balls, and numerical rate functions for the
-associated large-deviation limits.
+One exact sampler for the radial mixture laws on the unit lp-ball, whose
+cases W = delta_0 and W = Exp(1) are the cone and uniform measures, MCMC
+samplers for repulsion-weighted base densities, spectral samplers for
+matrix p-balls, and numerical rate functions for the associated
+large-deviation limits.
 """
 
 __version__ = "0.1.0"

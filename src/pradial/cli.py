@@ -42,14 +42,13 @@ from scipy.special import betainc
 
 from . import __version__
 from .distributions import ParameterError, RadialLawW
-from .lpgeom import sample_cone, sample_pnpw, sample_uniform_ball
+from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import EnsembleSpec, sample_eigenvalues_PH, sample_sq_singular_PM
 from .mcmc import estimate_norm_const, sample_weighted_pnpw
 from .measures import MeasureRep
 from .rng import RngStream
 from .weights import WeightFn
 from . import rates
-from .lpgeom import norm_split_B
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -227,12 +226,7 @@ def resolve_config(args: argparse.Namespace, params) -> tuple[dict, bool]:
 
 
 def _law_from(cfg) -> RadialLawW:
-    theta, alpha = cfg["theta"], cfg["alpha"]
-    if theta == 1.0:
-        return RadialLawW.dirac()
-    if theta == 0.0:
-        return RadialLawW.gamma(alpha)
-    return RadialLawW.mixture(theta, alpha)
+    return RadialLawW(theta=cfg["theta"], alpha=cfg["alpha"])
 
 
 def _ensemble(cfg, law) -> EnsembleSpec:
@@ -241,18 +235,22 @@ def _ensemble(cfg, law) -> EnsembleSpec:
 
 # --- sample -----------------------------------------------------------------
 
+# exact target -> the mixing law W it fixes for sample_pnpw, or None for
+# the configured theta/alpha law.  These laws are invariant under
+# flipping one coordinate's sign, so --orthant applies to them alone:
+# folding chain draws into the orthant changes their law
+_EXACT_LAWS = {"cone": RadialLawW.dirac(), "uniform": RadialLawW.exponential(),
+               "pnpw": None}
+
 # target -> draw(cfg, law, rng), a PBallSample.  A draw's rows are its
 # `points`; a chain target's `chain` holds its diagnostics, and the
 # norm-split statistic of a row, sum |x_i|^q with q the sample's p, has
 # the Beta shape (n + degree) / q.  The lambdas look samplers up when
 # called, so a rebound module-level name is the one that runs.
 _TARGETS = {
-    "cone": lambda c, law, rng: sample_cone(
-        c["n"], c["p"], rng, size=c["count"], positive=c["orthant"]),
-    "uniform": lambda c, law, rng: sample_uniform_ball(
-        c["n"], c["p"], rng, size=c["count"], positive=c["orthant"]),
-    "pnpw": lambda c, law, rng: sample_pnpw(
-        c["n"], c["p"], law, rng, size=c["count"], positive=c["orthant"]),
+    **dict.fromkeys(_EXACT_LAWS, lambda c, law, rng: sample_pnpw(
+        c["n"], c["p"], _EXACT_LAWS[c["target"]] or law, rng,
+        size=c["count"], positive=c["orthant"])),
     "weighted-pnpw": lambda c, law, rng: sample_weighted_pnpw(
         c["n"], c["p"], WeightFn.delta_beta(c["beta"]), law, rng,
         size=c["count"]),
@@ -262,13 +260,9 @@ _TARGETS = {
         _ensemble(c, law), rng, size=c["count"]),
 }
 
-# the exact targets, whose laws are invariant under flipping one
-# coordinate's sign; folding chain draws into the orthant changes their law
-_ORTHANT_TARGETS = ("cone", "uniform", "pnpw")
-
 
 def cmd_sample(cfg):
-    if cfg["orthant"] and cfg["target"] not in _ORTHANT_TARGETS:
+    if cfg["orthant"] and cfg["target"] not in _EXACT_LAWS:
         raise ParameterError(
             f"--orthant is not supported for target {cfg['target']!r}")
     s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), RngStream(cfg["seed"]))
@@ -423,7 +417,7 @@ def cmd_ldp_verify(cfg):
         censored = 0
         if cfg["monte_carlo"]:
             count = cfg["count"]
-            b = norm_split_B(n, p, 0.0, RadialLawW.gamma(alpha_n), sub,
+            b = norm_split_B(n, p, 0.0, RadialLawW(alpha=alpha_n), sub,
                              size=count)
             hits = int(np.sum(b <= bcut))
             if hits == 0:

@@ -55,23 +55,18 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     return g1 / (g1 + g2)
 
 
-def sample_gen_gaussian(p: float, rng: RngStream, size=None):
-    """Draws with density exp(-|x|^p)/(2*Gamma(1+1/p)).
+def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
+    """Draws with density exp(-|x|^p)/(2*Gamma(1+1/p)), or of |X| when
+    positive is set.
 
     Uses the exact power transform X = S * G^(1/p) with S a uniform sign
-    and G ~ Gamma(1/p, 1).
+    and G ~ Gamma(1/p, 1); the positive draw skips S.
     """
     _check_positive("p", p)
-    g = sample_gamma(1.0 / p, 1.0, rng, size=size)
-    signs = rng.gen.integers(0, 2, size=size) * 2 - 1
-    return signs * g ** (1.0 / p)
-
-
-def sample_gen_gaussian_positive(p: float, rng: RngStream, size=None):
-    """The truncated-to-[0, inf) generalized Gaussian, i.e. |X|."""
-    _check_positive("p", p)
-    g = sample_gamma(1.0 / p, 1.0, rng, size=size)
-    return g ** (1.0 / p)
+    g = sample_gamma(1.0 / p, 1.0, rng, size=size) ** (1.0 / p)
+    if positive:
+        return g
+    return (rng.gen.integers(0, 2, size=size) * 2 - 1) * g
 
 
 def gen_gaussian_pdf(p: float, x):
@@ -102,12 +97,12 @@ class RadialLawW:
     or a tabulated Borel law on [0, inf).
 
     Tabulated laws carry point atoms plus a density sampled on a grid; the
-    total mass must be 1 within 1e-12.
+    total mass must be 1 within 1e-12.  A law with atoms or a grid is
+    tabulated, and theta and alpha are then unused.
     """
 
     theta: float = 0.0
     alpha: float = 1.0
-    variant: str = "exponential"  # dirac-at-zero | exponential | gamma | mixture | tabulated
     atoms: list | None = None  # list of (position, weight), tabulated only
     grid: np.ndarray | None = None  # knots, tabulated only
     density: np.ndarray | None = None  # density values at knots
@@ -115,54 +110,48 @@ class RadialLawW:
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
             raise ParameterError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.variant == "tabulated":
-            if (self.atoms is None or len(self.atoms) == 0) and self.grid is None:
-                raise ParameterError("tabulated law needs atoms and/or a density grid")
-            total = sum(w for _, w in (self.atoms or []))
-            if self.grid is not None:
-                self.grid = np.asarray(self.grid, dtype=float)
-                self.density = np.asarray(self.density, dtype=float)
-                if np.any(self.density < 0):
-                    raise ParameterError("tabulated density must be nonnegative")
-                total += np.trapezoid(self.density, self.grid)
-            if abs(total - 1.0) > 1e-12:
-                raise ParameterError(f"tabulated masses sum to {total}, not 1")
-        else:
+        if self.variant == "mixture":
             if self.theta < 1.0:
                 _check_positive("alpha", self.alpha)
+            return
+        self.atoms = list(self.atoms or [])
+        if any(x < 0.0 for x, _ in self.atoms):
+            raise ParameterError("tabulated atoms must lie in [0, inf)")
+        total = sum(w for _, w in self.atoms)
+        if self.grid is not None:
+            self.grid = np.asarray(self.grid, dtype=float)
+            self.density = np.asarray(self.density, dtype=float)
+            if self.grid[0] < 0.0:
+                raise ParameterError("tabulated grid must start at 0 or above")
+            if np.any(self.density < 0):
+                raise ParameterError("tabulated density must be nonnegative")
+            total += np.trapezoid(self.density, self.grid)
+        if abs(total - 1.0) > 1e-12:
+            raise ParameterError(f"tabulated masses sum to {total}, not 1")
+
+    @property
+    def variant(self) -> str:
+        """tabulated for a law given by atoms and/or a grid, else mixture."""
+        return "tabulated" if self.atoms or self.grid is not None else "mixture"
 
     @classmethod
     def dirac(cls) -> "RadialLawW":
-        return cls(theta=1.0, variant="dirac-at-zero")
+        return cls(theta=1.0)
 
     @classmethod
     def exponential(cls) -> "RadialLawW":
-        return cls(theta=0.0, alpha=1.0, variant="exponential")
-
-    @classmethod
-    def gamma(cls, alpha: float) -> "RadialLawW":
-        return cls(theta=0.0, alpha=alpha, variant="gamma")
-
-    @classmethod
-    def mixture(cls, theta: float, alpha: float) -> "RadialLawW":
-        return cls(theta=theta, alpha=alpha, variant="mixture")
+        return cls(theta=0.0, alpha=1.0)
 
     @classmethod
     def tabulated(cls, atoms=None, grid=None, density=None) -> "RadialLawW":
-        return cls(variant="tabulated", atoms=list(atoms or []), grid=grid,
-                   density=density)
+        if not atoms and grid is None:
+            raise ParameterError("tabulated law needs atoms and/or a density grid")
+        return cls(atoms=atoms, grid=grid, density=density)
 
     def mass_at_zero(self) -> float:
         if self.variant == "tabulated":
-            return sum(w for x, w in (self.atoms or []) if x == 0.0)
+            return sum(w for x, w in self.atoms if x == 0.0)
         return self.theta
-
-    # --- tabulated helpers -------------------------------------------------
-
-    def _tab_continuous_mass(self) -> float:
-        if self.grid is None:
-            return 0.0
-        return float(np.trapezoid(self.density, self.grid))
 
     def _tab_inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF of the grid density part, scaled to unit mass."""
@@ -183,13 +172,13 @@ def sample_W(law: RadialLawW, rng: RngStream, size=None):
     if law.variant == "tabulated":
         positions = np.array([x for x, _ in law.atoms], dtype=float)
         weights = np.array([w for _, w in law.atoms], dtype=float)
-        cont = law._tab_continuous_mass()
+        cont = 0.0 if law.grid is None else np.trapezoid(law.density, law.grid)
         probs = np.concatenate([weights, [cont]])
         probs = probs / probs.sum()
         choice = gen.choice(len(probs), size=m, p=probs)
         out = np.empty(m)
         atom_mask = choice < len(positions)
-        out[atom_mask] = positions[choice[atom_mask]] if len(positions) else 0.0
+        out[atom_mask] = positions[choice[atom_mask]]
         n_cont = int((~atom_mask).sum())
         if n_cont:
             out[~atom_mask] = law._tab_inverse_cdf(gen.random(n_cont))

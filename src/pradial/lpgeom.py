@@ -1,9 +1,11 @@
 """Geometry and exact samplers on the Euclidean ell_p ball.
 
-Implements the p-norm, log-space ball volumes, the cone measure, the
-uniform measure, and the radial mixture family obtained by dividing an
-n-vector of generalized Gaussians by (||X||_p^p + W)^(1/p) for a mixing
-weight W.  Also provides the norm-split statistic
+Implements the p-norm, log-space ball volumes, and the one exact sampler,
+sample_pnpw: the radial mixture law obtained by dividing an n-vector of
+generalized Gaussians by (||X||_p^p + W)^(1/p) for a mixing weight W.
+The cone measure on the sphere is the case W = delta_0 and the uniform
+measure on the ball the case W = Exp(1).  Also provides the norm-split
+statistic
 
     B = ||X||_p^p / (||X||_p^p + W),
 
@@ -25,7 +27,6 @@ from .distributions import (
     RadialLawW,
     sample_gamma,
     sample_gen_gaussian,
-    sample_gen_gaussian_positive,
     sample_W,
     _check_positive,
 )
@@ -90,28 +91,16 @@ def _finish_sample(x: np.ndarray, w: np.ndarray, p: float,
                        on_sphere=(w == 0.0), p=p, chain=chain, degree=degree)
 
 
-def sample_cone(n: int, p: float, rng: RngStream, size: int = 1,
-                positive: bool = False) -> PBallSample:
-    """Cone (normalized surface) measure on the ell_p sphere: W = delta_0."""
-    sampler = sample_gen_gaussian_positive if positive else sample_gen_gaussian
-    x = sampler(p, rng, size=(size, n))
-    return _finish_sample(x, np.zeros(size), p)
-
-
-def sample_uniform_ball(n: int, p: float, rng: RngStream, size: int = 1,
-                        positive: bool = False) -> PBallSample:
-    """Uniform measure on the ell_p ball: W = Exp(1)."""
-    sampler = sample_gen_gaussian_positive if positive else sample_gen_gaussian
-    x = sampler(p, rng, size=(size, n))
-    w = sample_gamma(1.0, 1.0, rng, size=size)
-    return _finish_sample(x, w, p)
-
-
 def sample_pnpw(n: int, p: float, law: RadialLawW, rng: RngStream,
                 size: int = 1, positive: bool = False) -> PBallSample:
-    """The radial mixture law on the ball driven by the mixing weight W."""
-    sampler = sample_gen_gaussian_positive if positive else sample_gen_gaussian
-    x = sampler(p, rng, size=(size, n))
+    """The radial mixture law on the ball driven by the mixing weight W;
+    with positive set, on the positive orthant of the ball.
+
+    This is the one exact sampler on the ell_p ball: the cone measure on
+    the sphere is W = delta_0 (RadialLawW.dirac()) and the uniform measure
+    is W = Exp(1) (RadialLawW.exponential()).
+    """
+    x = sample_gen_gaussian(p, rng, size=(size, n), positive=positive)
     w = np.atleast_1d(sample_W(law, rng, size=size))
     return _finish_sample(x, w, p)
 

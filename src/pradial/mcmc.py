@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _kernels
-from .distributions import ParameterError, RadialLawW, sample_W, _check_positive
+from .distributions import (ParameterError, RadialLawW, sample_gen_gaussian,
+                            sample_W, _check_positive)
 from .lpgeom import PBallSample, _finish_sample
 from .rng import RngStream
 from .weights import KIND_CONSTANT, KIND_CUSTOM, WeightFn
@@ -200,11 +201,8 @@ def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
     log-sum-exp.  Returns (log C, standard error of log C), the latter
     being the relative error of the underlying mean.
     """
-    from .distributions import sample_gen_gaussian, sample_gen_gaussian_positive
-
-    sampler = (sample_gen_gaussian_positive if weight.orthant_only
-               else sample_gen_gaussian)
-    x = sampler(p, rng, size=(size, n))
+    x = sample_gen_gaussian(p, rng, size=(size, n),
+                            positive=weight.orthant_only)
     logf = np.asarray(weight.log_eval(x), dtype=float)
     finite = np.isfinite(logf)
     # base normalization: the product density integrates

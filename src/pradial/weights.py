@@ -23,13 +23,11 @@ KIND_CUSTOM = 3
 
 
 def log_delta_beta(x: np.ndarray, beta: float) -> float:
-    """log of prod_{i<j} |x_i - x_j|^beta; -inf on ties."""
+    """log of prod_{i<j} |x_i - x_j|^beta; -inf on ties, and 0 for every
+    row when there are no pairs (n < 2)."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if n < 2:
-        return 0.0
     diffs = np.abs(x[..., :, None] - x[..., None, :])
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(x.shape[-1], k=1)
     d = diffs[..., iu[0], iu[1]]
     with np.errstate(divide="ignore"):
         out = beta * np.sum(np.log(d), axis=-1)

@@ -42,7 +42,7 @@ def test_criterion_01_norm_split_exactness():
     ok = True
     for i, (p, alpha) in enumerate(
             itertools.product((0.5, 1.0, 2.0, 3.0), (1.0, 5.0))):
-        law = RadialLawW.gamma(alpha)
+        law = RadialLawW(alpha=alpha)
         b = norm_split_B(n, p, 0.0, law, RngStream(SEED, stream_id=i),
                          size=size)
         ks = stats.kstest(b, lambda t: betainc(n / p, alpha, t))
@@ -67,7 +67,7 @@ def test_criterion_02_psi_closed_forms():
         p = gen.uniform(0.5, 3.0)
         m = gen.uniform(0.0, 8.0)
         s = gen.uniform(0.05, 0.9)
-        spec = PsiSpec(n=n, p=p, m=m, law=RadialLawW.gamma(alpha))
+        spec = PsiSpec(n=n, p=p, m=m, law=RadialLawW(alpha=alpha))
         d = (n + m) / p
         t = s ** p / (1.0 - s ** p)
 
@@ -91,7 +91,7 @@ def _tabulated_exp_law() -> RadialLawW:
     grid = np.linspace(0.0, 40.0, 8001)
     dens = np.exp(-grid)
     dens /= np.trapezoid(dens, grid)
-    return RadialLawW(variant="tabulated", grid=grid, density=dens)
+    return RadialLawW.tabulated(grid=grid, density=dens)
 
 
 def test_criterion_03_psi_normalization():
@@ -100,8 +100,8 @@ def test_criterion_03_psi_normalization():
     laws = {
         "dirac": RadialLawW.dirac(),
         "exponential": RadialLawW.exponential(),
-        "gamma": RadialLawW.gamma(2.5),
-        "mixture": RadialLawW.mixture(0.3, 2.0),
+        "gamma": RadialLawW(alpha=2.5),
+        "mixture": RadialLawW(theta=0.3, alpha=2.0),
         "tabulated": _tabulated_exp_law(),
     }
     worst = 0.0
@@ -150,7 +150,7 @@ def test_criterion_05_matrix_norm_split():
     ok = True
     for i, (beta, p) in enumerate(
             itertools.product((1.0, 2.0), (1.0, 2.0))):
-        spec = EnsembleSpec(n=n, p=p, beta=beta, law=RadialLawW.gamma(alpha))
+        spec = EnsembleSpec(n=n, p=p, beta=beta, law=RadialLawW(alpha=alpha))
         s = sample_eigenvalues_PH(spec, RngStream(SEED, stream_id=300 + i),
                                   size=4000,
                                   config=ChainConfig(n_samples=4000, thin=10))
@@ -282,7 +282,7 @@ def test_criterion_10_gartner_ellis():
     # Monte-Carlo scaled CGF at n=100 within 0.05 of the analytic Lambda
     # for |t| <= 1, theta=0, alpha_n = n, p=2
     n, p, alpha = 100, 2.0, 1.0
-    b = norm_split_B(n, p, 0.0, RadialLawW.gamma(alpha * n),
+    b = norm_split_B(n, p, 0.0, RadialLawW(alpha=alpha * n),
                      RngStream(SEED, stream_id=400), size=4 * 10 ** 5)
     worst = 0.0
     for t in np.linspace(-1.0, 1.0, 9):

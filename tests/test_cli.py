@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -196,11 +197,34 @@ class TestSample:
           "0.3", "--count", "300"), "918044d7be227a1b"),
         (("--target", "singular-PM", "--n", "16", "--seed", "1", "--theta",
           "0.3", "--count", "300"), "61ea39af8ec2e876"),
+        (("--target", "uniform", "--n", "4", "--seed", "1", "--count",
+          "2000"), "a51aabce2ccd1b2c"),
+        (("--target", "pnpw", "--n", "4", "--seed", "1", "--theta", "0.3",
+          "--alpha", "2", "--count", "2000"), "88a73382626842b3"),
     ])
     def test_golden_digest(self, tmp_path, argv, digest):
         code, out = run(tmp_path, "sample", *argv)
         assert code == 0
         assert sha16(out / "samples.csv") == digest
+
+    # cone and uniform are the W = delta_0 and W = Exp(1) laws of pnpw,
+    # drawn by the one exact sampler from the same stream
+    @pytest.mark.parametrize("orthant", [(), ("--orthant",)],
+                             ids=["ball", "orthant"])
+    @pytest.mark.parametrize("target, law", [
+        ("cone", ("--theta", "1")),
+        ("uniform", ("--theta", "0", "--alpha", "1"))])
+    def test_exact_targets_are_pnpw_laws(self, tmp_path, target, law,
+                                         orthant):
+        common = ("--n", "3", "--seed", "4", "--count", "200") + orthant
+        code, named = run(tmp_path / "a", "sample", "--target", target,
+                          *common)
+        assert code == 0
+        code, mixed = run(tmp_path / "b", "sample", "--target", "pnpw",
+                          *law, *common)
+        assert code == 0
+        assert (named / "samples.csv").read_bytes() == \
+            (mixed / "samples.csv").read_bytes()
 
     # a chain target's weight fixes its support and its degree, so
     # `sample --orthant` and `test-norm-law --m` are usage errors there
@@ -507,6 +531,24 @@ class TestNormConst:
         assert rep["weight"] == "|x|^0.0"
         expected = -3.0 * (math.log(2.0) + math.lgamma(1.5))
         assert rep["log_norm_const"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("weight, p, log_c", [
+        (("delta",), 2.0, -(math.log(2.0) + math.lgamma(1.5))),
+        (("nabla", "--beta", "2"), 3.0, -math.lgamma(1.0 + 1.0 / 3.0))],
+        ids=["delta", "nabla-2"])
+    def test_single_coordinate_weight_is_constant(self, tmp_path, weight, p,
+                                                  log_c):
+        # at n = 1 there are no pairs, and nabla_2 has exponent 0: the
+        # weight is 1 on its support (R for delta, the half-line for nabla)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "norm-const", "--weight", *weight,
+                            "--n", "1", "--p", str(p), "--count", "500",
+                            "--seed", "2")
+        assert code == 0
+        rep = read_strict_json(out / "norm_const.json")
+        assert rep["se_log"] == 0.0
+        assert rep["log_norm_const"] == pytest.approx(log_c, abs=1e-12)
 
     def test_unknown_weight(self, tmp_path):
         code, _ = run(tmp_path, "norm-const", "--weight", "frob", "--n", "3")

@@ -11,7 +11,6 @@ from pradial.distributions import (
     sample_beta,
     sample_gamma,
     sample_gen_gaussian,
-    sample_gen_gaussian_positive,
     sample_W,
 )
 from pradial.rng import RngStream
@@ -66,8 +65,11 @@ class TestGenGaussian:
                 assert gen_gaussian_cdf(p, x) == pytest.approx(num, abs=1e-9)
 
     def test_positive_variant(self):
-        x = sample_gen_gaussian_positive(1.5, rng(), size=10 ** 5)
+        x = sample_gen_gaussian(1.5, rng(), size=10 ** 5, positive=True)
         assert np.all(x >= 0)
+        # the same magnitudes as the signed draw from the same stream
+        assert np.array_equal(x, np.abs(sample_gen_gaussian(1.5, rng(),
+                                                            size=10 ** 5)))
         ks = stats.kstest(x, lambda t: gammainc(1.0 / 1.5, t ** 1.5))
         assert ks.statistic < 0.01
 
@@ -138,7 +140,7 @@ class TestRadialLawW:
         assert ks.statistic < 0.01
 
     def test_mixture_atom_fraction(self):
-        w = sample_W(RadialLawW.mixture(0.3, 1.0), rng(), size=10 ** 6)
+        w = sample_W(RadialLawW(theta=0.3, alpha=1.0), rng(), size=10 ** 6)
         assert (w == 0.0).mean() == pytest.approx(0.3, abs=0.002)
 
     def test_tabulated_sampling(self):
@@ -159,11 +161,28 @@ class TestRadialLawW:
         with pytest.raises(ParameterError):
             RadialLawW(theta=1.5)
         with pytest.raises(ParameterError):
-            RadialLawW.gamma(-2.0)
+            RadialLawW(alpha=-2.0)
         with pytest.raises(ParameterError):
             RadialLawW.tabulated(atoms=[(0.0, 0.5)])  # mass 0.5, not 1
         with pytest.raises(ParameterError):
             RadialLawW.tabulated()
+        # W lives on [0, inf): an atom or a knot below 0 is refused
+        with pytest.raises(ParameterError):
+            RadialLawW.tabulated(atoms=[(-1.0, 1.0)])
+        with pytest.raises(ParameterError):
+            RadialLawW.tabulated(grid=[-1.0, 0.0, 1.0],
+                                 density=[0.5, 0.5, 0.5])
+
+    def test_variant_is_read_off_the_data(self):
+        # theta/alpha laws are mixtures, whatever their parameters; a law
+        # with atoms or a grid is tabulated
+        for law in (RadialLawW.dirac(), RadialLawW.exponential(),
+                    RadialLawW(theta=0.3, alpha=2.0)):
+            assert law.variant == "mixture"
+        assert RadialLawW.tabulated(atoms=[(1.0, 1.0)]).variant == "tabulated"
+        with pytest.raises(TypeError):
+            RadialLawW(variant="dirac-at-zero")
+        assert RadialLawW.dirac().mass_at_zero() == 1.0
 
 
 def test_scalar_draws():

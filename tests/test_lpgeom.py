@@ -13,9 +13,7 @@ from pradial.lpgeom import (
     norm_split_B,
     psi_density,
     psi_normalization_defect,
-    sample_cone,
     sample_pnpw,
-    sample_uniform_ball,
 )
 from pradial.rng import RngStream
 
@@ -69,12 +67,12 @@ class TestBallVolume:
 
 class TestConeSampler:
     def test_norm_one(self):
-        s = sample_cone(10, 2.0, rng(), size=500)
+        s = sample_pnpw(10, 2.0, RadialLawW.dirac(), rng(), size=500)
         assert np.allclose(s.norms_p, 1.0, atol=1e-12)
         assert np.all(s.on_sphere)
 
     def test_coordinate_symmetry(self):
-        s = sample_cone(5, 1.5, rng(), size=10 ** 5)
+        s = sample_pnpw(5, 1.5, RadialLawW.dirac(), rng(), size=10 ** 5)
         means = s.points.mean(axis=0)
         se = s.points.std(axis=0) / np.sqrt(10 ** 5)
         assert np.all(np.abs(means) < 4 * se)
@@ -84,7 +82,7 @@ class TestConeSampler:
         # since the p-norm of the underlying Gaussian vector concentrates
         # at (n/p)^(1/p)
         n, p = 200, 2.0
-        s = sample_cone(n, p, rng(), size=10 ** 4)
+        s = sample_pnpw(n, p, RadialLawW.dirac(), rng(), size=10 ** 4)
         z = (n / p) ** (1.0 / p) * s.points[:, 0]
         from pradial.distributions import gen_gaussian_cdf
 
@@ -111,16 +109,16 @@ class TestConeSampler:
 class TestUniformBall:
     def test_norm_law(self):
         n, p = 10, 2.0
-        s = sample_uniform_ball(n, p, rng(), size=10 ** 5)
+        s = sample_pnpw(n, p, RadialLawW.exponential(), rng(), size=10 ** 5)
         ks = stats.kstest(s.norms_p ** p, lambda t: betainc(n / p, 1.0, t))
         assert ks.statistic < 0.01
 
     def test_containment(self):
-        s = sample_uniform_ball(7, 0.8, rng(), size=2000)
+        s = sample_pnpw(7, 0.8, RadialLawW.exponential(), rng(), size=2000)
         assert np.all(s.norms_p <= 1.0 + 1e-12)
 
     def test_quadrant_symmetry(self):
-        s = sample_uniform_ball(2, 2.0, rng(), size=10 ** 5)
+        s = sample_pnpw(2, 2.0, RadialLawW.exponential(), rng(), size=10 ** 5)
         frac = np.mean((s.points[:, 0] > 0) & (s.points[:, 1] > 0))
         assert frac == pytest.approx(0.25, abs=0.005)
 
@@ -138,7 +136,7 @@ class TestPnpw:
 
     def test_mixture_split(self):
         n, p = 50, 2.0
-        law = RadialLawW.mixture(0.5, 2.0)
+        law = RadialLawW(theta=0.5, alpha=2.0)
         s = sample_pnpw(n, p, law, rng(), size=10 ** 5)
         on = s.norms_p >= 1.0 - 1e-9
         assert on.mean() == pytest.approx(0.5, abs=0.005)
@@ -155,9 +153,11 @@ class TestPnpw:
         assert ks.statistic < 0.02
 
     def test_orthant_n1_folding(self):
-        s = sample_cone(1, 2.0, rng(), size=10 ** 4, positive=True)
+        s = sample_pnpw(1, 2.0, RadialLawW.dirac(), rng(),
+                        size=10 ** 4, positive=True)
         assert np.allclose(s.points, 1.0)  # cone on the 1-d orthant is {1}
-        u = sample_uniform_ball(1, 2.0, rng(1), size=10 ** 5, positive=True)
+        u = sample_pnpw(1, 2.0, RadialLawW.exponential(), rng(1),
+                        size=10 ** 5, positive=True)
         ks = stats.kstest(u.points[:, 0], lambda t: np.clip(t, 0, 1))
         assert ks.statistic < 0.01
 
@@ -167,7 +167,7 @@ class TestPnpw:
         s = sample_pnpw(n, p, RadialLawW.exponential(), rng(), size=10 ** 5)
         band = (s.norms_p > 0.4) & (s.norms_p < 0.6)
         dirs = s.points[band] / s.norms_p[band][:, None]
-        c = sample_cone(n, p, rng(1), size=10 ** 5)
+        c = sample_pnpw(n, p, RadialLawW.dirac(), rng(1), size=10 ** 5)
         ks = stats.ks_2samp(dirs[:, 0], c.points[:, 0])
         assert ks.statistic < 0.02
 
@@ -178,14 +178,14 @@ class TestNormSplitB:
         assert np.all(b == 1.0)
 
     def test_beta_law(self):
-        b = norm_split_B(10, 2.0, 0.0, RadialLawW.gamma(3.0), rng(),
+        b = norm_split_B(10, 2.0, 0.0, RadialLawW(alpha=3.0), rng(),
                          size=10 ** 5)
         ks = stats.kstest(b, lambda t: betainc(5.0, 3.0, t))
         assert ks.statistic < 0.01
 
     def test_mean(self):
         n, p, alpha = 12, 3.0, 2.0
-        b = norm_split_B(n, p, 0.0, RadialLawW.gamma(alpha), rng(),
+        b = norm_split_B(n, p, 0.0, RadialLawW(alpha=alpha), rng(),
                          size=10 ** 5)
         expect = (n / p) / (n / p + alpha)
         assert b.mean() == pytest.approx(expect, abs=0.003)
@@ -198,11 +198,11 @@ class TestPsi:
         assert np.allclose(psi_density(spec, s), 1.0, atol=1e-12)
 
     def test_gamma_alpha_one_reduces(self):
-        spec = PsiSpec(n=4, p=2.0, m=0.0, law=RadialLawW.gamma(1.0))
+        spec = PsiSpec(n=4, p=2.0, m=0.0, law=RadialLawW(alpha=1.0))
         assert psi_density(spec, 0.3) == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_at_zero(self):
-        spec = PsiSpec(n=4, p=2.0, m=0.0, law=RadialLawW.gamma(3.0))
+        spec = PsiSpec(n=4, p=2.0, m=0.0, law=RadialLawW(alpha=3.0))
         assert psi_density(spec, 0.0) == pytest.approx(6.0, rel=1e-12)
 
     def test_dirac_zero(self):
@@ -211,9 +211,9 @@ class TestPsi:
 
     def test_boundary_values(self):
         base = dict(n=4, p=2.0, m=0.0)
-        assert psi_density(PsiSpec(**base, law=RadialLawW.gamma(0.5)),
+        assert psi_density(PsiSpec(**base, law=RadialLawW(alpha=0.5)),
                            1.0) == np.inf
-        assert psi_density(PsiSpec(**base, law=RadialLawW.gamma(3.0)),
+        assert psi_density(PsiSpec(**base, law=RadialLawW(alpha=3.0)),
                            1.0) == 0.0
         assert psi_density(PsiSpec(**base, law=RadialLawW.exponential()),
                            1.0) == pytest.approx(1.0)
@@ -228,8 +228,8 @@ class TestPsi:
     @pytest.mark.parametrize("law", [
         RadialLawW.dirac(),
         RadialLawW.exponential(),
-        RadialLawW.gamma(2.5),
-        RadialLawW.mixture(0.4, 2.0),
+        RadialLawW(alpha=2.5),
+        RadialLawW(theta=0.4, alpha=2.0),
     ])
     def test_normalization_identity(self, law):
         spec = PsiSpec(n=6, p=1.7, m=1.5, law=law)
@@ -250,7 +250,7 @@ class TestPsi:
         dens /= np.trapezoid(dens, g)
         tab = PsiSpec(n=4, p=2.0, m=0.0,
                       law=RadialLawW.tabulated(grid=g, density=dens))
-        exact = PsiSpec(n=4, p=2.0, m=0.0, law=RadialLawW.gamma(2.0))
+        exact = PsiSpec(n=4, p=2.0, m=0.0, law=RadialLawW(alpha=2.0))
         for s in (0.0, 0.3, 0.7, 0.95):
             # tolerance limited by the grid discretization of the density
             assert psi_density(tab, s) == pytest.approx(

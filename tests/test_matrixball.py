@@ -191,7 +191,7 @@ class TestSamplers:
         # B = sum |lambda_i|^p ~ Beta((n + beta n(n-1)/2)/p, alpha)
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
         spec = EnsembleSpec(n=n, p=p, beta=beta,
-                            law=RadialLawW(variant="exponential", alpha=alpha))
+                            law=RadialLawW(alpha=alpha))
         cfg = ChainConfig(n_samples=4000, thin=4)
         s = sample_eigenvalues_PH(spec, rng(10), size=4000, config=cfg)
         assert s.p == p and s.degree == beta * n * (n - 1) / 2.0
@@ -204,7 +204,7 @@ class TestSamplers:
         # B = sum (s_i^2)^(p/2) ~ Beta(beta n^2 / p, alpha)
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
         spec = EnsembleSpec(n=n, p=p, beta=beta,
-                            law=RadialLawW(variant="exponential", alpha=alpha))
+                            law=RadialLawW(alpha=alpha))
         cfg = ChainConfig(n_samples=4000, thin=4)
         s = sample_sq_singular_PM(spec, rng(11), size=4000, config=cfg)
         assert s.p == p / 2.0 and s.degree == beta * n * n / 2.0 - n

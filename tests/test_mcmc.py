@@ -219,7 +219,7 @@ class TestNormConst:
 
 class TestWeightedPnpw:
     def test_inside_ball(self):
-        law = RadialLawW(variant="exponential")
+        law = RadialLawW.exponential()
         s = sample_weighted_pnpw(4, 2.0, delta_beta(2.0), law, rng(13),
                                  size=300)
         assert np.all(np.sum(s.points ** 2, axis=1) < 1.0 + 1e-12)
@@ -237,7 +237,7 @@ class TestWeightedPnpw:
         # weight only through its homogeneity degree m.  delta_beta(2) and
         # nabla_beta(2) both have m = 6 at n = 3.
         n, p, size = 3, 2.0, 3000
-        law = RadialLawW(variant="exponential")
+        law = RadialLawW.exponential()
         cfg = ChainConfig(n_samples=size, thin=4)
 
         def b_of(weight, stream):
