@@ -35,6 +35,8 @@ from .rng import RngStream
 if TYPE_CHECKING:
     from .mcmc import ChainResult
 
+_PSI_BLOCK = 1 << 16  # (s, knot) pairs per row block of the tabulated psi
+
 
 def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     """||x||_p with the max factored out for overflow safety."""
@@ -177,50 +179,49 @@ def psi_density(spec: PsiSpec, s) -> np.ndarray:
     return out
 
 
-def _kernel_moment(k: float, t: float, w: np.ndarray) -> np.ndarray:
-    """int w^k e^{-t w} dw over each cell [w[i], w[i+1]] of the knots w,
-    exactly via the regularized lower incomplete gamma function, which is
-    evaluated once per knot."""
-    from scipy.special import gammainc
-
-    if t * float(np.max(w[1:])) < 1e-8:
-        # e^{-t w} is 1 to well below quadrature tolerance
-        return np.diff(w ** (k + 1.0)) / (k + 1.0)
-    scale = np.exp(gammaln(k + 1.0) - (k + 1.0) * np.log(t))
-    return scale * np.diff(gammainc(k + 1.0, t * w))
-
-
 def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     """psi for a tabulated W:
 
         psi(s) = (1 - s^p)^(-(d+1)) / Gamma(d+1)
-                 * int w^d exp(-s^p w / (1 - s^p)) W(dw).
+                 * int w^d exp(-t w) W(dw),   t = s^p / (1 - s^p).
 
-    The piecewise-linear density part is integrated exactly cell by cell
-    (the kernel moments reduce to incomplete gamma functions), so the only
-    approximation left is the tabulation itself.
+    The density part is integrated exactly cell by cell: int w^k e^{-t w} dw
+    is Gamma(k+1) / t^(k+1) times the rise of the regularized incomplete
+    gamma P(k+1, t w), with P(d+2, .) evaluated only below where it rounds
+    to 1.0 and P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).
     """
+    from scipy.special import gammainc, gammainccinv
+
     d = spec.d
-    p = spec.p
-    out = np.zeros_like(np.atleast_1d(s), dtype=float)
-    flat_s = np.atleast_1d(s)
+    sp = np.ravel(s) ** spec.p
+    t = sp / (1.0 - sp)
+    val = np.zeros_like(t)
+    if law.atoms:
+        at, wgt = np.array(law.atoms, dtype=float).T
+        pos = at > 0.0  # an atom at 0 adds w^d = 0 for d > 0
+        val += np.exp(d * np.log(at[pos]) - np.multiply.outer(t, at[pos])) @ wgt[pos]
     if law.grid is not None:
-        w0, w1 = law.grid[:-1], law.grid[1:]
-        r0, r1 = law.density[:-1], law.density[1:]
-        slope = (r1 - r0) / (w1 - w0)
-        intercept = r0 - slope * w0  # density(w) = intercept + slope * w
-    for i, si in enumerate(flat_s):
-        t = si ** p / (1.0 - si ** p)
-        val = 0.0
-        for x, wgt in law.atoms or []:
-            if x > 0.0:
-                val += wgt * np.exp(d * np.log(x) - t * x)
-            # the atom at 0 contributes 0 to the integral (w^d = 0 for d > 0)
-        if law.grid is not None:
-            val += float(np.sum(intercept * _kernel_moment(d, t, law.grid)
-                                + slope * _kernel_moment(d + 1.0, t, law.grid)))
-        out[i] = val * np.exp(-(d + 1.0) * np.log1p(-si ** p) - gammaln(d + 1.0))
-    return out if np.ndim(s) else float(out[0])
+        w, r = law.grid, law.density
+        slope = np.diff(r) / np.diff(w)
+        intercept = r[:-1] - slope * w[:-1]  # density = intercept + slope w
+        poly = t * w[-1] < 1e-8  # e^{-t w} is 1 to well below tolerance
+        val[poly] += (intercept @ np.diff(w ** (d + 1.0)) / (d + 1.0)
+                      + slope @ np.diff(w ** (d + 2.0)) / (d + 2.0))
+        cut = gammainccinv(d + 2.0, 2.0 ** -54)
+        rest = np.flatnonzero(~poly)
+        rows = max(1, _PSI_BLOCK // w.size)
+        for blk in np.split(rest, range(rows, rest.size, rows)):
+            x = t[blk, None] * w
+            low = x < cut
+            p2 = np.ones_like(x)
+            p2[low] = gammainc(d + 2.0, x[low])
+            with np.errstate(divide="ignore"):
+                p1 = p2 + np.exp((d + 1.0) * np.log(x) - x - gammaln(d + 2.0))
+            scale = np.exp(gammaln(d + 1.0) - (d + 1.0) * np.log(t[blk]))
+            val[blk] += scale * (np.diff(p1) @ intercept
+                                 + (d + 1.0) / t[blk] * (np.diff(p2) @ slope))
+    out = val * np.exp(-(d + 1.0) * np.log1p(-sp) - gammaln(d + 1.0))
+    return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 
 
 def psi_normalization_defect(spec: PsiSpec) -> float:

@@ -40,8 +40,6 @@ from scipy.special import gammaln, logsumexp
 from .distributions import ParameterError, _check_positive
 from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gaussian
 
-_LEGENDRE_BLOCK = 1 << 20  # cells per row block in legendre_transform
-
 # slack of the moment gate m <= 1: moment_p's quadrature lands a hair
 # above 1 on a law whose moment is exactly 1 (1 + 5.9e-14 on the
 # semicircle of radius 2, the zero of the cone-H rate at p = 2)
@@ -243,32 +241,40 @@ def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, floa
 
 # --- Legendre-Fenchel transform -------------------------------------------
 
+def _lower_hull(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Vertex indices of the lower convex hull of (t, f) by monotone chain."""
+    tl, fl, hull = t.tolist(), f.tolist(), []
+    for k, (tk, fk) in enumerate(zip(tl, fl)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (fl[j] - fl[i]) * (tk - tl[j]) < (fk - fl[j]) * (tl[j] - tl[i]):
+                break
+            hull.pop()
+        hull.append(k)
+    return np.array(hull)
+
+
 def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
     """Lambda*(x) = sup_t [x t - Lambda(t)] for Lambda sampled on a grid.
 
     Lambda is treated as +inf outside the grid interval, so the supremum
-    is over [t[0], t[-1]].  For each x the discrete maximiser t[i] of
-    x t - f is found first.  The value is then refined to the exact
-    maximum of x s - S(s), with S the cubic-spline interpolant, over the
-    two cells [t[i-1], t[i+1]] beside it: on each cell S' = x is a
-    quadratic, whose roots inside the cell are the interior candidates,
-    and the knot values bound the rest.
+    is over [t[0], t[-1]].  The discrete maximiser t[i] of x t - f is the
+    lower convex hull vertex whose edge slopes bracket x (the left one on
+    a tie).  The value is then refined to the exact maximum of x s - S(s),
+    with S the cubic-spline interpolant, over the two cells [t[i-1],
+    t[i+1]] beside it: on each cell S' = x is a quadratic, whose roots
+    inside the cell are the interior candidates, and the knot values
+    bound the rest.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     if t.size < 4 or np.any(np.diff(t) <= 0):
         raise ParameterError("grid must be increasing with at least 4 knots")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = np.empty(xs.size, dtype=np.intp)
-    best = np.empty_like(xs)
-    # row blocks bound the (points x knots) array of x t - f
-    rows = max(1, _LEGENDRE_BLOCK // t.size)
-    for lo in range(0, xs.size, rows):
-        h = np.multiply.outer(xs[lo:lo + rows], t)
-        h -= f
-        i = np.argmax(h, axis=1)
-        idx[lo:lo + rows] = i
-        best[lo:lo + rows] = h[np.arange(i.size), i]
+    hull = _lower_hull(t, f)
+    slopes = np.diff(f[hull]) / np.diff(t[hull])
+    idx = hull[np.searchsorted(slopes, xs, side="left")]
+    best = xs * t[idx] - f[idx]
 
     c = CubicSpline(t, f).c
     # cells i-1 and i, clipped to the grid; on cell k with u = s - t[k],

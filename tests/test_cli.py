@@ -363,12 +363,10 @@ class TestRate:
         assert rep["branch"] == "cone-infinite"
         assert rep["value"] == "inf"
 
-    def test_wigner_law_on_the_gate_is_finite(self, tmp_path, monkeypatch):
+    def test_wigner_law_on_the_gate_is_finite(self, tmp_path):
         # the semicircle of radius 2 has m_2 = 1 exactly and is the zero
-        # of the cone-H rate; quadrature puts its moment 6e-14 above 1.
-        # Its energy takes the closed form 1/4 here, since the analytic
-        # quadrature costs about 50 s
-        monkeypatch.setattr("pradial.rates.log_energy", lambda mu: 0.25)
+        # of the cone-H rate; quadrature puts its moment 6e-14 above 1,
+        # and its energy is 1/4
         code, out = run(tmp_path, "rate", "--target", "cone-H", "--p", "2",
                         "--beta", "2", "--analytic", "semicircle", "--b", "2")
         assert code == 0

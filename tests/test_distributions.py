@@ -173,6 +173,20 @@ class TestRadialLawW:
             RadialLawW.tabulated(grid=[-1.0, 0.0, 1.0],
                                  density=[0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("grid, density", [
+        # trapezoid mass exactly 1, yet the CDF is not monotone: sample_W
+        # drew W only in (0, 1)
+        ([0.0, 2.0, 1.0], [0.0, 2.0, 0.0]),
+        # a repeated knot: psi divides by the zero cell width
+        ([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5]),
+        # one density value short of the grid
+        ([0.0, 1.0, 2.0], [0.5, 0.5]),
+        ([0.0, 1.0, 2.0], [0.25, 0.5, 0.5, 0.25]),
+    ])
+    def test_tabulated_grid_validation(self, grid, density):
+        with pytest.raises(ParameterError):
+            RadialLawW.tabulated(grid=grid, density=density)
+
     def test_variant_is_read_off_the_data(self):
         # theta/alpha laws are mixtures, whatever their parameters; a law
         # with atoms or a grid is tabulated

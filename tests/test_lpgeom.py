@@ -243,6 +243,28 @@ class TestPsi:
         assert psi_normalization_defect(PsiSpec(n=5, p=2.0, m=0.0,
                                                 law=law)) < 1e-8
 
+    def test_tabulated_gamma_extrapolates_to_closed_form(self):
+        # Gamma(2, 1) tabulated on [0, 45] at knot spacings h, h/2, h/4:
+        # with d = 2 the tabulation error is a series in h^2, so two
+        # Richardson steps leave the closed form (d + 1)(1 - s^2) to 1e-10.
+        # s = 1e-6 takes the polynomial branch; at s = 1e-4 every t w is
+        # below 5e-7, where P(d+1) would lose its digits if it came from
+        # P(d+2) by subtraction; from s = 0.9 on, t w passes the point
+        # where P(d+2, t w) rounds to 1.0
+        s = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.95, 0.99])
+        tab = []
+        for knots in (9001, 18001, 36001):
+            g = np.linspace(0.0, 45.0, knots)
+            dens = g * np.exp(-g)
+            law = RadialLawW.tabulated(grid=g,
+                                       density=dens / np.trapezoid(dens, g))
+            tab.append(psi_density(PsiSpec(n=4, p=2.0, law=law), s))
+        r1 = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(tab, tab[1:])]
+        limit = (16.0 * r1[1] - r1[0]) / 15.0
+        exact = psi_density(PsiSpec(n=4, p=2.0, law=RadialLawW(alpha=2.0)), s)
+        assert np.allclose(exact, 3.0 * (1.0 - s ** 2), rtol=1e-14, atol=0)
+        assert np.allclose(limit, exact, rtol=1e-10, atol=0)
+
     def test_tabulated_matches_gamma_closed_form(self):
         # a tabulated Gamma(2,1) should track the closed form
         g = np.linspace(0.0, 20.0, 8001)

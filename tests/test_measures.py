@@ -147,9 +147,40 @@ class TestRelativeEntropy:
         assert relative_entropy_gen_gaussian(mu, 2.0) > -1e-6
 
 
+def _atoms_energy_reference(x, w):
+    """The upper-triangle gather: -2 sum_{i<j} w_i w_j log|x_i - x_j|."""
+    iu = np.triu_indices(x.size, k=1)
+    d = np.abs(x[:, None] - x[None, :])[iu]
+    if np.any(d == 0.0):
+        return np.inf
+    return float(-2.0 * np.sum((w[:, None] * w[None, :])[iu] * np.log(d)))
+
+
+def _dilate(mu, s):
+    """The law of s X for X ~ mu, as an analytic measure."""
+    lo, hi = mu.support
+    return MeasureRep(kind="analytic", pdf=lambda x: mu.pdf(x / s) / s,
+                      quantile=lambda u: s * mu.quantile(u),
+                      support=(s * lo, s * hi))
+
+
+EULER_GAMMA = 0.5772156649015329
+
+_ANALYTIC_LAWS = {
+    "uniform": lambda: MeasureRep.uniform(-0.5, 2.0),
+    "arcsine": lambda: MeasureRep.arcsine(0.0, 1.0),
+    "semicircle": lambda: MeasureRep.semicircle(1.5),
+    "beta(2,2)": lambda: MeasureRep.beta_law(2.0, 2.0),
+    "beta(3,1.5)": lambda: MeasureRep.beta_law(3.0, 1.5),
+    "gen-gaussian": lambda: MeasureRep.gen_gaussian_scaled(1.5, 2.0),
+}
+
+
 class TestLogEnergy:
     def test_atoms_with_ties_infinite(self):
         assert log_energy(MeasureRep.from_atoms([1.0, 1.0, 2.0])) == np.inf
+        # a tie far apart in the input order
+        assert log_energy(MeasureRep.from_atoms([2.0, 0.5, 3.0, 2.0])) == np.inf
 
     def test_atoms_hand_value(self):
         # -2 sum_{i<j} w_i w_j log|x_i - x_j| with uniform weights on
@@ -158,22 +189,90 @@ class TestLogEnergy:
         expected = -(2.0 / 9.0) * (math.log(3.0) + math.log(2.0))
         assert log_energy(mu) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 700, 2000])
+    def test_atoms_match_triu_reference(self, n):
+        # unsorted positions and unequal weights; 2000 atoms span many
+        # row blocks
+        gen = np.random.default_rng(n)
+        x = gen.standard_normal(n)
+        w = gen.uniform(0.5, 1.5, n)
+        w /= w.sum()
+        got = log_energy(MeasureRep.from_atoms(x, w))
+        assert got == pytest.approx(_atoms_energy_reference(x, w), rel=1e-12)
+        x[n // 2] = x[0]
+        assert log_energy(MeasureRep.from_atoms(x, w)) == np.inf
+
     def test_arcsine_is_log2(self):
         # the arcsine law on [-1, 1] is the equilibrium measure with
         # energy log 2
         assert log_energy(MeasureRep.arcsine()) == pytest.approx(
-            math.log(2.0), abs=1e-6)
+            math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(-1.3, 1.3), (0.0, 1.0), (2.0, 7.5)])
+    def test_arcsine_closed_form(self, a, b):
+        # the arcsine law is the equilibrium measure of [a, b], whose
+        # capacity is (b - a) / 4
+        assert log_energy(MeasureRep.arcsine(a, b)) == pytest.approx(
+            math.log(2.0) - math.log((b - a) / 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
+    def test_semicircle_closed_form(self, r):
+        assert log_energy(MeasureRep.semicircle(r)) == pytest.approx(
+            0.25 - math.log(r / 2.0), abs=1e-12)
+
+    def test_beta_closed_forms(self):
+        # Beta(2, 2) has energy 7/4; Beta(1/2, 1/2) is the arcsine law of
+        # [0, 1], with energy log 4
+        assert log_energy(MeasureRep.beta_law(2.0, 2.0)) == pytest.approx(
+            1.75, abs=1e-10)
+        assert log_energy(MeasureRep.beta_law(0.5, 0.5)) == pytest.approx(
+            math.log(4.0), abs=1e-10)
 
     def test_uniform_is_three_halves(self):
-        # -2 int int log|x-y| on [0,1]^2 = 3/2... energy of uniform[0,1]
+        # -int int log|x - y| dx dy over [0, 1]^2 = 3/2
         assert log_energy(MeasureRep.uniform(0.0, 1.0)) == pytest.approx(
-            1.5, abs=1e-6)
+            1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
+    def test_laplace_closed_form(self, z):
+        # density prop. to exp(-|x| / z), with its kink at 0: X - Y has
+        # density (1 + |u|/z) e^{-|u|/z} / (4z), so E = gamma - 1/2 - log z
+        mu = MeasureRep.gen_gaussian_scaled(1.0, z)
+        assert log_energy(mu) == pytest.approx(
+            EULER_GAMMA - 0.5 - math.log(z), abs=1e-8)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
+    def test_gaussian_closed_form(self, z):
+        # density prop. to exp(-x^2 / z) is N(0, z/2), and X - Y ~ N(0, z):
+        # E = -E log|X - Y| = -(1/2) log z + (gamma + log 2) / 2.  The
+        # tails beyond the quantiles 1e-12 are cut
+        mu = MeasureRep.gen_gaussian_scaled(2.0, z)
+        assert log_energy(mu) == pytest.approx(
+            -0.5 * math.log(z) + 0.5 * (EULER_GAMMA + math.log(2.0)),
+            abs=1e-10)
+
+    @given(st.sampled_from(sorted(_ANALYTIC_LAWS)), st.floats(0.05, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_analytic_dilation_property(self, name, s):
+        # E(s mu) = E(mu) - log s
+        mu = _ANALYTIC_LAWS[name]()
+        assert log_energy(_dilate(mu, s)) == pytest.approx(
+            log_energy(mu) - math.log(s), abs=1e-11)
+
+    def test_analytic_uses_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("log_energy called scipy.integrate")
+
+        for name in ("quad", "dblquad", "quad_vec"):
+            monkeypatch.setattr(f"scipy.integrate.{name}", refuse)
+        for make in _ANALYTIC_LAWS.values():
+            assert np.isfinite(log_energy(make()))
 
     def test_grid_matches_analytic(self):
         # the exact Beta(2,2) energy is 7/4; the grid at 800 bins is
-        # within 2e-6 of it
+        # 1.8e-6 below it
         grid = MeasureRep.beta_law(2.0, 2.0).to_grid(n_bins=800)
-        assert log_energy(grid) == pytest.approx(1.75, abs=2e-3)
+        assert log_energy(grid) == pytest.approx(1.75, abs=3e-6)
 
     @pytest.mark.parametrize("cells", [2, 7, 40, 120])
     def test_grid_matches_reference(self, cells):
@@ -207,4 +306,4 @@ class TestLogEnergy:
         mu1 = MeasureRep.uniform(0.0, 1.0)
         mu2 = MeasureRep.uniform(0.0, 3.0)
         assert log_energy(mu2) == pytest.approx(
-            log_energy(mu1) - math.log(3.0), abs=1e-6)
+            log_energy(mu1) - math.log(3.0), abs=1e-12)

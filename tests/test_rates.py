@@ -344,7 +344,45 @@ _LEGENDRE_CASES = {
 }
 
 
+def _legendre_brute(t, f, x):
+    """The discrete maximiser by argmax over the whole (points x knots)
+    array, then the critical points of x s - S(s) on the two cells
+    beside it, from the spline's own root finder."""
+    spline = CubicSpline(t, f)
+    slope = spline.derivative()
+    h = np.multiply.outer(x, t) - f
+    idx = np.argmax(h, axis=1)
+    out = h[np.arange(x.size), idx]
+    for j, (xj, i) in enumerate(zip(x, idx)):
+        r = slope.solve(xj, extrapolate=False)
+        r = r[(r >= t[max(i - 1, 0)]) & (r <= t[min(i + 1, t.size - 1)])]
+        if r.size:
+            out[j] = max(out[j], np.max(xj * r - spline(r)))
+    return out
+
+
+_TIE_T = np.arange(-16, 17) / 8.0
+_BRUTE_CASES = {
+    "sin3t+t2": (np.linspace(-3, 3, 1201),
+                 lambda t: np.sin(3 * t) + t ** 2, np.linspace(-8, 8, 641)),
+    # slopes -1, 1/2 and 2 on dyadic knots, so every x t - f is exact: at
+    # x equal to a slope all knots of that piece tie, and each tie is
+    # taken at its leftmost knot
+    "collinear": (_TIE_T,
+                  lambda t: np.where(t < 0, -t, np.where(t < 1, t / 2,
+                                                         2 * t - 1.5)),
+                  np.concatenate([[-1.0, 0.5, 2.0, -3.0, 3.0],
+                                  np.linspace(-2.5, 2.5, 81)])),
+}
+
+
 class TestLegendre:
+    @pytest.mark.parametrize("case", list(_BRUTE_CASES))
+    def test_hull_matches_brute_force(self, case):
+        t, fn, xs = _BRUTE_CASES[case]
+        got = legendre_transform(t, fn(t), xs)
+        assert np.max(np.abs(got - _legendre_brute(t, fn(t), xs))) < 1e-12
+
     @pytest.mark.parametrize("case", list(_LEGENDRE_CASES))
     def test_matches_reference(self, case):
         t, f, xs = _LEGENDRE_CASES[case]
@@ -380,7 +418,8 @@ class TestLegendre:
                            atol=1e-9)
 
     def test_memory_is_blocked(self):
-        # a dense 4000 x 4000 float64 temporary would take 128 MB
+        # a dense 4000 x 4000 float64 temporary would take 128 MB; the
+        # hull search allocates nothing of size points x knots
         t = np.linspace(-3, 3, 4000)
         f = np.cosh(t)
         xs = np.linspace(-9, 9, 4000)
