@@ -123,9 +123,8 @@ class RadialLawW:
             self.density = np.asarray(self.density, dtype=float)
             if (self.grid[0] < 0.0 or np.any(np.diff(self.grid) <= 0.0)
                     or self.density.shape != self.grid.shape):
-                raise ParameterError("tabulated grid knots must start at 0 or "
-                                     "above and increase strictly, with one "
-                                     "density value each")
+                raise ParameterError("tabulated grid knots must be >= 0, rise "
+                                     "strictly and carry one density value each")
             if np.any(self.density < 0):
                 raise ParameterError("tabulated density must be nonnegative")
             total += np.trapezoid(self.density, self.grid)

@@ -187,10 +187,10 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
 
     The density part is integrated exactly cell by cell: int w^k e^{-t w} dw
     is Gamma(k+1) / t^(k+1) times the rise of the regularized incomplete
-    gamma P(k+1, t w), with P(d+2, .) evaluated only below where it rounds
-    to 1.0 and P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).
+    gamma P(k+1, t w), one P(d+2, .) per (s, knot) pair and
+    P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).
     """
-    from scipy.special import gammainc, gammainccinv
+    from scipy.special import gammainc
 
     d = spec.d
     sp = np.ravel(s) ** spec.p
@@ -207,14 +207,11 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
         poly = t * w[-1] < 1e-8  # e^{-t w} is 1 to well below tolerance
         val[poly] += (intercept @ np.diff(w ** (d + 1.0)) / (d + 1.0)
                       + slope @ np.diff(w ** (d + 2.0)) / (d + 2.0))
-        cut = gammainccinv(d + 2.0, 2.0 ** -54)
         rest = np.flatnonzero(~poly)
         rows = max(1, _PSI_BLOCK // w.size)
         for blk in np.split(rest, range(rows, rest.size, rows)):
             x = t[blk, None] * w
-            low = x < cut
-            p2 = np.ones_like(x)
-            p2[low] = gammainc(d + 2.0, x[low])
+            p2 = gammainc(d + 2.0, x)
             with np.errstate(divide="ignore"):
                 p1 = p2 + np.exp((d + 1.0) * np.log(x) - x - gammaln(d + 2.0))
             scale = np.exp(gammaln(d + 1.0) - (d + 1.0) * np.log(t[blk]))

@@ -22,6 +22,7 @@ from scipy.special import gammaln
 from .distributions import ParameterError, gen_gaussian_logpdf
 
 _ATOM_BLOCK = 1 << 18  # pairs per row block of the atom log-energy
+_ENERGY_TOL = 1e-8  # absolute convergence bar of an analytic log-energy
 
 
 @dataclass
@@ -39,11 +40,9 @@ class MeasureRep:
     def __post_init__(self):
         if self.kind == "atoms":
             self.positions = np.asarray(self.positions, dtype=float)
-            if self.weights is None:
-                self.weights = np.full(self.positions.size,
-                                       1.0 / self.positions.size)
-            else:
-                self.weights = np.asarray(self.weights, dtype=float)
+            n = self.positions.size
+            self.weights = (np.full(n, 1.0 / n) if self.weights is None
+                            else np.asarray(self.weights, dtype=float))
             if abs(self.weights.sum() - 1.0) > 1e-9:
                 raise ParameterError("atom weights must sum to 1")
         elif self.kind == "grid":
@@ -60,6 +59,11 @@ class MeasureRep:
                 raise ParameterError("analytic measures need pdf and quantile")
         else:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
+        # a nan passes the mass checks above (nan > tol is false)
+        if not all(np.isfinite(v).all() for v in (self.positions, self.weights,
+                                                  self.grid, self.density)
+                   if v is not None):
+            raise ParameterError(f"{self.kind} measure arrays must be finite")
 
     # ---- constructors -----------------------------------------------------
 
@@ -243,14 +247,15 @@ def log_energy(mu: MeasureRep) -> float:
                    + Psi(a_i - b_j)] / (w_i w_j),
 
     the exact mean of log|x - y| over cell i x cell j (the log singularity
-    is integrated analytically), built for all pairs of cells with positive
-    mass in one broadcast.
+    integrated analytically), for all pairs of positive-mass cells at once.
     Analytic: on the support [c - h, c + h] (an unbounded end cut at the
     quantile 1e-12), t = (x - c) / h has density g(t) / (pi sqrt(1 - t^2)),
     g = sum_k a_k T_k with the a_k from one DCT-II at n Chebyshev points.
     T_k has log potential -T_k / k (-log 2 for k = 0), so E = log 2
     + sum_{k >= 1} (a_k / a_0)^2 / (2k) - log h, exact for a polynomial g.
-    One Richardson step on n = 4096 and 8192 cancels the n^-2 error term.
+    Richardson steps on n and 2n cancel the n^-2 error of square-root edges
+    and kinks; n doubles from 2048 until two steps agree to _ENERGY_TOL, and
+    a law unresolved at n = 2^18 (a cusp, far tails) raises ParameterError.
     """
     if mu.kind == "atoms":
         order = np.argsort(mu.positions)
@@ -286,10 +291,14 @@ def log_energy(mu: MeasureRep) -> float:
     lo, hi = mu.bounds(1e-12)
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sums = []
-    for n in (4096, 8192):
+    for n in 2048 << np.arange(8):
         theta = np.pi * (np.arange(n) + 0.5) / n
         # DCT-II gives n a_k (2 n a_0 at k = 0); n cancels in a_k / a_0
         a = dct(np.sin(theta) * mu.pdf(c + h * np.cos(theta)), type=2)
         sums.append(np.sum((2.0 * a[1:] / a[0]) ** 2 / np.arange(2, 2 * n, 2)))
-    # a kink of g, or its square-root edges, leaves an error in n^-2
-    return float(np.log(2.0) + (4.0 * sums[1] - sums[0]) / 3.0 - np.log(h))
+        rich = (4.0 * np.array(sums[1:]) - sums[:-1]) / 3.0
+        if rich.size > 1 and abs(rich[-1] - rich[-2]) <= _ENERGY_TOL:
+            return float(np.log(2.0) + rich[-1] - np.log(h))
+    raise ParameterError(f"log energy of {mu.name} unresolved at {n} Chebyshev "
+                         f"points: the last two estimates differ by "
+                         f"{abs(rich[-1] - rich[-2]):.1e} > {_ENERGY_TOL}")

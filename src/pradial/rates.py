@@ -241,8 +241,23 @@ def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, floa
 
 # --- Legendre-Fenchel transform -------------------------------------------
 
-def _lower_hull(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Vertex indices of the lower convex hull of (t, f) by monotone chain."""
+def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
+    """Lambda*(x) = sup_t [x t - Lambda(t)] for Lambda sampled on a grid.
+
+    Lambda is treated as +inf outside the grid interval, so the supremum
+    is over [t[0], t[-1]].  The discrete maximiser t[i] of x t - f is the
+    vertex of the lower convex hull of (t, f) whose edge slopes bracket x
+    (the left one on a tie).  It is refined to the exact maximum of
+    x s - S(s), S the cubic-spline interpolant, over the cells [t[i-1],
+    t[i+1]]: on each, S' = x is a quadratic whose roots inside the cell
+    are the interior candidates, and the knot values bound the rest.
+    """
+    t = np.asarray(t, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if t.size < 4 or np.any(np.diff(t) <= 0):
+        raise ParameterError("grid must be increasing with at least 4 knots")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    # the lower hull's vertex indices, by monotone chain
     tl, fl, hull = t.tolist(), f.tolist(), []
     for k, (tk, fk) in enumerate(zip(tl, fl)):
         while len(hull) >= 2:
@@ -251,27 +266,7 @@ def _lower_hull(t: np.ndarray, f: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append(k)
-    return np.array(hull)
-
-
-def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
-    """Lambda*(x) = sup_t [x t - Lambda(t)] for Lambda sampled on a grid.
-
-    Lambda is treated as +inf outside the grid interval, so the supremum
-    is over [t[0], t[-1]].  The discrete maximiser t[i] of x t - f is the
-    lower convex hull vertex whose edge slopes bracket x (the left one on
-    a tie).  The value is then refined to the exact maximum of x s - S(s),
-    with S the cubic-spline interpolant, over the two cells [t[i-1],
-    t[i+1]] beside it: on each cell S' = x is a quadratic, whose roots
-    inside the cell are the interior candidates, and the knot values
-    bound the rest.
-    """
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if t.size < 4 or np.any(np.diff(t) <= 0):
-        raise ParameterError("grid must be increasing with at least 4 knots")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    hull = _lower_hull(t, f)
+    hull = np.array(hull)
     slopes = np.diff(f[hull]) / np.diff(t[hull])
     idx = hull[np.searchsorted(slopes, xs, side="left")]
     best = xs * t[idx] - f[idx]

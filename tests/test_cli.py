@@ -374,6 +374,17 @@ class TestRate:
         assert rep["branch"] == "finite"
         assert rep["value"] == pytest.approx(0.0, abs=1e-8)
 
+    def test_unresolved_energy_is_usage_error(self, tmp_path, capsys):
+        # at p = 0.2 the mass of exp(-|x|^p / z) sits in a cusp at 0, while
+        # the quantile cut puts the support ends ~2e4 interquartile widths
+        # out; its energy is reported unresolved, not as a wrong number
+        code, out = run(tmp_path, "rate", "--target", "cone-H", "--p", "0.2",
+                        "--analytic", "scaled-np", "--z", "0.1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unresolved" in err
+        assert not out.exists()
+
     def test_count_is_not_a_rate_flag(self, tmp_path):
         code, _ = run(tmp_path, "rate", "--target", "beta-euclid", "--x",
                       "0.3", "--count", "5")

@@ -249,8 +249,8 @@ class TestPsi:
         # Richardson steps leave the closed form (d + 1)(1 - s^2) to 1e-10.
         # s = 1e-6 takes the polynomial branch; at s = 1e-4 every t w is
         # below 5e-7, where P(d+1) would lose its digits if it came from
-        # P(d+2) by subtraction; from s = 0.9 on, t w passes the point
-        # where P(d+2, t w) rounds to 1.0
+        # P(d+2) by subtraction; from s = 0.9 on, P(d+2, t w) rounds to
+        # 1.0 at the far knots
         s = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.95, 0.99])
         tab = []
         for knots in (9001, 18001, 36001):

@@ -182,6 +182,21 @@ class TestLogEnergy:
         # a tie far apart in the input order
         assert log_energy(MeasureRep.from_atoms([2.0, 0.5, 3.0, 2.0])) == np.inf
 
+    @pytest.mark.parametrize("positions, weights", [
+        ([0.0, float("nan"), 1.0], None),
+        ([0.0, float("inf"), 1.0], None),
+        ([0.0, 1.0], [float("nan"), 1.0]),
+    ])
+    def test_atoms_must_be_finite(self, positions, weights):
+        # a nan position sorts last and would drop out of the pair sum
+        with pytest.raises(ParameterError, match="finite"):
+            MeasureRep.from_atoms(positions, weights)
+
+    def test_grid_must_be_finite(self):
+        # nan - 1 compares false, so the mass check would let nan through
+        with pytest.raises(ParameterError, match="finite"):
+            MeasureRep.from_grid([0.0, 1.0, 2.0], [0.0, float("nan"), 0.0])
+
     def test_atoms_hand_value(self):
         # -2 sum_{i<j} w_i w_j log|x_i - x_j| with uniform weights on
         # {0, 1, 3}: pairs |1|,|3|,|2| -> -(2/9)(log1 + log3 + log2)
@@ -239,7 +254,34 @@ class TestLogEnergy:
         # density (1 + |u|/z) e^{-|u|/z} / (4z), so E = gamma - 1/2 - log z
         mu = MeasureRep.gen_gaussian_scaled(1.0, z)
         assert log_energy(mu) == pytest.approx(
-            EULER_GAMMA - 0.5 - math.log(z), abs=1e-8)
+            EULER_GAMMA - 0.5 - math.log(z), abs=1e-9)
+
+    @pytest.mark.parametrize("make, want", [
+        # the nested quadrature in quantile coordinates, run once; the
+        # Chebyshev series stops at n = 16384 and 8192 points for these,
+        # within the 1e-8 convergence bar
+        (lambda: MeasureRep.gen_gaussian_scaled(1.5, 1.0), 0.4777426249320643),
+        (lambda: MeasureRep.beta_law(1.5, 3.0), 1.8922770674553282),
+    ])
+    def test_matches_nested_quadrature(self, make, want):
+        assert log_energy(make()) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("make", [
+        # a cusp at 0: the nested quadrature gave -1.5830317 (Monte Carlo
+        # on 4e7 pairs: -1.58258 +- 2e-4); 8192 points alone gave -1.58665
+        lambda: MeasureRep.gen_gaussian_scaled(0.5, 1.0),
+        # a cusp, and the 1e-12 quantiles ~2e4 interquartile widths out:
+        # the nested quadrature gave 2.7663142, 8192 points alone 1.3427
+        lambda: MeasureRep.gen_gaussian_scaled(0.2, 0.1),
+        lambda: MeasureRep.gen_gaussian_scaled(0.8, 1.0),
+        # ends steeper than the arcsine's: the nested quadrature gave
+        # 1.7840582 and 1.3897561, 8192 points alone 2.1e-3 and 2.7e-6 less
+        lambda: MeasureRep.beta_law(0.3, 0.7),
+        lambda: MeasureRep.beta_law(0.45, 0.45),
+    ])
+    def test_unresolved_law_raises(self, make):
+        with pytest.raises(ParameterError, match="unresolved"):
+            log_energy(make())
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
     def test_gaussian_closed_form(self, z):
