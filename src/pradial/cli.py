@@ -478,10 +478,10 @@ _WEIGHTS = {
 def cmd_norm_const(cfg):
     n, p = cfg["n"], cfg["p"]
     weight = _WEIGHTS[cfg["weight"]](cfg)
-    log_c, se = estimate_norm_const(n, p, weight, RngStream(cfg["seed"]),
-                                    size=cfg["count"])
+    log_c, se, ess = estimate_norm_const(n, p, weight, RngStream(cfg["seed"]),
+                                         size=cfg["count"])
     report = {"weight": weight.name, "n": n, "p": p,
-              "log_norm_const": log_c, "se_log": se}
+              "log_norm_const": log_c, "se_log": se, "ess": ess}
     return {"norm_const.json": report}, (
         None if np.isfinite(log_c)
         else "degenerate estimate: weight vanished on every draw")

@@ -34,16 +34,17 @@ def sample_gamma(a: float, b: float, rng: RngStream, size=None):
     _check_positive("shape a", a)
     _check_positive("rate b", b)
     gen = rng.gen
-    if a >= 1.0:
-        g = gen.standard_gamma(a, size=size)
-    else:
-        g = gen.standard_gamma(a + 1.0, size=size)
-        u = gen.random(size=size)
+    g = np.asarray(gen.standard_gamma(a if a >= 1.0 else a + 1.0, size=size))
+    if a < 1.0:
+        u = np.asarray(gen.random(size=size))
         # guard exact zeros from the uniform; measure-zero but log() below
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u) if size is not None else (
-            u if u > 0.0 else np.nextafter(0.0, 1.0))
-        g = g * np.exp(np.log(u) / a)
-    return g / b
+        u[u == 0.0] = np.nextafter(0.0, 1.0)
+        np.log(u, out=u)
+        u /= a
+        np.exp(u, out=u)
+        g *= u
+    g /= b
+    return g[()] if size is None else g
 
 
 def sample_beta(a: float, b: float, rng: RngStream, size=None):
@@ -63,10 +64,12 @@ def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
     and G ~ Gamma(1/p, 1); the positive draw skips S.
     """
     _check_positive("p", p)
-    g = sample_gamma(1.0 / p, 1.0, rng, size=size) ** (1.0 / p)
-    if positive:
-        return g
-    return (rng.gen.integers(0, 2, size=size) * 2 - 1) * g
+    g = np.asarray(sample_gamma(1.0 / p, 1.0, rng, size=size))
+    g **= 1.0 / p
+    if not positive:
+        signs = rng.gen.integers(0, 2, size=size)
+        np.negative(g, out=g, where=signs == 0)
+    return g[()] if size is None else g
 
 
 def gen_gaussian_pdf(p: float, x):

@@ -39,14 +39,16 @@ _PSI_BLOCK = 1 << 16  # (s, knot) pairs per row block of the tabulated psi
 
 
 def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
-    """||x||_p with the max factored out for overflow safety."""
+    """||x||_p with the max factored out for overflow safety.  The work
+    runs in place on one |x| copy, so x is not modified."""
     _check_positive("p", p)
-    x = np.abs(np.asarray(x, dtype=float))
-    if x.shape[axis] == 0:
+    a = np.abs(np.asarray(x, dtype=float))
+    if a.shape[axis] == 0:
         raise ParameterError("lp_norm of an empty vector")
-    m = np.max(x, axis=axis, keepdims=True)
-    safe_m = np.where(m == 0.0, 1.0, m)
-    s = np.sum((x / safe_m) ** p, axis=axis, keepdims=True)
+    m = np.max(a, axis=axis, keepdims=True)
+    a /= np.where(m == 0.0, 1.0, m)
+    a **= p
+    s = np.sum(a, axis=axis, keepdims=True)
     out = np.squeeze(m * s ** (1.0 / p), axis=axis)
     return out if out.ndim else float(out)
 
@@ -86,10 +88,17 @@ class PBallSample:
 def _finish_sample(x: np.ndarray, w: np.ndarray, p: float,
                    chain: ChainResult | None = None,
                    degree: float = 0.0) -> PBallSample:
-    """The radial mixture step: each row x becomes x / (||x||_p^p + w)^(1/p)."""
-    norm_pow = np.sum(np.abs(x) ** p, axis=-1)
-    pts = x / (norm_pow + w)[:, None] ** (1.0 / p)
-    return PBallSample(points=pts, norms_p=lp_norm(pts, p),
+    """The radial mixture step: each row x becomes x / (||x||_p^p + w)^(1/p).
+
+    The rows are divided in place and x becomes the sample's points, so the
+    caller must pass an array it owns and does not read again; the only
+    other temporary of x's size is |x|^p.
+    """
+    r = np.abs(x)
+    r **= p
+    r = (np.sum(r, axis=-1) + w) ** (1.0 / p)
+    x /= r[:, None]
+    return PBallSample(points=x, norms_p=lp_norm(x, p),
                        on_sphere=(w == 0.0), p=p, chain=chain, degree=degree)
 
 
@@ -188,7 +197,9 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     The density part is integrated exactly cell by cell: int w^k e^{-t w} dw
     is Gamma(k+1) / t^(k+1) times the rise of the regularized incomplete
     gamma P(k+1, t w), one P(d+2, .) per (s, knot) pair and
-    P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).
+    P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).  Where
+    t max w < 1e-8, e^{-t w} is 1 - t w to O((t w)^2) and two polynomial
+    moments give the integral.
     """
     from scipy.special import gammainc
 
@@ -204,9 +215,11 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
         w, r = law.grid, law.density
         slope = np.diff(r) / np.diff(w)
         intercept = r[:-1] - slope * w[:-1]  # density = intercept + slope w
-        poly = t * w[-1] < 1e-8  # e^{-t w} is 1 to well below tolerance
-        val[poly] += (intercept @ np.diff(w ** (d + 1.0)) / (d + 1.0)
-                      + slope @ np.diff(w ** (d + 2.0)) / (d + 2.0))
+        poly = t * w[-1] < 1e-8
+        mom = [intercept @ np.diff(w ** (k + 1.0)) / (k + 1.0)
+               + slope @ np.diff(w ** (k + 2.0)) / (k + 2.0)
+               for k in (d, d + 1.0)]  # int w^k (intercept + slope w) dw
+        val[poly] += mom[0] - t[poly] * mom[1]
         rest = np.flatnonzero(~poly)
         rows = max(1, _PSI_BLOCK // w.size)
         for blk in np.split(rest, range(rows, rest.size, rows)):

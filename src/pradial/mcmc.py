@@ -187,19 +187,22 @@ def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,
     r_chain, r_w = rng.split(2)
     res = mcmc_sample(n, p, weight, r_chain, cfg)
     w = np.atleast_1d(sample_W(law, r_w, size=size))
-    return _finish_sample(res.samples, w, p, chain=res,
+    return _finish_sample(res.samples.copy(), w, p, chain=res,
                           degree=weight.degree(n))
 
 
 def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
-                        size: int = 100000) -> tuple[float, float]:
+                        size: int = 100000) -> tuple[float, float, float]:
     """Monte-Carlo estimate of the normalization constant C making
     C * integral exp(-||x||_p^p) f(x) dx = 1.
 
     Importance-samples with the product generalized Gaussian (or its
     positive half on the orthant) and averages f in log space via
-    log-sum-exp.  Returns (log C, standard error of log C), the latter
-    being the relative error of the underlying mean.
+    log-sum-exp.  Returns (log C, standard error of log C, ess): the error
+    is the relative error of the underlying mean, and ess is the Kish
+    effective sample size (sum v)^2 / sum v^2 of the importance weights
+    v = f(x).  An ess near 1 means one draw carries the whole estimate,
+    and the standard error is then not to be trusted.
     """
     x = sample_gen_gaussian(p, rng, size=(size, n),
                             positive=weight.orthant_only)
@@ -212,9 +215,11 @@ def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
         log_base -= n * np.log(2.0)
     m = np.max(logf[finite]) if finite.any() else -np.inf
     if not np.isfinite(m):
-        return -np.inf, np.inf
+        return -np.inf, np.inf, 0.0
     vals = np.exp(logf - m, where=finite, out=np.zeros_like(logf))
-    mean = vals.mean()
-    se = vals.std(ddof=1) / np.sqrt(size)
+    mean, sd = vals.mean(), vals.std(ddof=1)
+    se = sd / np.sqrt(size)
+    # sum v^2 = (size - 1) sd^2 + size mean^2, so ess needs no second pass
+    ess = size / (1.0 + (1.0 - 1.0 / size) * (sd / mean) ** 2)
     log_c_inv = log_base + m + np.log(mean)
-    return float(-log_c_inv), float(se / mean)
+    return float(-log_c_inv), float(se / mean), float(ess)

@@ -8,6 +8,7 @@ t > 0.  Evaluation happens in log space; points where f vanishes return
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,17 +22,33 @@ KIND_DELTA_BETA = 1
 KIND_NABLA_BETA = 2
 KIND_CUSTOM = 3
 
+_PAIR_BLOCK = 1 << 16  # (row, pair) cells per row block of log_delta_beta
+
 
 def log_delta_beta(x: np.ndarray, beta: float) -> float:
-    """log of prod_{i<j} |x_i - x_j|^beta; -inf on ties, and 0 for every
-    row when there are no pairs (n < 2)."""
+    """log of prod_{i<j} |x_i - x_j|^beta over the last axis; -inf on ties,
+    and 0 for every row when there are no pairs (n < 2).
+
+    The pairs are taken directly as x_i - x_j in triu_indices order, in row
+    blocks of at most _PAIR_BLOCK pair cells, so the work space stays small
+    however many rows x holds.  x is not modified.
+    """
     x = np.asarray(x, dtype=float)
-    diffs = np.abs(x[..., :, None] - x[..., None, :])
-    iu = np.triu_indices(x.shape[-1], k=1)
-    d = diffs[..., iu[0], iu[1]]
+    n = x.shape[-1]
+    i, j = np.triu_indices(n, k=1)
+    rows = x.reshape(math.prod(x.shape[:-1]), n)
+    out = np.empty(rows.shape[0])
+    step = max(1, _PAIR_BLOCK // max(i.size, 1))
     with np.errstate(divide="ignore"):
-        out = beta * np.sum(np.log(d), axis=-1)
-    return out if np.ndim(out) else float(out)
+        for lo in range(0, rows.shape[0], step):
+            blk = rows[lo:lo + step]
+            d = blk[:, i]
+            d -= blk[:, j]
+            np.log(np.abs(d, out=d), out=d)
+            np.sum(d, axis=-1, out=out[lo:lo + step])
+    out *= beta
+    out = out.reshape(x.shape[:-1])
+    return out if out.ndim else float(out)
 
 
 def log_nabla_beta(x: np.ndarray, beta: float) -> float:

@@ -511,17 +511,19 @@ class TestNormConst:
         rep = read_json(out / "norm_const.json")
         expected = -3.0 * (math.log(2.0) + math.lgamma(1.5))
         assert rep["log_norm_const"] == pytest.approx(expected, abs=1e-12)
+        assert rep["ess"] == 1000.0  # f == 1: every draw weighs the same
 
     def test_degenerate_estimate_is_strict_json(self, tmp_path, monkeypatch):
         # a weight that vanished on every draw degenerates to log C = -inf
         monkeypatch.setattr("pradial.cli.estimate_norm_const",
-                            lambda *a, **k: (-math.inf, math.inf))
+                            lambda *a, **k: (-math.inf, math.inf, 0.0))
         code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
                         "2", "--count", "10", "--seed", "2")
         assert code == 3
         rep = read_strict_json(out / "norm_const.json")
         assert rep["log_norm_const"] == "-inf"
         assert rep["se_log"] == "inf"
+        assert rep["ess"] == 0.0
 
     def test_count_below_one_is_usage_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
@@ -736,7 +738,7 @@ class TestRunProtocol:
     def test_degenerate_norm_const_writes_all(self, tmp_path, monkeypatch,
                                               capsys):
         monkeypatch.setattr("pradial.cli.estimate_norm_const",
-                            lambda *a, **k: (-math.inf, math.inf))
+                            lambda *a, **k: (-math.inf, math.inf, 0.0))
         assert self._run_recorded(tmp_path, monkeypatch,
                                   ("norm-const", "--n", "2", "--count", "10")
                                   ) == (3, ["norm_const.json"])

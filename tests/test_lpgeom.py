@@ -46,6 +46,15 @@ class TestLpNorm:
         x = np.array([1e300, 1e300])
         assert np.isfinite(lp_norm(x, 2.0))
 
+    def test_input_is_not_modified(self):
+        x = np.random.default_rng(3).standard_normal((50, 6))
+        x[0] = 0.0
+        keep = x.copy()
+        for p in (0.5, 1.0, 2.0, 3.5):
+            lp_norm(x, p)
+            lp_norm(x, p, axis=0)
+        assert np.array_equal(x, keep)
+
 
 class TestBallVolume:
     def test_known_values(self):
@@ -247,11 +256,14 @@ class TestPsi:
         # Gamma(2, 1) tabulated on [0, 45] at knot spacings h, h/2, h/4:
         # with d = 2 the tabulation error is a series in h^2, so two
         # Richardson steps leave the closed form (d + 1)(1 - s^2) to 1e-10.
-        # s = 1e-6 takes the polynomial branch; at s = 1e-4 every t w is
+        # s = 1e-6 and 1e-5 take the polynomial branch (t max w < 1e-8),
+        # whose dropped e^{-t w} term would show at rel t E[w] ~ 4e-10;
+        # s = 3e-5 is the first point past it; at s = 1e-4 every t w is
         # below 5e-7, where P(d+1) would lose its digits if it came from
         # P(d+2) by subtraction; from s = 0.9 on, P(d+2, t w) rounds to
         # 1.0 at the far knots
-        s = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.95, 0.99])
+        s = np.array([0.0, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 0.05, 0.3, 0.6,
+                      0.9, 0.95, 0.99])
         tab = []
         for knots in (9001, 18001, 36001):
             g = np.linspace(0.0, 45.0, knots)
@@ -264,6 +276,8 @@ class TestPsi:
         exact = psi_density(PsiSpec(n=4, p=2.0, law=RadialLawW(alpha=2.0)), s)
         assert np.allclose(exact, 3.0 * (1.0 - s ** 2), rtol=1e-14, atol=0)
         assert np.allclose(limit, exact, rtol=1e-10, atol=0)
+        small = s <= 1e-3  # both sides of the polynomial branch's edge
+        assert np.allclose(limit[small], exact[small], rtol=1e-12, atol=0)
 
     def test_tabulated_matches_gamma_closed_form(self):
         # a tabulated Gamma(2,1) should track the closed form

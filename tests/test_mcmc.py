@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from pradial import _kernels
-from pradial.distributions import ParameterError, RadialLawW
+from pradial.distributions import (ParameterError, RadialLawW,
+                                   sample_gen_gaussian)
 from pradial.mcmc import (ChainConfig, estimate_norm_const, geyer_ess,
                           log_target, mcmc_sample, sample_weighted_pnpw)
 from pradial.rng import RngStream
@@ -193,8 +194,8 @@ class TestNormConst:
     def test_constant_weight_exact(self):
         # f == 1 integrates to (2 Gamma(1+1/p))^n, so log C is exact
         for p in (0.7, 2.0, 3.0):
-            log_c, se = estimate_norm_const(3, p, constant_one(), rng(10),
-                                            size=2000)
+            log_c, se, _ = estimate_norm_const(3, p, constant_one(),
+                                               rng(10), size=2000)
             expected = -3.0 * (math.log(2.0) + math.lgamma(1.0 + 1.0 / p))
             assert log_c == pytest.approx(expected, abs=1e-12)
             assert se == pytest.approx(0.0, abs=1e-12)
@@ -202,7 +203,7 @@ class TestNormConst:
     def test_abs_x_squared_n1(self):
         # f(x) = x^2: integral of x^2 exp(-x^2) = Gamma(3/2), C = 1/Gamma(3/2)
         w = custom(lambda x: 2.0 * np.sum(np.log(np.abs(x)), axis=-1), 2.0)
-        log_c, se = estimate_norm_const(1, 2.0, w, rng(11), size=400000)
+        log_c, se, _ = estimate_norm_const(1, 2.0, w, rng(11), size=400000)
         assert log_c == pytest.approx(-math.log(math.gamma(1.5)), abs=0.01)
         assert 0.0 < se < 0.01
 
@@ -211,10 +212,53 @@ class TestNormConst:
         val, _ = integrate.dblquad(
             lambda y, x: abs(x - y) * math.exp(-x * x - y * y),
             -8, 8, -8, 8, epsabs=1e-10)
-        log_c, se = estimate_norm_const(2, 2.0, delta_beta(1.0), rng(12),
-                                        size=200000)
+        log_c, se, _ = estimate_norm_const(2, 2.0, delta_beta(1.0),
+                                           rng(12), size=200000)
         assert log_c == pytest.approx(-math.log(val), abs=3 * se + 1e-4)
         assert se < 0.01
+
+
+    @pytest.mark.parametrize("n, p, weight, stream, want", [
+        (4, 2.0, delta_beta(2.0), 41,
+         (-3.693570724477876, 0.05995793116673796)),
+        (3, 1.5, nabla_beta(1.0), 42,
+         (0.36126067934646855, 0.009204305182502925)),
+        (9, 2.0, delta_beta(2.0), 43,
+         (-19.20600450467542, 0.7917912718051516)),
+    ])
+    def test_estimate_is_pinned(self, n, p, weight, stream, want):
+        # exact float values of the dense-cube implementation (see
+        # CHANGES.md); 200001 rows are not a multiple of any pair block
+        log_c, se, _ = estimate_norm_const(n, p, weight,
+                                           RngStream(777, stream), size=200001)
+        assert (log_c, se) == want
+
+    def test_ess_is_kish_of_the_weights(self):
+        # the same stream drawn again gives the importance weights v = f(x)
+        n, p, size, weight = 5, 2.0, 20000, delta_beta(2.0)
+        _, _, ess = estimate_norm_const(n, p, weight, rng(17), size=size)
+        logf = weight.log_eval(sample_gen_gaussian(p, rng(17), size=(size, n)))
+        v = np.exp(logf - logf.max())
+        assert ess == pytest.approx(v.sum() ** 2 / np.sum(v * v), rel=1e-12)
+        assert 1.0 <= ess < size
+        _, _, flat = estimate_norm_const(n, p, constant_one(), rng(17),
+                                         size=size)
+        assert flat == size
+
+    def test_inputs_are_not_modified(self):
+        # a caller's weight may keep the draws it was handed
+        seen = []
+
+        def log_eval(x):
+            seen.append((x, x.copy()))
+            return np.zeros(x.shape[0])
+
+        weight = custom(log_eval, 0.0)
+        keep = repr(weight)
+        estimate_norm_const(3, 2.0, weight, rng(18), size=1000)
+        (x, copy), = seen
+        assert np.array_equal(x, copy)
+        assert repr(weight) == keep
 
 
 class TestWeightedPnpw:
@@ -231,6 +275,19 @@ class TestWeightedPnpw:
                                  size=300)
         assert np.allclose(np.sum(s.points ** 2, axis=1), 1.0, atol=1e-10)
         assert np.all(s.on_sphere)
+
+    def test_points_do_not_alias_the_chain(self):
+        # the finisher divides its argument in place; the chain's states
+        # must come through as the chain drew them
+        size, weight = 500, nabla_beta(2.0)
+        s = sample_weighted_pnpw(4, 2.0, weight, RadialLawW.exponential(),
+                                 rng(19), size=size)
+        assert not np.shares_memory(s.points, s.chain.samples)
+        r_chain, _ = rng(19).split(2)
+        alone = mcmc_sample(4, 2.0, weight, r_chain,
+                            ChainConfig(n_samples=size))
+        assert np.array_equal(s.chain.samples, alone.samples)
+        assert np.all(np.diff(s.chain.samples, axis=1) >= 0.0)
 
     def test_norm_split_depends_only_on_degree(self):
         # B = ||X||_p^p/(||X||_p^p + W) ~ Beta((n+m)/p, alpha) depends on the

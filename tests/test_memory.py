@@ -1,0 +1,46 @@
+"""Memory ceilings of the exact paths, seen by tracemalloc (numpy reports
+its array buffers to it): each path holds its output plus at most about
+one temporary of the output's size, and the pair weights none of size n^2
+per row."""
+
+import tracemalloc
+
+import numpy as np
+
+from pradial.distributions import RadialLawW
+from pradial.lpgeom import sample_pnpw
+from pradial.mcmc import estimate_norm_const
+from pradial.rng import RngStream
+from pradial.weights import WeightFn, log_delta_beta
+
+
+def traced_peak(f):
+    """f's result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_weights_stay_in_row_blocks():
+    # the dense difference cube alone would take 4000 * 64^2 * 8 = 131 MB
+    x = np.random.default_rng(0).standard_normal((4000, 64))
+    _, peak = traced_peak(lambda: log_delta_beta(x, 2.0))
+    assert peak < 16 * 2 ** 20
+
+
+def test_exact_sampler_holds_output_plus_one_temporary():
+    # p = 2 takes the Gamma(1/2) boost, the sampler's largest work space
+    s, peak = traced_peak(lambda: sample_pnpw(
+        50, 2.0, RadialLawW.exponential(), RngStream(1), size=20000))
+    assert peak < 2.5 * s.points.nbytes
+
+
+def test_norm_const_holds_its_draws_plus_one_temporary():
+    size, n = 200000, 4
+    _, peak = traced_peak(lambda: estimate_norm_const(
+        n, 2.0, WeightFn.delta_beta(2.0), RngStream(1), size=size))
+    assert peak < 3 * size * n * 8
