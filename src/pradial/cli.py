@@ -37,7 +37,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 from scipy.special import betainc
 
 from . import __version__
@@ -261,6 +260,14 @@ _TARGETS = {
 }
 
 
+def _chain_report(chain) -> dict:
+    """A chain's diagnostics.  Only chain_ok, the acceptance window, gates
+    an exit code; ess and rhat, both of ||x||_p^p, are reported."""
+    return {"chain_ok": chain.ok, "accept_rate": chain.accept_rate,
+            "accept_per_chain": chain.accept_per_chain, "ess": chain.ess,
+            "rhat": chain.rhat}
+
+
 def cmd_sample(cfg):
     if cfg["orthant"] and cfg["target"] not in _EXACT_LAWS:
         raise ParameterError(
@@ -271,9 +278,7 @@ def cmd_sample(cfg):
     chain = s.chain
     if chain is None:
         return outputs, None
-    outputs["diagnostics.json"] = {
-        "chain_ok": chain.ok, "accept_rate": chain.accept_rate,
-        "accept_per_chain": chain.accept_per_chain, "ess": chain.ess}
+    outputs["diagnostics.json"] = _chain_report(chain)
     return outputs, (None if chain.ok
                      else "chain diagnostics failed; outputs retained")
 
@@ -281,25 +286,28 @@ def cmd_sample(cfg):
 # --- test-norm-law -----------------------------------------------------------
 
 def _norm_split_samples(cfg, rng):
-    """B draws and the beta shape parameter for the selected target."""
+    """B draws, the beta shape parameter and the chain's diagnostics
+    (None for the exact euclid target) for the selected target."""
     n, p = cfg["n"], cfg["p"]
     law = _law_from(cfg)
     if cfg["target"] == "euclid":
         m = cfg["m"]
         b = norm_split_B(n, p, m, law, rng, size=cfg["count"])
-        return np.asarray(b), (n + m) / p
+        return np.asarray(b), (n + m) / p, None
     s = _TARGETS[cfg["target"]](cfg, law, rng)
     # the norm-split statistic is recovered exactly from the draws
     b = np.sum(np.abs(s.points) ** s.p, axis=1)
-    return b, (n + s.degree) / s.p
+    return b, (n + s.degree) / s.p, _chain_report(s.chain)
 
 
 def cmd_test_norm_law(cfg):
+    from scipy import stats
+
     if "m" in cfg and cfg["target"] != "euclid":
         # a chain target's degree is its weight's, fixed by n and beta
         raise ParameterError(
             f"--m is not supported for target {cfg['target']!r}")
-    b, shape = _norm_split_samples(cfg, RngStream(cfg["seed"]))
+    b, shape, chain = _norm_split_samples(cfg, RngStream(cfg["seed"]))
 
     theta, alpha = cfg["theta"], cfg["alpha"]
     atoms = b >= 1.0 - 1e-12
@@ -312,6 +320,8 @@ def cmd_test_norm_law(cfg):
         "beta_shape_a": shape,
         "beta_shape_b": alpha,
     }
+    if chain is not None:
+        report["chain"] = chain
     reasons = []
     if cont.size == 0 and theta < 1.0:
         report["flag"] = "no-continuous-part-samples"

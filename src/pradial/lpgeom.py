@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .distributions import (
@@ -242,6 +241,8 @@ def psi_normalization_defect(spec: PsiSpec) -> float:
     from 1.  The substitution u = s^(n+m) removes the steep polynomial
     factor, so the quadrature sees a flat integrand.
     """
+    from scipy import integrate
+
     law = spec.law or RadialLawW.exponential()
     nm = spec.n + spec.m
 

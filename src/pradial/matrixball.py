@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from .distributions import ParameterError, RadialLawW, _check_positive
@@ -173,6 +172,8 @@ def beta_ensemble_oracle(family: str, n: int, beta: float, rng: RngStream,
     B B^T, B lower bidiagonal with diagonal chi_{beta(n-k)} (k = 0..n-1)
     and subdiagonal chi_{beta(n-1)}, ..., chi_beta.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if family not in ("H", "M"):
         raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
     _check_positive("beta", beta)

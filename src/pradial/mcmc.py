@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 from . import _kernels
 from .distributions import (ParameterError, RadialLawW, sample_gen_gaussian,
@@ -45,7 +45,8 @@ class ChainResult:
     accept_rate: float
     accept_per_coord: np.ndarray
     accept_per_chain: np.ndarray  # (n_chains,) post-burn-in acceptance
-    ess: float                   # effective sample size of ||x||_p^p
+    ess: float                   # per-chain ESS of ||x||_p^p, summed
+    rhat: float                  # rank-normalised split-R-hat of ||x||_p^p
     ok: bool                     # acceptance inside the required window
     backend: str = _kernels.BACKEND
 
@@ -97,6 +98,35 @@ def geyer_ess(series: np.ndarray) -> float:
         k += 1
     tau = max(2.0 * gamma_sum - 1.0, 1.0)
     return float(m / tau)
+
+
+def split_rhat(chains: np.ndarray) -> float:
+    """Rank-normalised split-R-hat of draws shaped (n_chains, n_draws),
+    after Vehtari, Gelman, Simpson, Carpenter & Buerkner, "Rank-
+    normalization, folding, and localization: an improved R-hat" (Bayesian
+    Analysis 16, 2021).
+
+    Each chain is cut into halves (dropping its middle draw when n_draws is
+    odd).  The draws are replaced by the normal scores of their pooled
+    ranks, ties taking their mean rank, and the classical R-hat of the
+    halves is taken on those scores.  Values near 1 mean the halves agree;
+    nan when a half holds fewer than two draws or the scores do not vary
+    within the halves.
+    """
+    x = np.asarray(chains, dtype=float)
+    half = x.shape[1] // 2
+    if half < 2:
+        return float("nan")
+    halves = np.concatenate([x[:, :half], x[:, -half:]])
+    _, inv, counts = np.unique(halves, return_inverse=True,
+                               return_counts=True)
+    rank = (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
+    z = ndtri((rank - 0.375) / (halves.size + 0.25)).reshape(halves.shape)
+    within = z.var(axis=1, ddof=1).mean()
+    if within == 0.0:
+        return float("nan")
+    between = z.mean(axis=1).var(ddof=1)
+    return float(np.sqrt((half - 1) / half + between / within))
 
 
 def _check_config(cfg: ChainConfig) -> None:
@@ -168,13 +198,15 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     per_coord = tally[:, 0] / np.maximum(tally[:, 1], 1.0)
     per_chain_rate = acc[..., 0].sum(axis=1) / np.maximum(
         acc[..., 1].sum(axis=1), 1.0)
-    norm_series = np.sum(np.abs(samples) ** p, axis=1)
-    ess = geyer_ess(norm_series)
+    # the diagnostics see every kept state of each chain, the few the pool
+    # drops past n_samples included, so the chains have equal lengths
+    norms = np.sum(np.abs(out) ** p, axis=2).T
     lo, hi = ACCEPT_WINDOW
     return ChainResult(samples=samples, accept_rate=float(rate),
                        accept_per_coord=per_coord,
-                       accept_per_chain=per_chain_rate, ess=ess,
-                       ok=bool(lo <= rate <= hi))
+                       accept_per_chain=per_chain_rate,
+                       ess=sum(geyer_ess(c) for c in norms),
+                       rhat=split_rhat(norms), ok=bool(lo <= rate <= hi))
 
 
 def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .distributions import ParameterError, gen_gaussian_logpdf
@@ -193,6 +192,8 @@ def moment_p(mu: MeasureRep, p: float) -> float:
     if mu.kind == "grid":
         return float(np.trapezoid(np.abs(mu.grid) ** p * mu.density, mu.grid))
     # analytic: integrate in quantile coordinates, which is singularity-free
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda u: np.abs(mu.quantile(u)) ** p, 0.0, 1.0, limit=200)
     return float(val)
@@ -212,6 +213,8 @@ def relative_entropy_gen_gaussian(mu: MeasureRep, p: float) -> float:
         integrand = np.zeros_like(d)
         integrand[pos] = d[pos] * (np.log(d[pos]) - gen_gaussian_logpdf(p, g[pos]))
         return float(np.trapezoid(integrand, g))
+
+    from scipy import integrate
 
     def integrand(x):
         fx = float(np.asarray(mu.pdf(x)))

@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, logsumexp
 
 from .distributions import ParameterError, _check_positive
@@ -271,6 +269,8 @@ def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
     idx = hull[np.searchsorted(slopes, xs, side="left")]
     best = xs * t[idx] - f[idx]
 
+    from scipy.interpolate import CubicSpline
+
     c = CubicSpline(t, f).c
     # cells i-1 and i, clipped to the grid; on cell k with u = s - t[k],
     # S'(u) = x  <=>  qa u^2 + qb u + qc = 0
@@ -359,6 +359,8 @@ def analytic_scaled_cgf(t: float, p: float, alpha: float, c: float = 0.0) -> flo
 # --- Laplace / boundary-Laplace verifiers ----------------------------------
 
 def _interior_max(pfn, lo, hi):
+    from scipy import optimize
+
     res = optimize.minimize_scalar(lambda x: -pfn(x), bounds=(lo, hi),
                                    method="bounded", options={"xatol": 1e-12})
     return float(res.x), float(-res.fun)
@@ -369,6 +371,8 @@ def _checked(q, pfn, lo, hi, n, p0, log_den, c):
     from one quadrature.  p0 is the maximum of p and log_den the log of
     the approximation less n p0; the estimate is (1/n) log [1 + e^{c n}
     integral], and the limit c + p0."""
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda x: q(x) * np.exp(n * (pfn(x) - p0)),
                             lo, hi, limit=400)
     log_num = np.log(val)

@@ -178,6 +178,9 @@ class TestSample:
         assert len(per_chain) == 4  # the default number of chains
         assert all(0.0 < a < 1.0 for a in per_chain)
         assert 0.0 < diag["ess"] <= 200
+        # reported, not gated: 50 states a chain is too few to hold it to
+        # a bound
+        assert 0.9 < diag["rhat"] < math.inf
 
     def test_weighted_pnpw_writes_diagnostics(self, tmp_path):
         code, out = run(tmp_path, "sample", "--target", "weighted-pnpw",
@@ -679,11 +682,17 @@ class TestParameterTable:
                                                ("singular-PM", 9.0)])
     def test_chain_norm_law_shape(self, tmp_path, target, shape):
         # (n + weight degree) / q at n = 3, p = 2, beta = 2: Delta_2 has
-        # degree 6 with q = p; nabla_2 has degree 6 with q = p/2
-        code, out = run(tmp_path, "test-norm-law", "--target", target, "--n",
-                        "3", "--count", "200", "--seed", "3")
+        # degree 6 with q = p; nabla_2 has degree 6 with q = p/2.  The
+        # report carries the chain's diagnostics, as `sample` writes them
+        # for the same draws
+        argv = ("--target", target, "--n", "3", "--count", "200", "--seed",
+                "3")
+        code, out = run(tmp_path / "law", "test-norm-law", *argv)
         assert code in (0, 3)
-        assert read_json(out / "norm_law_report.json")["beta_shape_a"] == shape
+        report = read_json(out / "norm_law_report.json")
+        assert report["beta_shape_a"] == shape
+        _, drawn = run(tmp_path / "sample", "sample", *argv)
+        assert report["chain"] == read_json(drawn / "diagnostics.json")
 
 
 class TestRunProtocol:

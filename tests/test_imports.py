@@ -1,8 +1,12 @@
-"""Every name that a module of src/pradial imports is used there.
+"""Every name that a module of src/pradial imports is used there, and
+importing pradial loads none of scipy's heavy subpackages.
 
-This stands in for a linter's unused-import rule."""
+The first stands in for a linter's unused-import rule."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,83 @@ def test_checker_finds_unused_names():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Importing pradial loads numpy and scipy.special only.  These scipy
+# subpackages cost most of a fresh `import pradial.cli`, and most
+# subcommands never call them, so each is imported in the function that
+# calls it.
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+         "scipy.interpolate", "scipy.linalg", "scipy.fft")
+
+
+def import_time_modules(source: str) -> list[str]:
+    """The modules a source file imports when it is itself imported: every
+    import outside a function body, as a dotted name (``from a import b``
+    gives ``a.b``)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(a.name for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.extend(f"{child.module}.{a.name}" for a in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def heavy(modules) -> list[str]:
+    return sorted(m for m in modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
+
+def test_checker_finds_import_time_modules():
+    source = ("import numpy as np\nfrom scipy import stats\n"
+              "from . import rates\n"
+              "class A:\n    from scipy.linalg import eigh\n"
+              "if True:\n    import scipy.fft\n"
+              "def f():\n    from scipy import integrate\n"
+              "g = lambda: __import__('scipy.optimize')\n")
+    assert import_time_modules(source) == [
+        "numpy", "scipy.stats", "scipy.linalg.eigh", "scipy.fft"]
+    assert heavy(import_time_modules(source)) == [
+        "scipy.fft", "scipy.linalg.eigh", "scipy.stats"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_heavy_import_at_module_level(path):
+    assert heavy(import_time_modules(path.read_text())) == []
+
+
+_RUN = """
+import tempfile
+from pradial import cli
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["sample", "--target", "cone", "--n", "3", "--count", "20"],
+                 ["norm-const", "--weight", "delta", "--n", "3",
+                  "--count", "200"],
+                 ["ldp-verify", "--n-list", "5,10"]):
+        assert cli.main(argv + ["--seed", "1", "--out", out]) == 0, argv
+"""
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import pradial.cli", id="import-cli"),
+    pytest.param("import pradial", id="import-package"),
+    pytest.param(_RUN, id="sample-norm-const-ldp-verify")])
+def test_fresh_process_loads_no_heavy_subpackage(code):
+    # a fresh interpreter, so that no other test has loaded them; the run
+    # case shows that the cost did not move into the first call
+    probe = code + "\nimport sys\nprint('\\n'.join(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert heavy(proc.stdout.split()) == []

@@ -11,7 +11,8 @@ from pradial import _kernels
 from pradial.distributions import (ParameterError, RadialLawW,
                                    sample_gen_gaussian)
 from pradial.mcmc import (ChainConfig, estimate_norm_const, geyer_ess,
-                          log_target, mcmc_sample, sample_weighted_pnpw)
+                          log_target, mcmc_sample, sample_weighted_pnpw,
+                          split_rhat)
 from pradial.rng import RngStream
 from pradial.weights import WeightFn
 
@@ -67,7 +68,46 @@ class TestGeyerEss:
         assert 0.5 * n / 19 < ess < 2.0 * n / 19
 
 
+class TestSplitRhat:
+    def iid(self):
+        return rng(20).gen.standard_normal((4, 5000))
+
+    def test_iid_chains(self):
+        x = self.iid()
+        assert split_rhat(x) < 1.01
+        ess = sum(geyer_ess(c) for c in x)
+        assert abs(ess - x.size) < 0.1 * x.size
+
+    def test_shifted_means(self):
+        assert split_rhat(self.iid() + np.arange(4)[:, None]) > 1.1
+
+    def test_split_sees_a_drift_within_chains(self):
+        # every chain drifts alike, so their means agree; their halves
+        # do not
+        assert split_rhat(self.iid() + np.linspace(0.0, 2.0, 5000)) > 1.1
+
+    def test_rank_normalised(self):
+        # a monotone map of the draws keeps their ranks
+        x = self.iid()
+        assert split_rhat(np.exp(x)) == split_rhat(x)
+
+    @pytest.mark.parametrize("x", [np.zeros((4, 10)), np.ones((4, 3))],
+                             ids=["constant", "halves-of-one"])
+    def test_undefined_is_nan(self, x):
+        assert math.isnan(split_rhat(x))
+
+
 class TestMcmcSample:
+    def test_diagnostics_sum_the_chains(self):
+        # the pool holds each chain's kept states in turn
+        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(9),
+                          ChainConfig(n_samples=4000, thin=4))
+        norms = np.sum(res.samples ** 2, axis=1).reshape(4, 1000)
+        assert res.ess == pytest.approx(sum(geyer_ess(c) for c in norms),
+                                        rel=1e-9)
+        assert res.rhat == pytest.approx(split_rhat(norms), rel=1e-9)
+        assert res.rhat < 1.05
+
     def test_emission_sorted(self):
         res = mcmc_sample(5, 2.0, delta_beta(2.0), rng(3),
                           ChainConfig(n_samples=500))
