@@ -511,14 +511,14 @@ _COMMON = (_SEED, Param("count", _positive_int))
 COMMANDS = {
     "sample": ("draw from one of the ball laws", cmd_sample, (
         Param("target", str, choices=tuple(_TARGETS), required=True),
-        Param("n", int, required=True),
+        Param("n", _positive_int, required=True),
         Param("p"), Param("beta"), Param("theta"), Param("alpha"),
         Param("orthant", bool, default=False)) + _COMMON),
     "test-norm-law": ("KS/atom test of the norm-split statistic",
                       cmd_test_norm_law, (
         Param("target", str, choices=("euclid", "eigen-PH", "singular-PM"),
               required=True),
-        Param("n", int, required=True),
+        Param("n", _positive_int, required=True),
         Param("p"), Param("m", fallback=0.0), Param("beta"), Param("theta"),
         Param("alpha"), Param("ks_pvalue_threshold")) + _COMMON),
     "rate": ("evaluate a rate function", cmd_rate, (
@@ -546,7 +546,7 @@ COMMANDS = {
                    cmd_norm_const, (
         Param("weight", str, choices=tuple(_WEIGHTS), default="one"),
         Param("beta"), Param("m", fallback=1.0),
-        Param("n", int, required=True), Param("p")) + _COMMON),
+        Param("n", _positive_int, required=True), Param("p")) + _COMMON),
 }
 
 

@@ -43,12 +43,10 @@ class ChainConfig:
 class ChainResult:
     samples: np.ndarray          # (n_samples, n), pooled across chains
     accept_rate: float
-    accept_per_coord: np.ndarray
     accept_per_chain: np.ndarray  # (n_chains,) post-burn-in acceptance
     ess: float                   # per-chain ESS of ||x||_p^p, summed
     rhat: float                  # rank-normalised split-R-hat of ||x||_p^p
     ok: bool                     # acceptance inside the required window
-    backend: str = _kernels.BACKEND
 
 
 def log_target(x: np.ndarray, p: float, weight: WeightFn) -> float:
@@ -146,6 +144,8 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     sorted ascending so the output is the ordered vector.  The chains run
     in lockstep, each on its own substream, and are pooled chain by chain.
     """
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     _check_positive("p", p)
     cfg = config or ChainConfig()
     _check_config(cfg)
@@ -182,28 +182,25 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
 
     scales = np.full((n_chains, n), INIT_SCALE)
     out = np.empty((per_chain, n_chains, n))
-    acc = np.zeros((n_chains, n, 2), dtype=np.int64)
+    accepted = np.empty((n_steps, n_chains), dtype=bool)
     # thinning counts sweeps of n flips; translate to flip units
     _kernels.run_chain(x0, float(p), int(weight.kind), float(weight.beta),
                        coord_idx, normals, log_unifs, scales,
                        int(n_adapt), adapt_up, adapt_down,
-                       int(cfg.thin * n), out, acc)
+                       int(cfg.thin * n), out, accepted)
 
     # ordered emission: every state is reported sorted ascending; callers
     # that need exchangeable coordinates apply a uniform permutation
     pooled = out.transpose(1, 0, 2).reshape(n_chains * per_chain, n)
     samples = np.sort(pooled[:cfg.n_samples], axis=1)
-    tally = acc.sum(axis=0)
-    rate = tally[:, 0].sum() / max(tally[:, 1].sum(), 1.0)
-    per_coord = tally[:, 0] / np.maximum(tally[:, 1], 1.0)
-    per_chain_rate = acc[..., 0].sum(axis=1) / np.maximum(
-        acc[..., 1].sum(axis=1), 1.0)
+    post = accepted[n_adapt:]
+    rate = post.sum() / max(post.size, 1)
+    per_chain_rate = post.sum(axis=0) / max(len(post), 1)
     # the diagnostics see every kept state of each chain, the few the pool
     # drops past n_samples included, so the chains have equal lengths
     norms = np.sum(np.abs(out) ** p, axis=2).T
     lo, hi = ACCEPT_WINDOW
     return ChainResult(samples=samples, accept_rate=float(rate),
-                       accept_per_coord=per_coord,
                        accept_per_chain=per_chain_rate,
                        ess=sum(geyer_ess(c) for c in norms),
                        rhat=split_rhat(norms), ok=bool(lo <= rate <= hi))

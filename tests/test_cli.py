@@ -204,6 +204,13 @@ class TestSample:
           "2000"), "a51aabce2ccd1b2c"),
         (("--target", "pnpw", "--n", "4", "--seed", "1", "--theta", "0.3",
           "--alpha", "2", "--count", "2000"), "88a73382626842b3"),
+        # beta != 2 turns on the orthant weight's power term
+        (("--target", "singular-PM", "--n", "8", "--beta", "1", "--seed", "1",
+          "--theta", "0.3", "--count", "300"), "fc5dd27b9a87961e"),
+        (("--target", "singular-PM", "--n", "8", "--beta", "4", "--seed", "1",
+          "--theta", "0.3", "--count", "300"), "c23386c99f0fffe4"),
+        (("--target", "eigen-PH", "--n", "8", "--beta", "1", "--seed", "1",
+          "--theta", "0.3", "--count", "300"), "105beaadcc4a5b77"),
     ])
     def test_golden_digest(self, tmp_path, argv, digest):
         code, out = run(tmp_path, "sample", *argv)
@@ -604,6 +611,10 @@ class TestParameterTable:
         (["rate", "--target", "cone-M", "--analytic", "uniform", "--a", "-1",
           "--b", "1"], {}),
         (["norm-const", "--weight", "delta", "--beta", "-1", "--n", "3"], {}),
+        (["sample", "--target", "cone", "--n", "-2"], {}),
+        (["sample", "--target", "eigen-PH", "--n", "0"], {}),
+        (["test-norm-law", "--target", "euclid", "--n", "0"], {}),
+        (["norm-const", "--n", "0"], {}),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys,
                                             monkeypatch, argv, files):
