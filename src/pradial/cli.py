@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,8 @@ def cmd_test_norm_law(cfg):
             report["flag"] = "atom-fraction-outside-interval"
     if "flag" in report:
         reasons.append(report["flag"])
+    if chain is not None and not chain["chain_ok"]:
+        reasons.append("chain diagnostics failed")
     return {"norm_law_report.json": report}, (
         f"norm-split law flagged: {', '.join(reasons)}; outputs retained"
         if reasons else None)
@@ -368,17 +371,20 @@ _FAMILIES = {
 
 def _measure_from(cfg) -> MeasureRep:
     try:
-        if cfg.get("atoms_csv"):
-            data = np.loadtxt(cfg["atoms_csv"], delimiter=",", skiprows=1,
-                              ndmin=1)
-            if data.ndim != 1:
-                raise ValueError("an atoms CSV has one column")
-            return MeasureRep.from_atoms(data)
-        if cfg.get("grid_csv"):
-            x, density = np.loadtxt(cfg["grid_csv"], delimiter=",",
-                                    skiprows=1, ndmin=2).T
-            return MeasureRep.from_grid(x, density)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # numpy warns, and returns an empty array, on a header-only file
+            warnings.simplefilter("error", UserWarning)
+            if cfg.get("atoms_csv"):
+                data = np.loadtxt(cfg["atoms_csv"], delimiter=",",
+                                  skiprows=1, ndmin=1)
+                if data.ndim != 1:
+                    raise ValueError("an atoms CSV has one column")
+                return MeasureRep.from_atoms(data)
+            if cfg.get("grid_csv"):
+                x, density = np.loadtxt(cfg["grid_csv"], delimiter=",",
+                                        skiprows=1, ndmin=2).T
+                return MeasureRep.from_grid(x, density)
+    except (ValueError, UserWarning) as exc:
         raise ParameterError(f"unreadable measure CSV: {exc}") from None
     return _FAMILIES[cfg["analytic"]](cfg)
 

@@ -6,8 +6,12 @@ Three representations are supported:
 
 * atoms   -- a finite list of (position, weight) pairs (empirical measures);
 * grid    -- a piecewise-linear density on a knot vector;
-* analytic -- a named density with callables for pdf / quantile, used for
-  high-accuracy reference values.
+* analytic -- a named pdf on a finite support [lo, hi] (a law with unbounded
+  support is cut at its quantiles 1e-12 and 1 - 1e-12), used for
+  high-accuracy reference values.  Every functional of it integrates in
+  the angle x = c + h cos(theta), with c +- h the support ends.
+
+`support` is the smallest interval holding the mass, for every kind.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincinv, gammaln
 
-from .distributions import ParameterError, gen_gaussian_logpdf
+from .distributions import ParameterError, _check_positive, gen_gaussian_logpdf
 
 _ATOM_BLOCK = 1 << 18  # pairs per row block of the atom log-energy
 _ENERGY_TOL = 1e-8  # absolute convergence bar of an analytic log-energy
@@ -32,7 +36,6 @@ class MeasureRep:
     grid: np.ndarray | None = None
     density: np.ndarray | None = None
     pdf: Callable | None = None
-    quantile: Callable | None = None
     support: tuple = (-np.inf, np.inf)
     name: str = ""
 
@@ -40,10 +43,14 @@ class MeasureRep:
         if self.kind == "atoms":
             self.positions = np.asarray(self.positions, dtype=float)
             n = self.positions.size
+            if n == 0:
+                raise ParameterError("an atom measure needs at least one atom")
             self.weights = (np.full(n, 1.0 / n) if self.weights is None
                             else np.asarray(self.weights, dtype=float))
             if abs(self.weights.sum() - 1.0) > 1e-9:
                 raise ParameterError("atom weights must sum to 1")
+            self.support = (float(self.positions.min()),
+                            float(self.positions.max()))
         elif self.kind == "grid":
             self.grid = np.asarray(self.grid, dtype=float)
             self.density = np.asarray(self.density, dtype=float)
@@ -52,10 +59,12 @@ class MeasureRep:
             mass = np.trapezoid(self.density, self.grid)
             if abs(mass - 1.0) > 1e-6:
                 raise ParameterError(f"grid density has mass {mass}, not 1")
-            self.support = (float(self.grid[0]), float(self.grid[-1]))
         elif self.kind == "analytic":
-            if self.pdf is None or self.quantile is None:
-                raise ParameterError("analytic measures need pdf and quantile")
+            lo, hi = self.support
+            if self.pdf is None or not -np.inf < lo < hi < np.inf:
+                raise ParameterError(
+                    f"analytic measure {self.name} needs a pdf and a finite "
+                    f"support lo < hi, got {self.support}")
         else:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
         # a nan passes the mass checks above (nan > tol is false)
@@ -63,6 +72,12 @@ class MeasureRep:
                                                   self.grid, self.density)
                    if v is not None):
             raise ParameterError(f"{self.kind} measure arrays must be finite")
+        if self.kind == "grid":
+            # the knots that bound the cells of positive mass
+            cells = np.flatnonzero((self.density[1:] + self.density[:-1])
+                                   * np.diff(self.grid) > 0.0)
+            self.support = (float(self.grid[cells[0]]),
+                            float(self.grid[cells[-1] + 1]))
 
     # ---- constructors -----------------------------------------------------
 
@@ -76,22 +91,18 @@ class MeasureRep:
 
     @classmethod
     def gen_gaussian_scaled(cls, p: float, z: float = 1.0) -> "MeasureRep":
-        """Density proportional to exp(-|x|^p / z); z = 1 is the base law."""
-        from scipy.special import gammaincinv
-
+        """Density proportional to exp(-|x|^p / z); z = 1 is the base law.
+        The support is cut at the quantiles 1e-12 and 1 - 1e-12."""
+        _check_positive("p", p)
+        _check_positive("z", z)
         log_norm = np.log(2.0) + gammaln(1.0 + 1.0 / p) + np.log(z) / p
 
         def pdf(x):
             return np.exp(-np.abs(x) ** p / z - log_norm)
 
-        def quantile(u):
-            u = np.asarray(u, dtype=float)
-            tail = np.abs(2.0 * u - 1.0)
-            r = (z * gammaincinv(1.0 / p, tail)) ** (1.0 / p)
-            return np.sign(2.0 * u - 1.0) * r
-
-        return cls(kind="analytic", pdf=pdf, quantile=quantile,
-                   support=(-np.inf, np.inf),
+        # |X|^p / z ~ Gamma(1/p), and P(|X| > r) = 2e-12
+        r = (z * gammaincinv(1.0 / p, 1.0 - 2e-12)) ** (1.0 / p)
+        return cls(kind="analytic", pdf=pdf, support=(-r, r),
                    name=f"gen-gaussian(p={p}, z={z})")
 
     @classmethod
@@ -107,11 +118,8 @@ class MeasureRep:
             out[inside] = 1.0 / (np.pi * half * np.sqrt(1.0 - t[inside] ** 2))
             return out
 
-        def quantile(u):
-            return mid + half * np.sin(np.pi * (np.asarray(u) - 0.5))
-
-        return cls(kind="analytic", pdf=pdf, quantile=quantile,
-                   support=(a, b), name=f"arcsine[{a},{b}]")
+        return cls(kind="analytic", pdf=pdf, support=(a, b),
+                   name=f"arcsine[{a},{b}]")
 
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0) -> "MeasureRep":
@@ -119,19 +127,15 @@ class MeasureRep:
             x = np.asarray(x, dtype=float)
             return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
 
-        def quantile(u):
-            return a + (b - a) * np.asarray(u)
-
-        return cls(kind="analytic", pdf=pdf, quantile=quantile,
-                   support=(a, b), name=f"uniform[{a},{b}]")
+        return cls(kind="analytic", pdf=pdf, support=(a, b),
+                   name=f"uniform[{a},{b}]")
 
     @classmethod
     def beta_law(cls, a: float, b: float) -> "MeasureRep":
         from scipy.stats import beta as beta_dist
 
         return cls(kind="analytic", pdf=beta_dist(a, b).pdf,
-                   quantile=beta_dist(a, b).ppf, support=(0.0, 1.0),
-                   name=f"beta({a},{b})")
+                   support=(0.0, 1.0), name=f"beta({a},{b})")
 
     @classmethod
     def semicircle(cls, radius: float = 1.0) -> "MeasureRep":
@@ -144,25 +148,8 @@ class MeasureRep:
             out[inside] = 2.0 / (np.pi * r * r) * np.sqrt(r * r - x[inside] ** 2)
             return out
 
-        from scipy.optimize import brentq
-
-        def cdf(x):
-            t = np.clip(x / r, -1.0, 1.0)
-            return 0.5 + (t * np.sqrt(1 - t * t) + np.arcsin(t)) / np.pi
-
-        def quantile(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            out = np.array([brentq(lambda x: cdf(x) - ui, -r, r) for ui in u])
-            return out if out.size > 1 else float(out[0])
-
-        return cls(kind="analytic", pdf=pdf, quantile=quantile,
-                   support=(-r, r), name=f"semicircle(r={r})")
-
-    def bounds(self, tail: float) -> tuple[float, float]:
-        """The support, an unbounded end cut at the quantile tail or 1 - tail."""
-        lo, hi = self.support
-        return (lo if np.isfinite(lo) else float(self.quantile(tail)),
-                hi if np.isfinite(hi) else float(self.quantile(1.0 - tail)))
+        return cls(kind="analytic", pdf=pdf, support=(-r, r),
+                   name=f"semicircle(r={r})")
 
     # ---- projections ------------------------------------------------------
 
@@ -171,7 +158,7 @@ class MeasureRep:
         if self.kind == "grid":
             return self
         if self.kind == "atoms":
-            lo, hi = self.positions.min(), self.positions.max()
+            lo, hi = self.support
             pad = 0.05 * max(hi - lo, 1e-12)
             edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
             hist, _ = np.histogram(self.positions, bins=edges,
@@ -179,10 +166,29 @@ class MeasureRep:
             centers = 0.5 * (edges[:-1] + edges[1:])
             dens = hist / max(np.trapezoid(hist, centers), 1e-300)
             return MeasureRep.from_grid(centers, dens)
-        g = np.linspace(*self.bounds(1e-9), n_bins)
+        g = np.linspace(*self.support, n_bins)
         d = np.asarray(self.pdf(g), dtype=float)
         d = d / np.trapezoid(d, g)
         return MeasureRep.from_grid(g, d)
+
+
+def _angle_quad(mu: MeasureRep, phi: Callable) -> float:
+    """int phi(x, f(x)) f(x) dx over the support [c - h, c + h] of an
+    analytic mu with pdf f, as an integral over theta in [0, pi] with
+    x = c + h cos(theta).  The Jacobian h sin(theta) cancels the inverse
+    square-root edges of arcsine-like laws; points where f = 0 add 0."""
+    from scipy import integrate
+
+    lo, hi = mu.support
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def integrand(theta):
+        x = c + h * np.cos(theta)
+        fx = float(np.asarray(mu.pdf(x)))
+        return h * np.sin(theta) * fx * phi(x, fx) if fx > 0.0 else 0.0
+
+    val, _ = integrate.quad(integrand, 0.0, np.pi, limit=400)
+    return float(val)
 
 
 def moment_p(mu: MeasureRep, p: float) -> float:
@@ -191,12 +197,7 @@ def moment_p(mu: MeasureRep, p: float) -> float:
         return float(np.sum(mu.weights * np.abs(mu.positions) ** p))
     if mu.kind == "grid":
         return float(np.trapezoid(np.abs(mu.grid) ** p * mu.density, mu.grid))
-    # analytic: integrate in quantile coordinates, which is singularity-free
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda u: np.abs(mu.quantile(u)) ** p, 0.0, 1.0, limit=200)
-    return float(val)
+    return _angle_quad(mu, lambda x, fx: abs(x) ** p)
 
 
 def relative_entropy_gen_gaussian(mu: MeasureRep, p: float) -> float:
@@ -213,17 +214,8 @@ def relative_entropy_gen_gaussian(mu: MeasureRep, p: float) -> float:
         integrand = np.zeros_like(d)
         integrand[pos] = d[pos] * (np.log(d[pos]) - gen_gaussian_logpdf(p, g[pos]))
         return float(np.trapezoid(integrand, g))
-
-    from scipy import integrate
-
-    def integrand(x):
-        fx = float(np.asarray(mu.pdf(x)))
-        if fx <= 0.0:
-            return 0.0
-        return fx * (np.log(fx) - float(gen_gaussian_logpdf(p, x)))
-
-    val, _ = integrate.quad(integrand, *mu.bounds(1e-12), limit=400)
-    return float(val)
+    return _angle_quad(
+        mu, lambda x, fx: np.log(fx) - float(gen_gaussian_logpdf(p, x)))
 
 
 # --- logarithmic energy ------------------------------------------------------
@@ -251,9 +243,8 @@ def log_energy(mu: MeasureRep) -> float:
 
     the exact mean of log|x - y| over cell i x cell j (the log singularity
     integrated analytically), for all pairs of positive-mass cells at once.
-    Analytic: on the support [c - h, c + h] (an unbounded end cut at the
-    quantile 1e-12), t = (x - c) / h has density g(t) / (pi sqrt(1 - t^2)),
-    g = sum_k a_k T_k with the a_k from one DCT-II at n Chebyshev points.
+    Analytic: on the support [c - h, c + h], t = (x - c) / h has density
+    g(t) / (pi sqrt(1 - t^2)), g = sum_k a_k T_k with the a_k from one DCT-II at n Chebyshev points.
     T_k has log potential -T_k / k (-log 2 for k = 0), so E = log 2
     + sum_{k >= 1} (a_k / a_0)^2 / (2k) - log h, exact for a polynomial g.
     Richardson steps on n and 2n cancel the n^-2 error of square-root edges
@@ -291,7 +282,7 @@ def log_energy(mu: MeasureRep) -> float:
 
     from scipy.fft import dct
 
-    lo, hi = mu.bounds(1e-12)
+    lo, hi = mu.support
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sums = []
     for n in 2048 << np.arange(8):

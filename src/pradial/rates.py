@@ -38,9 +38,10 @@ from scipy.special import gammaln, logsumexp
 from .distributions import ParameterError, _check_positive
 from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gaussian
 
-# slack of the moment gate m <= 1: moment_p's quadrature lands a hair
-# above 1 on a law whose moment is exactly 1 (1 + 5.9e-14 on the
-# semicircle of radius 2, the zero of the cone-H rate at p = 2)
+# slack of the moment gate m <= 1: moment_p's quadrature can land a hair
+# above 1 on a law whose moment is 1 (1 + 2.4e-14 on the arcsine law of
+# [-sqrt 2, sqrt 2]; the semicircle of radius 2, the zero of the cone-H
+# rate at p = 2, gives 1 exactly)
 MOMENT_TOL = 1e-9
 
 _EUCLID_TARGETS = ("cone-euclid", "beta-euclid", "emp-euclid")
@@ -200,8 +201,8 @@ def rate_cone(mu: MeasureRep, family: str, p: float,
     for "H" and "M", with gate beta/(2p) and beta/p."""
     if family not in ("euclid", "H", "M"):
         raise ParameterError(f"unknown rate family {family!r}")
-    if family == "M":
-        _require_nonnegative_support(mu)
+    if family == "M" and mu.support[0] < 0:
+        raise ParameterError("this rate target requires nonnegative support")
     m = moment_p(mu, p / 2.0 if family == "M" else p)
     if m > 1.0 + MOMENT_TOL:
         return np.inf, m
@@ -209,17 +210,6 @@ def rate_cone(mu: MeasureRep, family: str, p: float,
         return relative_entropy_gen_gaussian(mu, p) + (1.0 - m), m
     return ((beta / 2.0) * log_energy(mu)
             + _gate(family, p, beta) * log_energy_constant(p)), m
-
-
-def _require_nonnegative_support(mu: MeasureRep):
-    if mu.kind == "atoms":
-        bad = np.any(mu.positions < 0)
-    elif mu.kind == "grid":
-        bad = mu.grid[0] < 0 and np.any(mu.density[mu.grid < 0] > 0)
-    else:
-        bad = mu.support[0] < 0
-    if bad:
-        raise ParameterError("this rate target requires nonnegative support")
 
 
 def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -315,6 +316,28 @@ class TestNormLaw:
                 f"<= threshold {flags[-1]}; outputs retained\n")
 
 
+    def test_failed_chain_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the same chain check as `sample`: a chain outside its acceptance
+        # window flags the run, whatever the KS test says
+        real = cli.sample_sq_singular_PM
+
+        def failing(*args, **kwargs):
+            s = real(*args, **kwargs)
+            return dataclasses.replace(
+                s, chain=dataclasses.replace(s.chain, ok=False))
+
+        monkeypatch.setattr(cli, "sample_sq_singular_PM", failing)
+        code, out = run(tmp_path, "test-norm-law", "--target", "singular-PM",
+                        "--n", "3", "--count", "200", "--seed", "3",
+                        "--ks-pvalue-threshold", "0")
+        assert code == 3
+        rep = read_json(out / "norm_law_report.json")
+        assert rep["chain"]["chain_ok"] is False
+        assert capsys.readouterr().err == (
+            "norm-split law flagged: chain diagnostics failed; "
+            "outputs retained\n")
+
+
 class TestRate:
     def test_beta_scan(self, tmp_path):
         code, out = run(tmp_path, "rate", "--target", "beta-euclid", "--p",
@@ -375,8 +398,7 @@ class TestRate:
 
     def test_wigner_law_on_the_gate_is_finite(self, tmp_path):
         # the semicircle of radius 2 has m_2 = 1 exactly and is the zero
-        # of the cone-H rate; quadrature puts its moment 6e-14 above 1,
-        # and its energy is 1/4
+        # of the cone-H rate; its energy is 1/4
         code, out = run(tmp_path, "rate", "--target", "cone-H", "--p", "2",
                         "--beta", "2", "--analytic", "semicircle", "--b", "2")
         assert code == 0
@@ -607,6 +629,18 @@ class TestParameterTable:
          {"a.csv": "x,y\n0.1,0.2\n0.3,0.4\n"}),
         (["rate", "--target", "emp-H", "--grid-csv", "g.csv"],
          {"g.csv": "x\n0.1\n0.2\n"}),
+        # header-only files: no data rows
+        (["rate", "--target", "emp-H", "--atoms-csv", "a.csv"],
+         {"a.csv": "x\n"}),
+        (["rate", "--target", "emp-H", "--grid-csv", "g.csv"],
+         {"g.csv": "x,density\n"}),
+        # degenerate analytic families: no interval to put the mass on
+        (["rate", "--target", "cone-H", "--analytic", "semicircle", "--b",
+          "0"], {}),
+        (["rate", "--target", "cone-H", "--analytic", "uniform", "--a", "1",
+          "--b", "0"], {}),
+        (["rate", "--target", "emp-euclid", "--analytic", "scaled-np", "--z",
+          "0"], {}),
         # these two fail inside the handler, after the config resolved
         (["rate", "--target", "cone-M", "--analytic", "uniform", "--a", "-1",
           "--b", "1"], {}),

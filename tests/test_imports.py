@@ -111,11 +111,20 @@ with tempfile.TemporaryDirectory() as out:
         assert cli.main(argv + ["--seed", "1", "--out", out]) == 0, argv
 """
 
+# an analytic family is a pdf on a finite support: building one finds no
+# quantile, and beta_law alone needs scipy.stats
+_ANALYTIC = """
+from pradial.measures import MeasureRep
+MeasureRep.semicircle(2.0), MeasureRep.arcsine(), MeasureRep.uniform()
+MeasureRep.gen_gaussian_scaled(2.0, 0.5)
+"""
+
 
 @pytest.mark.parametrize("code", [
     pytest.param("import pradial.cli", id="import-cli"),
     pytest.param("import pradial", id="import-package"),
-    pytest.param(_RUN, id="sample-norm-const-ldp-verify")])
+    pytest.param(_RUN, id="sample-norm-const-ldp-verify"),
+    pytest.param(_ANALYTIC, id="analytic-families")])
 def test_fresh_process_loads_no_heavy_subpackage(code):
     # a fresh interpreter, so that no other test has loaded them; the run
     # case shows that the cost did not move into the first call

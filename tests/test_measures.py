@@ -59,20 +59,41 @@ class TestMeasureRep:
         with pytest.raises(ParameterError):
             MeasureRep.from_grid(g, 2.0 * np.ones_like(g))
 
-    def test_analytic_needs_pdf_and_quantile(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"pdf": lambda x: 1.0},
+        {"pdf": lambda x: 1.0, "support": (0.0, np.inf)},
+        {"pdf": lambda x: 1.0, "support": (1.0, 1.0)},
+        {"pdf": lambda x: 1.0, "support": (0.0, float("nan"))},
+        {"support": (0.0, 1.0)},
+    ])
+    def test_analytic_needs_pdf_and_finite_support(self, kwargs):
+        with pytest.raises(ParameterError, match="finite support"):
+            MeasureRep(kind="analytic", **kwargs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MeasureRep.semicircle(0.0),
+        lambda: MeasureRep.semicircle(-1.0),
+        lambda: MeasureRep.uniform(1.0, 0.0),
+        lambda: MeasureRep.arcsine(2.0, 2.0),
+        lambda: MeasureRep.gen_gaussian_scaled(2.0, 0.0),
+        lambda: MeasureRep.gen_gaussian_scaled(0.0, 1.0),
+        lambda: MeasureRep.from_atoms([]),
+    ])
+    def test_degenerate_parameters_rejected(self, make):
         with pytest.raises(ParameterError):
-            MeasureRep(kind="analytic", pdf=lambda x: 1.0)
+            make()
+
+    def test_support_is_where_the_mass_is(self):
+        assert MeasureRep.from_atoms([0.5, -1.0, 2.0]).support == (-1.0, 2.0)
+        # the end cells [-1, -0.5] and [1.5, 2] carry no mass; [-0.5, 0]
+        # does, although its left knot has density 0
+        mu = MeasureRep.from_grid([-1.0, -0.5, 0.0, 1.0, 1.5, 2.0],
+                                  np.array([0, 0, 2, 2, 0, 0]) / 3.0)
+        assert mu.support == (-0.5, 1.5)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             MeasureRep(kind="mystery")
-
-    def test_semicircle_quantile_inverts_cdf(self):
-        mu = MeasureRep.semicircle(radius=2.0)
-        for u in (0.1, 0.5, 0.77):
-            x = mu.quantile(u)
-            cdf, _ = integrate.quad(mu.pdf, -2.0, x)
-            assert cdf == pytest.approx(u, abs=1e-8)
 
     def test_gen_gaussian_scaled_normalized(self):
         for p, z in ((2.0, 1.0), (1.0, 3.0), (3.0, 0.5)):
@@ -81,8 +102,11 @@ class TestMeasureRep:
             mass, _ = integrate.quad(mu.pdf, -lim, lim, points=[0.0],
                                      limit=300)
             assert mass == pytest.approx(1.0, abs=1e-9)
-            # quantile inverts the cdf at the median
-            assert mu.quantile(0.5) == pytest.approx(0.0, abs=1e-9)
+            # the support is cut at the quantiles 1e-12 and 1 - 1e-12
+            lo, hi = mu.support
+            assert lo == -hi
+            tail, _ = integrate.quad(mu.pdf, hi, np.inf)
+            assert tail == pytest.approx(1e-12, rel=1e-6)
 
     def test_to_grid_preserves_moments(self):
         mu = MeasureRep.beta_law(2.0, 3.0)
@@ -107,6 +131,15 @@ class TestMomentP:
         # semicircle radius r has second moment r^2/4
         mu = MeasureRep.semicircle(radius=2.0)
         assert moment_p(mu, 2.0) == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("make, p, want, tol", [
+        # smooth in the angle: the quadrature in quantile coordinates was
+        # off by 5.9e-14 and -1.1e-11 on these
+        (lambda: MeasureRep.semicircle(radius=2.0), 2.0, 1.0, 1e-14),
+        (lambda: MeasureRep.beta_law(2.0, 2.0), 2.0, 0.3, 1e-13),
+    ])
+    def test_closed_forms_in_the_angle(self, make, p, want, tol):
+        assert moment_p(make(), p) == pytest.approx(want, abs=tol)
 
     def test_gen_gaussian_p_moment(self):
         # m_p(N_p) = 1/p; the z-scaled family has m_p = z/p
@@ -133,11 +166,18 @@ class TestRelativeEntropy:
         mu = MeasureRep(
             kind="analytic",
             pdf=lambda x: stats.norm.pdf(x, scale=s),
-            quantile=lambda u: stats.norm.ppf(u, scale=s),
-            support=(-np.inf, np.inf))
+            support=(-10.0 * s, 10.0 * s))
         expected = -math.log(s * math.sqrt(2.0)) + s * s - 0.5
         assert relative_entropy_gen_gaussian(mu, 2.0) == pytest.approx(
             expected, abs=1e-7)
+
+    def test_arcsine_vs_n2_closed_form(self):
+        # H = int f log f - int f log N_2, where the arcsine law on [-1, 1]
+        # has differential entropy log(pi / 2) and m_2 = 1/2; x-space
+        # quadrature was off by -8.6e-10
+        expected = 0.5 + math.log(math.sqrt(math.pi)) - math.log(math.pi / 2.0)
+        assert relative_entropy_gen_gaussian(
+            MeasureRep.arcsine(), 2.0) == pytest.approx(expected, abs=1e-11)
 
     def test_nonnegative_on_grid(self):
         g = np.linspace(-3, 3, 4001)
@@ -160,7 +200,6 @@ def _dilate(mu, s):
     """The law of s X for X ~ mu, as an analytic measure."""
     lo, hi = mu.support
     return MeasureRep(kind="analytic", pdf=lambda x: mu.pdf(x / s) / s,
-                      quantile=lambda u: s * mu.quantile(u),
                       support=(s * lo, s * hi))
 
 

@@ -146,6 +146,14 @@ class TestConeRates:
         with pytest.raises(ParameterError):
             rate_cone(MeasureRep.uniform(-1.0, 1.0), "M", 2.0, 2.0)
 
+    def test_cone_m_rejects_grid_mass_below_zero(self):
+        # the knot -0.5 has density 0, yet the cell [-0.5, 0] holds a
+        # fifth of the mass
+        mu = MeasureRep.from_grid([-0.5, 0.0, 0.5, 1.0],
+                                  np.array([0.0, 1.0, 1.0, 1.0]) / 1.25)
+        with pytest.raises(ParameterError, match="nonnegative support"):
+            rate_cone(mu, "M", 2.0, 2.0)
+
     @pytest.mark.parametrize("family, mu, q", [
         ("euclid", MeasureRep.gen_gaussian_scaled(3.0, 1.0), 3.0),
         ("H", MeasureRep.arcsine(-1.2, 1.2), 3.0),
@@ -168,8 +176,9 @@ class TestConeRates:
 
 
 class TestMomentGate:
-    # moment_p of semicircle(2) is 1 + 5.9e-14: the tolerance must
-    # absorb quadrature error at the boundary, and nothing much larger
+    # moment_p of the arcsine law on [-sqrt 2, sqrt 2] is 1 + 2.4e-14
+    # (m_2 = 1 + 2.2e-16 after rounding sqrt 2): the tolerance must absorb
+    # quadrature error at the boundary, and nothing much larger
     def test_tolerance_is_small(self):
         assert 0.0 < MOMENT_TOL <= 1e-9
 
@@ -181,20 +190,26 @@ class TestMomentGate:
         assert np.isfinite(out["value"])
         assert out["branch"] == "finite"
 
+    def test_analytic_hair_above_one_is_finite(self):
+        mu = MeasureRep.arcsine(-math.sqrt(2.0), math.sqrt(2.0))
+        assert 1.0 < moment_p(mu, 2.0) <= 1.0 + MOMENT_TOL
+        out = rate(RateFnSpec(target="cone-H", p=2.0, beta=2.0), mu)
+        assert out["branch"] == "finite"
+        # E = log 2 - log sqrt 2, and the constant term is -1/4
+        assert out["value"] == pytest.approx(0.5 * math.log(2.0) - 0.25,
+                                             abs=1e-12)
+
     def test_beyond_tolerance_is_gated(self):
         mu = MeasureRep.from_atoms([-(1.0 + 1e-6), 1.0 + 1e-6])
         out = rate(RateFnSpec(target="cone-H", p=2.0, beta=2.0), mu)
         assert out["value"] == np.inf
         assert out["branch"] == "moment-gate"
 
-    def test_wigner_law_is_the_zero(self, monkeypatch):
-        # the semicircle of radius 2 has m_2 = 1 and is the cone-H zero;
-        # its energy takes the closed form 1/4 here, since the analytic
-        # quadrature costs about 50 s
-        from pradial import rates
-        monkeypatch.setattr(rates, "log_energy", lambda mu: 0.25)
+    def test_wigner_law_is_the_zero(self):
+        # the semicircle of radius 2 has m_2 = 1, on the gate, and is the
+        # cone-H zero; its energy is 1/4
         mu = MeasureRep.semicircle(radius=2.0)
-        assert moment_p(mu, 2.0) > 1.0
+        assert moment_p(mu, 2.0) == pytest.approx(1.0, abs=1e-15)
         out = rate(RateFnSpec(target="cone-H", p=2.0, beta=2.0), mu)
         assert out["branch"] == "finite"
         assert out["value"] == pytest.approx(0.0, abs=1e-12)
