@@ -19,6 +19,11 @@ beta * sum over j != i of (log|x_new - x_j| - log|x_old - x_j|), taken for
 all chains as (K, n) arrays with the self entry's distance set to 1, plus
 (beta/2 - 1) * log(x_new / x_old) for the orthant weight, and the accepted
 moves are scattered back.
+
+After every n steps (one sweep) each chain is rescaled to a pre-drawn
+radius R = ||x||_p^p.  For f homogeneous of degree m, R ~ Gamma((n+m)/p)
+independent of the direction x / ||x||_p, so the rescaling is an exact
+Gibbs step on R.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ BACKEND = "numpy"
 
 
 def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
-              adapt_until, adapt_up, adapt_down, thin, out, accepted):
+              adapt_until, adapt_up, adapt_down, thin, out, accepted, radii):
     """Run K chains in lockstep.  All randomness arrives pre-generated:
 
     x0            -- (K, n) starting states, one row per chain
@@ -47,6 +52,9 @@ def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
                      post-adapt state of every chain
     accepted      -- (T, K) bool buffer receiving each chain's accept
                      decision at every step
+    radii         -- (T // n, K) values of ||x||_p^p each chain is rescaled
+                     to after each sweep of n steps, before the state at
+                     that step is kept
 
     Returns nothing; results land in out / accepted / scales.
     """
@@ -84,6 +92,9 @@ def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
             acc = ok & (log_unifs[t] <= dlog)
             accepted[t] = acc
             xf[f] = np.where(acc, v[0], v[1])
+            if (t + 1) % n == 0:
+                r = np.sum(np.abs(x) ** p, axis=1, keepdims=True)
+                x *= (radii[t // n, :, None] / r) ** (1.0 / p)
             if t < adapt_until:
                 sf[f] *= np.where(acc, adapt_up[t], adapt_down[t])
             elif (t - adapt_until + 1) % thin == 0 and keep < out.shape[0]:

@@ -263,10 +263,12 @@ _TARGETS = {
 
 def _chain_report(chain) -> dict:
     """A chain's diagnostics.  Only chain_ok, the acceptance window, gates
-    an exit code; ess and rhat, both of ||x||_p^p, are reported."""
+    an exit code; ess and rhat of ||x||_p^p, and ess_dir and rhat_dir of
+    max|x_i| / ||x||_p, are reported."""
     return {"chain_ok": chain.ok, "accept_rate": chain.accept_rate,
             "accept_per_chain": chain.accept_per_chain, "ess": chain.ess,
-            "rhat": chain.rhat}
+            "rhat": chain.rhat, "ess_dir": chain.ess_dir,
+            "rhat_dir": chain.rhat_dir}
 
 
 def cmd_sample(cfg):

@@ -9,6 +9,10 @@ radial mixture construction: dividing a draw X ~ pi by
 
 The hot sweep lives in _kernels.py.  All randomness is pre-generated
 from the counter-based stream, so a seed fixes the chain bit for bit.
+After every sweep the kernel rescales each chain to a radius drawn here
+from the exact law of ||X||_p^p, Gamma((n + m)/p) for f of degree m, so
+only the direction is left to the Metropolis steps; burn-in, adaptation
+and thinning all count sweeps.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ ACCEPT_WINDOW = (0.2, 0.6)   # acceptable mean acceptance band
 @dataclass
 class ChainConfig:
     n_samples: int = 1000
-    burn_in: int = 2000          # adaptation steps (coordinate flips)
+    burn_in: int = 100           # adaptation sweeps of n coordinate flips
     thin: int = 1                # post-burn-in sweeps between kept states
-    n_chains: int = 4
+    n_chains: int = 16           # lockstep chains: burn-in is paid once
 
 
 @dataclass
@@ -46,6 +50,8 @@ class ChainResult:
     accept_per_chain: np.ndarray  # (n_chains,) post-burn-in acceptance
     ess: float                   # per-chain ESS of ||x||_p^p, summed
     rhat: float                  # rank-normalised split-R-hat of ||x||_p^p
+    ess_dir: float               # ess and rhat of max|x_i| / ||x||_p, the
+    rhat_dir: float              # direction the radius refresh leaves alone
     ok: bool                     # acceptance inside the required window
 
 
@@ -160,23 +166,28 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
 
     n_chains = cfg.n_chains
     per_chain = -(-cfg.n_samples // n_chains)  # ceil
-    n_adapt = cfg.burn_in
-    n_steps = n_adapt + per_chain * cfg.thin * n  # sweeps -> coordinate flips
+    n_sweeps = cfg.burn_in + per_chain * cfg.thin
+    n_adapt, n_steps = cfg.burn_in * n, n_sweeps * n  # in coordinate flips
+    # R = ||X||_p^p is Gamma((n + m) / p) under pi, whatever the direction
+    shape = (n + weight.degree(n)) / p
 
     # each chain's substream is drawn in the order a lone chain draws it:
-    # coordinates, increments, uniforms, then the start from a rewound copy
+    # coordinates, increments, uniforms, radii, then the start from a
+    # rewound copy
     coord_idx = np.empty((n_steps, n_chains), dtype=np.int64)
     normals = np.empty((n_steps, n_chains))
     log_unifs = np.empty((n_steps, n_chains))
+    radii = np.empty((n_sweeps, n_chains))
     x0 = np.empty((n_chains, n))
     for k, s in enumerate(rng.split(n_chains)):
         gen = s.gen
         coord_idx[:, k] = gen.integers(0, n, size=n_steps)
         normals[:, k] = gen.standard_normal(n_steps)
         log_unifs[:, k] = np.log(gen.random(n_steps))
+        radii[:, k] = gen.standard_gamma(shape, size=n_sweeps)
         x0[k] = _initial_state(n, p, weight, s.fresh())
-    # Robbins-Monro step sizes t^(-0.6), frozen after burn-in
-    adapt_rates = 1.0 / (1.0 + np.arange(n_steps, dtype=np.float64)) ** 0.6
+    # Robbins-Monro step sizes (1 + sweep)^(-0.6), frozen after burn-in
+    adapt_rates = 1.0 / (1.0 + np.arange(n_adapt) // n) ** 0.6
     adapt_up = np.exp(adapt_rates * (1.0 - TARGET_ACCEPT))
     adapt_down = np.exp(adapt_rates * (0.0 - TARGET_ACCEPT))
 
@@ -187,7 +198,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     _kernels.run_chain(x0, float(p), int(weight.kind), float(weight.beta),
                        coord_idx, normals, log_unifs, scales,
                        int(n_adapt), adapt_up, adapt_down,
-                       int(cfg.thin * n), out, accepted)
+                       int(cfg.thin * n), out, accepted, radii)
 
     # ordered emission: every state is reported sorted ascending; callers
     # that need exchangeable coordinates apply a uniform permutation
@@ -199,11 +210,14 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     # the diagnostics see every kept state of each chain, the few the pool
     # drops past n_samples included, so the chains have equal lengths
     norms = np.sum(np.abs(out) ** p, axis=2).T
+    dirs = np.abs(out).max(axis=2).T / norms ** (1.0 / p)
     lo, hi = ACCEPT_WINDOW
     return ChainResult(samples=samples, accept_rate=float(rate),
                        accept_per_chain=per_chain_rate,
                        ess=sum(geyer_ess(c) for c in norms),
-                       rhat=split_rhat(norms), ok=bool(lo <= rate <= hi))
+                       rhat=split_rhat(norms),
+                       ess_dir=sum(geyer_ess(c) for c in dirs),
+                       rhat_dir=split_rhat(dirs), ok=bool(lo <= rate <= hi))
 
 
 def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,

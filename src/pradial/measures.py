@@ -54,6 +54,8 @@ class MeasureRep:
         elif self.kind == "grid":
             self.grid = np.asarray(self.grid, dtype=float)
             self.density = np.asarray(self.density, dtype=float)
+            if np.any(np.diff(self.grid) < 0):
+                raise ParameterError("grid knots must not decrease")
             if np.any(self.density < 0):
                 raise ParameterError("grid density must be nonnegative")
             mass = np.trapezoid(self.density, self.grid)

@@ -176,12 +176,24 @@ class TestSample:
         assert code == 0
         diag = read_strict_json(out / "diagnostics.json")
         per_chain = diag["accept_per_chain"]
-        assert len(per_chain) == 4  # the default number of chains
+        assert len(per_chain) == 16  # the default number of chains
         assert all(0.0 < a < 1.0 for a in per_chain)
-        assert 0.0 < diag["ess"] <= 200
+        # 16 chains keep ceil(200 / 16) = 13 states each, and a chain's ESS
+        # is at most its length
+        assert 0.0 < diag["ess"] <= 16 * 13
         # reported, not gated: 50 states a chain is too few to hold it to
         # a bound
         assert 0.9 < diag["rhat"] < math.inf
+
+    def test_diagnostics_report_the_direction(self, tmp_path):
+        # the radius refresh mixes ||x||_p^p by construction, so the
+        # direction's ESS and R-hat are reported beside it, ungated
+        code, out = run(tmp_path, "sample", "--target", "singular-PM",
+                        "--n", "6", "--count", "320", "--seed", "2")
+        assert code == 0
+        diag = read_strict_json(out / "diagnostics.json")
+        assert 0.0 < diag["ess_dir"] < diag["ess"]
+        assert 0.9 < diag["rhat_dir"] < math.inf
 
     def test_weighted_pnpw_writes_diagnostics(self, tmp_path):
         code, out = run(tmp_path, "sample", "--target", "weighted-pnpw",
@@ -196,22 +208,22 @@ class TestSample:
         (("--target", "cone", "--n", "4", "--seed", "1", "--count", "2000"),
          "7b22feb579edb3a6"),
         (("--target", "eigen-PH", "--n", "4", "--seed", "1", "--theta",
-          "0.3", "--count", "300"), "eb04c6920a3e31fe"),
+          "0.3", "--count", "300"), "3d92f7397ee5e991"),
         (("--target", "eigen-PH", "--n", "16", "--seed", "1", "--theta",
-          "0.3", "--count", "300"), "918044d7be227a1b"),
+          "0.3", "--count", "300"), "8d1a51efc5885cb7"),
         (("--target", "singular-PM", "--n", "16", "--seed", "1", "--theta",
-          "0.3", "--count", "300"), "61ea39af8ec2e876"),
+          "0.3", "--count", "300"), "0af5f80ca98210b6"),
         (("--target", "uniform", "--n", "4", "--seed", "1", "--count",
           "2000"), "a51aabce2ccd1b2c"),
         (("--target", "pnpw", "--n", "4", "--seed", "1", "--theta", "0.3",
           "--alpha", "2", "--count", "2000"), "88a73382626842b3"),
         # beta != 2 turns on the orthant weight's power term
         (("--target", "singular-PM", "--n", "8", "--beta", "1", "--seed", "1",
-          "--theta", "0.3", "--count", "300"), "fc5dd27b9a87961e"),
+          "--theta", "0.3", "--count", "300"), "5bb74c603922b4b7"),
         (("--target", "singular-PM", "--n", "8", "--beta", "4", "--seed", "1",
-          "--theta", "0.3", "--count", "300"), "c23386c99f0fffe4"),
+          "--theta", "0.3", "--count", "300"), "13ee29431d1eb778"),
         (("--target", "eigen-PH", "--n", "8", "--beta", "1", "--seed", "1",
-          "--theta", "0.3", "--count", "300"), "105beaadcc4a5b77"),
+          "--theta", "0.3", "--count", "300"), "9422064f18b8d283"),
     ])
     def test_golden_digest(self, tmp_path, argv, digest):
         code, out = run(tmp_path, "sample", *argv)
@@ -629,6 +641,9 @@ class TestParameterTable:
          {"a.csv": "x,y\n0.1,0.2\n0.3,0.4\n"}),
         (["rate", "--target", "emp-H", "--grid-csv", "g.csv"],
          {"g.csv": "x\n0.1\n0.2\n"}),
+        # knots out of order: a negative-width cell still passes the mass
+        (["rate", "--target", "cone-H", "--grid-csv", "g.csv"],
+         {"g.csv": "x,density\n0,1.5\n1,1\n0.5,0\n"}),
         # header-only files: no data rows
         (["rate", "--target", "emp-H", "--atoms-csv", "a.csv"],
          {"a.csv": "x\n"}),

@@ -13,10 +13,10 @@ from pradial.matrixball import (EnsembleSpec, assemble_matrix_H,
                                 log_weyl_const_H, log_weyl_const_M,
                                 sample_eigenvalues_PH, sample_sq_singular_PM,
                                 spectral_measures)
-from pradial.mcmc import ChainConfig
+from pradial.mcmc import ChainConfig, geyer_ess, mcmc_sample
 from pradial.measures import moment_p
 from pradial.rng import RngStream
-from pradial.weights import log_delta_beta, log_nabla_beta
+from pradial.weights import WeightFn, log_delta_beta, log_nabla_beta
 
 
 def rng(stream=0):
@@ -231,6 +231,50 @@ class TestSamplers:
     def test_beta_validation(self):
         with pytest.raises(ParameterError):
             EnsembleSpec(n=3, p=2.0, beta=3.0)
+
+
+class TestChainAtDefaults:
+    """The chain at its default config, against exact laws at p = 2."""
+
+    @pytest.mark.parametrize("family", ["H", "M"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_direction_matches_beta_ensemble_at_n64(self, family, beta):
+        # the scale-free direction statistic max|x_i| / ||x||_q of the
+        # chain's draws against the Dumitriu-Edelman models.  The draws are
+        # autocorrelated, so the KS p-value counts the statistic's ESS
+        # (summed per chain) in place of the draws; and a floor on that ESS
+        # keeps the gate able to reject, since KS on a few dozen effective
+        # draws passes almost any law
+        n, size = 64, 2000
+        weight, q = ((WeightFn.delta_beta(beta), 2.0) if family == "H"
+                     else (WeightFn.nabla_beta(beta), 1.0))
+        res = mcmc_sample(n, q, weight, rng(30), ChainConfig(n_samples=size))
+        oracle = beta_ensemble_oracle(family, n, beta, rng(31), size=4000)
+
+        def direction_stat(v):
+            return np.abs(v).max(axis=1) / np.sum(np.abs(v) ** q,
+                                                  axis=1) ** (1.0 / q)
+
+        d = direction_stat(res.samples)
+        n_eff = sum(geyer_ess(c)
+                    for c in d.reshape(ChainConfig().n_chains, -1))
+        assert n_eff >= 0.05 * size
+        ks = stats.ks_2samp(d, direction_stat(oracle))
+        scale = math.sqrt(n_eff * oracle.shape[0] / (n_eff + oracle.shape[0]))
+        assert stats.kstwobign.sf(scale * ks.statistic) > 1e-3
+
+    def test_singular_pm_n32_norm_split(self):
+        # the configuration that failed with a 2000-flip burn-in: B = sum x_i
+        # must follow Beta(n^2 beta / p, 1) = Beta(1024, 1), and acceptance
+        # must sit in its window
+        n = 32
+        s = sample_sq_singular_PM(EnsembleSpec(n=n, p=2.0, beta=2.0),
+                                  RngStream(1), size=2000)
+        assert s.chain.ok
+        b = np.sum(s.points ** s.p, axis=1)
+        shape = (n + s.degree) / s.p
+        assert shape == 1024.0
+        assert stats.kstest(b, stats.beta(shape, 1.0).cdf).pvalue > 1e-6
 
 
 class TestAssembly:

@@ -102,12 +102,36 @@ class TestMcmcSample:
     def test_diagnostics_sum_the_chains(self):
         # the pool holds each chain's kept states in turn
         res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(9),
-                          ChainConfig(n_samples=4000, thin=4))
+                          ChainConfig(n_samples=4000, thin=4, n_chains=4))
         norms = np.sum(res.samples ** 2, axis=1).reshape(4, 1000)
         assert res.ess == pytest.approx(sum(geyer_ess(c) for c in norms),
                                         rel=1e-9)
         assert res.rhat == pytest.approx(split_rhat(norms), rel=1e-9)
         assert res.rhat < 1.05
+
+    def test_direction_diagnostics(self):
+        # ess_dir and rhat_dir read max|x_i| / ||x||_p chain by chain; the
+        # radius refresh leaves this statistic to the Metropolis flips.  The
+        # chain sums unsorted states, so ranks of near ties may differ
+        res = mcmc_sample(5, 1.5, nabla_beta(2.0), rng(19),
+                          ChainConfig(n_samples=1600))
+        x = res.samples
+        dirs = (x.max(axis=1) / np.sum(x ** 1.5, axis=1) ** (1 / 1.5)
+                ).reshape(16, 100)
+        assert res.ess_dir == pytest.approx(sum(geyer_ess(c) for c in dirs),
+                                            rel=1e-9)
+        assert res.rhat_dir == pytest.approx(split_rhat(dirs), rel=1e-6)
+        assert 0.0 < res.ess_dir < res.ess
+
+    def test_radius_refresh_is_exact(self):
+        # after each sweep R = ||x||_p^p is redrawn from its law under pi,
+        # Gamma((n + m) / p), so kept radii are independent Gamma draws
+        n, p, w = 6, 1.5, delta_beta(1.0)
+        res = mcmc_sample(n, p, w, rng(21), ChainConfig(n_samples=4000))
+        r = np.sum(np.abs(res.samples) ** p, axis=1)
+        shape = (n + w.degree(n)) / p
+        assert stats.kstest(r, stats.gamma(shape).cdf).pvalue > 1e-3
+        assert res.ess > 0.8 * r.size
 
     def test_emission_sorted(self):
         res = mcmc_sample(5, 2.0, delta_beta(2.0), rng(3),
@@ -141,15 +165,16 @@ class TestMcmcSample:
         # O(n) incremental update; a textbook loop that rescores the full
         # log target on one chain's pre-generated randomness must take the
         # same accept/reject path as that chain's column of the batch, at
-        # every step, adaptation included
-        n, n_chains, steps, keep, adapt_until = 6, 3, 5000, 100, 2000
+        # every step, adaptation and radius refresh included
+        n, n_chains, steps, keep, adapt_until = 6, 3, 5004, 100, 2004
         t = np.arange(adapt_until, dtype=float)
         rates = 1.0 / (1.0 + t) ** 0.6
         up = np.exp(rates * (1.0 - 0.35))
         down = np.exp(rates * (0.0 - 0.35))
         thin = (steps - adapt_until) // keep
 
-        def reference(x0, p, weight, coord_idx, normals, log_unifs, scales):
+        def reference(x0, p, weight, coord_idx, normals, log_unifs, radii,
+                      scales):
             x = x0.copy()
             out, path = [], []
             for step, i in enumerate(coord_idx):
@@ -162,6 +187,10 @@ class TestMcmcSample:
                 path.append(accepted)
                 if accepted:
                     x = y
+                if (step + 1) % n == 0:
+                    # the exact Gibbs step on R = ||x||_p^p after a sweep
+                    r = np.sum(np.abs(x) ** p, keepdims=True)
+                    x = x * (radii[step // n] / r) ** (1.0 / p)
                 if step < adapt_until:
                     scales[i] *= up[step] if accepted else down[step]
                 elif (step - adapt_until + 1) % thin == 0 and len(out) < keep:
@@ -179,21 +208,25 @@ class TestMcmcSample:
                 draws.append((np.sort(gen.random(n)) + np.arange(n) * 0.5 + 0.1,
                               gen.integers(0, n, size=steps),
                               gen.standard_normal(steps),
-                              np.log(gen.random(steps))))
+                              np.log(gen.random(steps)),
+                              gen.standard_gamma((n + weight.degree(n)) / p,
+                                                 size=steps // n)))
             x0 = np.stack([d[0] for d in draws])
-            coord_idx, normals, log_unifs = (
-                np.stack([d[j] for d in draws], axis=1) for j in (1, 2, 3))
+            coord_idx, normals, log_unifs, radii = (
+                np.stack([d[j] for d in draws], axis=1) for j in (1, 2, 3, 4))
             scales = np.full((n_chains, n), 1.0)
             out = np.empty((keep, n_chains, n))
             accepted = np.empty((steps, n_chains), dtype=bool)
             _kernels.run_chain(x0.copy(), p, weight.kind, weight.beta,
                                coord_idx, normals, log_unifs, scales,
-                               adapt_until, up, down, thin, out, accepted)
+                               adapt_until, up, down, thin, out, accepted,
+                               radii)
             for k in range(n_chains):
                 ref_scales = np.full(n, 1.0)
                 ref_out, ref_path = reference(x0[k], p, weight,
                                               coord_idx[:, k], normals[:, k],
-                                              log_unifs[:, k], ref_scales)
+                                              log_unifs[:, k], radii[:, k],
+                                              ref_scales)
                 assert 0 < accepted[adapt_until:, k].sum() < steps - adapt_until
                 assert np.array_equal(accepted[:, k], ref_path), (weight.name, k)
                 assert np.array_equal(out[:, k], ref_out), (weight.name, k)
@@ -202,9 +235,11 @@ class TestMcmcSample:
     def test_kernel_signature_read_by_benchmark(self):
         # the benchmark's tracer reads run_chain's arguments by position
         # (coord_idx for the flip count, out for the kept states) and
-        # records _kernels.BACKEND in every result file
+        # records _kernels.BACKEND in every result file; radii came last so
+        # that neither moved
         params = list(inspect.signature(_kernels.run_chain).parameters)
         assert params[4] == "coord_idx" and params[12] == "out"
+        assert params[-1] == "radii"
         assert isinstance(_kernels.BACKEND, str)
 
     @pytest.mark.parametrize("n", [0, -2])
