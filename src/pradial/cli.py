@@ -64,6 +64,25 @@ def load_defaults() -> dict:
 
 # cells formatted per block: bounds the Python objects alive at once
 _CSV_BLOCK_CELLS = 1 << 14
+# tables above this many cells are formatted in worker processes: below
+# it, starting the workers costs more than they save
+_CSV_PARALLEL_CELLS = 1 << 20
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_block(block) -> str:
+    """The CSV text of a block of rows.  Private, so that a tracer that
+    wraps the public functions leaves it picklable by name."""
+    if isinstance(block, np.ndarray):
+        block = block.tolist()
+    return "".join([",".join(map(format, row)) + "\n" for row in block])
 
 
 def write_csv(path: Path, header, rows):
@@ -76,16 +95,34 @@ def write_csv(path: Path, header, rows):
     for numpy scalars too, whatever numpy's print options, and costs no
     Python call per cell.  Rows go out in blocks, one write per block; an
     array block is boxed into Python scalars by a single ``tolist``.
+
+    Formatting costs about ten times the exact draws it writes, so a table
+    of more than 2^20 cells, on a process that may use two or more CPUs,
+    has its blocks formatted by one worker process per CPU.  Blocks go to
+    the workers by pickle and come back in order, at most four per worker
+    in flight, so the bytes and the parent's memory are those of the
+    serial loop.  No worker outlives the call, whether it returns or
+    raises.
     """
     step = max(1, _CSV_BLOCK_CELLS // len(header))
+    blocks = (rows[i:i + step] for i in range(0, len(rows), step))
+    workers = min(_cpus(), -(-len(rows) // step))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
-            fh.write("".join([",".join(map(format, row)) + "\n"
-                              for row in block]))
+        if len(rows) * len(header) <= _CSV_PARALLEL_CELLS or workers < 2:
+            for block in blocks:
+                fh.write(_format_block(block))
+            return
+        from collections import deque
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
+            pending = deque()
+            for block in blocks:
+                pending.append(pool.submit(_format_block, block))
+                if len(pending) == 4 * workers:
+                    fh.write(pending.popleft().result())
+            for future in pending:
+                fh.write(future.result())
 
 
 def _strict(o):
@@ -264,9 +301,11 @@ _TARGETS = {
 def _chain_report(chain) -> dict:
     """A chain's diagnostics.  Only chain_ok, the acceptance window, gates
     an exit code; ess and rhat of ||x||_p^p, and ess_dir and rhat_dir of
-    max|x_i| / ||x||_p, are reported."""
+    max|x_i| / ||x||_p, are reported, over the kept states counted in
+    states, which may exceed the rows written."""
     return {"chain_ok": chain.ok, "accept_rate": chain.accept_rate,
-            "accept_per_chain": chain.accept_per_chain, "ess": chain.ess,
+            "accept_per_chain": chain.accept_per_chain,
+            "states": chain.states, "ess": chain.ess,
             "rhat": chain.rhat, "ess_dir": chain.ess_dir,
             "rhat_dir": chain.rhat_dir}
 

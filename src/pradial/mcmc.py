@@ -48,6 +48,8 @@ class ChainResult:
     samples: np.ndarray          # (n_samples, n), pooled across chains
     accept_rate: float
     accept_per_chain: np.ndarray  # (n_chains,) post-burn-in acceptance
+    states: int                  # kept states the diagnostics cover,
+                                 # n_chains * ceil(n_samples / n_chains)
     ess: float                   # per-chain ESS of ||x||_p^p, summed
     rhat: float                  # rank-normalised split-R-hat of ||x||_p^p
     ess_dir: float               # ess and rhat of max|x_i| / ||x||_p, the
@@ -214,6 +216,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     lo, hi = ACCEPT_WINDOW
     return ChainResult(samples=samples, accept_rate=float(rate),
                        accept_per_chain=per_chain_rate,
+                       states=n_chains * per_chain,
                        ess=sum(geyer_ess(c) for c in norms),
                        rhat=split_rhat(norms),
                        ess_dir=sum(geyer_ess(c) for c in dirs),
@@ -239,23 +242,33 @@ def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
     """Monte-Carlo estimate of the normalization constant C making
     C * integral exp(-||x||_p^p) f(x) dx = 1.
 
-    Importance-samples with the product generalized Gaussian (or its
-    positive half on the orthant) and averages f in log space via
-    log-sum-exp.  Returns (log C, standard error of log C, ess): the error
-    is the relative error of the underlying mean, and ess is the Kish
-    effective sample size (sum v)^2 / sum v^2 of the importance weights
-    v = f(x).  An ess near 1 means one draw carries the whole estimate,
-    and the standard error is then not to be trusted.
+    Importance-samples with the product generalized Gaussian Y (or its
+    positive half on the orthant), with the radius integrated out:
+    ||Y||_p^p ~ Gamma(n/p) is independent of Y / ||Y||_p, so for f of
+    degree m, E f(Y) = Gamma((n+m)/p) / Gamma(n/p) * E f(Y / ||Y||_p).
+    f is averaged over the directions in log space via log-sum-exp.
+    Returns (log C, standard error of log C, ess): the error is the
+    relative error of the underlying mean, and ess is the Kish effective
+    sample size (sum v)^2 / sum v^2 of the importance weights
+    v = f(y / ||y||_p).  An ess near 1 means one draw carries the whole
+    estimate, and the standard error is then not to be trusted.
     """
     x = sample_gen_gaussian(p, rng, size=(size, n),
                             positive=weight.orthant_only)
+    # the direction y / ||y||_p; sum |y_i|^p is a Gamma draw, never
+    # overflows, and needs none of lp_norm's scaling
+    r = np.abs(x)
+    r **= p
+    x /= (r.sum(axis=1) ** (1.0 / p))[:, None]
     logf = np.asarray(weight.log_eval(x), dtype=float)
     finite = np.isfinite(logf)
     # base normalization: the product density integrates
-    # (2 Gamma(1+1/p))^n over R^n, halved per coordinate on the orthant
+    # (2 Gamma(1+1/p))^n over R^n, halved per coordinate on the orthant;
+    # then the radius's moment E ||Y||_p^m
     log_base = n * (np.log(2.0) + gammaln(1.0 + 1.0 / p))
     if weight.orthant_only:
         log_base -= n * np.log(2.0)
+    log_base += gammaln((n + weight.degree(n)) / p) - gammaln(n / p)
     m = np.max(logf[finite]) if finite.any() else -np.inf
     if not np.isfinite(m):
         return -np.inf, np.inf, 0.0

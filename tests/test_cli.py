@@ -5,8 +5,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from pradial import cli
 from pradial.cli import main, write_csv
 from pradial.measures import MeasureRep
 from pradial.rates import rate_cone
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(tmp_path, *argv):
@@ -127,6 +134,137 @@ class TestWriteCsv:
         assert peak < 16e6
 
 
+def _big_table(kind):
+    """A table of just over 2^20 cells, the size that is formatted in
+    worker processes."""
+    rng = np.random.default_rng(9)
+    if kind == "float64":
+        x = rng.standard_normal((21_000, 50)) ** 9
+        specials = np.array(_SPECIAL * 10).reshape(-1, 50)
+        # at the start, across a block boundary and at the end
+        x[:3] = x[326:329] = x[-3:] = specials
+        return x
+    if kind == "float32":
+        return (rng.standard_normal((21_000, 50)) * 1e-3).astype(np.float32)
+    u = rng.standard_normal(150_000)
+    return [(i, float(v), np.float64(v / 3), "" if i % 2 else "a",
+             _SPECIAL[i % len(_SPECIAL)], np.int64(-i), np.float32(v))
+            for i, v in enumerate(u)]
+
+
+class _SpyPool:
+    """Counts the process pools write_csv starts."""
+
+    def __init__(self):
+        import concurrent.futures
+        self.started = 0
+        self.real = concurrent.futures.ProcessPoolExecutor
+
+    def __call__(self, *args, **kwargs):
+        self.started += 1
+        return self.real(*args, **kwargs)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """write_csv sees two CPUs, whatever this host has, and its pools are
+    counted."""
+    import concurrent.futures
+    spy = _SpyPool()
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return spy
+
+
+class TestParallelWriteCsv:
+    """A table above 2^20 cells is formatted in worker processes, with the
+    bytes of the serial loop."""
+
+    @pytest.mark.parametrize("kind", ["float64", "float32", "tuples"])
+    def test_bytes_match_reference(self, tmp_path, two_cpus, kind):
+        rows = _big_table(kind)
+        TestWriteCsv().assert_same(tmp_path,
+                                   [f"c{i}" for i in range(len(rows[0]))],
+                                   rows)
+        assert two_cpus.started == 1
+
+    def test_workers_need_no_fork(self, tmp_path):
+        # blocks and the formatter reach the workers by pickle, so a spawned
+        # worker, which inherits nothing, writes the same bytes; a fresh
+        # interpreter, since a process sets its start method once, and the
+        # threshold lowered there to keep the table small
+        code = ("import multiprocessing, sys, numpy as np\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "from pradial import cli\n"
+                "cli._CSV_PARALLEL_CELLS = 0\n"
+                "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "import concurrent.futures as cf\n"
+                "pools, real = [], cf.ProcessPoolExecutor\n"
+                "cf.ProcessPoolExecutor = lambda w: pools.append(w) or real(w)\n"
+                "x = np.random.default_rng(3).standard_normal((2000, 50))\n"
+                "cli.write_csv(sys.argv[1], [f'x{i}' for i in range(50)], x)\n"
+                "assert pools == [2] and not multiprocessing.active_children()\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code,
+                               str(tmp_path / "new.csv")], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        x = np.random.default_rng(3).standard_normal((2000, 50))
+        reference_write_csv(tmp_path / "ref.csv",
+                            [f"x{i}" for i in range(50)], x)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_no_worker_outlives_a_write(self, tmp_path, two_cpus):
+        write_csv(tmp_path / "big.csv", [f"x{i}" for i in range(50)],
+                  _big_table("float64"))
+        assert two_cpus.started == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses every write")
+    def test_no_worker_outlives_a_failed_write(self, two_cpus):
+        with pytest.raises(OSError):
+            write_csv("/dev/full", [f"x{i}" for i in range(50)],
+                      _big_table("float64"))
+        assert two_cpus.started == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
+    def test_one_cpu_stays_in_process(self, tmp_path, monkeypatch, cpus):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started on one CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        # every table is big enough, so only the CPU count keeps it serial
+        monkeypatch.setattr(cli, "_CSV_PARALLEL_CELLS", 0)
+        if cpus == "affinity":
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        else:
+            # a platform without the affinity call falls back to cpu_count
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        x = np.random.default_rng(4).standard_normal((3000, 50))
+        TestWriteCsv().assert_same(tmp_path, [f"x{i}" for i in range(50)], x)
+
+    def test_parent_streams_in_blocks(self, tmp_path, two_cpus):
+        # the parent holds at most four blocks a worker in flight, each a
+        # few hundred kB of text, never the whole table
+        x = _big_table("float64")
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", [f"x{i}" for i in range(50)], x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert two_cpus.started == 1
+        assert peak < 16e6
+
+
 class TestSample:
     def test_cone_outputs_and_manifest(self, tmp_path):
         code, out = run(tmp_path, "sample", "--target", "cone", "--n", "3",
@@ -180,10 +318,22 @@ class TestSample:
         assert all(0.0 < a < 1.0 for a in per_chain)
         # 16 chains keep ceil(200 / 16) = 13 states each, and a chain's ESS
         # is at most its length
-        assert 0.0 < diag["ess"] <= 16 * 13
+        assert diag["states"] == 16 * 13
+        assert 0.0 < diag["ess"] <= diag["states"]
         # reported, not gated: 50 states a chain is too few to hold it to
         # a bound
         assert 0.9 < diag["rhat"] < math.inf
+
+    def test_states_are_the_base_of_ess(self, tmp_path):
+        # 5 rows from 16 chains: each chain keeps one state, and the
+        # diagnostics cover all 16
+        code, out = run(tmp_path, "sample", "--target", "eigen-PH", "--n",
+                        "3", "--count", "5", "--seed", "1")
+        assert code == 0
+        assert len(read_csv(out / "samples.csv")) == 1 + 5
+        diag = read_strict_json(out / "diagnostics.json")
+        assert diag["states"] == 16
+        assert 0.0 < diag["ess"] <= diag["states"]
 
     def test_diagnostics_report_the_direction(self, tmp_path):
         # the radius refresh mixes ||x||_p^p by construction, so the

@@ -50,9 +50,11 @@ def test_no_unused_imports(path):
 # Importing pradial loads numpy and scipy.special only.  These scipy
 # subpackages cost most of a fresh `import pradial.cli`, and most
 # subcommands never call them, so each is imported in the function that
-# calls it.
+# calls it.  The process pool that formats big CSV tables is imported
+# the same way, so that small outputs never load it.
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
-         "scipy.interpolate", "scipy.linalg", "scipy.fft")
+         "scipy.interpolate", "scipy.linalg", "scipy.fft",
+         "multiprocessing", "concurrent.futures.process")
 
 
 def import_time_modules(source: str) -> list[str]:

@@ -39,6 +39,17 @@ class TestWeylConstants:
                               - math.lgamma(beta / 2.0)))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_h_is_the_frobenius_ball_volume(self, log_mehta):
+        # the Frobenius unit ball of the H class is a Euclidean ball of
+        # dimension d, so c_H * int exp(-|x|^2) |Delta|^beta = pi^(d/2),
+        # the integral being Mehta's
+        for n in range(1, 33):
+            for beta in (1.0, 2.0, 4.0):
+                d = n + beta * n * (n - 1) / 2.0
+                lhs = log_weyl_const_H(n, beta) + log_mehta(n, beta)
+                assert lhs == pytest.approx(d / 2.0 * math.log(math.pi),
+                                            rel=0.0, abs=1e-10)
+
     def test_finite_for_moderate_n(self):
         for n in (5, 10, 20):
             for beta in (1.0, 2.0, 4.0):

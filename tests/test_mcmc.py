@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from pradial import _kernels
 from pradial.distributions import (ParameterError, RadialLawW,
                                    sample_gen_gaussian)
+from pradial.lpgeom import lp_norm
 from pradial.mcmc import (ChainConfig, estimate_norm_const, geyer_ess,
                           log_target, mcmc_sample, sample_weighted_pnpw,
                           split_rhat)
@@ -292,11 +293,13 @@ class TestNormConst:
             assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_abs_x_squared_n1(self):
-        # f(x) = x^2: integral of x^2 exp(-x^2) = Gamma(3/2), C = 1/Gamma(3/2)
+        # f(x) = x^2: integral of x^2 exp(-x^2) = Gamma(3/2), C = 1/Gamma(3/2).
+        # At n = 1 the direction is +-1, where f is 1, so the radius's
+        # moment alone carries the integral and the estimate is exact
         w = custom(lambda x: 2.0 * np.sum(np.log(np.abs(x)), axis=-1), 2.0)
         log_c, se, _ = estimate_norm_const(1, 2.0, w, rng(11), size=400000)
-        assert log_c == pytest.approx(-math.log(math.gamma(1.5)), abs=0.01)
-        assert 0.0 < se < 0.01
+        assert log_c == pytest.approx(-math.log(math.gamma(1.5)), abs=1e-12)
+        assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_delta_weight_vs_quadrature(self):
         # n=2, p=2, beta=1: integral of |x-y| exp(-x^2-y^2) dx dy
@@ -308,27 +311,38 @@ class TestNormConst:
         assert log_c == pytest.approx(-math.log(val), abs=3 * se + 1e-4)
         assert se < 0.01
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_delta_within_4_se_of_mehta(self, n, beta, log_mehta):
+        # at p = 2 Mehta's integral gives log C exactly; without the radius
+        # integrated out, these draws land 19 SE off at n = 8, beta = 2 and
+        # 71 SE off at beta = 4
+        log_c, se, _ = estimate_norm_const(n, 2.0, delta_beta(beta),
+                                           rng(20 + n), size=100000)
+        assert abs(log_c + log_mehta(n, beta)) < 4 * se
 
     @pytest.mark.parametrize("n, p, weight, stream, want", [
         (4, 2.0, delta_beta(2.0), 41,
-         (-3.693570724477876, 0.05995793116673796)),
+         (-3.8059336844314133, 0.004037764374240286)),
         (3, 1.5, nabla_beta(1.0), 42,
-         (0.36126067934646855, 0.009204305182502925)),
+         (0.3572507828662932, 0.007823350868100574)),
         (9, 2.0, delta_beta(2.0), 43,
-         (-19.20600450467542, 0.7917912718051516)),
+         (-29.18629187519875, 0.022866146519989774)),
     ])
     def test_estimate_is_pinned(self, n, p, weight, stream, want):
-        # exact float values of the dense-cube implementation (see
+        # exact float values of the radius-integrated estimator (see
         # CHANGES.md); 200001 rows are not a multiple of any pair block
         log_c, se, _ = estimate_norm_const(n, p, weight,
                                            RngStream(777, stream), size=200001)
         assert (log_c, se) == want
 
     def test_ess_is_kish_of_the_weights(self):
-        # the same stream drawn again gives the importance weights v = f(x)
+        # the same stream drawn again gives the importance weights
+        # v = f(y / ||y||_p)
         n, p, size, weight = 5, 2.0, 20000, delta_beta(2.0)
         _, _, ess = estimate_norm_const(n, p, weight, rng(17), size=size)
-        logf = weight.log_eval(sample_gen_gaussian(p, rng(17), size=(size, n)))
+        y = sample_gen_gaussian(p, rng(17), size=(size, n))
+        logf = weight.log_eval(y / lp_norm(y, p)[:, None])
         v = np.exp(logf - logf.max())
         assert ess == pytest.approx(v.sum() ** 2 / np.sum(v * v), rel=1e-12)
         assert 1.0 <= ess < size
