@@ -280,7 +280,8 @@ _EXACT_LAWS = {"cone": RadialLawW.dirac(), "uniform": RadialLawW.exponential(),
                "pnpw": None}
 
 # target -> draw(cfg, law, rng), a PBallSample.  A draw's rows are its
-# `points`; a chain target's `chain` holds its diagnostics, and the
+# `points`; a chain draw's `chain` holds its diagnostics (None when the
+# spectral targets draw exactly, at p = 2), and the
 # norm-split statistic of a row, sum |x_i|^q with q the sample's p, has
 # the Beta shape (n + degree) / q.  The lambdas look samplers up when
 # called, so a rebound module-level name is the one that runs.
@@ -303,7 +304,8 @@ def _chain_report(chain) -> dict:
     an exit code; ess and rhat of ||x||_p^p, and ess_dir and rhat_dir of
     max|x_i| / ||x||_p, are reported, over the kept states counted in
     states, which may exceed the rows written."""
-    return {"chain_ok": chain.ok, "accept_rate": chain.accept_rate,
+    return {"method": "chain", "chain_ok": chain.ok,
+            "accept_rate": chain.accept_rate,
             "accept_per_chain": chain.accept_per_chain,
             "states": chain.states, "ess": chain.ess,
             "rhat": chain.rhat, "ess_dir": chain.ess_dir,
@@ -317,11 +319,14 @@ def cmd_sample(cfg):
     s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), RngStream(cfg["seed"]))
     outputs = {"samples.csv": ([f"x{i + 1}" for i in range(cfg["n"])],
                                s.points)}
-    chain = s.chain
-    if chain is None:
+    if cfg["target"] in _EXACT_LAWS:
         return outputs, None
-    outputs["diagnostics.json"] = _chain_report(chain)
-    return outputs, (None if chain.ok
+    # the spectral targets draw exactly at p = 2, one independent state a row
+    chain = s.chain
+    outputs["diagnostics.json"] = (
+        {"method": "exact", "states": len(s.points)} if chain is None
+        else _chain_report(chain))
+    return outputs, (None if chain is None or chain.ok
                      else "chain diagnostics failed; outputs retained")
 
 
@@ -329,7 +334,7 @@ def cmd_sample(cfg):
 
 def _norm_split_samples(cfg, rng):
     """B draws, the beta shape parameter and the chain's diagnostics
-    (None for the exact euclid target) for the selected target."""
+    (None for an exact draw) for the selected target."""
     n, p = cfg["n"], cfg["p"]
     law = _law_from(cfg)
     if cfg["target"] == "euclid":
@@ -339,7 +344,8 @@ def _norm_split_samples(cfg, rng):
     s = _TARGETS[cfg["target"]](cfg, law, rng)
     # the norm-split statistic is recovered exactly from the draws
     b = np.sum(np.abs(s.points) ** s.p, axis=1)
-    return b, (n + s.degree) / s.p, _chain_report(s.chain)
+    return b, (n + s.degree) / s.p, (None if s.chain is None
+                                       else _chain_report(s.chain))
 
 
 def cmd_test_norm_law(cfg):
@@ -533,15 +539,24 @@ _WEIGHTS = {
 
 
 def cmd_norm_const(cfg):
-    n, p = cfg["n"], cfg["p"]
+    n, p, count = cfg["n"], cfg["p"], cfg["count"]
     weight = _WEIGHTS[cfg["weight"]](cfg)
     log_c, se, ess = estimate_norm_const(n, p, weight, RngStream(cfg["seed"]),
-                                         size=cfg["count"])
+                                         size=count)
+    # below this many effective draws a few draws carry the estimate, and
+    # se_log no longer measures its error
+    floor = min(1000.0, count / 100.0)
     report = {"weight": weight.name, "n": n, "p": p,
-              "log_norm_const": log_c, "se_log": se, "ess": ess}
-    return {"norm_const.json": report}, (
-        None if np.isfinite(log_c)
-        else "degenerate estimate: weight vanished on every draw")
+              "log_norm_const": log_c, "se_log": se, "ess": ess,
+              "ess_floor": floor}
+    if not np.isfinite(log_c):
+        failure = "degenerate estimate: weight vanished on every draw"
+    elif ess < floor:
+        failure = (f"importance ess {ess:.3g} below floor {floor:g}; "
+                   "outputs retained")
+    else:
+        failure = None
+    return {"norm_const.json": report}, failure
 
 
 # --- parser -------------------------------------------------------------------

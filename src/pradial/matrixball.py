@@ -15,13 +15,15 @@ quaternionic self-dual):
 This module is the one place that pairs a family with its weight and
 exponent.  Both samplers return the lpgeom.PBallSample of the weighted
 radial mixture, whose p is the exponent (p for H, p/2 for M) and whose
-degree is the weight's homogeneity degree.
+degree is the weight's homogeneity degree.  At p = 2 the spectra under
+the radial mixture are the Hermite and Laguerre beta-ensembles, which
+beta_ensemble_spectra draws exactly from the tridiagonal models of
+Dumitriu & Edelman; the sample's chain is then None.  At every other p
+the chain of mcmc.sample_weighted_pnpw draws them.
 
 Normalization constants from the Weyl integration formula are computed in
 log space.  Matrix assembly (conjugating a spectrum by Haar-distributed
-frames) is provided for beta in {1, 2}; beta = 4 is spectral-only.  The
-exact beta-ensemble oracle draws both families' chain targets at p = 2
-for beta in {1, 2, 4}.
+frames) is provided for beta in {1, 2}; beta = 4 is spectral-only.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import ParameterError, RadialLawW, _check_positive
-from .lpgeom import PBallSample
+from .distributions import ParameterError, RadialLawW, _check_positive, sample_W
+from .lpgeom import PBallSample, _finish_sample
 from .mcmc import ChainConfig, sample_weighted_pnpw
 from .rng import RngStream
 from .weights import WeightFn
@@ -62,11 +64,13 @@ def log_weyl_const_H(n: int, beta: float) -> float:
 
 def log_weyl_const_M(n: int, beta: float) -> float:
     """log of the squared-singular-value normalization for the general
-    (M) symmetry class; relative to the H constant the product is squared
-    and a factor 2^(-(beta/2) n (n-1)) appears."""
+    (M) symmetry class, c_M of the density c_M nabla_beta(s) in s = sigma^2.
+    Relative to the H constant the product is squared and a factor
+    2^(-(beta/2) n (n-1) - n) appears; the 2^(-n) is d sigma = ds / (2 sigma)
+    in each coordinate, so c_M is 1 at n = 1, beta = 1 (2 in sigma = |x|)."""
     head, log_prod = _log_weyl_terms(n, beta)
     return float(head + 2.0 * log_prod
-                 - (beta / 2.0) * n * (n - 1) * np.log(2.0))
+                 - ((beta / 2.0) * n * (n - 1) + n) * np.log(2.0))
 
 
 @dataclass
@@ -79,27 +83,47 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.beta not in (1.0, 2.0, 4.0):
             raise ParameterError(f"beta must be 1, 2, or 4, got {self.beta}")
+        if self.n < 1:
+            raise ParameterError(f"n must be >= 1, got {self.n}")
         _check_positive("p", self.p)
         if self.law is None:
             self.law = RadialLawW.exponential()
 
 
+def _sample_family(family: str, spec: EnsembleSpec, rng: RngStream,
+                   size: int, config: ChainConfig | None) -> PBallSample:
+    """The weighted radial mixture of one family.  At p = 2 the spectrum
+    and W come from the two streams sample_weighted_pnpw splits off, and
+    config is unused."""
+    if family == "H":
+        q, weight = spec.p, WeightFn.delta_beta(spec.beta)
+    else:
+        q, weight = spec.p / 2.0, WeightFn.nabla_beta(spec.beta)
+    if spec.p != 2.0:
+        return sample_weighted_pnpw(spec.n, q, weight, spec.law, rng,
+                                    size=size, config=config)
+    r_x, r_w = rng.split(2)
+    x = beta_ensemble_spectra(family, spec.n, spec.beta, r_x, size=size)
+    w = np.atleast_1d(sample_W(spec.law, r_w, size=size))
+    return _finish_sample(x, w, q, degree=weight.degree(spec.n))
+
+
 def sample_eigenvalues_PH(spec: EnsembleSpec, rng: RngStream, size: int = 1,
                           config: ChainConfig | None = None) -> PBallSample:
     """Eigenvalue vectors of the H-family matrix ball law: the weighted
-    radial mixture with weight Delta_beta, exponent p.  Rows are sorted."""
-    return sample_weighted_pnpw(spec.n, spec.p, WeightFn.delta_beta(spec.beta),
-                                spec.law, rng, size=size, config=config)
+    radial mixture with weight Delta_beta, exponent p.  Rows are sorted.
+    Exact and independent at p = 2; elsewhere from the chain under
+    config."""
+    return _sample_family("H", spec, rng, size, config)
 
 
 def sample_sq_singular_PM(spec: EnsembleSpec, rng: RngStream, size: int = 1,
                           config: ChainConfig | None = None) -> PBallSample:
     """Squared singular values of the M-family matrix ball law: the
     orthant weighted radial mixture with weight nabla_beta and exponent
-    q = p/2, which the sample carries as its p.  Rows are sorted."""
-    return sample_weighted_pnpw(spec.n, spec.p / 2.0,
-                                WeightFn.nabla_beta(spec.beta), spec.law, rng,
-                                size=size, config=config)
+    q = p/2, which the sample carries as its p.  Rows are sorted.  Exact
+    and independent at p = 2; elsewhere from the chain under config."""
+    return _sample_family("M", spec, rng, size, config)
 
 
 def _haar_unitary(n: int, gen: np.random.Generator, beta: float) -> np.ndarray:
@@ -154,12 +178,12 @@ def spectral_measures(sample: PBallSample):
     return [empirical_spectral_measure(row, sample.p) for row in sample.points]
 
 
-# --- independent oracle -----------------------------------------------------
+# --- exact spectra at p = 2 ---------------------------------------------------
 
-def beta_ensemble_oracle(family: str, n: int, beta: float, rng: RngStream,
-                         size: int = 1) -> np.ndarray:
-    """Exact draws of the chain targets at p = 2, one sorted spectrum per row,
-    from the tridiagonal matrix models of Dumitriu & Edelman, "Matrix
+def beta_ensemble_spectra(family: str, n: int, beta: float, rng: RngStream,
+                          size: int = 1) -> np.ndarray:
+    """Exact draws of the spectral laws at p = 2, one sorted spectrum per
+    row, from the tridiagonal matrix models of Dumitriu & Edelman, "Matrix
     models for beta ensembles" (J. Math. Phys. 43, 2002).
 
     "H": eigenvalues with density proportional to
@@ -170,9 +194,13 @@ def beta_ensemble_oracle(family: str, n: int, beta: float, rng: RngStream,
     "M": squared singular values with density proportional to
     exp(-sum x_i) * nabla_beta(x) on the orthant: half the eigenvalues of
     B B^T, B lower bidiagonal with diagonal chi_{beta(n-k)} (k = 0..n-1)
-    and subdiagonal chi_{beta(n-1)}, ..., chi_beta.
+    and subdiagonal chi_{beta(n-1)}, ..., chi_beta.  Rounding can take the
+    smallest below 0, where the law has no mass, so they are clipped at 0.
+
+    Each row costs O(n) variates and one LAPACK dsterf call on the
+    tridiagonal; at n = 1 the spectrum is the diagonal.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dsterf
 
     if family not in ("H", "M"):
         raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
@@ -191,4 +219,12 @@ def beta_ensemble_oracle(family: str, n: int, beta: float, rng: RngStream,
         diag = b_diag ** 2 / 2.0
         diag[:, 1:] += b_sub ** 2 / 2.0
         off = b_diag[:, :-1] * b_sub / 2.0
-    return np.array([eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)])
+    if n > 1:
+        # each row of diag becomes its sorted eigenvalues
+        for d, e in zip(diag, off):
+            d[:], info = dsterf(d, e, overwrite_d=True, overwrite_e=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dsterf returned info {info}")
+    if family == "M":
+        np.maximum(diag, 0.0, out=diag)
+    return diag

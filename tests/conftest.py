@@ -22,3 +22,63 @@ def _log_mehta(n: int, beta: float) -> float:
 @pytest.fixture
 def log_mehta():
     return _log_mehta
+
+
+def _log_laguerre_selberg(n: int, beta: float) -> float:
+    """log of the Laguerre-Selberg integral,
+    int_{R_+^n} exp(-sum s_i) nabla_beta(s) ds
+    = prod_{j=0}^{n-1} Gamma(beta/2 + j beta/2) Gamma(1 + (j+1) beta/2) /
+    Gamma(1 + beta/2), with nabla_beta(s) = |Delta(s)|^beta
+    prod_i s_i^(beta/2 - 1)."""
+    j = np.arange(n)
+    g = beta / 2.0
+    return float(np.sum(gammaln(g + j * g) + gammaln(1.0 + (j + 1) * g)
+                        - gammaln(1.0 + g)))
+
+
+@pytest.fixture
+def log_laguerre_selberg():
+    return _log_laguerre_selberg
+
+
+def _gaussian_matrices(beta: float, n: int, size: int, gen) -> np.ndarray:
+    """size Gaussian n x n matrices of the symmetry class beta, every real
+    component N(0, 1/2): real (beta = 1), complex (beta = 2), or quaternion
+    (beta = 4) in its 2n x 2n complex form [[X, Y], [-conj Y, conj X]]."""
+    def normal():
+        return gen.standard_normal((size, n, n)) * math.sqrt(0.5)
+
+    if beta == 1.0:
+        return normal()
+    x = normal() + 1j * normal()
+    if beta == 2.0:
+        return x
+    y = normal() + 1j * normal()
+    return np.block([[x, y], [-y.conj(), x.conj()]])
+
+
+def _dense_spectra(family: str, n: int, beta: float, size: int, seed: int,
+                   chunk: int = 100) -> np.ndarray:
+    """Sorted spectra of dense Gaussian matrices by numpy.linalg.eigvalsh,
+    sharing no code with the tridiagonal sampler.
+
+    "H": eigenvalues of (G + G*)/2, the GOE, GUE or GSE, with density
+    proportional to exp(-sum lambda_i^2) |Delta(lambda)|^beta.  "M":
+    eigenvalues of G G*, the square real, complex or quaternion Wishart
+    matrix, with density proportional to exp(-sum s_i) nabla_beta(s).  A
+    quaternion matrix's 2n complex eigenvalues come in equal pairs, and one
+    of each pair is kept.
+    """
+    gen = np.random.default_rng(seed)
+    out = []
+    for start in range(0, size, chunk):
+        g = _gaussian_matrices(beta, n, min(chunk, size - start), gen)
+        gt = g.conj().swapaxes(-1, -2)
+        ev = np.linalg.eigvalsh((g + gt) / 2.0 if family == "H" else g @ gt)
+        out.append(ev[:, ::2] if beta == 4.0 else ev)
+    return np.concatenate(out)
+
+
+@pytest.fixture
+def dense_spectra():
+    return _dense_spectra

@@ -18,9 +18,8 @@ from pradial.cli import main as cli_main
 from pradial.distributions import ParameterError, RadialLawW
 from pradial.lpgeom import (PsiSpec, norm_split_B, psi_density,
                             psi_normalization_defect)
-from pradial.matrixball import (EnsembleSpec, beta_ensemble_oracle,
-                                sample_eigenvalues_PH)
-from pradial.mcmc import ChainConfig, mcmc_sample
+from pradial.matrixball import beta_ensemble_spectra
+from pradial.mcmc import ChainConfig, mcmc_sample, sample_weighted_pnpw
 from pradial.measures import MeasureRep, log_energy
 from pradial.rng import RngStream
 from pradial.weights import WeightFn
@@ -123,8 +122,8 @@ def test_criterion_04_matrix_cross_check():
     res_h = mcmc_sample(4, 2.0, WeightFn.delta_beta(2.0),
                         RngStream(SEED, stream_id=200), cfg)
     stat_h = res_h.samples[:, -1] / np.linalg.norm(res_h.samples, axis=1)
-    oracle = beta_ensemble_oracle("H", 4, 2.0,
-                                  RngStream(SEED, stream_id=201), size=20000)
+    oracle = beta_ensemble_spectra("H", 4, 2.0,
+                                   RngStream(SEED, stream_id=201), size=20000)
     ks_h = stats.ks_2samp(stat_h, oracle[:, -1]
                           / np.linalg.norm(oracle, axis=1)).statistic
 
@@ -132,8 +131,8 @@ def test_criterion_04_matrix_cross_check():
     res_m = mcmc_sample(3, 1.0, WeightFn.nabla_beta(2.0),
                         RngStream(SEED, stream_id=202), cfg)  # q = p/2 = 1
     stat_m = res_m.samples[:, -1] / res_m.samples.sum(axis=1)
-    oracle = beta_ensemble_oracle("M", 3, 2.0,
-                                  RngStream(SEED, stream_id=203), size=20000)
+    oracle = beta_ensemble_spectra("M", 3, 2.0,
+                                   RngStream(SEED, stream_id=203), size=20000)
     ks_m = stats.ks_2samp(stat_m, oracle[:, -1]
                           / oracle.sum(axis=1)).statistic
     ok = (res_h.ess >= 1e4 and res_m.ess >= 1e4 and ks_h < 0.03
@@ -150,10 +149,13 @@ def test_criterion_05_matrix_norm_split():
     ok = True
     for i, (beta, p) in enumerate(
             itertools.product((1.0, 2.0), (1.0, 2.0))):
-        spec = EnsembleSpec(n=n, p=p, beta=beta, law=RadialLawW(alpha=alpha))
-        s = sample_eigenvalues_PH(spec, RngStream(SEED, stream_id=300 + i),
-                                  size=4000,
-                                  config=ChainConfig(n_samples=4000, thin=10))
+        # the chain on the eigen-PH target, which at p = 2 the sampler
+        # draws exactly instead
+        s = sample_weighted_pnpw(n, p, WeightFn.delta_beta(beta),
+                                 RadialLawW(alpha=alpha),
+                                 RngStream(SEED, stream_id=300 + i),
+                                 size=4000,
+                                 config=ChainConfig(n_samples=4000, thin=10))
         b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
         ks = stats.kstest(b, lambda t: betainc(a, alpha, t))

@@ -299,18 +299,31 @@ class TestSample:
             (out2 / "samples.csv").read_bytes()
 
     def test_mcmc_target_writes_diagnostics(self, tmp_path):
+        # p != 2: the spectral targets run the chain
         code, out = run(tmp_path, "sample", "--target", "eigen-PH", "--n",
-                        "3", "--count", "50", "--seed", "3")
+                        "3", "--count", "50", "--seed", "3", "--p", "3")
         assert code == 0
         diag = read_json(out / "diagnostics.json")
         assert diag["chain_ok"] is True
         assert 0.2 <= diag["accept_rate"] <= 0.6
+        assert diag["method"] == "chain"
+
+    @pytest.mark.parametrize("target", ["eigen-PH", "singular-PM"])
+    def test_exact_target_writes_diagnostics(self, tmp_path, target):
+        # p = 2: the spectra are drawn exactly, one independent state a row,
+        # and no acceptance is reported
+        code, out = run(tmp_path, "sample", "--target", target, "--n", "3",
+                        "--count", "50", "--seed", "3")
+        assert code == 0
+        diag = read_strict_json(out / "diagnostics.json")
+        assert diag == {"method": "exact", "states": 50}
+        assert "diagnostics.json" in read_json(out / "manifest.json")["outputs"]
 
     @pytest.mark.parametrize("target", ["weighted-pnpw", "eigen-PH",
                                         "singular-PM"])
     def test_per_chain_diagnostics(self, tmp_path, target):
         code, out = run(tmp_path, "sample", "--target", target, "--n", "4",
-                        "--count", "200", "--seed", "5")
+                        "--count", "200", "--seed", "5", "--p", "3")
         assert code == 0
         diag = read_strict_json(out / "diagnostics.json")
         per_chain = diag["accept_per_chain"]
@@ -328,7 +341,7 @@ class TestSample:
         # 5 rows from 16 chains: each chain keeps one state, and the
         # diagnostics cover all 16
         code, out = run(tmp_path, "sample", "--target", "eigen-PH", "--n",
-                        "3", "--count", "5", "--seed", "1")
+                        "3", "--count", "5", "--seed", "1", "--p", "3")
         assert code == 0
         assert len(read_csv(out / "samples.csv")) == 1 + 5
         diag = read_strict_json(out / "diagnostics.json")
@@ -339,7 +352,7 @@ class TestSample:
         # the radius refresh mixes ||x||_p^p by construction, so the
         # direction's ESS and R-hat are reported beside it, ungated
         code, out = run(tmp_path, "sample", "--target", "singular-PM",
-                        "--n", "6", "--count", "320", "--seed", "2")
+                        "--n", "6", "--count", "320", "--seed", "2", "--p", "3")
         assert code == 0
         diag = read_strict_json(out / "diagnostics.json")
         assert 0.0 < diag["ess_dir"] < diag["ess"]
@@ -358,22 +371,35 @@ class TestSample:
         (("--target", "cone", "--n", "4", "--seed", "1", "--count", "2000"),
          "7b22feb579edb3a6"),
         (("--target", "eigen-PH", "--n", "4", "--seed", "1", "--theta",
-          "0.3", "--count", "300"), "3d92f7397ee5e991"),
+          "0.3", "--count", "300"), "bfb4efa929516ae4"),
         (("--target", "eigen-PH", "--n", "16", "--seed", "1", "--theta",
-          "0.3", "--count", "300"), "8d1a51efc5885cb7"),
+          "0.3", "--count", "300"), "5e4406995593553e"),
         (("--target", "singular-PM", "--n", "16", "--seed", "1", "--theta",
-          "0.3", "--count", "300"), "0af5f80ca98210b6"),
+          "0.3", "--count", "300"), "8cecf415eda0c05e"),
         (("--target", "uniform", "--n", "4", "--seed", "1", "--count",
           "2000"), "a51aabce2ccd1b2c"),
         (("--target", "pnpw", "--n", "4", "--seed", "1", "--theta", "0.3",
           "--alpha", "2", "--count", "2000"), "88a73382626842b3"),
         # beta != 2 turns on the orthant weight's power term
         (("--target", "singular-PM", "--n", "8", "--beta", "1", "--seed", "1",
-          "--theta", "0.3", "--count", "300"), "5bb74c603922b4b7"),
+          "--theta", "0.3", "--count", "300"), "17cea37949c18335"),
         (("--target", "singular-PM", "--n", "8", "--beta", "4", "--seed", "1",
-          "--theta", "0.3", "--count", "300"), "13ee29431d1eb778"),
+          "--theta", "0.3", "--count", "300"), "f0cf27c5a5f7a4fb"),
         (("--target", "eigen-PH", "--n", "8", "--beta", "1", "--seed", "1",
-          "--theta", "0.3", "--count", "300"), "9422064f18b8d283"),
+          "--theta", "0.3", "--count", "300"), "07fe92eb883e1060"),
+        # the same spectral rows at p = 3, where the chain draws them
+        (("--target", "eigen-PH", "--n", "4", "--seed", "1", "--theta",
+          "0.3", "--count", "300", "--p", "3"), "a3f87577f63c9c36"),
+        (("--target", "eigen-PH", "--n", "16", "--seed", "1", "--theta",
+          "0.3", "--count", "300", "--p", "3"), "b9ad3af37a9cf78d"),
+        (("--target", "singular-PM", "--n", "16", "--seed", "1", "--theta",
+          "0.3", "--count", "300", "--p", "3"), "4ead697dabe6ea05"),
+        (("--target", "singular-PM", "--n", "8", "--beta", "1", "--seed", "1",
+          "--theta", "0.3", "--count", "300", "--p", "3"), "ac6c31fa18a0b927"),
+        (("--target", "singular-PM", "--n", "8", "--beta", "4", "--seed", "1",
+          "--theta", "0.3", "--count", "300", "--p", "3"), "0d326b32f02913c5"),
+        (("--target", "eigen-PH", "--n", "8", "--beta", "1", "--seed", "1",
+          "--theta", "0.3", "--count", "300", "--p", "3"), "bbc3cb91a0e8ee1a"),
     ])
     def test_golden_digest(self, tmp_path, argv, digest):
         code, out = run(tmp_path, "sample", *argv)
@@ -491,7 +517,7 @@ class TestNormLaw:
         monkeypatch.setattr(cli, "sample_sq_singular_PM", failing)
         code, out = run(tmp_path, "test-norm-law", "--target", "singular-PM",
                         "--n", "3", "--count", "200", "--seed", "3",
-                        "--ks-pvalue-threshold", "0")
+                        "--ks-pvalue-threshold", "0", "--p", "3")
         assert code == 3
         rep = read_json(out / "norm_law_report.json")
         assert rep["chain"]["chain_ok"] is False
@@ -719,6 +745,29 @@ class TestNormConst:
         assert rep["se_log"] == "inf"
         assert rep["ess"] == 0.0
 
+    def test_low_ess_exits_3(self, tmp_path, capsys):
+        # Delta_2 at n = 16, p = 3: about ten of 10^5 draws carry the
+        # importance estimate, whose se_log then measures nothing
+        code, out = run(tmp_path, "norm-const", "--weight", "delta",
+                        "--beta", "2", "--n", "16", "--p", "3", "--count",
+                        "100000", "--seed", "5")
+        assert code == 3
+        rep = read_strict_json(out / "norm_const.json")
+        assert rep["ess_floor"] == 1000.0
+        assert rep["ess"] < rep["ess_floor"]
+        assert capsys.readouterr().err == (
+            f"importance ess {rep['ess']:.3g} below floor 1000; "
+            "outputs retained\n")
+
+    def test_ess_floor_is_a_hundredth_of_small_counts(self, tmp_path):
+        code, out = run(tmp_path, "norm-const", "--weight", "delta",
+                        "--beta", "2", "--n", "4", "--p", "2", "--count",
+                        "20000", "--seed", "5")
+        assert code == 0
+        rep = read_strict_json(out / "norm_const.json")
+        assert rep["ess_floor"] == 200.0
+        assert rep["ess"] >= rep["ess_floor"]
+
     def test_count_below_one_is_usage_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
                         "2", "--count", "0", "--seed", "2")
@@ -888,21 +937,34 @@ class TestParameterTable:
         assert (again / "manifest.json").read_bytes() == \
             (out / "manifest.json").read_bytes()
 
-    @pytest.mark.parametrize("target, shape", [("eigen-PH", 4.5),
-                                               ("singular-PM", 9.0)])
+    @pytest.mark.parametrize("target, shape", [("eigen-PH", 3.0),
+                                               ("singular-PM", 6.0)])
     def test_chain_norm_law_shape(self, tmp_path, target, shape):
-        # (n + weight degree) / q at n = 3, p = 2, beta = 2: Delta_2 has
+        # (n + weight degree) / q at n = 3, p = 3, beta = 2: Delta_2 has
         # degree 6 with q = p; nabla_2 has degree 6 with q = p/2.  The
         # report carries the chain's diagnostics, as `sample` writes them
         # for the same draws
         argv = ("--target", target, "--n", "3", "--count", "200", "--seed",
-                "3")
+                "3", "--p", "3")
         code, out = run(tmp_path / "law", "test-norm-law", *argv)
         assert code in (0, 3)
         report = read_json(out / "norm_law_report.json")
         assert report["beta_shape_a"] == shape
         _, drawn = run(tmp_path / "sample", "sample", *argv)
         assert report["chain"] == read_json(drawn / "diagnostics.json")
+
+    @pytest.mark.parametrize("target, shape", [("eigen-PH", 4.5),
+                                               ("singular-PM", 9.0)])
+    def test_exact_norm_law_shape(self, tmp_path, target, shape):
+        # the same shapes at p = 2, where the draws are exact: the report
+        # carries no chain
+        argv = ("--target", target, "--n", "3", "--count", "200", "--seed",
+                "3")
+        code, out = run(tmp_path, "test-norm-law", *argv)
+        assert code == 0
+        report = read_json(out / "norm_law_report.json")
+        assert report["beta_shape_a"] == shape
+        assert "chain" not in report
 
 
 class TestRunProtocol:

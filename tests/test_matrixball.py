@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pradial.distributions import ParameterError, RadialLawW
+from pradial.distributions import ParameterError, RadialLawW, sample_W
 from pradial.matrixball import (EnsembleSpec, assemble_matrix_H,
-                                assemble_matrix_M, beta_ensemble_oracle,
+                                assemble_matrix_M, beta_ensemble_spectra,
                                 empirical_spectral_measure,
                                 log_weyl_const_H, log_weyl_const_M,
                                 sample_eigenvalues_PH, sample_sq_singular_PM,
                                 spectral_measures)
-from pradial.mcmc import ChainConfig, geyer_ess, mcmc_sample
+from pradial.mcmc import (ChainConfig, geyer_ess, mcmc_sample,
+                          sample_weighted_pnpw)
 from pradial.measures import moment_p
 from pradial.rng import RngStream
 from pradial.weights import WeightFn, log_delta_beta, log_nabla_beta
@@ -29,15 +30,22 @@ class TestWeylConstants:
             assert log_weyl_const_H(1, beta) == pytest.approx(0.0, abs=1e-12)
 
     def test_m_to_h_ratio(self):
-        # c_M / c_H^2 = n! * 2^(-beta n (n-1)/2) * (2 pi^(beta/2)/Gamma(beta/2))^n
+        # c_M / c_H^2 = n! * 2^(-beta n (n-1)/2) * (pi^(beta/2)/Gamma(beta/2))^n
+        # in s = sigma^2
         for n in (1, 2, 3, 4):
             for beta in (1.0, 2.0, 4.0):
                 lhs = log_weyl_const_M(n, beta) - 2.0 * log_weyl_const_H(n, beta)
                 rhs = (math.lgamma(n + 1)
                        - (beta / 2.0) * n * (n - 1) * math.log(2.0)
-                       + n * (math.log(2.0) + (beta / 2.0) * math.log(math.pi)
+                       + n * ((beta / 2.0) * math.log(math.pi)
                               - math.lgamma(beta / 2.0)))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_m_at_n1_beta1_is_one(self):
+        # a real 1 x 1 matrix x has s = x^2, and dx over R is
+        # s^(-1/2) ds = nabla_1(s) ds over s > 0: the constant is 1 in s
+        # (it would be 2 in sigma = |x|)
+        assert log_weyl_const_M(1, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_h_is_the_frobenius_ball_volume(self, log_mehta):
         # the Frobenius unit ball of the H class is a Euclidean ball of
@@ -47,6 +55,18 @@ class TestWeylConstants:
             for beta in (1.0, 2.0, 4.0):
                 d = n + beta * n * (n - 1) / 2.0
                 lhs = log_weyl_const_H(n, beta) + log_mehta(n, beta)
+                assert lhs == pytest.approx(d / 2.0 * math.log(math.pi),
+                                            rel=0.0, abs=1e-10)
+
+    def test_m_is_the_frobenius_ball_volume(self, log_laguerre_selberg):
+        # the Frobenius unit ball of the M class is a Euclidean ball of
+        # dimension d = beta n^2, and |Z|_F^2 = sum s_i, so
+        # c_M * int exp(-sum s) nabla_beta(s) ds = pi^(d/2), the integral
+        # being the Laguerre-Selberg one
+        for n in range(1, 33):
+            for beta in (1.0, 2.0, 4.0):
+                d = beta * n * n
+                lhs = log_weyl_const_M(n, beta) + log_laguerre_selberg(n, beta)
                 assert lhs == pytest.approx(d / 2.0 * math.log(math.pi),
                                             rel=0.0, abs=1e-10)
 
@@ -81,36 +101,36 @@ class TestWeightValues:
 
 
 class TestGueOracle:
-    # the H family of beta_ensemble_oracle at beta = 2
+    # the H family of beta_ensemble_spectra at beta = 2
     def test_n1_matches_gaussian(self):
         # n = 1: single eigenvalue ~ N(0, 1/2)
-        vals = beta_ensemble_oracle("H", 1, 2.0, rng(1), size=20000).ravel()
+        vals = beta_ensemble_spectra("H", 1, 2.0, rng(1), size=20000).ravel()
         ks = stats.kstest(vals, lambda t: stats.norm.cdf(t, scale=1 / math.sqrt(2)))
         assert ks.pvalue > 0.01
 
     def test_trace_variance(self):
         # Var(Tr H) = sum of diagonal variances = n/2
         n = 6
-        vals = beta_ensemble_oracle("H", n, 2.0, rng(2), size=20000)
+        vals = beta_ensemble_spectra("H", n, 2.0, rng(2), size=20000)
         tr = vals.sum(axis=1)
         assert np.var(tr) == pytest.approx(n / 2.0, rel=0.05)
 
     def test_sorted(self):
-        vals = beta_ensemble_oracle("H", 5, 2.0, rng(3), size=50)
+        vals = beta_ensemble_spectra("H", 5, 2.0, rng(3), size=50)
         assert np.all(np.diff(vals, axis=1) >= 0)
 
 
 class TestLaguerreOracle:
-    # the M family of beta_ensemble_oracle at beta = 2
+    # the M family of beta_ensemble_spectra at beta = 2
     def test_positive_and_sorted(self):
-        vals = beta_ensemble_oracle("M", 4, 2.0, rng(4), size=100)
+        vals = beta_ensemble_spectra("M", 4, 2.0, rng(4), size=100)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals, axis=1) >= 0)
 
     def test_trace_mean(self):
         # E Tr(A A*) = n^2 * E|a_ij|^2 = n^2
         n = 5
-        vals = beta_ensemble_oracle("M", n, 2.0, rng(5), size=20000)
+        vals = beta_ensemble_spectra("M", n, 2.0, rng(5), size=20000)
         assert np.mean(vals.sum(axis=1)) == pytest.approx(n * n, rel=0.03)
 
 
@@ -133,7 +153,7 @@ class TestBetaEnsembleOracle:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_radius_law(self, family, beta):
         n = 5
-        vals = beta_ensemble_oracle(family, n, beta, rng(19), size=5000)
+        vals = beta_ensemble_spectra(family, n, beta, rng(19), size=5000)
         a = self.radius_shape(family, n, beta)
         ks = stats.kstest(self.radius(family, vals), stats.gamma(a).cdf)
         assert ks.pvalue > 1e-3
@@ -141,36 +161,38 @@ class TestBetaEnsembleOracle:
     @pytest.mark.parametrize("family", ["H", "M"])
     def test_beta2_rejects_beta1_law(self, family):
         n = 5
-        vals = beta_ensemble_oracle(family, n, 2.0, rng(20), size=5000)
+        vals = beta_ensemble_spectra(family, n, 2.0, rng(20), size=5000)
         a = self.radius_shape(family, n, 1.0)
         ks = stats.kstest(self.radius(family, vals), stats.gamma(a).cdf)
         assert ks.pvalue < 1e-6
 
     def test_sorted_and_orthant(self):
         for beta in (1.0, 4.0):
-            h = beta_ensemble_oracle("H", 6, beta, rng(21), size=50)
-            m = beta_ensemble_oracle("M", 6, beta, rng(22), size=50)
+            h = beta_ensemble_spectra("H", 6, beta, rng(21), size=50)
+            m = beta_ensemble_spectra("M", 6, beta, rng(22), size=50)
             assert h.shape == m.shape == (50, 6)
             assert np.all(np.diff(h, axis=1) >= 0)
             assert np.all(np.diff(m, axis=1) >= 0) and np.all(m > 0)
 
     def test_bad_family(self):
         with pytest.raises(ParameterError):
-            beta_ensemble_oracle("X", 3, 2.0, rng(23))
+            beta_ensemble_spectra("X", 3, 2.0, rng(23))
 
 
 class TestSamplers:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_ph_direction_matches_gue(self, beta):
-        # p = 2: the chain targets the Hermite beta-ensemble eigenvalue
+        # p = 2: the chain, which sample_eigenvalues_PH runs at p != 2,
+        # targets the Hermite beta-ensemble eigenvalue
         # density (GUE at beta = 2), so the direction lambda/||lambda||_2
         # must match the oracle's
         n = 4
-        spec = EnsembleSpec(n=n, p=2.0, beta=beta)
         cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_eigenvalues_PH(spec, rng(6), size=4000, config=cfg)
+        s = sample_weighted_pnpw(n, 2.0, WeightFn.delta_beta(beta),
+                                 RadialLawW.exponential(), rng(6), size=4000,
+                                 config=cfg)
         assert s.chain.ok
-        oracle = beta_ensemble_oracle("H", n, beta, rng(7), size=4000)
+        oracle = beta_ensemble_spectra("H", n, beta, rng(7), size=4000)
 
         def direction_stat(v):
             return v[:, -1] / np.linalg.norm(v, axis=1)
@@ -181,15 +203,17 @@ class TestSamplers:
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_pm_direction_matches_laguerre(self, beta):
-        # p = 2 (q = 1): the chain targets the unit-scale Laguerre
+        # p = 2 (q = 1): the chain, which sample_sq_singular_PM runs at
+        # p != 2, targets the unit-scale Laguerre
         # beta-ensemble density for the squared singular values
         n = 3
-        spec = EnsembleSpec(n=n, p=2.0, beta=beta)
         cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_sq_singular_PM(spec, rng(8), size=4000, config=cfg)
+        s = sample_weighted_pnpw(n, 1.0, WeightFn.nabla_beta(beta),
+                                 RadialLawW.exponential(), rng(8), size=4000,
+                                 config=cfg)
         assert s.chain.ok
         assert np.all(s.points > 0)
-        oracle = beta_ensemble_oracle("M", n, beta, rng(9), size=4000)
+        oracle = beta_ensemble_spectra("M", n, beta, rng(9), size=4000)
 
         def direction_stat(v):
             return v[:, -1] / v.sum(axis=1)
@@ -203,8 +227,7 @@ class TestSamplers:
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
         spec = EnsembleSpec(n=n, p=p, beta=beta,
                             law=RadialLawW(alpha=alpha))
-        cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_eigenvalues_PH(spec, rng(10), size=4000, config=cfg)
+        s = sample_eigenvalues_PH(spec, rng(10), size=4000)  # exact at p = 2
         assert s.p == p and s.degree == beta * n * (n - 1) / 2.0
         b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
@@ -216,8 +239,7 @@ class TestSamplers:
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
         spec = EnsembleSpec(n=n, p=p, beta=beta,
                             law=RadialLawW(alpha=alpha))
-        cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_sq_singular_PM(spec, rng(11), size=4000, config=cfg)
+        s = sample_sq_singular_PM(spec, rng(11), size=4000)  # exact at p = 2
         assert s.p == p / 2.0 and s.degree == beta * n * n / 2.0 - n
         b = np.sum(s.points ** (p / 2.0), axis=1)
         a = beta * n * n / p
@@ -233,8 +255,9 @@ class TestSamplers:
         assert np.all(s.on_sphere)
 
     def test_caller_config_not_mutated(self):
+        # p = 3: at p = 2 the draw is exact and reads no config
         cfg = ChainConfig(n_samples=7)
-        s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=2.0), rng(18), size=5,
+        s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=3.0), rng(18), size=5,
                                   config=cfg)
         assert s.points.shape == (5, 3)
         assert cfg.n_samples == 7
@@ -242,6 +265,11 @@ class TestSamplers:
     def test_beta_validation(self):
         with pytest.raises(ParameterError):
             EnsembleSpec(n=3, p=2.0, beta=3.0)
+
+    def test_n_validation(self):
+        # n = 0 is refused on the exact path as on the chain
+        with pytest.raises(ParameterError):
+            EnsembleSpec(n=0, p=2.0)
 
 
 class TestChainAtDefaults:
@@ -260,7 +288,7 @@ class TestChainAtDefaults:
         weight, q = ((WeightFn.delta_beta(beta), 2.0) if family == "H"
                      else (WeightFn.nabla_beta(beta), 1.0))
         res = mcmc_sample(n, q, weight, rng(30), ChainConfig(n_samples=size))
-        oracle = beta_ensemble_oracle(family, n, beta, rng(31), size=4000)
+        oracle = beta_ensemble_spectra(family, n, beta, rng(31), size=4000)
 
         def direction_stat(v):
             return np.abs(v).max(axis=1) / np.sum(np.abs(v) ** q,
@@ -279,13 +307,92 @@ class TestChainAtDefaults:
         # must follow Beta(n^2 beta / p, 1) = Beta(1024, 1), and acceptance
         # must sit in its window
         n = 32
-        s = sample_sq_singular_PM(EnsembleSpec(n=n, p=2.0, beta=2.0),
-                                  RngStream(1), size=2000)
+        s = sample_weighted_pnpw(n, 1.0, WeightFn.nabla_beta(2.0),
+                                 RadialLawW.exponential(), RngStream(1),
+                                 size=2000)
         assert s.chain.ok
         b = np.sum(s.points ** s.p, axis=1)
         shape = (n + s.degree) / s.p
         assert shape == 1024.0
         assert stats.kstest(b, stats.beta(shape, 1.0).cdf).pvalue > 1e-6
+
+
+def _direction(v, q):
+    """max|x_i| / ||x||_q per row: scale free, so the radial mixture leaves
+    its law alone."""
+    return np.abs(v).max(axis=1) / np.sum(np.abs(v) ** q, axis=1) ** (1.0 / q)
+
+
+class TestExactSpectra:
+    """At p = 2 the spectral samplers draw exactly and independently, so
+    plain two-sample KS tests hold them to dense Gaussian ensembles that
+    share no code with them."""
+
+    # (family, beta, n, oracle draws): n = 128 takes fewer dense draws
+    GATES = ([(f, b, n, 1000) for f in "HM" for b in (1.0, 2.0)
+              for n in (32, 64)]
+             + [(f, 4.0, 32, 1000) for f in "HM"]
+             + [(f, 2.0, 128, 300) for f in "HM"])
+
+    @pytest.mark.parametrize("family, beta, n, size", GATES)
+    def test_matches_dense_oracle(self, dense_spectra, family, beta, n, size):
+        sampler = (sample_eigenvalues_PH if family == "H"
+                   else sample_sq_singular_PM)
+        s = sampler(EnsembleSpec(n=n, p=2.0, beta=beta), rng(40), size=2000)
+        assert s.chain is None
+        q = s.p
+        oracle = dense_spectra(family, n, beta, size,
+                               seed=1000 * n + 10 * int(beta) + ord(family))
+        ks = stats.ks_2samp(_direction(s.points, q), _direction(oracle, q))
+        assert ks.pvalue > 1e-3
+        # the norm split under W = Exp(1): sum |x_i|^q ~ Beta((n + m)/q, 1)
+        b = np.sum(np.abs(s.points) ** q, axis=1)
+        shape = (n + s.degree) / q
+        assert stats.kstest(b, stats.beta(shape, 1.0).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("family", ["H", "M"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_dense_oracle_radius_law(self, dense_spectra, family, beta):
+        # the oracle's own scale and, at beta = 4, its pairing: R is
+        # Gamma((n + m)/q) as for the tridiagonal models
+        n = 4
+        v = dense_spectra(family, n, beta, 2000, seed=50)
+        r = TestBetaEnsembleOracle.radius(family, v)
+        a = TestBetaEnsembleOracle.radius_shape(family, n, beta)
+        assert stats.kstest(r, stats.gamma(a).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_n1(self, beta):
+        # one eigenvalue ~ N(0, 1/2) and one squared singular value
+        # ~ Gamma(beta/2): the spectrum is the diagonal
+        h = beta_ensemble_spectra("H", 1, beta, rng(41), size=4000).ravel()
+        assert stats.kstest(h, stats.norm(scale=math.sqrt(0.5)).cdf
+                            ).pvalue > 1e-3
+        m = beta_ensemble_spectra("M", 1, beta, rng(42), size=4000).ravel()
+        assert stats.kstest(m, stats.gamma(beta / 2.0).cdf).pvalue > 1e-3
+        for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
+            s = sampler(EnsembleSpec(n=1, p=2.0, beta=beta), rng(43),
+                        size=10)
+            assert s.points.shape == (10, 1) and s.chain is None
+
+    def test_m_is_nonnegative_at_beta1(self):
+        # the squared singular values of B B^T come nearest 0 at beta = 1
+        x = beta_ensemble_spectra("M", 16, 1.0, rng(44), size=10000)
+        assert x.min() >= 0.0
+
+    def test_spectrum_and_w_streams(self):
+        # the spectrum comes from the first of rng.split(2) and W from the
+        # second, the streams sample_weighted_pnpw gives its chain and W
+        law = RadialLawW(theta=0.3, alpha=2.0)
+        s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=2.0, law=law), rng(45),
+                                  size=300)
+        r_x, r_w = rng(45).split(2)
+        x = beta_ensemble_spectra("H", 3, 2.0, r_x, size=300)
+        w = sample_W(law, r_w, size=300)
+        np.testing.assert_allclose(
+            s.points, x / np.sqrt(np.sum(x ** 2, axis=1) + w)[:, None],
+            rtol=1e-14)
+        assert np.array_equal(s.on_sphere, w == 0.0)
 
 
 class TestAssembly:
