@@ -30,6 +30,7 @@ PRADIAL_OUTPUT_ROOT environment variable (falling back to ./pradial-out).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.special import betainc
 
 from . import __version__
-from .distributions import ParameterError, RadialLawW
+from .distributions import ParameterError, RadialLawW, beta_log_cdf
 from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import EnsembleSpec, sample_eigenvalues_PH, sample_sq_singular_PM
 from .mcmc import estimate_norm_const, sample_weighted_pnpw
@@ -66,7 +67,7 @@ def load_defaults() -> dict:
 _CSV_BLOCK_CELLS = 1 << 14
 # tables above this many cells are formatted in worker processes: below
 # it, starting the workers costs more than they save
-_CSV_PARALLEL_CELLS = 1 << 20
+_CSV_PARALLEL_CELLS = 1 << 19
 
 
 def _cpus() -> int:
@@ -81,8 +82,143 @@ def _format_block(block) -> str:
     """The CSV text of a block of rows.  Private, so that a tracer that
     wraps the public functions leaves it picklable by name."""
     if isinstance(block, np.ndarray):
+        if block.dtype.kind == "f":
+            return _float_text(block)
         block = block.tolist()
     return "".join([",".join(map(format, row)) + "\n" for row in block])
+
+
+# --- shortest round-trip text of float cells, in numpy --------------------------
+#
+# |x| is scaled to X = |x| 10^(16-e) in [1e16, 1e17) in double-double
+# arithmetic (Dekker's exact product, 10^s held as hi + lo).  The decimal
+# strings that read back to x lie in X +- h, h = ulp(x)/2 10^(16-e) in
+# (0.55, 11.1), and repr writes the multiple of the largest 10^j nearest to
+# X inside it.  Powers of two (an asymmetric interval), |x| outside
+# (1e-280, 1e280) and any X within _MARGIN of an interval end or a tie go
+# to repr itself.
+
+_E_MIN, _E_MAX = -290, 290  # decimal exponents of the 10^(16-e) table
+_MARGIN = 1e-9              # in units of X's last digit; X is good to 1e-14
+_WIDTH = 48                 # canvas bytes a cell
+
+
+@functools.lru_cache(maxsize=None)
+def _text_tables():
+    """Built from Python ints on first use: 10^(16-e) as hi + lo, the text
+    of 0..9999 and of the exponents, and the canvas of each cell layout."""
+    hi, lo = [], []
+    for s in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        hi.append(num / den)  # correctly rounded, as is every int / int
+        h_num, h_den = hi[-1].as_integer_ratio()
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    # four digits, each followed by the 0xFF that keeps a "." or "e"
+    four = np.frombuffer(b"".join(b"%c\xff%c\xff%c\xff%c\xff" % tuple(b"%04d" % i)
+                                  for i in range(10 ** 4)), np.uint64)
+    expo = np.frombuffer(b"".join(b"%+04d" % i for i in range(-400, 400)),
+                         np.uint32)
+    # "-" "0.000", digit i at column 6 + 2i and a "." after it ("e" after
+    # the last), the exponent's sign and digits, the separator: a layout
+    # keeps some, with 0xFF where a digit goes.  Layout (cls, k, neg): cls
+    # is decpt + 3 for positional text (-4 < decpt <= 16), 20 and 21 for a
+    # two- and three-digit exponent; k significant digits
+    template = np.frombuffer(b"-0.000" + b"\xff." * 16 + b"\xffe\xff\xff\xff\xff,"
+                             + bytes(_WIDTH - 45), np.uint8)
+    cls, k, c = np.ogrid[:22, 1:18, :_WIDTH]
+    decpt, pos = cls - 3, cls < 20
+    digits = np.where(pos & (decpt > 0), np.maximum(k, decpt + 1), k)
+    dot = np.where(pos, np.maximum(decpt, 0), k > 1)  # after digit dot - 1
+    keep = ((c >= 6) & (c < 6 + 2 * digits) & (c % 2 == 0)
+            | (dot > 0) & (c == 5 + 2 * dot) | (c == 44)
+            | pos & (decpt <= 0) & (c >= 1) & (c < 3 - decpt)  # 0.000ddd
+            | ~pos & np.isin(c, [39, 40, 42, 43]) | (cls == 21) & (c == 41))
+    keep = np.stack([keep, keep | (c == 0)], axis=2)  # neg
+    return (np.array(hi), np.array(lo), four, expo,
+            (keep * template).reshape(-1, _WIDTH))
+
+
+def _scale(a, e, hi, lo):
+    """a 10^(16-e) as an integer N plus a fraction f in [0, 1)."""
+    p = a * hi
+    (ah, al), (bh, bl) = [(c - (c - v), v - (c - (c - v)))  # Veltkamp
+                          for v in (a, hi) for c in [134217729.0 * v]]
+    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+    ft = np.floor(t)
+    return p.astype(np.int64) + ft.astype(np.int64), t - ft
+
+
+def _repr_cells(values):
+    """repr of each value, NUL-padded to 24 bytes: the kernel's fallback."""
+    return np.array([repr(v) for v in values.tolist()], "S24") \
+        .view(np.uint8).reshape(-1, 24)
+
+
+def _float_text(block) -> str:
+    """The CSV text of a 2-D float block, each cell ``repr(float(v))``."""
+    pow_hi, pow_lo, four, expo, layouts = _text_tables()
+    rows, cols = block.shape
+    v = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    a = np.abs(v)
+    mant, ex = np.frexp(a)
+    fast = np.flatnonzero((a > 1e-280) & (a < 1e280) & (mant != 0.5))
+    a, ex = a[fast], ex[fast]
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = pow_hi[e - _E_MIN], pow_lo[e - _E_MIN]
+    N, f = _scale(a, e, hi, lo)
+    # log10 may misplace X by one decade next to a power of ten
+    off = np.flatnonzero((N < 10 ** 16) | (N >= 10 ** 17))
+    e[off] += np.where(N[off] < 10 ** 16, -1, 1)
+    hi[off], lo[off] = pow_hi[e[off] - _E_MIN], pow_lo[e[off] - _E_MIN]
+    N[off], f[off] = _scale(a[off], e[off], hi[off], lo[off])
+    h = np.ldexp(hi, ex - 54)
+    # the nearest multiples of 100 and 10: at most one multiple of 100 fits
+    # in the interval, and when one does, its trailing zeros set j
+    r100 = N % 100
+    r10 = r100 % 10
+    lo100, lo10 = r100 + f, r10 + f
+    up100, up10 = lo100 > 50, lo10 > 5
+    d100 = np.where(up100, 100 - lo100, lo100)
+    d10 = np.where(up10, 10 - lo10, lo10)
+    sure = ((np.abs(d100 - h) > _MARGIN) & (np.abs(d10 - h) > _MARGIN)
+            & (np.abs(lo10 - 5) > _MARGIN) & (np.abs(f - 0.5) > _MARGIN))
+    in100, in10 = d100 < h, d10 < h
+    m = np.where(in100, N - r100 + 100 * up100,
+                 np.where(in10, N - r10 + 10 * up10, N + (f > 0.5)))
+    fast, m, e, in100, in10 = (x[sure] for x in (fast, m, e, in100, in10))
+    top = m == 10 ** 17
+    m[top] = 10 ** 16
+    decpt = e + 1 + top
+    # k significant digits: 17, 16, or 17 less the trailing zeros of m
+    k = np.where(in10, 16, 17)
+    w = np.flatnonzero(in100)
+    q, k[w] = m[w] // 100, 15
+    while w.size:
+        w, q = w[q % 10 == 0], q[q % 10 == 0] // 10
+        k[w] -= 1
+    # digit 0, then digits 1-16 in four chunks of four
+    d0 = m // 10 ** 16
+    chunks = np.empty((m.size, 4), np.int64)
+    chunks[:, 0] = m - d0 * 10 ** 16
+    chunks[:, 2] = chunks[:, 0] - chunks[:, 0] // 10 ** 8 * 10 ** 8
+    chunks[:, 0] //= 10 ** 8
+    chunks[:, 1::2] = chunks[:, 0::2] - chunks[:, 0::2] // 10 ** 4 * 10 ** 4
+    chunks[:, 0::2] //= 10 ** 4
+    cls = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
+                   np.where(np.abs(decpt - 1) < 100, 20, 21))
+    body = np.take(layouts, (cls * 17 + k - 1) * 2 + (v[fast] < 0), axis=0)
+    body[:, 6] &= (d0 + ord("0")).astype(np.uint8)
+    body.view(np.uint64)[:, 1:5] &= np.take(four, chunks)
+    body.view(np.uint32)[:, 10] &= expo[decpt + 399]
+    canvas = body
+    if fast.size < v.size:
+        canvas = np.zeros((v.size, _WIDTH), np.uint8)
+        canvas[fast] = body
+        slow = np.setdiff1d(np.arange(v.size), fast)
+        canvas[slow, :24] = _repr_cells(v[slow])
+        canvas[slow, 44] = ord(",")
+    canvas.reshape(rows, cols, _WIDTH)[:, -1, 44] = ord("\n")
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(path: Path, header, rows):
@@ -91,13 +227,15 @@ def write_csv(path: Path, header, rows):
     Cells are numbers or strings free of commas, quotes and newlines, so
     no cell needs quoting.  A float cell, Python or numpy, is the ``repr``
     of its value widened to a Python float: the shortest text that reads
-    back to the same bits.  The builtin ``format`` gives exactly that text
-    for numpy scalars too, whatever numpy's print options, and costs no
-    Python call per cell.  Rows go out in blocks, one write per block; an
-    array block is boxed into Python scalars by a single ``tolist``.
+    back to the same bits.  Rows go out in blocks, one write per block.  A
+    block of a float array is formatted in numpy by ``_float_text``, which
+    leaves to ``repr`` only the cells it cannot settle with certainty;
+    other rows are boxed into Python scalars and go through the builtin
+    ``format``, which gives that same text for numpy scalars too, whatever
+    numpy's print options.
 
-    Formatting costs about ten times the exact draws it writes, so a table
-    of more than 2^20 cells, on a process that may use two or more CPUs,
+    Formatting still costs more than the exact draws it writes, so a table
+    of more than 2^19 cells, on a process that may use two or more CPUs,
     has its blocks formatted by one worker process per CPU.  Blocks go to
     the workers by pickle and come back in order, at most four per worker
     in flight, so the bytes and the parent's memory are those of the
@@ -475,7 +613,9 @@ def cmd_ldp_verify(cfg):
     for n, sub in zip(ns, rng.split(len(ns))):
         alpha_n = alpha_rate * n
         prob = float(betainc(n / p, alpha_n, bcut))
-        decay = -np.log(prob) / n if prob > 0 else np.inf
+        # finite where prob underflows to 0
+        log_prob = beta_log_cdf(bcut, n / p, alpha_n)
+        decay = -log_prob / n
         freq = ""
         censored = 0
         if cfg["monte_carlo"]:
@@ -488,19 +628,18 @@ def cmd_ldp_verify(cfg):
                 censored = 1
             else:
                 freq = hits / count
-        rows.append((n, prob, decay, freq, censored, rate_inf,
+        rows.append((n, prob, log_prob, decay, freq, censored, rate_inf,
                      decay - rate_inf))
     gaps = [r[-1] for r in rows]
     outputs = {
-        "ldp_decay.csv": (["n", "prob_exact", "neg_log_prob_over_n",
-                           "freq_mc", "censored", "rate_infimum", "gap"],
-                          rows),
+        "ldp_decay.csv": (["n", "prob_exact", "log_prob_exact",
+                           "neg_log_prob_over_n", "freq_mc", "censored",
+                           "rate_infimum", "gap"], rows),
         "ldp_report.json": {"rate_infimum": rate_inf, "gap_final": gaps[-1],
                             "gap_monotone_decreasing": all(
                                 g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))}}
     return outputs, (None if all(np.isfinite(gaps)) else
-                     "decay gap is not finite: the exact tail probability "
-                     "underflowed; outputs retained")
+                     "decay gap is not finite; outputs retained")
 
 
 # --- asymptotics ----------------------------------------------------------------

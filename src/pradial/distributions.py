@@ -8,10 +8,11 @@ this package are built from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .rng import RngStream
 
@@ -54,6 +55,39 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     g1 = sample_gamma(a, 1.0, rng, size=size)
     g2 = sample_gamma(b, 1.0, rng, size=size)
     return g1 / (g1 + g2)
+
+
+def _stirling_rest(z: float) -> float:
+    """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)."""
+    if z < 30.0:
+        return gammaln(z) - ((z - 0.5) * math.log(z) - z
+                             + 0.5 * math.log(2.0 * math.pi))
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680
+                                                         - w / 1188)))) / z
+
+
+def beta_log_cdf(x: float, a: float, b: float) -> float:
+    """log P(Beta(a, b) <= x) for 0 < x, finite where the probability
+    underflows.  Below the mean m = a/(a+b) it is the log of
+    (x/m)^a ((1-x)/(1-m))^b m^a (1-m)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x):
+    the series has positive terms with ratio (a+b+k)/(a+1+k) x < 1, and
+    Stirling's formula gives log(m^a (1-m)^b / B(a, b)) with no large
+    terms to cancel.  From the mean up, betainc does not underflow."""
+    m = a / (a + b)
+    if x >= m:
+        return math.log(betainc(a, b, x))
+    total = term = 1.0
+    k = 0
+    while term > 1e-17 * total:
+        term *= (a + b + k) / (a + 1.0 + k) * x
+        total += term
+        k += 1
+    d = x - m
+    return (a * math.log1p(d / m) + b * math.log1p(-d / (1.0 - m))
+            + 0.5 * math.log(a * b / (a + b) / (2.0 * math.pi))
+            - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(a + b)
+            - math.log(a) + math.log(total))
 
 
 def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):

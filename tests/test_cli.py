@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
 from pradial import cli
 from pradial.cli import main, write_csv
@@ -74,6 +76,7 @@ _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
             1e-5, 1e-4, 1e16, 1e15, 0.1, -2.5, 1.0 / 3.0, 1.7976931348623157e308]
 
 
+@pytest.mark.filterwarnings("error")
 class TestWriteCsv:
     def assert_same(self, tmp_path, header, rows):
         write_csv(tmp_path / "new.csv", header, rows)
@@ -134,8 +137,81 @@ class TestWriteCsv:
         assert peak < 16e6
 
 
+def repr_text(x):
+    """The CSV text of a 2-D array with every cell repr(float(v))."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+
+
+def _neighbours(x):
+    return np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatText:
+    """The numpy formatter of float blocks against repr, cell by cell."""
+
+    def assert_repr(self, x):
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        got, want = cli._format_block(x), repr_text(x)
+        if got != want:
+            bad = [(g, w) for g, w in zip(got.replace("\n", ",").split(","),
+                                          want.replace("\n", ",").split(","))
+                   if g != w]
+            pytest.fail(f"{len(bad)} cells differ from repr, e.g. {bad[:5]}")
+
+    def test_powers_of_ten(self):
+        # X rounds to exactly 1e16 or 1e17 next to a power of ten, where a
+        # decimal exponent from log10 is one too high
+        p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        self.assert_repr(_neighbours(np.concatenate([p10, -p10])))
+
+    def test_powers_of_two(self):
+        # below a power of two the rounding interval is half as wide
+        p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        self.assert_repr(_neighbours(np.concatenate([p2, -p2])))
+
+    def test_integers_around_2_53(self):
+        x = np.arange(2 ** 53 - 3000, 2 ** 53 + 3000, dtype=np.int64)
+        self.assert_repr(np.concatenate([x, -x, x * 10 ** 3]).astype(float))
+
+    def test_one_to_seventeen_digits(self):
+        rng = np.random.default_rng(11)
+        x = [float(f"{rng.integers(10 ** (k - 1), 10 ** k)}e{e}")
+             for k in range(1, 18) for e in rng.integers(-330, 300, 198)]
+        self.assert_repr(x)
+
+    def test_specials_and_float32(self):
+        self.assert_repr(_SPECIAL)
+        x = np.random.default_rng(12).standard_normal((300, 3)) ** 7
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-45, -1e-45,
+                    1e-38, 0.1, -2.5, 1.0 / 3.0, 1e16, 3.4028235e38]
+        x32 = np.concatenate([specials, x.ravel()]).astype(np.float32)
+        x32 = x32[:x32.size // 3 * 3].reshape(-1, 3)
+        assert cli._format_block(x32) == repr_text(x32.astype(float))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=3, max_size=300))
+    def test_any_bit_pattern(self, bits):
+        bits = np.array(bits[:len(bits) // 3 * 3], dtype=np.uint64)
+        self.assert_repr(bits.view(np.float64))
+
+    def test_repr_fallback_is_rare(self, monkeypatch):
+        # of 10^4 cone rows, at most one cell in a thousand goes to repr
+        from pradial.lpgeom import sample_pnpw
+        from pradial.distributions import RadialLawW
+        from pradial.rng import RngStream
+
+        real, seen = cli._repr_cells, []
+        monkeypatch.setattr(cli, "_repr_cells",
+                            lambda v: seen.append(v.size) or real(v))
+        x = sample_pnpw(50, 2.0, RadialLawW.dirac(), RngStream(13),
+                        size=10 ** 4).points
+        assert cli._format_block(x) == repr_text(x)
+        assert sum(seen) <= x.size / 1000
+
+
 def _big_table(kind):
-    """A table of just over 2^20 cells, the size that is formatted in
+    """A table of just over 2^20 cells, big enough to be formatted in
     worker processes."""
     rng = np.random.default_rng(9)
     if kind == "float64":
@@ -177,8 +253,9 @@ def two_cpus(monkeypatch):
     return spy
 
 
+@pytest.mark.filterwarnings("error")
 class TestParallelWriteCsv:
-    """A table above 2^20 cells is formatted in worker processes, with the
+    """A table above 2^19 cells is formatted in worker processes, with the
     bytes of the serial loop."""
 
     @pytest.mark.parametrize("kind", ["float64", "float32", "tuples"])
@@ -648,8 +725,9 @@ class TestLdpVerify:
         rows = read_csv(out / "ldp_decay.csv")
         assert len(rows) == 4
         # exact decay rates exceed the infimum (upper-bound direction)
+        gap = rows[0].index("gap")
         for r in rows[1:]:
-            assert float(r[6]) > 0
+            assert float(r[gap]) > 0
 
     def test_infimum_inside_event_is_zero(self, tmp_path):
         # b = 0.5 lies right of the minimizer x* = 1/3, so the event
@@ -670,14 +748,34 @@ class TestLdpVerify:
         assert not out.exists()
 
     def test_decay_bytes_at_b_0_1(self, tmp_path):
-        # the infimum at b = 0.1 is rate_beta(0.1): the former 2000-point
-        # grid ended exactly at b, and these bytes are the ones it wrote
+        # the infimum at b = 0.1 is rate_beta(0.1), and the decay comes
+        # from the log_prob_exact column
         code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
                         "2", "--n-list", "20,40,80", "--seed", "1")
         assert code == 0
-        assert sha16(out / "ldp_decay.csv") == "8e1abf8d84fee979"
+        assert sha16(out / "ldp_decay.csv") == "d06f7ba07b3b2df3"
 
-    def test_underflow_is_strict_json_and_exit_3(self, tmp_path):
+    def test_large_n_tail_is_finite(self, tmp_path):
+        # at n = 4000 the tail probability underflows to 0.0 as a double;
+        # its log does not, and the gap keeps shrinking
+        code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
+                        "2", "--n-list", "20,40,80,4000", "--seed", "1")
+        assert code == 0
+        rep = read_strict_json(out / "ldp_report.json")
+        assert rep["gap_monotone_decreasing"] is True
+        assert 0 < rep["gap_final"] < 0.01
+        rows = read_csv(out / "ldp_decay.csv")
+        last = dict(zip(rows[0], rows[-1]))
+        assert float(last["prob_exact"]) == 0.0
+        assert math.isfinite(float(last["log_prob_exact"]))
+        assert float(last["neg_log_prob_over_n"]) == pytest.approx(
+            -float(last["log_prob_exact"]) / 4000)
+
+    def test_underflow_is_strict_json_and_exit_3(self, tmp_path,
+                                                 monkeypatch):
+        # a tail that is really non-finite still exits 3, with strict JSON
+        monkeypatch.setattr(cli, "beta_log_cdf", lambda x, a, b: (
+            -math.inf if a > 1000 else math.log(betainc(a, b, x))))
         code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
                         "2", "--n-list", "20,4000", "--seed", "1")
         assert code == 3
@@ -701,9 +799,9 @@ class TestLdpVerify:
                         "--monte-carlo", "--seed", "21")
         assert code == 0
         rows = read_csv(out / "ldp_decay.csv")
-        r = rows[1]
-        assert int(r[4]) == 1  # censored
-        assert float(r[3]) == pytest.approx(3.0 / 2000)
+        r = dict(zip(rows[0], rows[1]))
+        assert int(r["censored"]) == 1
+        assert float(r["freq_mc"]) == pytest.approx(3.0 / 2000)
 
 
 class TestAsymptotics:
@@ -1003,7 +1101,7 @@ class TestRunProtocol:
         pytest.param(("ldp-verify", "--n-list", "20,40"), 0,
                      ["ldp_decay.csv", "ldp_report.json"], id="ldp-verify"),
         pytest.param(("ldp-verify", "--event-b", "0.1", "--p", "2",
-                      "--n-list", "20,4000"), 3,
+                      "--n-list", "20,4000"), 0,
                      ["ldp_decay.csv", "ldp_report.json"],
                      id="ldp-verify-underflow"),
         pytest.param(("asymptotics", "--n-list", "50"), 0,

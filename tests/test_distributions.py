@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import erf, gammainc
+from scipy.special import betainc, betaln, erf, gammainc
 
 from pradial.distributions import (
     ParameterError,
     RadialLawW,
+    beta_log_cdf,
     gen_gaussian_cdf,
     gen_gaussian_pdf,
     sample_beta,
@@ -127,6 +130,48 @@ class TestBeta:
         x = sample_beta(2.5, 0.7, rng(), size=10 ** 5)
         ks = stats.kstest(x, lambda t: betainc(2.5, 0.7, t))
         assert ks.statistic < 0.01
+
+
+def log_cdf_by_quadrature(x, a, b):
+    """log P(Beta(a, b) <= x) from the density rescaled by its value at x,
+    integrated over the window below x where it is not negligible."""
+    def logf(t):
+        return (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t)
+
+    top = logf(x)
+    slope = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+    lo = max(0.0, x - 60.0 / slope)
+    val, _ = integrate.quad(lambda t: math.exp(logf(t) - top), lo, x,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return top + math.log(val) - betaln(a, b)
+
+
+class TestBetaLogCdf:
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    def test_matches_log_betainc(self, q):
+        # every value betainc holds as a normal double; a subnormal one
+        # carries too few digits to compare
+        for n in (1, 2, 5, 20, 80, 400, 1500):
+            for alpha in (0.3, 1.0, 2.5):
+                a, b = n / q, alpha * n
+                mean = a / (a + b)
+                for frac in (1e-3, 0.01, 0.1, 0.5, 0.9, 0.999, 0.99999,
+                             1.0, 1.5):
+                    x = min(frac * mean, 0.999)
+                    v = betainc(a, b, x)
+                    if v >= np.finfo(float).tiny:
+                        assert beta_log_cdf(x, a, b) == pytest.approx(
+                            math.log(v), rel=1e-12, abs=0.0), (a, b, x)
+
+    @pytest.mark.parametrize("n", [4000, 40000])
+    def test_finite_where_betainc_underflows(self, n):
+        a, b, x = n / 2.0, float(n), 0.1
+        assert betainc(a, b, x) == 0.0
+        assert beta_log_cdf(x, a, b) == pytest.approx(
+            log_cdf_by_quadrature(x, a, b), rel=1e-10)
+
+    def test_whole_interval(self):
+        assert beta_log_cdf(1.0, 2.0, 3.0) == 0.0
 
 
 class TestRadialLawW:
