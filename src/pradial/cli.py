@@ -45,7 +45,7 @@ from . import __version__
 from .distributions import ParameterError, RadialLawW, beta_log_cdf
 from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import EnsembleSpec, sample_eigenvalues_PH, sample_sq_singular_PM
-from .mcmc import estimate_norm_const, sample_weighted_pnpw
+from .mcmc import estimate_norm_const
 from .measures import MeasureRep
 from .rng import RngStream
 from .weights import WeightFn
@@ -427,9 +427,6 @@ _TARGETS = {
     **dict.fromkeys(_EXACT_LAWS, lambda c, law, rng: sample_pnpw(
         c["n"], c["p"], _EXACT_LAWS[c["target"]] or law, rng,
         size=c["count"], positive=c["orthant"])),
-    "weighted-pnpw": lambda c, law, rng: sample_weighted_pnpw(
-        c["n"], c["p"], WeightFn.delta_beta(c["beta"]), law, rng,
-        size=c["count"]),
     "eigen-PH": lambda c, law, rng: sample_eigenvalues_PH(
         _ensemble(c, law), rng, size=c["count"]),
     "singular-PM": lambda c, law, rng: sample_sq_singular_PM(
@@ -602,6 +599,8 @@ def cmd_ldp_verify(cfg):
     p, bcut, alpha_rate = cfg["p"], cfg["event_b"], cfg["alpha_rate"]
     if not 0.0 < bcut <= 1.0:
         raise ParameterError(f"--event-b must lie in (0, 1], got {bcut!r}")
+    if alpha_rate <= 0.0:
+        raise ParameterError(f"--alpha-rate must be > 0, got {alpha_rate!r}")
     ns = [int(s) for s in cfg["n_list"].split(",")]
     spec = rates.RateFnSpec(target="beta-euclid", p=p, alpha=alpha_rate)
     # the rate decreases left of its minimizer x*, so its infimum over
@@ -690,6 +689,8 @@ def cmd_norm_const(cfg):
               "ess_floor": floor}
     if not np.isfinite(log_c):
         failure = "degenerate estimate: weight vanished on every draw"
+    elif not (np.isfinite(ess) and np.isfinite(se)):
+        failure = "one draw has no spread: ess and se_log are nan"
     elif ess < floor:
         failure = (f"importance ess {ess:.3g} below floor {floor:g}; "
                    "outputs retained")

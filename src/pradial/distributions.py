@@ -73,7 +73,10 @@ def beta_log_cdf(x: float, a: float, b: float) -> float:
     (x/m)^a ((1-x)/(1-m))^b m^a (1-m)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x):
     the series has positive terms with ratio (a+b+k)/(a+1+k) x < 1, and
     Stirling's formula gives log(m^a (1-m)^b / B(a, b)) with no large
-    terms to cancel.  From the mean up, betainc does not underflow."""
+    terms to cancel.  From the mean up, betainc does not underflow.
+    1 - m is formed as b/(a+b), which stays positive when b << a."""
+    _check_positive("a", a)
+    _check_positive("b", b)
     m = a / (a + b)
     if x >= m:
         return math.log(betainc(a, b, x))
@@ -84,7 +87,7 @@ def beta_log_cdf(x: float, a: float, b: float) -> float:
         total += term
         k += 1
     d = x - m
-    return (a * math.log1p(d / m) + b * math.log1p(-d / (1.0 - m))
+    return (a * math.log1p(d / m) + b * math.log1p(-d / (b / (a + b)))
             + 0.5 * math.log(a * b / (a + b) / (2.0 * math.pi))
             - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(a + b)
             - math.log(a) + math.log(total))

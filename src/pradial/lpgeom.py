@@ -68,37 +68,37 @@ def ball_volume(n: int, p: float) -> float:
 class PBallSample:
     """Draws from a law on the ell_p ball plus bookkeeping.
 
-    points has shape (size, n); norms_p holds ||x||_p per row; on_sphere
-    flags rows that sit exactly on the boundary (W drew its atom at 0);
-    chain holds the mcmc.ChainResult when X came from a chain, else None;
-    degree is the homogeneity degree m of the weight that tilted X (0 for
-    the exact samplers), so sum |x_i|^p over a row has the Beta shape
-    (n + m)/p.
+    points has shape (size, n); on_sphere flags rows that sit exactly on
+    the boundary (W drew its atom at 0); chain holds the mcmc.ChainResult
+    when X came from a chain, else None; degree is the homogeneity degree
+    m of the weight that tilted X (0 for the exact samplers), so
+    sum |x_i|^p over a row has the Beta shape (n + m)/p.
     """
 
     points: np.ndarray
-    norms_p: np.ndarray
     on_sphere: np.ndarray
     p: float
     chain: ChainResult | None = None
     degree: float = 0.0
 
 
-def _finish_sample(x: np.ndarray, w: np.ndarray, p: float,
+def _finish_sample(x: np.ndarray, p: float, law: RadialLawW, rng: RngStream,
                    chain: ChainResult | None = None,
                    degree: float = 0.0) -> PBallSample:
-    """The radial mixture step: each row x becomes x / (||x||_p^p + w)^(1/p).
+    """The radial mixture step: W is drawn from rng under law, one value a
+    row, and each row x becomes x / (||x||_p^p + W)^(1/p).
 
     The rows are divided in place and x becomes the sample's points, so the
     caller must pass an array it owns and does not read again; the only
     other temporary of x's size is |x|^p.
     """
+    w = np.atleast_1d(sample_W(law, rng, size=len(x)))
     r = np.abs(x)
     r **= p
     r = (np.sum(r, axis=-1) + w) ** (1.0 / p)
     x /= r[:, None]
-    return PBallSample(points=x, norms_p=lp_norm(x, p),
-                       on_sphere=(w == 0.0), p=p, chain=chain, degree=degree)
+    return PBallSample(points=x, on_sphere=(w == 0.0), p=p, chain=chain,
+                       degree=degree)
 
 
 def sample_pnpw(n: int, p: float, law: RadialLawW, rng: RngStream,
@@ -111,8 +111,7 @@ def sample_pnpw(n: int, p: float, law: RadialLawW, rng: RngStream,
     is W = Exp(1) (RadialLawW.exponential()).
     """
     x = sample_gen_gaussian(p, rng, size=(size, n), positive=positive)
-    w = np.atleast_1d(sample_W(law, rng, size=size))
-    return _finish_sample(x, w, p)
+    return _finish_sample(x, p, law, rng)
 
 
 def norm_split_B(n: int, p: float, m: float, law: RadialLawW, rng: RngStream,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import ParameterError, RadialLawW, _check_positive, sample_W
+from .distributions import ParameterError, RadialLawW, _check_positive
 from .lpgeom import PBallSample, _finish_sample
 from .mcmc import ChainConfig, sample_weighted_pnpw
 from .rng import RngStream
@@ -104,8 +104,7 @@ def _sample_family(family: str, spec: EnsembleSpec, rng: RngStream,
                                     size=size, config=config)
     r_x, r_w = rng.split(2)
     x = beta_ensemble_spectra(family, spec.n, spec.beta, r_x, size=size)
-    w = np.atleast_1d(sample_W(spec.law, r_w, size=size))
-    return _finish_sample(x, w, q, degree=weight.degree(spec.n))
+    return _finish_sample(x, q, spec.law, r_w, degree=weight.degree(spec.n))
 
 
 def sample_eigenvalues_PH(spec: EnsembleSpec, rng: RngStream, size: int = 1,

@@ -23,9 +23,8 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from . import _kernels
-from .distributions import (ParameterError, RadialLawW, sample_gen_gaussian,
-                            sample_W, _check_positive)
-from .lpgeom import PBallSample, _finish_sample
+from .distributions import ParameterError, RadialLawW, _check_positive
+from .lpgeom import PBallSample, _finish_sample, sample_pnpw
 from .rng import RngStream
 from .weights import KIND_CONSTANT, KIND_CUSTOM, WeightFn
 
@@ -232,8 +231,7 @@ def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,
     cfg = replace(config or ChainConfig(), n_samples=size)
     r_chain, r_w = rng.split(2)
     res = mcmc_sample(n, p, weight, r_chain, cfg)
-    w = np.atleast_1d(sample_W(law, r_w, size=size))
-    return _finish_sample(res.samples.copy(), w, p, chain=res,
+    return _finish_sample(res.samples.copy(), p, law, r_w, chain=res,
                           degree=weight.degree(n))
 
 
@@ -253,13 +251,9 @@ def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
     v = f(y / ||y||_p).  An ess near 1 means one draw carries the whole
     estimate, and the standard error is then not to be trusted.
     """
-    x = sample_gen_gaussian(p, rng, size=(size, n),
-                            positive=weight.orthant_only)
-    # the direction y / ||y||_p; sum |y_i|^p is a Gamma draw, never
-    # overflows, and needs none of lp_norm's scaling
-    r = np.abs(x)
-    r **= p
-    x /= (r.sum(axis=1) ** (1.0 / p))[:, None]
+    # the directions y / ||y||_p are cone draws, W = delta_0
+    x = sample_pnpw(n, p, RadialLawW.dirac(), rng, size=size,
+                    positive=weight.orthant_only).points
     logf = np.asarray(weight.log_eval(x), dtype=float)
     finite = np.isfinite(logf)
     # base normalization: the product density integrates
@@ -273,7 +267,8 @@ def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
     if not np.isfinite(m):
         return -np.inf, np.inf, 0.0
     vals = np.exp(logf - m, where=finite, out=np.zeros_like(logf))
-    mean, sd = vals.mean(), vals.std(ddof=1)
+    # one draw has no spread to estimate: sd, se and ess are then nan
+    mean, sd = vals.mean(), (vals.std(ddof=1) if size > 1 else np.nan)
     se = sd / np.sqrt(size)
     # sum v^2 = (size - 1) sd^2 + size mean^2, so ess needs no second pass
     ess = size / (1.0 + (1.0 - 1.0 / size) * (sd / mean) ** 2)

@@ -344,8 +344,8 @@ def test_criterion_13_log_energy_oracles():
 def test_criterion_14_reproducibility(tmp_path):
     # any command rerun from its manifest yields byte-identical CSV output
     cases = [
-        (["sample", "--target", "weighted-pnpw", "--n", "4", "--beta", "2",
-          "--count", "200", "--seed", "31"], "samples.csv"),
+        (["sample", "--target", "eigen-PH", "--n", "4", "--beta", "2",
+          "--p", "3", "--count", "200", "--seed", "31"], "samples.csv"),
         (["ldp-verify", "--event-b", "0.1", "--p", "2", "--n-list", "20,40",
           "--monte-carlo", "--count", "2000", "--seed", "32"],
          "ldp_decay.csv"),

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,8 +395,7 @@ class TestSample:
         assert diag == {"method": "exact", "states": 50}
         assert "diagnostics.json" in read_json(out / "manifest.json")["outputs"]
 
-    @pytest.mark.parametrize("target", ["weighted-pnpw", "eigen-PH",
-                                        "singular-PM"])
+    @pytest.mark.parametrize("target", ["eigen-PH", "singular-PM"])
     def test_per_chain_diagnostics(self, tmp_path, target):
         code, out = run(tmp_path, "sample", "--target", target, "--n", "4",
                         "--count", "200", "--seed", "5", "--p", "3")
@@ -435,14 +433,13 @@ class TestSample:
         assert 0.0 < diag["ess_dir"] < diag["ess"]
         assert 0.9 < diag["rhat_dir"] < math.inf
 
-    def test_weighted_pnpw_writes_diagnostics(self, tmp_path):
+    def test_weighted_pnpw_is_not_a_target(self, tmp_path, capsys):
+        # the Delta_beta chain on the ball is the eigen-PH target
         code, out = run(tmp_path, "sample", "--target", "weighted-pnpw",
-                        "--n", "3", "--count", "50", "--seed", "3")
-        assert code == 0
-        diag = read_json(out / "diagnostics.json")
-        assert diag["chain_ok"] is True
-        assert 0.2 <= diag["accept_rate"] <= 0.6
-        assert "diagnostics.json" in read_json(out / "manifest.json")["outputs"]
+                        "--n", "3", "--count", "5", "--seed", "3")
+        assert code == 2
+        assert "--target" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, digest", [
         (("--target", "cone", "--n", "4", "--seed", "1", "--count", "2000"),
@@ -506,7 +503,7 @@ class TestSample:
     # `sample --orthant` and `test-norm-law --m` are usage errors there
     @pytest.mark.parametrize("command, target, flags", [
         pytest.param("sample", t, ("--orthant",), id=t)
-        for t in ("weighted-pnpw", "eigen-PH", "singular-PM")] + [
+        for t in ("eigen-PH", "singular-PM")] + [
         pytest.param("test-norm-law", t, ("--m", "2"), id=f"m-{t}")
         for t in ("eigen-PH", "singular-PM")])
     def test_orthant_rejected_for_chain_targets(self, tmp_path, capsys,
@@ -714,6 +711,7 @@ class TestRate:
         assert rep["min_x"] == 0.25
 
 
+@pytest.mark.filterwarnings("error")
 class TestLdpVerify:
     def test_gap_shrinks(self, tmp_path):
         code, out = run(tmp_path, "ldp-verify", "--event-b", "0.1", "--p",
@@ -783,6 +781,29 @@ class TestLdpVerify:
         assert rep["gap_final"] == "inf"
         assert (out / "ldp_decay.csv").exists()
 
+    @pytest.mark.parametrize("flags", [("--alpha-rate", "0"),
+                                       ("--alpha-rate", "-1"),
+                                       ("--alpha-rate", "0", "--monte-carlo")],
+                             ids=["zero", "negative", "monte-carlo"])
+    def test_alpha_rate_not_positive_is_usage_error(self, tmp_path, capsys,
+                                                    flags):
+        code, out = run(tmp_path, "ldp-verify", "--n-list", "20", "--seed",
+                        "1", *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--alpha-rate" in err
+        assert not out.exists()
+
+    def test_tiny_alpha_rate_is_finite(self, tmp_path):
+        # b = alpha n far below a = n / p: 1 - a/(a+b) rounds to 0, and
+        # the log tail is still finite
+        code, out = run(tmp_path, "ldp-verify", "--alpha-rate", "1e-300",
+                        "--n-list", "20,40", "--seed", "1")
+        assert code == 0
+        rows = read_csv(out / "ldp_decay.csv")
+        col = rows[0].index("log_prob_exact")
+        assert all(math.isfinite(float(r[col])) for r in rows[1:])
+
     def test_monte_carlo_count_below_one_is_usage_error(self, tmp_path,
                                                         capsys):
         code, out = run(tmp_path, "ldp-verify", "--n-list", "20",
@@ -821,6 +842,7 @@ class TestAsymptotics:
         assert float(big[i_eb]) < 0.02
 
 
+@pytest.mark.filterwarnings("error")
 class TestNormConst:
     def test_constant_weight_exact(self, tmp_path):
         code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
@@ -866,6 +888,16 @@ class TestNormConst:
         assert rep["ess_floor"] == 200.0
         assert rep["ess"] >= rep["ess_floor"]
 
+    def test_one_draw_exits_3(self, tmp_path, capsys):
+        # one draw has no spread: ess and se_log are nan, which no floor
+        # comparison catches
+        code, out = run(tmp_path, "norm-const", "--weight", "delta", "--n",
+                        "3", "--count", "1", "--seed", "2")
+        assert code == 3
+        rep = read_strict_json(out / "norm_const.json")
+        assert rep["ess"] == "nan" and rep["se_log"] == "nan"
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_count_below_one_is_usage_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "norm-const", "--weight", "one", "--n",
                         "2", "--count", "0", "--seed", "2")
@@ -892,11 +924,9 @@ class TestNormConst:
                                                   log_c):
         # at n = 1 there are no pairs, and nabla_2 has exponent 0: the
         # weight is 1 on its support (R for delta, the half-line for nabla)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out = run(tmp_path, "norm-const", "--weight", *weight,
-                            "--n", "1", "--p", str(p), "--count", "500",
-                            "--seed", "2")
+        code, out = run(tmp_path, "norm-const", "--weight", *weight,
+                        "--n", "1", "--p", str(p), "--count", "500",
+                        "--seed", "2")
         assert code == 0
         rep = read_strict_json(out / "norm_const.json")
         assert rep["se_log"] == 0.0

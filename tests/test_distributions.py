@@ -173,6 +173,17 @@ class TestBetaLogCdf:
     def test_whole_interval(self):
         assert beta_log_cdf(1.0, 2.0, 3.0) == 0.0
 
+    def test_tiny_b(self):
+        # 1 - a/(a+b) rounds to 0 here; b/(a+b) does not
+        assert beta_log_cdf(0.1, 2.5, 1e-300) == math.log(
+            betainc(2.5, 1e-300, 0.1))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                      (1.0, -2.0)])
+    def test_shapes_must_be_positive(self, a, b):
+        with pytest.raises(ParameterError):
+            beta_log_cdf(0.1, a, b)
+
 
 class TestRadialLawW:
     def test_dirac_always_zero(self):

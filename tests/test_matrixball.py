@@ -317,13 +317,17 @@ class TestChainAtDefaults:
         assert stats.kstest(b, stats.beta(shape, 1.0).cdf).pvalue > 1e-6
 
 
-def _directions(v, q):
-    """The largest, smallest and middle |x_i| / ||x||_q per row, one row
+def _scale_free_stats(v, q):
+    """The largest, smallest and middle |x_i| / ||x||_q per row, and the
+    coefficient of variation of the gaps between the sorted x_i, one row
     each: scale free, so the radial mixture leaves their laws alone.  The
-    largest alone misses a spectrum whose bulk is off."""
+    largest alone misses a spectrum whose bulk is off, and the three
+    directions miss a 15% shift of beta, which the gaps' spread sees."""
     a = np.sort(np.abs(v), axis=1)
     a /= np.sum(a ** q, axis=1, keepdims=True) ** (1.0 / q)
-    return a[:, [-1, 0, a.shape[1] // 2]].T
+    gaps = np.diff(np.sort(v, axis=1), axis=1)
+    cv = gaps.std(axis=1) / gaps.mean(axis=1)
+    return np.vstack([a[:, [-1, 0, a.shape[1] // 2]].T, cv])
 
 
 class TestExactSpectra:
@@ -346,7 +350,8 @@ class TestExactSpectra:
         q = s.p
         oracle = dense_spectra(family, n, beta, size,
                                seed=1000 * n + 10 * int(beta) + ord(family))
-        for got, want in zip(_directions(s.points, q), _directions(oracle, q)):
+        for got, want in zip(_scale_free_stats(s.points, q),
+                             _scale_free_stats(oracle, q)):
             assert stats.ks_2samp(got, want).pvalue > 1e-3
         # the norm split under W = Exp(1): sum |x_i|^q ~ Beta((n + m)/q, 1)
         b = np.sum(np.abs(s.points) ** q, axis=1)
