@@ -1,5 +1,5 @@
-"""Base scalar distributions: generalized Gaussian, gamma, beta, and the
-radial mixing law W.
+"""Base scalar distributions: generalized Gaussian, gamma, the beta law's
+log CDF, and the radial mixing law W.
 
 The generalized Gaussian here is the variant with density
 ``exp(-|x|^p) / (2*Gamma(1+1/p))``; all probabilistic representations in
@@ -48,15 +48,6 @@ def sample_gamma(a: float, b: float, rng: RngStream, size=None):
     return g[()] if size is None else g
 
 
-def sample_beta(a: float, b: float, rng: RngStream, size=None):
-    """Beta(a, b) via the gamma-ratio construction G1/(G1+G2)."""
-    _check_positive("a", a)
-    _check_positive("b", b)
-    g1 = sample_gamma(a, 1.0, rng, size=size)
-    g2 = sample_gamma(b, 1.0, rng, size=size)
-    return g1 / (g1 + g2)
-
-
 def _stirling_rest(z: float) -> float:
     """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)."""
     if z < 30.0:
@@ -97,15 +88,22 @@ def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
     """Draws with density exp(-|x|^p)/(2*Gamma(1+1/p)), or of |X| when
     positive is set.
 
-    Uses the exact power transform X = S * G^(1/p) with S a uniform sign
-    and G ~ Gamma(1/p, 1); the positive draw skips S.
+    At p = 2 that is N(0, 1/2), sqrt(1/2) times a standard normal; every
+    other p takes X = S * G^(1/p), S a uniform sign, G ~ Gamma(1/p, 1).
+    The positive draw is |signed draw| from the same stream.
     """
     _check_positive("p", p)
-    g = np.asarray(sample_gamma(1.0 / p, 1.0, rng, size=size))
-    g **= 1.0 / p
-    if not positive:
-        signs = rng.gen.integers(0, 2, size=size)
-        np.negative(g, out=g, where=signs == 0)
+    if p == 2.0:
+        g = np.asarray(rng.gen.standard_normal(size))
+        g *= math.sqrt(0.5)
+        if positive:
+            np.abs(g, out=g)
+    else:
+        g = np.asarray(sample_gamma(1.0 / p, 1.0, rng, size=size))
+        g **= 1.0 / p
+        if not positive:
+            np.negative(g, out=g, where=rng.gen.integers(0, 2, size=size,
+                                                         dtype=bool))
     return g[()] if size is None else g
 
 

@@ -4,8 +4,10 @@ Implements the p-norm, log-space ball volumes, and the one exact sampler,
 sample_pnpw: the radial mixture law obtained by dividing an n-vector of
 generalized Gaussians by (||X||_p^p + W)^(1/p) for a mixing weight W.
 The cone measure on the sphere is the case W = delta_0 and the uniform
-measure on the ball the case W = Exp(1).  Also provides the norm-split
-statistic
+measure on the ball the case W = Exp(1).  At p = 2 X is drawn as
+N(0, 1/2); the sampler holds its output, row blocks of |X|^p and, on the
+Gamma boost path (p > 1, p != 2), one array of uniforms of that size.
+Also provides the norm-split statistic
 
     B = ||X||_p^p / (||X||_p^p + W),
 
@@ -35,6 +37,7 @@ if TYPE_CHECKING:
     from .mcmc import ChainResult
 
 _PSI_BLOCK = 1 << 16  # (s, knot) pairs per row block of the tabulated psi
+_NORM_BLOCK = 1 << 16  # |x|^p cells per row block of _finish_sample
 
 
 def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
@@ -58,10 +61,6 @@ def log_ball_volume(n: int, p: float) -> float:
     if n < 1:
         raise ParameterError(f"dimension n must be >= 1, got {n}")
     return n * (np.log(2.0) + gammaln(1.0 + 1.0 / p)) - gammaln(1.0 + n / p)
-
-
-def ball_volume(n: int, p: float) -> float:
-    return float(np.exp(log_ball_volume(n, p)))
 
 
 @dataclass
@@ -89,14 +88,17 @@ def _finish_sample(x: np.ndarray, p: float, law: RadialLawW, rng: RngStream,
     row, and each row x becomes x / (||x||_p^p + W)^(1/p).
 
     The rows are divided in place and x becomes the sample's points, so the
-    caller must pass an array it owns and does not read again; the only
-    other temporary of x's size is |x|^p.
+    caller must pass an array it owns and does not read again; |x|^p is
+    summed one row block of at most _NORM_BLOCK cells at a time.
     """
     w = np.atleast_1d(sample_W(law, rng, size=len(x)))
-    r = np.abs(x)
-    r **= p
-    r = (np.sum(r, axis=-1) + w) ** (1.0 / p)
-    x /= r[:, None]
+    r = np.empty(len(x))
+    step = max(1, _NORM_BLOCK // max(1, x.shape[-1]))
+    for i in range(0, len(x), step):
+        b = np.abs(x[i:i + step])
+        b **= p
+        np.sum(b, axis=-1, out=r[i:i + step])
+    x /= ((r + w) ** (1.0 / p))[:, None]
     return PBallSample(points=x, on_sphere=(w == 0.0), p=p, chain=chain,
                        degree=degree)
 

@@ -443,7 +443,7 @@ class TestSample:
 
     @pytest.mark.parametrize("argv, digest", [
         (("--target", "cone", "--n", "4", "--seed", "1", "--count", "2000"),
-         "7b22feb579edb3a6"),
+         "445346d7034470c2"),
         (("--target", "eigen-PH", "--n", "4", "--seed", "1", "--theta",
           "0.3", "--count", "300"), "bfb4efa929516ae4"),
         (("--target", "eigen-PH", "--n", "16", "--seed", "1", "--theta",
@@ -451,9 +451,9 @@ class TestSample:
         (("--target", "singular-PM", "--n", "16", "--seed", "1", "--theta",
           "0.3", "--count", "300"), "8cecf415eda0c05e"),
         (("--target", "uniform", "--n", "4", "--seed", "1", "--count",
-          "2000"), "a51aabce2ccd1b2c"),
+          "2000"), "4d5a317e3870d43d"),
         (("--target", "pnpw", "--n", "4", "--seed", "1", "--theta", "0.3",
-          "--alpha", "2", "--count", "2000"), "88a73382626842b3"),
+          "--alpha", "2", "--count", "2000"), "3b542291eae923fd"),
         # beta != 2 turns on the orthant weight's power term
         (("--target", "singular-PM", "--n", "8", "--beta", "1", "--seed", "1",
           "--theta", "0.3", "--count", "300"), "17cea37949c18335"),
