@@ -16,6 +16,8 @@ from scipy.special import betainc, gammaln
 
 from .rng import RngStream
 
+_BOOST_BLOCK = 1 << 16  # uniforms per block of the Gamma boost
+
 
 class ParameterError(ValueError):
     pass
@@ -30,20 +32,24 @@ def sample_gamma(a: float, b: float, rng: RngStream, size=None):
     """Gamma(a, b) draws in the rate parametrization (mean a/b).
 
     Shapes below 1 go through the boosting identity
-    Gamma(a) =d= Gamma(a+1) * U^(1/a), which stays exact for small a.
+    Gamma(a) =d= Gamma(a+1) * U^(1/a), which stays exact for small a.  The
+    uniforms follow all the Gamma draws in the stream, and are drawn and
+    applied in blocks of at most _BOOST_BLOCK cells.
     """
     _check_positive("shape a", a)
     _check_positive("rate b", b)
     gen = rng.gen
     g = np.asarray(gen.standard_gamma(a if a >= 1.0 else a + 1.0, size=size))
     if a < 1.0:
-        u = np.asarray(gen.random(size=size))
-        # guard exact zeros from the uniform; measure-zero but log() below
-        u[u == 0.0] = np.nextafter(0.0, 1.0)
-        np.log(u, out=u)
-        u /= a
-        np.exp(u, out=u)
-        g *= u
+        flat = g.reshape(-1)
+        for i in range(0, flat.size, _BOOST_BLOCK):
+            u = gen.random(min(_BOOST_BLOCK, flat.size - i))
+            # guard exact zeros from the uniform; measure-zero but log() below
+            np.maximum(u, np.nextafter(0.0, 1.0), out=u)
+            np.log(u, out=u)
+            u /= a
+            np.exp(u, out=u)
+            flat[i:i + u.size] *= u
     g /= b
     return g[()] if size is None else g
 
@@ -59,8 +65,9 @@ def _stirling_rest(z: float) -> float:
 
 
 def beta_log_cdf(x: float, a: float, b: float) -> float:
-    """log P(Beta(a, b) <= x) for 0 < x, finite where the probability
-    underflows.  Below the mean m = a/(a+b) it is the log of
+    """log P(Beta(a, b) <= x) for x in [0, 1]: -inf at x = 0, finite
+    where the probability underflows.  Below the mean m = a/(a+b) it is
+    the log of
     (x/m)^a ((1-x)/(1-m))^b m^a (1-m)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x):
     the series has positive terms with ratio (a+b+k)/(a+1+k) x < 1, and
     Stirling's formula gives log(m^a (1-m)^b / B(a, b)) with no large
@@ -68,6 +75,10 @@ def beta_log_cdf(x: float, a: float, b: float) -> float:
     1 - m is formed as b/(a+b), which stays positive when b << a."""
     _check_positive("a", a)
     _check_positive("b", b)
+    if not 0.0 <= x <= 1.0:
+        raise ParameterError(f"x must lie in [0, 1], got {x!r}")
+    if x == 0.0:
+        return -math.inf
     m = a / (a + b)
     if x >= m:
         return math.log(betainc(a, b, x))
@@ -107,26 +118,10 @@ def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
     return g[()] if size is None else g
 
 
-def gen_gaussian_pdf(p: float, x):
-    _check_positive("p", p)
-    x = np.asarray(x, dtype=float)
-    return np.exp(-np.abs(x) ** p - np.log(2.0) - gammaln(1.0 + 1.0 / p))
-
-
 def gen_gaussian_logpdf(p: float, x):
     _check_positive("p", p)
     x = np.asarray(x, dtype=float)
     return -np.abs(x) ** p - np.log(2.0) - gammaln(1.0 + 1.0 / p)
-
-
-def gen_gaussian_cdf(p: float, x):
-    """CDF of the generalized Gaussian via the regularized incomplete gamma."""
-    from scipy.special import gammainc
-
-    _check_positive("p", p)
-    x = np.asarray(x, dtype=float)
-    tail = gammainc(1.0 / p, np.abs(x) ** p)
-    return 0.5 + 0.5 * np.sign(x) * tail
 
 
 @dataclass
@@ -155,6 +150,10 @@ class RadialLawW:
         self.atoms = list(self.atoms or [])
         if any(x < 0.0 for x, _ in self.atoms):
             raise ParameterError("tabulated atoms must lie in [0, inf)")
+        # a negative weight can hide in a total of 1, a nan in any total
+        if not all(0.0 <= w < np.inf for _, w in self.atoms):
+            raise ParameterError("tabulated atom weights must be finite "
+                                 "and nonnegative")
         total = sum(w for _, w in self.atoms)
         if self.grid is not None:
             self.grid = np.asarray(self.grid, dtype=float)

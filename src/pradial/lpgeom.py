@@ -1,12 +1,12 @@
 """Geometry and exact samplers on the Euclidean ell_p ball.
 
-Implements the p-norm, log-space ball volumes, and the one exact sampler,
-sample_pnpw: the radial mixture law obtained by dividing an n-vector of
-generalized Gaussians by (||X||_p^p + W)^(1/p) for a mixing weight W.
-The cone measure on the sphere is the case W = delta_0 and the uniform
-measure on the ball the case W = Exp(1).  At p = 2 X is drawn as
-N(0, 1/2); the sampler holds its output, row blocks of |X|^p and, on the
-Gamma boost path (p > 1, p != 2), one array of uniforms of that size.
+Implements the p-norm and the one exact sampler, sample_pnpw: the
+radial mixture law obtained by dividing an n-vector of generalized
+Gaussians by (||X||_p^p + W)^(1/p) for a mixing weight W.  The cone
+measure on the sphere is the case W = delta_0 and the uniform measure on
+the ball the case W = Exp(1).  At p = 2 X is drawn as N(0, 1/2); the
+sampler holds its output plus blocks of at most 2^16 cells of |X|^p and,
+on the Gamma boost path (p > 1, p != 2), of uniforms.
 Also provides the norm-split statistic
 
     B = ||X||_p^p / (||X||_p^p + W),
@@ -53,14 +53,6 @@ def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     s = np.sum(a, axis=axis, keepdims=True)
     out = np.squeeze(m * s ** (1.0 / p), axis=axis)
     return out if out.ndim else float(out)
-
-
-def log_ball_volume(n: int, p: float) -> float:
-    """log of the volume of the unit ell_p ball in R^n."""
-    _check_positive("p", p)
-    if n < 1:
-        raise ParameterError(f"dimension n must be >= 1, got {n}")
-    return n * (np.log(2.0) + gammaln(1.0 + 1.0 / p)) - gammaln(1.0 + n / p)
 
 
 @dataclass

@@ -22,8 +22,7 @@ Dumitriu & Edelman; the sample's chain is then None.  At every other p
 the chain of mcmc.sample_weighted_pnpw draws them.
 
 Normalization constants from the Weyl integration formula are computed in
-log space.  Matrix assembly (conjugating a spectrum by Haar-distributed
-frames) is provided for beta in {1, 2}; beta = 4 is spectral-only.
+log space.
 """
 
 from __future__ import annotations
@@ -123,58 +122,6 @@ def sample_sq_singular_PM(spec: EnsembleSpec, rng: RngStream, size: int = 1,
     q = p/2, which the sample carries as its p.  Rows are sorted.  Exact
     and independent at p = 2; elsewhere from the chain under config."""
     return _sample_family("M", spec, rng, size, config)
-
-
-def _haar_unitary(n: int, gen: np.random.Generator, beta: float) -> np.ndarray:
-    """Haar orthogonal (beta = 1) or unitary (beta = 2) matrix via QR with
-    the sign-fixed R."""
-    if beta not in (1.0, 2.0):
-        raise ParameterError(
-            "matrix assembly is implemented for beta in {1, 2}; the "
-            "beta = 4 ensemble is exposed through its spectrum only")
-    if beta == 1.0:
-        a = gen.standard_normal((n, n))
-    else:
-        a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
-
-
-def assemble_matrix_H(eigs: np.ndarray, beta: float, rng: RngStream) -> np.ndarray:
-    """A self-adjoint matrix with the given spectrum, conjugated by a Haar
-    frame.  Supported for beta in {1, 2}; beta = 4 is spectral-only."""
-    eigs = np.asarray(eigs, dtype=float)
-    u = _haar_unitary(eigs.shape[0], rng.gen, beta)
-    return (u * eigs) @ u.conj().T
-
-
-def assemble_matrix_M(sq_singular: np.ndarray, beta: float,
-                      rng: RngStream) -> np.ndarray:
-    """A matrix U diag(s) V* with the given squared singular values, U and
-    V independent Haar frames.  beta in {1, 2} only."""
-    s = np.sqrt(np.asarray(sq_singular, dtype=float))
-    u = _haar_unitary(s.shape[0], rng.gen, beta)
-    v = _haar_unitary(s.shape[0], rng.gen, beta)
-    return (u * s) @ v.conj().T
-
-
-def empirical_spectral_measure(values: np.ndarray, q: float):
-    """The rescaled empirical spectral measure of one row of a sample on
-    the ell_q ball: the values blown up by n^(1/q).  Eigenvalues take
-    q = p and squared singular values q = p/2.  Returns a MeasureRep with
-    uniform atom weights.
-    """
-    from .measures import MeasureRep
-
-    values = np.asarray(values, dtype=float)
-    return MeasureRep.from_atoms(values * values.size ** (1.0 / q))
-
-
-def spectral_measures(sample: PBallSample):
-    """empirical_spectral_measure applied to every row of a spectral sample."""
-    return [empirical_spectral_measure(row, sample.p) for row in sample.points]
 
 
 # --- exact spectra at p = 2 ---------------------------------------------------

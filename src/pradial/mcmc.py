@@ -56,12 +56,6 @@ class ChainResult:
     ok: bool                     # acceptance inside the required window
 
 
-def log_target(x: np.ndarray, p: float, weight: WeightFn) -> float:
-    """log pi up to the normalization constant."""
-    x = np.asarray(x, dtype=float)
-    return -np.sum(np.abs(x) ** p, axis=-1) + weight.log_eval(x)
-
-
 def _initial_state(n: int, p: float, weight: WeightFn, rng: RngStream):
     """A valid starting point: spread coordinates so repulsive weights are
     finite."""

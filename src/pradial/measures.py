@@ -156,18 +156,8 @@ class MeasureRep:
     # ---- projections ------------------------------------------------------
 
     def to_grid(self, n_bins: int = 256) -> "MeasureRep":
-        """Histogram/evaluation projection onto a grid representation."""
-        if self.kind == "grid":
-            return self
-        if self.kind == "atoms":
-            lo, hi = self.support
-            pad = 0.05 * max(hi - lo, 1e-12)
-            edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
-            hist, _ = np.histogram(self.positions, bins=edges,
-                                   weights=self.weights, density=True)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            dens = hist / max(np.trapezoid(hist, centers), 1e-300)
-            return MeasureRep.from_grid(centers, dens)
+        """An analytic law's pdf at n_bins knots of its support, rescaled
+        to unit trapezoid mass, as a grid representation."""
         g = np.linspace(*self.support, n_bins)
         d = np.asarray(self.pdf(g), dtype=float)
         d = d / np.trapezoid(d, g)

@@ -212,21 +212,6 @@ def rate_cone(mu: MeasureRep, family: str, p: float,
             + _gate(family, p, beta) * log_energy_constant(p)), m
 
 
-def scaled_family_cone_minimum(p: float, n_grid: int = 400) -> tuple[float, float]:
-    """Diagnostic: minimum of the Euclidean cone rate over the scaled
-    generalized-Gaussian family (densities proportional to exp(-|x|^p/z)).
-
-    Returns (z_min, value).  The closed form gives the minimum at z = p
-    with value 1 - (1 + log p)/p, which vanishes at p = 1 and is positive
-    otherwise; this is reported as-is, no recentering is applied.
-    """
-    zs = np.exp(np.linspace(np.log(0.2), np.log(5.0 * p), n_grid))
-    vals = np.array([rate_cone(MeasureRep.gen_gaussian_scaled(p, z),
-                               "euclid", p)[0] for z in zs])
-    i = int(np.argmin(vals))
-    return float(zs[i]), float(vals[i])
-
-
 # --- Legendre-Fenchel transform -------------------------------------------
 
 def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
@@ -389,10 +374,9 @@ def laplace_check(q, pfn, interval, n, c: float) -> tuple[float, float, float]:
     return _checked(q, pfn, lo, hi, n, p0, log_den, c)
 
 
-def breitung_check(q, pfn, n, c: float,
-                   hi: float = 1.0) -> tuple[float, float, float]:
+def breitung_check(q, pfn, n, c: float) -> tuple[float, float, float]:
     """Boundary case of laplace_check: p maximal at 0 with p'(0) < 0.  The
-    ratio is integral_0^hi q e^{n p} over n^{-1} |p'(0)|^{-1} q(0)
+    ratio is integral_0^1 q e^{n p} over n^{-1} |p'(0)|^{-1} q(0)
     e^{n p(0)}; the estimate of (1/n) log [1 + e^{c n} integral] tends to
     c + p(0)."""
     h = 1e-7
@@ -400,4 +384,4 @@ def breitung_check(q, pfn, n, c: float,
     if dp0 >= 0:
         raise ParameterError("pfn must decrease from the boundary")
     log_den = -np.log(n) - np.log(abs(dp0)) + np.log(q(0.0))
-    return _checked(q, pfn, 0.0, hi, n, pfn(0.0), log_den, c)
+    return _checked(q, pfn, 0.0, 1.0, n, pfn(0.0), log_den, c)

@@ -115,6 +115,6 @@ class WeightFn:
 
     @classmethod
     def custom(cls, log_eval: Callable[[np.ndarray], float], degree: float,
-               orthant_only: bool = False, name: str = "custom") -> "WeightFn":
+               name: str = "custom") -> "WeightFn":
         return cls(kind=KIND_CUSTOM, degree_fn=lambda n: degree,
-                   log_eval=log_eval, orthant_only=orthant_only, name=name)
+                   log_eval=log_eval, name=name)

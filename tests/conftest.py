@@ -1,10 +1,11 @@
-"""Closed forms that more than one test module checks against."""
+"""Closed forms and reference implementations that the tests check the
+library against.  None of them imports pradial."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 
 def _log_mehta(n: int, beta: float) -> float:
@@ -22,6 +23,41 @@ def _log_mehta(n: int, beta: float) -> float:
 @pytest.fixture
 def log_mehta():
     return _log_mehta
+
+
+def _gen_gaussian_pdf(p: float, x):
+    """The generalized Gaussian density exp(-|x|^p) / (2 Gamma(1 + 1/p))."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-np.abs(x) ** p - math.log(2.0) - gammaln(1.0 + 1.0 / p))
+
+
+@pytest.fixture
+def gen_gaussian_pdf():
+    return _gen_gaussian_pdf
+
+
+def _gen_gaussian_cdf(p: float, x):
+    """Its CDF: |X|^p ~ Gamma(1/p), so P(X <= x) = 1/2 + sign(x) P(1/p,
+    |x|^p) / 2 with P the regularized incomplete gamma."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 + 0.5 * np.sign(x) * gammainc(1.0 / p, np.abs(x) ** p)
+
+
+@pytest.fixture
+def gen_gaussian_cdf():
+    return _gen_gaussian_cdf
+
+
+def _log_target(x, p: float, weight):
+    """log of the chain's target exp(-||x||_p^p) f(x) up to its
+    normalization constant, f the weight, rescored in full at x."""
+    x = np.asarray(x, dtype=float)
+    return -np.sum(np.abs(x) ** p, axis=-1) + weight.log_eval(x)
+
+
+@pytest.fixture
+def log_target():
+    return _log_target
 
 
 def _log_laguerre_selberg(n: int, beta: float) -> float:

@@ -1,17 +1,25 @@
-"""Every module-level function of src/pradial is named somewhere in
-src/pradial, tests/ or pradbench/ outside its own definition.
+"""Two dead-code rules for the module-level functions of src/pradial.
 
-This stands in for a linter's dead-code rule: a function that nothing
+Every such function is named somewhere in src/pradial, tests/ or
+pradbench/ outside its own definition.  A public one (no leading
+underscore) must also be named by src/pradial outside its own body, by
+pradbench/, by the acceptance battery or, as a whole word, by README.md:
+a function that only its own tests call is not part of what the library
+does, however well it is tested.
+
+These stand in for a linter's dead-code rule: a function that nothing
 calls, imports or passes around cannot linger as an unused copy."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pradial"
+BENCH = sorted((ROOT / "pradbench").rglob("*.py"))
 SOURCES = (sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-           + sorted((ROOT / "pradbench").rglob("*.py")))
+           + BENCH)
 
 
 def _names(node) -> Counter:
@@ -27,20 +35,35 @@ def _names(node) -> Counter:
     return seen
 
 
-def dead_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
-    """The module-level functions of modules (name -> source) that no
-    source in modules or others names outside the function's own body."""
+def _unnamed(modules: dict[str, str], others: list[str]):
+    """(module, name) of each module-level function of modules (name ->
+    source) that no source in modules or others names outside the
+    function's own body."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
     named = Counter()
     for tree in list(trees.values()) + [ast.parse(src) for src in others]:
         named += _names(tree)
-    dead = []
     for mod, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and named[node.name] <= _names(node)[node.name]):
-                dead.append(f"{mod}.{node.name}")
-    return sorted(dead)
+                yield mod, node.name
+
+
+def dead_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """The module-level functions of modules that no source in modules or
+    others names outside the function's own body."""
+    return sorted(f"{mod}.{name}" for mod, name in _unnamed(modules, others))
+
+
+def unused_outside_tests(modules: dict[str, str], others: list[str],
+                         text: str) -> list[str]:
+    """The public module-level functions of modules that no source in
+    modules or others names outside the function's own body, and that
+    text does not name as a whole word."""
+    return sorted(f"{mod}.{name}" for mod, name in _unnamed(modules, others)
+                  if not name.startswith("_")
+                  and not re.search(rf"\b{name}\b", text))
 
 
 def test_checker_finds_dead_definitions():
@@ -53,7 +76,30 @@ def test_checker_finds_dead_definitions():
                             ["x = obj.f\n"]) == []
 
 
+def test_checker_finds_unused_outside_tests():
+    # tested is called, but only from a source outside others (a test);
+    # a private helper is the first rule's business; documented is named
+    # by the text, undocumented only inside a longer word
+    modules = {"a": "def used():\n    return _helper()\n\n"
+                    "def _helper():\n    return 1\n\n"
+                    "def tested():\n    return 2\n\n"
+                    "def documented():\n    return 3\n\n"
+                    "def undocumented():\n    return 4\n"}
+    others = ["import a\nprint(a.used())\n"]
+    text = "Call `a.documented()`; undocumented_later is another name."
+    assert unused_outside_tests(modules, others, text) == [
+        "a.tested", "a.undocumented"]
+
+
 def test_no_dead_definitions():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     others = [p.read_text() for p in SOURCES if p.parent != SRC]
     assert dead_definitions(modules, others) == []
+
+
+def test_no_unused_outside_tests():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text()
+              for p in BENCH + [ROOT / "tests" / "test_acceptance.py"]]
+    assert unused_outside_tests(modules, others,
+                                (ROOT / "README.md").read_text()) == []

@@ -9,8 +9,7 @@ from pradial.distributions import (
     ParameterError,
     RadialLawW,
     beta_log_cdf,
-    gen_gaussian_cdf,
-    gen_gaussian_pdf,
+    gen_gaussian_logpdf,
     sample_gamma,
     sample_gen_gaussian,
     sample_W,
@@ -24,16 +23,17 @@ def rng():
 
 class TestGenGaussian:
     def test_pdf_values(self):
-        assert gen_gaussian_pdf(2.0, 0.0) == pytest.approx(1.0 / np.sqrt(np.pi),
-                                                           abs=1e-12)
-        assert gen_gaussian_pdf(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert np.exp(gen_gaussian_logpdf(2.0, 0.0)) == pytest.approx(
+            1.0 / np.sqrt(np.pi), abs=1e-12)
+        assert np.exp(gen_gaussian_logpdf(1.0, 0.0)) == pytest.approx(
+            0.5, abs=1e-14)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
     def test_pdf_normalization(self, p):
         # truncation window with tail mass far below 1e-12
         lim = max(20.0, 45.0 ** (1.0 / p))
-        val, _ = integrate.quad(lambda x: gen_gaussian_pdf(p, x), -lim, lim,
-                                limit=500, points=[0.0])
+        val, _ = integrate.quad(lambda x: np.exp(gen_gaussian_logpdf(p, x)),
+                                -lim, lim, limit=500, points=[0.0])
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_symmetric(self):
@@ -42,7 +42,7 @@ class TestGenGaussian:
         assert abs(x.mean()) < 4 * se
 
     @pytest.mark.parametrize("p", [0.7, 2.0, 3.0])
-    def test_p_moment(self, p):
+    def test_p_moment(self, p, gen_gaussian_pdf):
         # E|X|^p = 1/p, oracle confirmed by quadrature
         lim = max(30.0, 60.0 ** (1.0 / p))
         oracle, _ = integrate.quad(
@@ -58,7 +58,7 @@ class TestGenGaussian:
         ks = stats.kstest(x, lambda t: 0.5 * (1 + erf(t)))
         assert ks.statistic < 0.01
 
-    def test_cdf_matches_pdf(self):
+    def test_cdf_matches_pdf(self, gen_gaussian_pdf, gen_gaussian_cdf):
         for p in (0.8, 2.0, 3.5):
             lim = max(30.0, 60.0 ** (1.0 / p))
             for x in (-1.3, 0.0, 0.4, 2.0):
@@ -81,7 +81,7 @@ class TestGenGaussian:
         with pytest.raises(ParameterError):
             sample_gen_gaussian(0.0, rng())
         with pytest.raises(ParameterError):
-            gen_gaussian_pdf(-1.0, 0.0)
+            gen_gaussian_logpdf(-1.0, 0.0)
 
 
 class TestGamma:
@@ -156,6 +156,14 @@ class TestBetaLogCdf:
     def test_whole_interval(self):
         assert beta_log_cdf(1.0, 2.0, 3.0) == 0.0
 
+    def test_zero_is_minus_infinity(self):
+        assert beta_log_cdf(0.0, 2.0, 3.0) == -math.inf
+
+    @pytest.mark.parametrize("x", [-0.1, -1e-300, 1.5, math.nan])
+    def test_x_outside_unit_interval(self, x):
+        with pytest.raises(ParameterError):
+            beta_log_cdf(x, 2.0, 3.0)
+
     def test_tiny_b(self):
         # 1 - a/(a+b) rounds to 0 here; b/(a+b) does not
         assert beta_log_cdf(0.1, 2.5, 1e-300) == math.log(
@@ -225,6 +233,19 @@ class TestRadialLawW:
     def test_tabulated_grid_validation(self, grid, density):
         with pytest.raises(ParameterError):
             RadialLawW.tabulated(grid=grid, density=density)
+
+    @pytest.mark.parametrize("atoms", [
+        # the masses sum to 1, yet mass_at_zero() read 1.5, psi went
+        # negative and sample_W failed inside numpy
+        [(0.0, 1.5), (1.0, -0.5)],
+        # a nan or an inf - inf total passes the mass check
+        [(0.0, math.nan)],
+        [(0.0, 1.0), (1.0, math.nan)],
+        [(0.0, math.inf), (1.0, -math.inf)],
+    ])
+    def test_tabulated_atom_weight_validation(self, atoms):
+        with pytest.raises(ParameterError):
+            RadialLawW.tabulated(atoms=atoms)
 
     def test_variant_is_read_off_the_data(self):
         # theta/alpha laws are mixtures, whatever their parameters; a law

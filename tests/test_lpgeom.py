@@ -8,7 +8,6 @@ from scipy.special import betainc, gammainc, gammaln
 from pradial.distributions import ParameterError, RadialLawW
 from pradial.lpgeom import (
     PsiSpec,
-    log_ball_volume,
     lp_norm,
     norm_split_B,
     psi_density,
@@ -56,24 +55,6 @@ class TestLpNorm:
         assert np.array_equal(x, keep)
 
 
-class TestBallVolume:
-    def test_known_values(self):
-        assert np.exp(log_ball_volume(2, 2.0)) == pytest.approx(np.pi,
-                                                               rel=1e-12)
-        assert np.exp(log_ball_volume(2, 1.0)) == pytest.approx(2.0, rel=1e-12)
-        assert np.exp(log_ball_volume(1, 0.7)) == pytest.approx(2.0, rel=1e-12)
-
-    def test_monte_carlo_oracle(self):
-        gen = rng().gen
-        pts = gen.uniform(-1, 1, size=(10 ** 6, 2))
-        frac = np.mean(np.sum(np.abs(pts) ** 2, axis=1) <= 1.0)
-        assert 4.0 * frac == pytest.approx(np.exp(log_ball_volume(2, 2.0)),
-                                           abs=0.01)
-
-    def test_log_space_large_n(self):
-        assert np.isfinite(log_ball_volume(2000, 0.5))
-
-
 class TestConeSampler:
     def test_norm_one(self):
         s = sample_pnpw(10, 2.0, RadialLawW.dirac(), rng(), size=500)
@@ -86,15 +67,13 @@ class TestConeSampler:
         se = s.points.std(axis=0) / np.sqrt(10 ** 5)
         assert np.all(np.abs(means) < 4 * se)
 
-    def test_marginal_convergence(self):
+    def test_marginal_convergence(self, gen_gaussian_cdf):
         # (n/p)^(1/p) * x1 approaches the generalized Gaussian for large n,
         # since the p-norm of the underlying Gaussian vector concentrates
         # at (n/p)^(1/p)
         n, p = 200, 2.0
         s = sample_pnpw(n, p, RadialLawW.dirac(), rng(), size=10 ** 4)
         z = (n / p) ** (1.0 / p) * s.points[:, 0]
-        from pradial.distributions import gen_gaussian_cdf
-
         ks = stats.kstest(z, lambda t: gen_gaussian_cdf(p, t))
         assert ks.statistic < 0.02
 

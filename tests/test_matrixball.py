@@ -7,15 +7,11 @@ import pytest
 from scipy import stats
 
 from pradial.distributions import ParameterError, RadialLawW, sample_W
-from pradial.matrixball import (EnsembleSpec, assemble_matrix_H,
-                                assemble_matrix_M, beta_ensemble_spectra,
-                                empirical_spectral_measure,
+from pradial.matrixball import (EnsembleSpec, beta_ensemble_spectra,
                                 log_weyl_const_H, log_weyl_const_M,
-                                sample_eigenvalues_PH, sample_sq_singular_PM,
-                                spectral_measures)
+                                sample_eigenvalues_PH, sample_sq_singular_PM)
 from pradial.mcmc import (ChainConfig, geyer_ess, mcmc_sample,
                           sample_weighted_pnpw)
-from pradial.measures import moment_p
 from pradial.rng import RngStream
 from pradial.weights import WeightFn, log_delta_beta, log_nabla_beta
 
@@ -403,72 +399,22 @@ class TestExactSpectra:
         assert np.array_equal(s.on_sphere, w == 0.0)
 
 
-class TestAssembly:
-    def test_h_roundtrip_and_selfadjoint(self):
-        eigs = np.array([-1.2, 0.3, 0.9, 2.0])
-        for beta in (1.0, 2.0):
-            h = assemble_matrix_H(eigs, beta, rng(13))
-            assert np.max(np.abs(h - h.conj().T)) < 1e-12
-            got = np.sort(np.linalg.eigvalsh(h))
-            assert np.max(np.abs(got - eigs)) < 1e-9
-            if beta == 1.0:
-                assert np.isrealobj(h)
-
-    def test_m_roundtrip(self):
-        sq = np.array([0.1, 0.5, 1.7])
-        for beta in (1.0, 2.0):
-            m = assemble_matrix_M(sq, beta, rng(14))
-            got = np.sort(np.linalg.eigvalsh(m.conj().T @ m))
-            assert np.max(np.abs(got - sq)) < 1e-9
-
-    def test_beta4_spectral_only(self):
-        with pytest.raises(ParameterError):
-            assemble_matrix_H(np.array([1.0, 2.0]), 4.0, rng(15))
-        with pytest.raises(ParameterError):
-            assemble_matrix_M(np.array([1.0, 2.0]), 4.0, rng(15))
-
-    def test_haar_invariance(self):
-        # the dominant eigenvector is uniform on the sphere, so its squared
-        # first entry has mean 1/n (sign conventions in eigh make the raw
-        # entry unusable)
-        eigs = np.array([0.1, 0.2, 5.0])
-        firsts = []
-        r = rng(16)
-        for _ in range(2000):
-            h = assemble_matrix_H(eigs, 1.0, r)
-            _, vecs = np.linalg.eigh(h)
-            firsts.append(vecs[0, -1] ** 2)
-        assert np.mean(firsts) == pytest.approx(1.0 / 3.0, abs=0.03)
-
-
 class TestEmpiricalMeasure:
-    def test_single_atom(self):
-        mu = empirical_spectral_measure(np.array([0.5]), 2.0)
-        assert mu.kind == "atoms"
-        assert mu.weights.sum() == pytest.approx(1.0)
-        assert mu.positions[0] == pytest.approx(0.5)  # n = 1, scale = 1
+    # W = delta_0 puts every row on the sphere of its exponent: the
+    # eigenvalues on the ell_p sphere, the squared singular values on the
+    # ell_{p/2} sphere, which an M sample carries as its p
 
     def test_on_sphere_p_moment_is_one(self):
-        # on the sphere sum |lambda|^p = 1, so the rescaled measure has
-        # p-th absolute moment exactly 1
         spec = EnsembleSpec(n=4, p=2.5, beta=2.0, law=RadialLawW.dirac())
         s = sample_eigenvalues_PH(spec, rng(17), size=5,
                                   config=ChainConfig(n_samples=5))
-        for mu in spectral_measures(s):
-            assert moment_p(mu, 2.5) == pytest.approx(1.0, abs=1e-10)
-
-    def test_m_scaling(self):
-        # squared singular values at p = 2 live on the ell_1 ball (q = 1):
-        # blown up by n^(1/q) = n^(2/p)
-        vals = np.array([0.1, 0.4])
-        mu = empirical_spectral_measure(vals, 1.0)
-        assert np.allclose(np.sort(mu.positions), np.sort(vals) * 2.0 ** 1.0)
+        np.testing.assert_allclose(np.sum(np.abs(s.points) ** 2.5, axis=1),
+                                   1.0, rtol=0.0, atol=1e-10)
 
     def test_m_sample_on_sphere_q_moment_is_one(self):
-        # an M sample carries q = p/2 as its p, so spectral_measures blows
-        # it up by n^(2/p) and the rescaled q-th moment is exactly 1
         spec = EnsembleSpec(n=4, p=3.0, beta=2.0, law=RadialLawW.dirac())
         s = sample_sq_singular_PM(spec, rng(24), size=5,
                                   config=ChainConfig(n_samples=5))
-        for mu in spectral_measures(s):
-            assert moment_p(mu, 1.5) == pytest.approx(1.0, abs=1e-10)
+        assert s.p == 1.5
+        np.testing.assert_allclose(np.sum(np.abs(s.points) ** 1.5, axis=1),
+                                   1.0, rtol=0.0, atol=1e-10)

@@ -13,8 +13,7 @@ from pradial.distributions import (ParameterError, RadialLawW,
                                    sample_gen_gaussian)
 from pradial.lpgeom import lp_norm
 from pradial.mcmc import (ChainConfig, estimate_norm_const, geyer_ess,
-                          log_target, mcmc_sample, sample_weighted_pnpw,
-                          split_rhat)
+                          mcmc_sample, sample_weighted_pnpw, split_rhat)
 from pradial.rng import RngStream
 from pradial.weights import WeightFn
 
@@ -29,14 +28,14 @@ def rng(stream=0):
 
 
 class TestLogTarget:
-    def test_delta_beta_value(self):
+    def test_delta_beta_value(self, log_target):
         # pi ~ exp(-||x||_2^2) * prod |xi - xj| at x = (1,2,3):
         # prod = 1*2*1 = 2, ||x||^2 = 14
         w = delta_beta(1.0)
         assert log_target(np.array([1.0, 2.0, 3.0]), 2.0, w) == pytest.approx(
             math.log(2.0) - 14.0, abs=1e-12)
 
-    def test_ties_are_minus_infinity(self):
+    def test_ties_are_minus_infinity(self, log_target):
         w = delta_beta(2.0)
         assert log_target(np.array([1.0, 1.0, 3.0]), 2.0, w) == -np.inf
 
@@ -161,7 +160,7 @@ class TestMcmcSample:
         with pytest.raises(ParameterError, match="sample_pnpw"):
             mcmc_sample(3, 2.0, constant_one(), rng(6))
 
-    def test_kernel_matches_full_target_metropolis(self):
+    def test_kernel_matches_full_target_metropolis(self, log_target):
         # run_chain moves K chains in lockstep and scores each flip with an
         # O(n) incremental update; a textbook loop that rescores the full
         # log target on one chain's pre-generated randomness must take the

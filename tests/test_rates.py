@@ -17,8 +17,7 @@ from pradial.rates import (MOMENT_TOL, RateFnSpec, analytic_scaled_cgf,
                            breitung_check, laplace_check,
                            legendre_biconjugate, legendre_transform,
                            log_energy_constant, rate, rate_beta,
-                           rate_beta_argmin, rate_cone, scaled_cgf_estimate,
-                           scaled_family_cone_minimum)
+                           rate_beta_argmin, rate_cone, scaled_cgf_estimate)
 from pradial.rng import RngStream
 
 
@@ -115,16 +114,6 @@ class TestConeRates:
         # scaled family with z > p has m_p = z/p > 1 -> +inf
         mu = MeasureRep.gen_gaussian_scaled(2.0, 3.0)
         assert rate_cone(mu, "euclid", 2.0)[0] == np.inf
-
-    def test_scaled_family_minimum(self):
-        # minimum over the scaled family sits at z = p with value
-        # 1 - (1 + log p)/p
-        for p in (1.0, 2.0):
-            z, val = scaled_family_cone_minimum(p)
-            assert z == pytest.approx(p, rel=0.05)
-            # tolerance set by the 400-point log grid in z
-            assert val == pytest.approx(1.0 - (1.0 + math.log(p)) / p,
-                                        abs=5e-3)
 
     def test_cone_h_value(self):
         # beta/2 * energy + beta/(2p) * constant; arcsine on [-1,1] at
