@@ -6,10 +6,11 @@ samplers for repulsion-weighted base densities, spectral samplers for
 matrix p-balls, and numerical rate functions for the associated
 large-deviation limits.
 
-Importing pradial loads numpy and scipy.special only.  Every other scipy
-subpackage is imported inside the function that calls it, so a command
-that never integrates, optimises or runs a KS test does not pay for
-loading those subpackages.
+Importing pradial loads numpy and the standard library only.  Every scipy
+function, scipy.special's included, is imported inside the function that
+calls it, so the exact samplers never load scipy, and a command that never
+integrates, optimises or runs a KS test does not pay for loading those
+subpackages.
 """
 
 __version__ = "0.1.0"

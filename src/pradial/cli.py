@@ -35,11 +35,11 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
 
 from . import __version__
 from .distributions import ParameterError, RadialLawW, beta_log_cdf
@@ -148,6 +148,22 @@ def _scale(a, e, hi, lo):
     return p.astype(np.int64) + ft.astype(np.int64), t - ft
 
 
+# the canvas is kept while the block size stays the same, so that each block
+# writes into pages already mapped; one per thread, as two threads
+# formatting at once must not share it.  write_csv drops it when a serial
+# write ends: kept between tables, it pins the heap and raises peak RSS
+_canvas = threading.local()
+
+
+def _canvas_of(cells):
+    """This thread's bytearray of cells * _WIDTH bytes and a (cells, _WIDTH)
+    uint8 view of it."""
+    buf = getattr(_canvas, "buf", None)
+    if buf is None or len(buf) != cells * _WIDTH:
+        buf = _canvas.buf = bytearray(cells * _WIDTH)
+    return buf, np.frombuffer(buf, np.uint8).reshape(cells, _WIDTH)
+
+
 def _repr_cells(values):
     """repr of each value, NUL-padded to 24 bytes: the kernel's fallback."""
     return np.array([repr(v) for v in values.tolist()], "S24") \
@@ -206,19 +222,21 @@ def _float_text(block) -> str:
     chunks[:, 0::2] //= 10 ** 4
     cls = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
                    np.where(np.abs(decpt - 1) < 100, 20, 21))
-    body = np.take(layouts, (cls * 17 + k - 1) * 2 + (v[fast] < 0), axis=0)
+    buf, canvas = _canvas_of(v.size)
+    # mode="clip" writes straight into out; the indices are in range
+    body = np.take(layouts, (cls * 17 + k - 1) * 2 + (v[fast] < 0), axis=0,
+                   out=canvas if fast.size == v.size else None, mode="clip")
     body[:, 6] &= (d0 + ord("0")).astype(np.uint8)
     body.view(np.uint64)[:, 1:5] &= np.take(four, chunks)
     body.view(np.uint32)[:, 10] &= expo[decpt + 399]
-    canvas = body
     if fast.size < v.size:
-        canvas = np.zeros((v.size, _WIDTH), np.uint8)
         canvas[fast] = body
         slow = np.setdiff1d(np.arange(v.size), fast)
+        canvas[slow] = 0
         canvas[slow, :24] = _repr_cells(v[slow])
         canvas[slow, 44] = ord(",")
     canvas.reshape(rows, cols, _WIDTH)[:, -1, 44] = ord("\n")
-    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+    return buf.translate(None, b"\0").decode("ascii")
 
 
 def write_csv(path: Path, header, rows):
@@ -248,8 +266,11 @@ def write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         if len(rows) * len(header) <= _CSV_PARALLEL_CELLS or workers < 2:
-            for block in blocks:
-                fh.write(_format_block(block))
+            try:
+                for block in blocks:
+                    fh.write(_format_block(block))
+            finally:
+                vars(_canvas).pop("buf", None)
             return
         from collections import deque
         from concurrent.futures import ProcessPoolExecutor
@@ -485,6 +506,7 @@ def _norm_split_samples(cfg, rng):
 
 def cmd_test_norm_law(cfg):
     from scipy import stats
+    from scipy.special import betainc
 
     if "m" in cfg and cfg["target"] != "euclid":
         # a chain target's degree is its weight's, fixed by n and beta
@@ -596,6 +618,8 @@ def cmd_rate(cfg):
 # --- ldp-verify ---------------------------------------------------------------
 
 def cmd_ldp_verify(cfg):
+    from scipy.special import betainc
+
     p, bcut, alpha_rate = cfg["p"], cfg["event_b"], cfg["alpha_rate"]
     if not 0.0 < bcut <= 1.0:
         raise ParameterError(f"--event-b must lie in (0, 1], got {bcut!r}")

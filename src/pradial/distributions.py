@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .rng import RngStream
 
@@ -56,6 +55,8 @@ def sample_gamma(a: float, b: float, rng: RngStream, size=None):
 
 def _stirling_rest(z: float) -> float:
     """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)."""
+    from scipy.special import gammaln
+
     if z < 30.0:
         return gammaln(z) - ((z - 0.5) * math.log(z) - z
                              + 0.5 * math.log(2.0 * math.pi))
@@ -73,6 +74,8 @@ def beta_log_cdf(x: float, a: float, b: float) -> float:
     Stirling's formula gives log(m^a (1-m)^b / B(a, b)) with no large
     terms to cancel.  From the mean up, betainc does not underflow.
     1 - m is formed as b/(a+b), which stays positive when b << a."""
+    from scipy.special import betainc
+
     _check_positive("a", a)
     _check_positive("b", b)
     if not 0.0 <= x <= 1.0:
@@ -119,6 +122,8 @@ def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
 
 
 def gen_gaussian_logpdf(p: float, x):
+    from scipy.special import gammaln
+
     _check_positive("p", p)
     x = np.asarray(x, dtype=float)
     return -np.abs(x) ** p - np.log(2.0) - gammaln(1.0 + 1.0 / p)

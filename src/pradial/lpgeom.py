@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     ParameterError,
@@ -151,6 +150,8 @@ def psi_density(spec: PsiSpec, s) -> np.ndarray:
     for W = Gamma(alpha, 1), with d = (n+m)/p.  Mixtures scale the gamma
     part by (1 - theta); tabulated laws are integrated numerically.
     """
+    from scipy.special import gammaln
+
     s = np.asarray(s, dtype=float)
     if np.any((s < 0) | (s > 1)):
         raise ParameterError("psi is defined on [0, 1]")
@@ -193,7 +194,7 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     t max w < 1e-8, e^{-t w} is 1 - t w to O((t w)^2) and two polynomial
     moments give the integral.
     """
-    from scipy.special import gammainc
+    from scipy.special import gammainc, gammaln
 
     d = spec.d
     sp = np.ravel(s) ** spec.p

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import ParameterError, RadialLawW, _check_positive
 from .lpgeom import PBallSample, _finish_sample
@@ -42,6 +41,8 @@ from .weights import WeightFn
 def _log_weyl_terms(n: int, beta: float) -> tuple[float, float]:
     """The terms the H and M constants share: -log(n!) - n * log(cell) and
     log prod_{k=1}^n 2 (2 pi)^(beta k / 2) / (2^(beta/2) Gamma(beta k / 2))."""
+    from scipy.special import gammaln
+
     _check_positive("beta", beta)
     k = np.arange(1, n + 1)
     log_prod = np.sum(np.log(2.0) + (beta * k / 2.0) * np.log(2.0 * np.pi)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from . import _kernels
 from .distributions import ParameterError, RadialLawW, _check_positive
@@ -112,6 +111,8 @@ def split_rhat(chains: np.ndarray) -> float:
     nan when a half holds fewer than two draws or the scores do not vary
     within the halves.
     """
+    from scipy.special import ndtri
+
     x = np.asarray(chains, dtype=float)
     half = x.shape[1] // 2
     if half < 2:
@@ -245,6 +246,8 @@ def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,
     v = f(y / ||y||_p).  An ess near 1 means one draw carries the whole
     estimate, and the standard error is then not to be trusted.
     """
+    from scipy.special import gammaln
+
     # the directions y / ||y||_p are cone draws, W = delta_0
     x = sample_pnpw(n, p, RadialLawW.dirac(), rng, size=size,
                     positive=weight.orthant_only).points

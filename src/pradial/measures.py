@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
 
 from .distributions import ParameterError, _check_positive, gen_gaussian_logpdf
 
@@ -95,6 +94,8 @@ class MeasureRep:
     def gen_gaussian_scaled(cls, p: float, z: float = 1.0) -> "MeasureRep":
         """Density proportional to exp(-|x|^p / z); z = 1 is the base law.
         The support is cut at the quantiles 1e-12 and 1 - 1e-12."""
+        from scipy.special import gammaincinv, gammaln
+
         _check_positive("p", p)
         _check_positive("z", z)
         log_norm = np.log(2.0) + gammaln(1.0 + 1.0 / p) + np.log(z) / p

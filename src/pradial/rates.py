@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .distributions import ParameterError, _check_positive
 from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gaussian
@@ -186,6 +185,8 @@ def log_energy_constant(p: float) -> float:
     """log of sqrt(pi) p Gamma(p/2) / (2^p sqrt(e) Gamma((p+1)/2)), the
     p-dependent additive constant of the matrix cone rates, assembled via
     log-Gamma."""
+    from scipy.special import gammaln
+
     _check_positive("p", p)
     return (0.5 * np.log(np.pi) + np.log(p) + gammaln(p / 2.0)
             - p * np.log(2.0) - 0.5 - gammaln((p + 1.0) / 2.0))
@@ -284,6 +285,8 @@ def legendre_biconjugate(t: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def scaled_cgf_estimate(samples: np.ndarray, t: float, n: int, k: int) -> float:
     """(1/n^k) log (1/N) sum exp(n^k t B_i), via log-sum-exp."""
+    from scipy.special import logsumexp
+
     if k not in (1, 2):
         raise ParameterError("k must be 1 or 2")
     b = np.asarray(samples, dtype=float)

@@ -5,11 +5,9 @@ summary lines.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
-import pytest
 from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammaln
 

@@ -209,6 +209,25 @@ class TestFloatText:
         assert sum(seen) <= x.size / 1000
 
 
+def test_float_text_threads_keep_their_own_canvas():
+    # each thread reuses a canvas for blocks of one size: threads that
+    # format same-sized blocks at once, switching often, must not share it
+    from concurrent.futures import ThreadPoolExecutor
+
+    blocks = [np.random.default_rng(s).standard_normal((400, 3)) ** 3
+              for s in range(6)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            got = list(pool.map(lambda b: [cli._format_block(b)
+                                           for _ in range(20)], blocks))
+    finally:
+        sys.setswitchinterval(old)
+    for b, texts in zip(blocks, got):
+        assert set(texts) == {repr_text(b)}
+
+
 def _big_table(kind):
     """A table of just over 2^20 cells, big enough to be formatted in
     worker processes."""

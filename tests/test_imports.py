@@ -1,5 +1,6 @@
-"""Every name that a module of src/pradial imports is used there, and
-importing pradial loads none of scipy's heavy subpackages.
+"""Every name that a module of src/pradial or of the tests imports is used
+there, importing pradial loads no scipy module, and no command loads
+scipy's heavy subpackages before it needs them.
 
 The first stands in for a linter's unused-import rule."""
 
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pradial"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pradial"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,20 +43,24 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["b", "os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# Importing pradial loads numpy and scipy.special only.  These scipy
-# subpackages cost most of a fresh `import pradial.cli`, and most
-# subcommands never call them, so each is imported in the function that
-# calls it.  The process pool that formats big CSV tables is imported
-# the same way, so that small outputs never load it.
+# Importing pradial loads numpy and the standard library only: even
+# scipy.special costs more than numpy itself, and the exact samplers never
+# call it, so every scipy function is imported in the function that calls
+# it.  The subpackages below are loaded by no command that does not call
+# them; scipy.special is loaded by the commands that evaluate a special
+# function.  The process pool that formats big CSV tables is imported the
+# same way, so that small outputs never load it.
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
          "scipy.interpolate", "scipy.linalg", "scipy.fft",
          "multiprocessing", "concurrent.futures.process")
+# what no module loads at start-up: all of scipy, and the heavy rest
+STARTUP = ("scipy", "multiprocessing", "concurrent.futures.process")
 
 
 def import_time_modules(source: str) -> list[str]:
@@ -78,29 +84,45 @@ def import_time_modules(source: str) -> list[str]:
     return found
 
 
-def heavy(modules) -> list[str]:
+def heavy(modules, names=HEAVY) -> list[str]:
+    """The modules that are one of names or inside one of them."""
     return sorted(m for m in modules
-                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
+                  if any(m == h or m.startswith(h + ".") for h in names))
 
 
 def test_checker_finds_import_time_modules():
     source = ("import numpy as np\nfrom scipy import stats\n"
-              "from . import rates\n"
+              "from scipy.special import gammaln\nfrom . import rates\n"
               "class A:\n    from scipy.linalg import eigh\n"
               "if True:\n    import scipy.fft\n"
               "def f():\n    from scipy import integrate\n"
               "g = lambda: __import__('scipy.optimize')\n")
     assert import_time_modules(source) == [
-        "numpy", "scipy.stats", "scipy.linalg.eigh", "scipy.fft"]
+        "numpy", "scipy.stats", "scipy.special.gammaln", "scipy.linalg.eigh",
+        "scipy.fft"]
     assert heavy(import_time_modules(source)) == [
         "scipy.fft", "scipy.linalg.eigh", "scipy.stats"]
+    assert heavy(import_time_modules(source), STARTUP) == [
+        "scipy.fft", "scipy.linalg.eigh", "scipy.special.gammaln",
+        "scipy.stats"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_heavy_import_at_module_level(path):
-    assert heavy(import_time_modules(path.read_text())) == []
+    assert heavy(import_time_modules(path.read_text()), STARTUP) == []
 
+
+# the exact samplers draw with numpy alone
+_EXACT = """
+import tempfile
+from pradial import cli
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["--target", "cone"], ["--target", "pnpw"],
+                 ["--target", "uniform", "--orthant"]):
+        argv = ["sample", *argv, "--n", "3", "--count", "20"]
+        assert cli.main(argv + ["--seed", "1", "--out", out]) == 0, argv
+"""
 
 _RUN = """
 import tempfile
@@ -122,17 +144,18 @@ MeasureRep.gen_gaussian_scaled(2.0, 0.5)
 """
 
 
-@pytest.mark.parametrize("code", [
-    pytest.param("import pradial.cli", id="import-cli"),
-    pytest.param("import pradial", id="import-package"),
-    pytest.param(_RUN, id="sample-norm-const-ldp-verify"),
-    pytest.param(_ANALYTIC, id="analytic-families")])
-def test_fresh_process_loads_no_heavy_subpackage(code):
+@pytest.mark.parametrize("code, names", [
+    pytest.param("import pradial.cli", STARTUP, id="import-cli"),
+    pytest.param("import pradial", STARTUP, id="import-package"),
+    pytest.param(_EXACT, STARTUP, id="sample-exact-targets"),
+    pytest.param(_RUN, HEAVY, id="sample-norm-const-ldp-verify"),
+    pytest.param(_ANALYTIC, HEAVY, id="analytic-families")])
+def test_fresh_process_loads_no_heavy_subpackage(code, names):
     # a fresh interpreter, so that no other test has loaded them; the run
-    # case shows that the cost did not move into the first call
+    # cases show that the cost did not move into the first call
     probe = code + "\nimport sys\nprint('\\n'.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert heavy(proc.stdout.split()) == []
+    assert heavy(proc.stdout.split(), names) == []

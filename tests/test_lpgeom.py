@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import betainc, gammainc, gammaln
+from scipy.special import betainc
 
 from pradial.distributions import ParameterError, RadialLawW
 from pradial.lpgeom import (

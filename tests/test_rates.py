@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import optimize
 from scipy.interpolate import CubicSpline
 
 from pradial.distributions import ParameterError
