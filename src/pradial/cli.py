@@ -6,9 +6,10 @@ the resolved configuration and returns (outputs, failure).  outputs maps
 each file name, in write order, to (header, rows) for a .csv or to a JSON
 object for a .json; failure is None or a one-line reason.  main alone
 does the I/O: it makes the output directory, writes the outputs and then
-manifest.json, which echoes the fully resolved configuration and lists
-the outputs.  Running a command again with the same configuration
-produces byte-identical CSV output.
+manifest.json, which records the resolved configuration and lists the
+outputs; a parameter with a fallback is recorded only when something sets
+it.  Running a command again with the same configuration produces
+byte-identical CSV output.
 
 Exit codes: 0 success, 2 usage/parameter error (nothing is written), 3
 statistical or chain diagnostic failure, or a non-finite result (the
@@ -19,12 +20,12 @@ stderr.  JSON outputs are strict: non-finite floats are written as "inf",
 Each subcommand's parameters are declared once, as the rows of its table
 in COMMANDS (name, type, choices, default, fallback, required).  The
 table generates the subcommand's flags and config keys and checks the
-merged values.  Configuration merge order: a row's default < packaged
-defaults (defaults.json) < --config file < explicit flags.  A config-file
-value is checked like a flag: its text is parsed by the row's type and
-held to the row's choices, so {"p": 2} is recorded as 2.0 and
-{"n": "abc"} is a usage error.  The default output root comes from the
-PRADIAL_OUTPUT_ROOT environment variable (falling back to ./pradial-out).
+merged values.  Configuration merge order: a row's default < --config
+file < explicit flags.  A config-file value is checked like a flag: its
+text is parsed by the row's type and held to the row's choices, so
+{"p": 2} is recorded as 2.0 and {"n": "abc"} is a usage error.  The
+default output root comes from the PRADIAL_OUTPUT_ROOT environment
+variable (falling back to ./pradial-out).
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ from . import rates
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STAT = 3
-
-_DEFAULTS_PATH = Path(__file__).with_name("defaults.json")
-
-
-def load_defaults() -> dict:
-    with open(_DEFAULTS_PATH) as fh:
-        return json.load(fh)
-
 
 # cells formatted per block: bounds the Python objects alive at once
 _CSV_BLOCK_CELLS = 1 << 14
@@ -393,20 +386,19 @@ def _read_config(path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace, params) -> tuple[dict, bool]:
-    """Merge each row's default < defaults.json < config file < explicit
-    flags, parse the winning value through its row, and report whether a
-    flag changed a threshold that a default or the config file had set.
-    Flags are declared with default None, so a non-None value means the
-    user set it."""
-    defaults = load_defaults()
+    """Merge each row's default < config file < explicit flags, parse the
+    winning value through its row, and report whether a flag changed a
+    threshold that a default or the config file had set.  Flags are
+    declared with default None, so a non-None value means the user set
+    it."""
     file_cfg = _read_config(args.config) if args.config else {}
     cfg = _Config({prm.name: prm.fallback for prm in params
                    if prm.fallback is not None})
     overridden, missing = False, []
     for prm in params:
         flag = getattr(args, prm.name)
-        given = [v for v in (prm.default, defaults.get(prm.name),
-                             file_cfg.get(prm.name), flag) if v is not None]
+        given = [v for v in (prm.default, file_cfg.get(prm.name), flag)
+                 if v is not None]
         if not given:
             if prm.required:
                 missing.append(prm.name)
@@ -488,6 +480,9 @@ def cmd_sample(cfg):
 
 # --- test-norm-law -----------------------------------------------------------
 
+_ATOM_CONFIDENCE = 0.99  # of the binomial interval for the atom count
+
+
 def _norm_split_samples(cfg, rng):
     """B draws, the beta shape parameter and the chain's diagnostics
     (None for an exact draw) for the selected target."""
@@ -540,8 +535,8 @@ def cmd_test_norm_law(cfg):
                 reasons.append(f"KS p-value {ks.pvalue:.3g} <= "
                                f"threshold {threshold}")
         # exact binomial interval for the atom count
-        lo, hi = stats.binom.interval(load_defaults()["atom_confidence"],
-                                      b.size, theta) if 0 < theta < 1 else (
+        lo, hi = stats.binom.interval(_ATOM_CONFIDENCE, b.size,
+                                      theta) if 0 < theta < 1 else (
             theta * b.size, theta * b.size)
         report["atom_count_interval"] = [int(lo), int(hi)]
         if not (lo <= atoms.sum() <= hi):
@@ -725,11 +720,19 @@ def cmd_norm_const(cfg):
 
 # --- parser -------------------------------------------------------------------
 
+# rows that several tables share, so that each default is written once.
 # rate and asymptotics draw nothing, so they take no --count; they keep
 # --seed because the benchmark (pradbench's cli_op) appends it to every
 # CLI call it makes
-_SEED = Param("seed", int)
-_COMMON = (_SEED, Param("count", _positive_int))
+_SEED = Param("seed", int, default=20240801)
+_COMMON = (_SEED, Param("count", _positive_int, default=10000))
+_P = Param("p", default=2.0)
+_BETA = Param("beta", default=2.0)
+_THETA = Param("theta", default=0.0)
+_ALPHA = Param("alpha", default=1.0)
+
+# recorded in every manifest: bump it when a recorded default changes
+DEFAULTS_VERSION = 1
 
 # subcommand -> (help, handler, parameter table); the flags follow the
 # table's order, then --out and --config.  handler(cfg) returns (outputs,
@@ -738,18 +741,18 @@ COMMANDS = {
     "sample": ("draw from one of the ball laws", cmd_sample, (
         Param("target", str, choices=tuple(_TARGETS), required=True),
         Param("n", _positive_int, required=True),
-        Param("p"), Param("beta"), Param("theta"), Param("alpha"),
+        _P, _BETA, _THETA, _ALPHA,
         Param("orthant", bool, default=False)) + _COMMON),
     "test-norm-law": ("KS/atom test of the norm-split statistic",
                       cmd_test_norm_law, (
         Param("target", str, choices=("euclid", "eigen-PH", "singular-PM"),
               required=True),
         Param("n", _positive_int, required=True),
-        Param("p"), Param("m", fallback=0.0), Param("beta"), Param("theta"),
-        Param("alpha"), Param("ks_pvalue_threshold")) + _COMMON),
+        _P, Param("m", fallback=0.0), _BETA, _THETA, _ALPHA,
+        Param("ks_pvalue_threshold", default=0.01)) + _COMMON),
     "rate": ("evaluate a rate function", cmd_rate, (
         Param("target", str, choices=rates.TARGETS, required=True),
-        Param("p"), Param("beta"), Param("alpha"),
+        _P, _BETA, _ALPHA,
         Param("ktheta", str, choices=("critical", "greater"),
               default="critical"),
         Param("c", default=0.0), Param("x"),
@@ -761,7 +764,7 @@ COMMANDS = {
         Param("z"), Param("a"), Param("b"), _SEED)),
     "ldp-verify": ("decay of an exactly computable tail event",
                    cmd_ldp_verify, (
-        Param("event_b", default=0.1), Param("p"),
+        Param("event_b", default=0.1), _P,
         Param("alpha_rate", default=1.0),
         Param("n_list", _n_list, fallback="20,40,80"),
         Param("monte_carlo", bool, default=False)) + _COMMON),
@@ -771,8 +774,8 @@ COMMANDS = {
     "norm-const": ("normalization constant of a weighted density",
                    cmd_norm_const, (
         Param("weight", str, choices=tuple(_WEIGHTS), default="one"),
-        Param("beta"), Param("m", fallback=1.0),
-        Param("n", _positive_int, required=True), Param("p")) + _COMMON),
+        _BETA, Param("m", fallback=1.0),
+        Param("n", _positive_int, required=True), _P) + _COMMON),
 }
 
 
@@ -819,7 +822,7 @@ def main(argv=None) -> int:
                 write_json(out / name, content)
         write_json(out / "manifest.json", {
             "artifact": "pradial", "artifact_version": __version__,
-            "defaults_version": load_defaults()["defaults_version"],
+            "defaults_version": DEFAULTS_VERSION,
             "command": args.command, "config": cfg, "outputs": list(outputs),
             "threshold_overridden": overridden})
     except (ParameterError, OSError) as exc:

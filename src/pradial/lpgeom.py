@@ -58,15 +58,14 @@ def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
 class PBallSample:
     """Draws from a law on the ell_p ball plus bookkeeping.
 
-    points has shape (size, n); on_sphere flags rows that sit exactly on
-    the boundary (W drew its atom at 0); chain holds the mcmc.ChainResult
-    when X came from a chain, else None; degree is the homogeneity degree
-    m of the weight that tilted X (0 for the exact samplers), so
-    sum |x_i|^p over a row has the Beta shape (n + m)/p.
+    points has shape (size, n), a row on the sphere where W drew its atom
+    at 0; chain holds the mcmc.ChainResult when X came from a chain, else
+    None; degree is the homogeneity degree m of the weight that tilted X
+    (0 for the exact samplers), so sum |x_i|^p over a row has the Beta
+    shape (n + m)/p.
     """
 
     points: np.ndarray
-    on_sphere: np.ndarray
     p: float
     chain: ChainResult | None = None
     degree: float = 0.0
@@ -90,8 +89,7 @@ def _finish_sample(x: np.ndarray, p: float, law: RadialLawW, rng: RngStream,
         b **= p
         np.sum(b, axis=-1, out=r[i:i + step])
     x /= ((r + w) ** (1.0 / p))[:, None]
-    return PBallSample(points=x, on_sphere=(w == 0.0), p=p, chain=chain,
-                       degree=degree)
+    return PBallSample(points=x, p=p, chain=chain, degree=degree)
 
 
 def sample_pnpw(n: int, p: float, law: RadialLawW, rng: RngStream,

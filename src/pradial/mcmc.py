@@ -55,7 +55,7 @@ class ChainResult:
     ok: bool                     # acceptance inside the required window
 
 
-def _initial_state(n: int, p: float, weight: WeightFn, rng: RngStream):
+def _initial_state(n: int, weight: WeightFn, rng: RngStream):
     """A valid starting point: spread coordinates so repulsive weights are
     finite."""
     gen = rng.gen
@@ -181,7 +181,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
         normals[:, k] = gen.standard_normal(n_steps)
         log_unifs[:, k] = np.log(gen.random(n_steps))
         radii[:, k] = gen.standard_gamma(shape, size=n_sweeps)
-        x0[k] = _initial_state(n, p, weight, s.fresh())
+        x0[k] = _initial_state(n, weight, s.fresh())
     # Robbins-Monro step sizes (1 + sweep)^(-0.6), frozen after burn-in
     adapt_rates = 1.0 / (1.0 + np.arange(n_adapt) // n) ** 0.6
     adapt_up = np.exp(adapt_rates * (1.0 - TARGET_ACCEPT))

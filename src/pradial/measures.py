@@ -134,13 +134,6 @@ class MeasureRep:
                    name=f"uniform[{a},{b}]")
 
     @classmethod
-    def beta_law(cls, a: float, b: float) -> "MeasureRep":
-        from scipy.stats import beta as beta_dist
-
-        return cls(kind="analytic", pdf=beta_dist(a, b).pdf,
-                   support=(0.0, 1.0), name=f"beta({a},{b})")
-
-    @classmethod
     def semicircle(cls, radius: float = 1.0) -> "MeasureRep":
         r = radius
 
@@ -153,16 +146,6 @@ class MeasureRep:
 
         return cls(kind="analytic", pdf=pdf, support=(-r, r),
                    name=f"semicircle(r={r})")
-
-    # ---- projections ------------------------------------------------------
-
-    def to_grid(self, n_bins: int = 256) -> "MeasureRep":
-        """An analytic law's pdf at n_bins knots of its support, rescaled
-        to unit trapezoid mass, as a grid representation."""
-        g = np.linspace(*self.support, n_bins)
-        d = np.asarray(self.pdf(g), dtype=float)
-        d = d / np.trapezoid(d, g)
-        return MeasureRep.from_grid(g, d)
 
 
 def _angle_quad(mu: MeasureRep, phi: Callable) -> float:

@@ -1,11 +1,15 @@
 """Closed forms and reference implementations that the tests check the
-library against.  None of them imports pradial."""
+library against.  Only beta_law touches pradial, to wrap scipy's Beta pdf
+in the library's analytic measure."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammainc, gammaln
+
+from pradial.measures import MeasureRep
 
 
 def _log_mehta(n: int, beta: float) -> float:
@@ -118,3 +122,15 @@ def _dense_spectra(family: str, n: int, beta: float, size: int, seed: int,
 @pytest.fixture
 def dense_spectra():
     return _dense_spectra
+
+
+def _beta_law(a: float, b: float) -> MeasureRep:
+    """The Beta(a, b) law on [0, 1] as an analytic measure."""
+    return MeasureRep(kind="analytic", pdf=stats.beta(a, b).pdf,
+                      support=(0.0, 1.0), name=f"beta({a},{b})")
+
+
+# session-scoped, so that hypothesis tests may take it too
+@pytest.fixture(scope="session")
+def beta_law():
+    return _beta_law

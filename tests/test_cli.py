@@ -1041,9 +1041,11 @@ class TestParameterTable:
 
     # sha16 of manifest.json, pinned before the CLI became table-driven;
     # rate and asymptotics re-pinned when they lost count, which neither
-    # reads.  Recorded defaults they hold: rate alpha 1.0 (from
-    # defaults.json), ktheta and c; sample orthant false; ldp-verify
-    # event_b, alpha_rate and monte_carlo; norm-const weight "one".
+    # reads.  Recorded defaults they hold: seed, count and p where the
+    # command takes them, test-norm-law's theta, alpha and
+    # ks_pvalue_threshold; rate beta, alpha 1.0, ktheta and c; sample
+    # orthant false; ldp-verify event_b, alpha_rate and monte_carlo;
+    # norm-const weight "one" and beta.
     @pytest.mark.parametrize("argv, digest", [
         (("sample", "--target", "cone", "--n", "3", "--count", "20",
           "--seed", "5"), "51f9edbe193a1b9b"),

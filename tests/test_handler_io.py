@@ -2,7 +2,8 @@
 
 A handler returns its outputs and failure reason; cli.main alone makes the
 output directory and writes the files, so this check keeps per-command
-I/O from creeping back."""
+I/O from creeping back.  Only main's writers and the --config reader open
+a file, so no handler reads one through a helper either."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,24 @@ def io_calls(source: str) -> dict[str, list[str]]:
     return found
 
 
+def openers(source: str) -> set[str]:
+    """The functions that call open, each call counted in the innermost
+    function around it; "<module>" for a call outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _called(child) == "open":
+                found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_checker_finds_io_calls():
     source = ("def cmd_a(cfg):\n"
               "    out.mkdir(parents=True)\n"
@@ -48,6 +67,14 @@ def test_checker_finds_io_calls():
               "    print('main may')\n")
     assert io_calls(source) == {"cmd_a": ["mkdir", "print", "write_csv"],
                                 "cmd_b": []}
+
+
+def test_checker_finds_openers():
+    source = ("CFG = open('a.json').read()\n"
+              "def load():\n    with open('b') as fh:\n        return fh\n"
+              "def main():\n    def inner():\n        return path.open()\n"
+              "    return inner\n")
+    assert openers(source) == {"<module>", "inner", "load"}
 
 
 def test_handlers_do_no_io():
@@ -63,3 +90,10 @@ def test_output_directory_made_in_main_only():
               for node in ast.walk(fn)
               if isinstance(node, ast.Call) and _called(node) == "mkdir"]
     assert makers == ["main"]
+
+
+def test_only_writers_and_config_reader_open_files():
+    # a handler that calls a helper which opens a file slips past
+    # test_handlers_do_no_io; this names every function that may open one
+    allowed = {"main", "write_csv", "write_json", "_read_config"}
+    assert openers(CLI.read_text()) <= allowed

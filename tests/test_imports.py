@@ -135,8 +135,8 @@ with tempfile.TemporaryDirectory() as out:
         assert cli.main(argv + ["--seed", "1", "--out", out]) == 0, argv
 """
 
-# an analytic family is a pdf on a finite support: building one finds no
-# quantile, and beta_law alone needs scipy.stats
+# an analytic family is a pdf on a finite support: building one searches
+# for no quantile, and no family needs scipy.stats
 _ANALYTIC = """
 from pradial.measures import MeasureRep
 MeasureRep.semicircle(2.0), MeasureRep.arcsine(), MeasureRep.uniform()

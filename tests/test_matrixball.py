@@ -248,7 +248,6 @@ class TestSamplers:
                                   config=ChainConfig(n_samples=200))
         assert np.allclose(np.sum(np.abs(s.points) ** 3.0, axis=1), 1.0,
                            atol=1e-10)
-        assert np.all(s.on_sphere)
 
     def test_caller_config_not_mutated(self):
         # p = 3: at p = 2 the draw is exact and reads no config
@@ -396,7 +395,6 @@ class TestExactSpectra:
         np.testing.assert_allclose(
             s.points, x / np.sqrt(np.sum(x ** 2, axis=1) + w)[:, None],
             rtol=1e-14)
-        assert np.array_equal(s.on_sphere, w == 0.0)
 
 
 class TestEmpiricalMeasure:

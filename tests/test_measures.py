@@ -108,13 +108,6 @@ class TestMeasureRep:
             tail, _ = integrate.quad(mu.pdf, hi, np.inf)
             assert tail == pytest.approx(1e-12, rel=1e-6)
 
-    def test_to_grid_preserves_moments(self):
-        mu = MeasureRep.beta_law(2.0, 3.0)
-        grid = mu.to_grid(n_bins=2000)
-        assert grid.kind == "grid"
-        assert moment_p(grid, 1.0) == pytest.approx(moment_p(mu, 1.0),
-                                                    abs=1e-4)
-
 
 class TestMomentP:
     def test_atoms(self):
@@ -135,11 +128,11 @@ class TestMomentP:
     @pytest.mark.parametrize("make, p, want, tol", [
         # smooth in the angle: the quadrature in quantile coordinates was
         # off by 5.9e-14 and -1.1e-11 on these
-        (lambda: MeasureRep.semicircle(radius=2.0), 2.0, 1.0, 1e-14),
-        (lambda: MeasureRep.beta_law(2.0, 2.0), 2.0, 0.3, 1e-13),
+        (lambda beta_law: MeasureRep.semicircle(radius=2.0), 2.0, 1.0, 1e-14),
+        (lambda beta_law: beta_law(2.0, 2.0), 2.0, 0.3, 1e-13),
     ])
-    def test_closed_forms_in_the_angle(self, make, p, want, tol):
-        assert moment_p(make(), p) == pytest.approx(want, abs=tol)
+    def test_closed_forms_in_the_angle(self, beta_law, make, p, want, tol):
+        assert moment_p(make(beta_law), p) == pytest.approx(want, abs=tol)
 
     def test_gen_gaussian_p_moment(self):
         # m_p(N_p) = 1/p; the z-scaled family has m_p = z/p
@@ -205,13 +198,15 @@ def _dilate(mu, s):
 
 EULER_GAMMA = 0.5772156649015329
 
+# name -> make(beta_law), the law; beta_law is the conftest fixture
 _ANALYTIC_LAWS = {
-    "uniform": lambda: MeasureRep.uniform(-0.5, 2.0),
-    "arcsine": lambda: MeasureRep.arcsine(0.0, 1.0),
-    "semicircle": lambda: MeasureRep.semicircle(1.5),
-    "beta(2,2)": lambda: MeasureRep.beta_law(2.0, 2.0),
-    "beta(3,1.5)": lambda: MeasureRep.beta_law(3.0, 1.5),
-    "gen-gaussian": lambda: MeasureRep.gen_gaussian_scaled(1.5, 2.0),
+    "uniform": lambda beta_law: MeasureRep.uniform(-0.5, 2.0),
+    "arcsine": lambda beta_law: MeasureRep.arcsine(0.0, 1.0),
+    "semicircle": lambda beta_law: MeasureRep.semicircle(1.5),
+    "beta(2,2)": lambda beta_law: beta_law(2.0, 2.0),
+    "beta(3,1.5)": lambda beta_law: beta_law(3.0, 1.5),
+    "gen-gaussian":
+        lambda beta_law: MeasureRep.gen_gaussian_scaled(1.5, 2.0),
 }
 
 
@@ -274,12 +269,12 @@ class TestLogEnergy:
         assert log_energy(MeasureRep.semicircle(r)) == pytest.approx(
             0.25 - math.log(r / 2.0), abs=1e-12)
 
-    def test_beta_closed_forms(self):
+    def test_beta_closed_forms(self, beta_law):
         # Beta(2, 2) has energy 7/4; Beta(1/2, 1/2) is the arcsine law of
         # [0, 1], with energy log 4
-        assert log_energy(MeasureRep.beta_law(2.0, 2.0)) == pytest.approx(
-            1.75, abs=1e-10)
-        assert log_energy(MeasureRep.beta_law(0.5, 0.5)) == pytest.approx(
+        assert log_energy(beta_law(2.0, 2.0)) == pytest.approx(1.75,
+                                                               abs=1e-10)
+        assert log_energy(beta_law(0.5, 0.5)) == pytest.approx(
             math.log(4.0), abs=1e-10)
 
     def test_uniform_is_three_halves(self):
@@ -299,28 +294,29 @@ class TestLogEnergy:
         # the nested quadrature in quantile coordinates, run once; the
         # Chebyshev series stops at n = 16384 and 8192 points for these,
         # within the 1e-8 convergence bar
-        (lambda: MeasureRep.gen_gaussian_scaled(1.5, 1.0), 0.4777426249320643),
-        (lambda: MeasureRep.beta_law(1.5, 3.0), 1.8922770674553282),
+        (lambda beta_law: MeasureRep.gen_gaussian_scaled(1.5, 1.0),
+         0.4777426249320643),
+        (lambda beta_law: beta_law(1.5, 3.0), 1.8922770674553282),
     ])
-    def test_matches_nested_quadrature(self, make, want):
-        assert log_energy(make()) == pytest.approx(want, abs=1e-8)
+    def test_matches_nested_quadrature(self, beta_law, make, want):
+        assert log_energy(make(beta_law)) == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("make", [
         # a cusp at 0: the nested quadrature gave -1.5830317 (Monte Carlo
         # on 4e7 pairs: -1.58258 +- 2e-4); 8192 points alone gave -1.58665
-        lambda: MeasureRep.gen_gaussian_scaled(0.5, 1.0),
+        lambda beta_law: MeasureRep.gen_gaussian_scaled(0.5, 1.0),
         # a cusp, and the 1e-12 quantiles ~2e4 interquartile widths out:
         # the nested quadrature gave 2.7663142, 8192 points alone 1.3427
-        lambda: MeasureRep.gen_gaussian_scaled(0.2, 0.1),
-        lambda: MeasureRep.gen_gaussian_scaled(0.8, 1.0),
+        lambda beta_law: MeasureRep.gen_gaussian_scaled(0.2, 0.1),
+        lambda beta_law: MeasureRep.gen_gaussian_scaled(0.8, 1.0),
         # ends steeper than the arcsine's: the nested quadrature gave
         # 1.7840582 and 1.3897561, 8192 points alone 2.1e-3 and 2.7e-6 less
-        lambda: MeasureRep.beta_law(0.3, 0.7),
-        lambda: MeasureRep.beta_law(0.45, 0.45),
+        lambda beta_law: beta_law(0.3, 0.7),
+        lambda beta_law: beta_law(0.45, 0.45),
     ])
-    def test_unresolved_law_raises(self, make):
+    def test_unresolved_law_raises(self, beta_law, make):
         with pytest.raises(ParameterError, match="unresolved"):
-            log_energy(make())
+            log_energy(make(beta_law))
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
     def test_gaussian_closed_form(self, z):
@@ -334,25 +330,27 @@ class TestLogEnergy:
 
     @given(st.sampled_from(sorted(_ANALYTIC_LAWS)), st.floats(0.05, 20.0))
     @settings(max_examples=60, deadline=None)
-    def test_analytic_dilation_property(self, name, s):
+    def test_analytic_dilation_property(self, beta_law, name, s):
         # E(s mu) = E(mu) - log s
-        mu = _ANALYTIC_LAWS[name]()
+        mu = _ANALYTIC_LAWS[name](beta_law)
         assert log_energy(_dilate(mu, s)) == pytest.approx(
             log_energy(mu) - math.log(s), abs=1e-11)
 
-    def test_analytic_uses_no_quadrature(self, monkeypatch):
+    def test_analytic_uses_no_quadrature(self, monkeypatch, beta_law):
         def refuse(*args, **kwargs):
             raise AssertionError("log_energy called scipy.integrate")
 
         for name in ("quad", "dblquad", "quad_vec"):
             monkeypatch.setattr(f"scipy.integrate.{name}", refuse)
         for make in _ANALYTIC_LAWS.values():
-            assert np.isfinite(log_energy(make()))
+            assert np.isfinite(log_energy(make(beta_law)))
 
     def test_grid_matches_analytic(self):
-        # the exact Beta(2,2) energy is 7/4; the grid at 800 bins is
-        # 1.8e-6 below it
-        grid = MeasureRep.beta_law(2.0, 2.0).to_grid(n_bins=800)
+        # the exact Beta(2,2) energy is 7/4; its density at 800 knots,
+        # rescaled to unit trapezoid mass, is 1.8e-6 below it
+        g = np.linspace(0.0, 1.0, 800)
+        d = g * (1.0 - g)
+        grid = MeasureRep.from_grid(g, d / np.trapezoid(d, g))
         assert log_energy(grid) == pytest.approx(1.75, abs=3e-6)
 
     @pytest.mark.parametrize("cells", [2, 7, 40, 120])
