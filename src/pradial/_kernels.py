@@ -8,9 +8,9 @@ Target densities on R^n (or the positive orthant) of the form
 
     log pi(x) = -||x||_p^p + log f(x),
 
-where f is one of the coded weights: the pairwise repulsion
-prod |x_i - x_j|^beta (1), or the orthant repulsion
-prod |x_i - x_j|^beta * prod x_i^(beta/2 - 1) (2).
+where f is one of the two repulsion weights of weights.py: Delta_beta,
+prod |x_i - x_j|^beta on R^n, or, when the orthant flag is set, nabla_beta,
+prod |x_i - x_j|^beta * prod x_i^(beta/2 - 1) on the positive orthant.
 
 Layout: the K chain states are the rows of one (K, n) array.  Step t
 moves every chain at once: chain k proposes a new value for its own
@@ -33,11 +33,13 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
+def run_chain(x0, p, orthant, beta, coord_idx, normals, log_unifs, scales,
               adapt_until, adapt_up, adapt_down, thin, out, accepted, radii):
     """Run K chains in lockstep.  All randomness arrives pre-generated:
 
     x0            -- (K, n) starting states, one row per chain
+    orthant       -- True for nabla_beta, whose proposals are reflected
+                     into the orthant; False for Delta_beta
     coord_idx     -- (T, K) coordinate each chain updates at step t
     normals       -- (T, K) standard normal proposal increments
     log_unifs     -- (T, K) logs of the Metropolis uniforms
@@ -60,7 +62,7 @@ def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
     """
     n_chains, n = x0.shape
     expo = beta / 2.0 - 1.0
-    power = kind == 2 and expo != 0.0
+    power = orthant and expo != 0.0
     x = np.array(x0, dtype=float)
     xf, sf = x.reshape(-1), scales.reshape(-1, copy=False)
     # flat position of each chain's coordinate in the (K, n) state, and of
@@ -76,7 +78,7 @@ def run_chain(x0, p, kind, beta, coord_idx, normals, log_unifs, scales,
             f = flat[t]
             v[1] = xf[f]
             v[0] = v[1] + sf[f] * normals[t]
-            if kind == 2:
+            if orthant:
                 np.abs(v[0], out=v[0])  # reflect at the orthant boundary
             np.subtract(v[:, :, None], x, out=d)
             np.abs(d, out=d)

@@ -45,11 +45,11 @@ import numpy as np
 from . import __version__
 from .distributions import ParameterError, RadialLawW, beta_log_cdf
 from .lpgeom import norm_split_B, sample_pnpw
-from .matrixball import EnsembleSpec, sample_eigenvalues_PH, sample_sq_singular_PM
+from .matrixball import sample_eigenvalues_PH, sample_sq_singular_PM
 from .mcmc import estimate_norm_const
 from .measures import MeasureRep
 from .rng import RngStream
-from .weights import WeightFn
+from .weights import KINDS, WeightFn
 from . import rates
 
 EXIT_OK = 0
@@ -417,10 +417,6 @@ def _law_from(cfg) -> RadialLawW:
     return RadialLawW(theta=cfg["theta"], alpha=cfg["alpha"])
 
 
-def _ensemble(cfg, law) -> EnsembleSpec:
-    return EnsembleSpec(n=cfg["n"], p=cfg["p"], beta=cfg["beta"], law=law)
-
-
 # --- sample -----------------------------------------------------------------
 
 # exact target -> the mixing law W it fixes for sample_pnpw, or None for
@@ -441,9 +437,9 @@ _TARGETS = {
         c["n"], c["p"], _EXACT_LAWS[c["target"]] or law, rng,
         size=c["count"], positive=c["orthant"])),
     "eigen-PH": lambda c, law, rng: sample_eigenvalues_PH(
-        _ensemble(c, law), rng, size=c["count"]),
+        c["n"], c["p"], c["beta"], law, rng, size=c["count"]),
     "singular-PM": lambda c, law, rng: sample_sq_singular_PM(
-        _ensemble(c, law), rng, size=c["count"]),
+        c["n"], c["p"], c["beta"], law, rng, size=c["count"]),
 }
 
 
@@ -467,15 +463,21 @@ def cmd_sample(cfg):
     s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), RngStream(cfg["seed"]))
     outputs = {"samples.csv": ([f"x{i + 1}" for i in range(cfg["n"])],
                                s.points)}
-    if cfg["target"] in _EXACT_LAWS:
-        return outputs, None
-    # the spectral targets draw exactly at p = 2, one independent state a row
     chain = s.chain
-    outputs["diagnostics.json"] = (
-        {"method": "exact", "states": len(s.points)} if chain is None
-        else _chain_report(chain))
-    return outputs, (None if chain is None or chain.ok
-                     else "chain diagnostics failed; outputs retained")
+    if cfg["target"] not in _EXACT_LAWS:
+        # the spectral targets draw exactly at p = 2, one independent state
+        # a row
+        outputs["diagnostics.json"] = (
+            {"method": "exact", "states": len(s.points)} if chain is None
+            else _chain_report(chain))
+    reasons = [] if chain is None or chain.ok else ["chain diagnostics failed"]
+    # a finite cell lies in [-1, 1], so the sum is finite unless a cell is not
+    if not np.isfinite(s.points.sum()):
+        rows = np.count_nonzero(~np.isfinite(s.points).all(axis=1))
+        reasons.append(f"{rows} of {len(s.points)} rows of samples.csv hold "
+                       "non-finite cells")
+    return outputs, (f"{'; '.join(reasons)}; outputs retained" if reasons
+                     else None)
 
 
 # --- test-norm-law -----------------------------------------------------------
@@ -523,6 +525,10 @@ def cmd_test_norm_law(cfg):
     if chain is not None:
         report["chain"] = chain
     reasons = []
+    # a finite B lies in [0, 1], so the sum is finite unless a draw is not
+    if not np.isfinite(b.sum()):
+        report["non_finite_b"] = b.size - np.count_nonzero(np.isfinite(b))
+        reasons.append(f"{report['non_finite_b']} non-finite B draws")
     if cont.size == 0 and theta < 1.0:
         report["flag"] = "no-continuous-part-samples"
     else:
@@ -681,23 +687,10 @@ def cmd_asymptotics(cfg):
 
 # --- norm-const ---------------------------------------------------------------
 
-def _power_weight(m: float, n: int) -> WeightFn:
-    """prod_i |x_i|^m, homogeneous of degree m n."""
-    return WeightFn.custom(lambda x: m * np.sum(np.log(np.abs(x)), axis=-1),
-                           m * n, name=f"|x|^{m}")
-
-
-_WEIGHTS = {
-    "one": lambda c: WeightFn.constant_one(),
-    "delta": lambda c: WeightFn.delta_beta(c["beta"]),
-    "nabla": lambda c: WeightFn.nabla_beta(c["beta"]),
-    "power": lambda c: _power_weight(c["m"], c["n"]),
-}
-
-
 def cmd_norm_const(cfg):
-    n, p, count = cfg["n"], cfg["p"], cfg["count"]
-    weight = _WEIGHTS[cfg["weight"]](cfg)
+    n, p, count, kind = cfg["n"], cfg["p"], cfg["count"], cfg["weight"]
+    # --m is the exponent of the power weight, --beta of the others
+    weight = WeightFn(kind, cfg["m"] if kind == "power" else cfg["beta"])
     log_c, se, ess = estimate_norm_const(n, p, weight, RngStream(cfg["seed"]),
                                          size=count)
     # below this many effective draws a few draws carry the estimate, and
@@ -773,7 +766,7 @@ COMMANDS = {
         Param("n_list", _n_list, fallback="50,100,200,400"), _SEED)),
     "norm-const": ("normalization constant of a weighted density",
                    cmd_norm_const, (
-        Param("weight", str, choices=tuple(_WEIGHTS), default="one"),
+        Param("weight", str, choices=KINDS, default="one"),
         _BETA, Param("m", fallback=1.0),
         Param("n", _positive_int, required=True), _P) + _COMMON),
 }

@@ -27,7 +27,7 @@ def _check_positive(name, value):
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
-def sample_gamma(a: float, b: float, rng: RngStream, size=None):
+def sample_gamma(a: float, b: float, rng: RngStream, size):
     """Gamma(a, b) draws in the rate parametrization (mean a/b).
 
     Shapes below 1 go through the boosting identity
@@ -38,7 +38,7 @@ def sample_gamma(a: float, b: float, rng: RngStream, size=None):
     _check_positive("shape a", a)
     _check_positive("rate b", b)
     gen = rng.gen
-    g = np.asarray(gen.standard_gamma(a if a >= 1.0 else a + 1.0, size=size))
+    g = gen.standard_gamma(a if a >= 1.0 else a + 1.0, size=size)
     if a < 1.0:
         flat = g.reshape(-1)
         for i in range(0, flat.size, _BOOST_BLOCK):
@@ -50,7 +50,7 @@ def sample_gamma(a: float, b: float, rng: RngStream, size=None):
             np.exp(u, out=u)
             flat[i:i + u.size] *= u
     g /= b
-    return g[()] if size is None else g
+    return g
 
 
 def _stirling_rest(z: float) -> float:
@@ -98,7 +98,7 @@ def beta_log_cdf(x: float, a: float, b: float) -> float:
             - math.log(a) + math.log(total))
 
 
-def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
+def sample_gen_gaussian(p: float, rng: RngStream, size, positive=False):
     """Draws with density exp(-|x|^p)/(2*Gamma(1+1/p)), or of |X| when
     positive is set.
 
@@ -108,17 +108,17 @@ def sample_gen_gaussian(p: float, rng: RngStream, size=None, positive=False):
     """
     _check_positive("p", p)
     if p == 2.0:
-        g = np.asarray(rng.gen.standard_normal(size))
+        g = rng.gen.standard_normal(size)
         g *= math.sqrt(0.5)
         if positive:
             np.abs(g, out=g)
     else:
-        g = np.asarray(sample_gamma(1.0 / p, 1.0, rng, size=size))
+        g = sample_gamma(1.0 / p, 1.0, rng, size=size)
         g **= 1.0 / p
         if not positive:
             np.negative(g, out=g, where=rng.gen.integers(0, 2, size=size,
                                                          dtype=bool))
-    return g[()] if size is None else g
+    return g
 
 
 def gen_gaussian_logpdf(p: float, x):
@@ -206,12 +206,11 @@ class RadialLawW:
         return np.interp(u, cdf, self.grid)
 
 
-def sample_W(law: RadialLawW, rng: RngStream, size=None):
+def sample_W(law: RadialLawW, rng: RngStream, size):
     """Draw from the mixing measure.  Returns exact zeros with probability
     law.mass_at_zero()."""
     gen = rng.gen
-    scalar = size is None
-    m = 1 if scalar else int(np.prod(size))
+    m = int(np.prod(size))
 
     if law.variant == "tabulated":
         positions = np.array([x for x, _ in law.atoms], dtype=float)
@@ -234,7 +233,4 @@ def sample_W(law: RadialLawW, rng: RngStream, size=None):
             if n_pos:
                 out[~is_zero] = sample_gamma(law.alpha, 1.0, rng, size=n_pos)
         # theta == 1: all zeros, nothing to draw
-
-    if scalar:
-        return float(out[0])
     return out.reshape(size)

@@ -81,7 +81,7 @@ def _finish_sample(x: np.ndarray, p: float, law: RadialLawW, rng: RngStream,
     caller must pass an array it owns and does not read again; |x|^p is
     summed one row block of at most _NORM_BLOCK cells at a time.
     """
-    w = np.atleast_1d(sample_W(law, rng, size=len(x)))
+    w = sample_W(law, rng, size=len(x))
     r = np.empty(len(x))
     step = max(1, _NORM_BLOCK // max(1, x.shape[-1]))
     for i in range(0, len(x), step):
@@ -115,7 +115,7 @@ def norm_split_B(n: int, p: float, m: float, law: RadialLawW, rng: RngStream,
     """
     _check_positive("n + m", n + m)
     g = sample_gamma((n + m) / p, 1.0, rng, size=size)
-    w = np.atleast_1d(sample_W(law, rng, size=size))
+    w = sample_W(law, rng, size=size)
     return g / (g + w)
 
 

@@ -25,7 +25,7 @@ from . import _kernels
 from .distributions import ParameterError, RadialLawW, _check_positive
 from .lpgeom import PBallSample, _finish_sample, sample_pnpw
 from .rng import RngStream
-from .weights import KIND_CONSTANT, KIND_CUSTOM, WeightFn
+from .weights import WeightFn
 
 
 TARGET_ACCEPT = 0.35         # acceptance the proposal scales adapt toward
@@ -151,14 +151,10 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     _check_positive("p", p)
     cfg = config or ChainConfig()
     _check_config(cfg)
-    if weight.kind == KIND_CUSTOM:
+    if weight.kind not in ("delta", "nabla"):
         raise ParameterError(
-            "custom weights need a bespoke chain; only coded weights are "
-            "supported by the chain kernel")
-    if weight.kind == KIND_CONSTANT:
-        raise ParameterError(
-            "the constant weight needs no chain: lpgeom.sample_pnpw draws "
-            "its law exactly")
+            f"the chain runs the delta and nabla weights, not {weight.name}; "
+            "the constant weight's law is drawn exactly by lpgeom.sample_pnpw")
 
     n_chains = cfg.n_chains
     per_chain = -(-cfg.n_samples // n_chains)  # ceil
@@ -191,7 +187,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     out = np.empty((per_chain, n_chains, n))
     accepted = np.empty((n_steps, n_chains), dtype=bool)
     # thinning counts sweeps of n flips; translate to flip units
-    _kernels.run_chain(x0, float(p), int(weight.kind), float(weight.beta),
+    _kernels.run_chain(x0, float(p), weight.orthant_only, float(weight.beta),
                        coord_idx, normals, log_unifs, scales,
                        int(n_adapt), adapt_up, adapt_down,
                        int(cfg.thin * n), out, accepted, radii)

@@ -13,7 +13,8 @@ self-adjoint matrix ("H") and a non-self-adjoint matrix ("M") flavour:
 The nine targets ("cone-H", "beta-euclid", "emp-M", ...) have one entry
 point, rate(spec, mu, x), which picks the formula of spec's target and
 names the branch that gave the value.  It calls rate_beta and rate_cone;
-both read the shape-rate gate 1/p, beta/(2p) or beta/p from _gate.
+both read the shape-rate gate 1/p, beta/(2p) or beta/p from _gate.  _gate
+and rate_cone take each family's weight and exponent from weights.FAMILIES.
 
 The speed regime enters through the parameter ktheta: "critical" selects
 the nondegenerate case (speed n for Euclidean targets, n^2 for matrix
@@ -36,6 +37,7 @@ import numpy as np
 
 from .distributions import ParameterError, _check_positive
 from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gaussian
+from .weights import FAMILIES, family_weight
 
 # slack of the moment gate m <= 1: moment_p's quadrature can land a hair
 # above 1 on a law whose moment is 1 (1 + 2.4e-14 on the arcsine law of
@@ -43,16 +45,16 @@ from .measures import MeasureRep, log_energy, moment_p, relative_entropy_gen_gau
 # rate at p = 2, gives 1 exactly)
 MOMENT_TOL = 1e-9
 
-_EUCLID_TARGETS = ("cone-euclid", "beta-euclid", "emp-euclid")
-_MATRIX_TARGETS = ("cone-H", "beta-H", "emp-H", "cone-M", "beta-M", "emp-M")
-TARGETS = _EUCLID_TARGETS + _MATRIX_TARGETS
+TARGETS = tuple(f"{kind}-{family}" for family in FAMILIES
+                for kind in ("cone", "beta", "emp"))
 
 
 def _gate(family: str, p: float, beta: float) -> float:
-    """The beta-law shape rate of a family: 1/p, beta/(2p) or beta/p."""
-    if family == "euclid":
-        return 1.0 / p
-    return beta / (2.0 * p) if family == "H" else beta / p
+    """The beta-law shape rate of a family, 1/p, beta/(2p) or beta/p: the
+    Beta shape (n + m)/q of its norm split per n for the ell_p ball and per
+    n^2 for the matrix families, whose degree m grows as (beta/2) n^2."""
+    weight, q = family_weight(family, p, beta)
+    return (1.0 if weight.kind == "one" else beta / 2.0) / q
 
 
 @dataclass
@@ -82,8 +84,8 @@ class RateFnSpec:
             raise ParameterError("correction c must be <= 0")
         if self.ktheta not in ("critical", "greater"):
             raise ParameterError("ktheta must be 'critical' or 'greater'")
-        if self.target in _MATRIX_TARGETS and self.beta not in (1.0, 2.0, 4.0):
-            raise ParameterError("matrix targets require beta in {1, 2, 4}")
+        # the matrix families take beta in {1, 2, 4}
+        family_weight(self.family, self.p, self.beta)
 
     @property
     def kind(self) -> str:
@@ -200,11 +202,10 @@ def rate_cone(mu: MeasureRep, family: str, p: float,
     exceeds 1 + MOMENT_TOL.  Below that it is H(mu || N_p) + (1 - m_p)
     for "euclid", and (beta/2) * log-energy + gate * log_energy_constant(p)
     for "H" and "M", with gate beta/(2p) and beta/p."""
-    if family not in ("euclid", "H", "M"):
-        raise ParameterError(f"unknown rate family {family!r}")
-    if family == "M" and mu.support[0] < 0:
+    weight, q = family_weight(family, p, beta)
+    if weight.orthant_only and mu.support[0] < 0:
         raise ParameterError("this rate target requires nonnegative support")
-    m = moment_p(mu, p / 2.0 if family == "M" else p)
+    m = moment_p(mu, q)
     if m > 1.0 + MOMENT_TOL:
         return np.inf, m
     if family == "euclid":

@@ -1,26 +1,39 @@
 """Homogeneous weight functions used to tilt the generalized-Gaussian base
 density.
 
-Each weight f is homogeneous of some degree m, i.e. f(t*x) = t^m f(x) for
-t > 0.  Evaluation happens in log space; points where f vanishes return
--inf, which downstream samplers treat as forbidden states.
+A weight is its kind and an exponent beta (WeightFn).  Each is
+homogeneous of some degree m, i.e. f(t*x) = t^m f(x) for t > 0:
+
+    "one"    the constant 1, degree 0;
+    "delta"  Delta_beta(x) = prod_{i<j} |x_i - x_j|^beta, degree
+             beta n (n - 1) / 2;
+    "nabla"  nabla_beta(x) = Delta_beta(x) prod_i x_i^(beta/2 - 1) on the
+             positive orthant, degree (beta/2) n^2 - n;
+    "power"  prod_i |x_i|^beta, degree beta n.
+
+FAMILIES pairs each family with its weight and exponent: the ell_p ball
+carries the constant weight at p, the eigenvalues of the self-adjoint (H)
+matrix ball Delta_beta at p, and the squared singular values of the
+non-self-adjoint (M) matrix ball nabla_beta at p/2.  family_weight reads it
+for the matrix samplers and the rate functions alike.
+
+Evaluation happens in log space; points where f vanishes return -inf,
+which downstream samplers treat as forbidden states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ParameterError
 
-# integer codes; the chain kernel runs the two repulsion weights (1 and 2)
-KIND_CONSTANT = 0
-KIND_DELTA_BETA = 1
-KIND_NABLA_BETA = 2
-KIND_CUSTOM = 3
+KINDS = ("one", "delta", "nabla", "power")
+
+# family -> (its weight's kind, d): the family's law has the exponent p / d
+FAMILIES = {"euclid": ("one", 1.0), "H": ("delta", 1.0), "M": ("nabla", 2.0)}
 
 _PAIR_BLOCK = 1 << 16  # (row, pair) cells per row block of log_delta_beta
 
@@ -70,51 +83,60 @@ def log_nabla_beta(x: np.ndarray, beta: float) -> float:
     return out if np.ndim(out) else float(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightFn:
-    """A homogeneous weight with its degree and log-evaluator.
+    """A homogeneous weight: its kind, one of KINDS, and its exponent beta
+    (the m of |x|^m for "power", unused by "one")."""
 
-    kind is one of the KIND_* codes; degree(n) returns the homogeneity
-    degree m as a function of the ambient dimension.
-    """
-
-    kind: int
+    kind: str
     beta: float = 0.0
-    degree_fn: Callable[[int], float] = field(default=lambda n: 0.0)
-    log_eval: Callable[[np.ndarray], float] = field(default=lambda x: 0.0)
-    orthant_only: bool = False
-    name: str = "constant-one"
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ParameterError(f"unknown weight kind {self.kind!r}")
+        if self.kind in ("delta", "nabla") and self.beta <= 0:
+            raise ParameterError(f"beta must be positive, got {self.beta}")
+
+    @property
+    def orthant_only(self) -> bool:
+        return self.kind == "nabla"
+
+    @property
+    def name(self) -> str:
+        if self.kind == "one":
+            return "constant-one"
+        label = {"delta": "delta-beta({})", "nabla": "nabla-beta({})",
+                 "power": "|x|^{}"}[self.kind]
+        return label.format(self.beta)
 
     def degree(self, n: int) -> float:
-        return self.degree_fn(n)
+        """The homogeneity degree m in dimension n."""
+        beta = self.beta
+        if self.kind == "delta":
+            return beta * n * (n - 1) / 2.0
+        if self.kind == "nabla":
+            return (beta / 2.0) * n * n - n
+        return beta * n if self.kind == "power" else 0.0
 
-    @classmethod
-    def constant_one(cls) -> "WeightFn":
-        return cls(kind=KIND_CONSTANT, degree_fn=lambda n: 0.0,
-                   log_eval=lambda x: 0.0 * np.sum(np.asarray(x), axis=-1),
-                   name="constant-one")
+    def log_eval(self, x: np.ndarray):
+        """log f over the last axis of x."""
+        if self.kind == "delta":
+            return log_delta_beta(x, self.beta)
+        if self.kind == "nabla":
+            return log_nabla_beta(x, self.beta)
+        if self.kind == "power":
+            return self.beta * np.sum(np.log(np.abs(x)), axis=-1)
+        return np.zeros(np.shape(x)[:-1])
 
-    @classmethod
-    def delta_beta(cls, beta: float) -> "WeightFn":
-        if beta <= 0:
-            raise ParameterError(f"beta must be positive, got {beta}")
-        return cls(kind=KIND_DELTA_BETA, beta=beta,
-                   degree_fn=lambda n: beta * n * (n - 1) / 2.0,
-                   log_eval=lambda x: log_delta_beta(x, beta),
-                   name=f"delta-beta({beta})")
 
-    @classmethod
-    def nabla_beta(cls, beta: float) -> "WeightFn":
-        if beta <= 0:
-            raise ParameterError(f"beta must be positive, got {beta}")
-        return cls(kind=KIND_NABLA_BETA, beta=beta,
-                   degree_fn=lambda n: (beta / 2.0) * n * n - n,
-                   log_eval=lambda x: log_nabla_beta(x, beta),
-                   orthant_only=True,
-                   name=f"nabla-beta({beta})")
-
-    @classmethod
-    def custom(cls, log_eval: Callable[[np.ndarray], float], degree: float,
-               name: str = "custom") -> "WeightFn":
-        return cls(kind=KIND_CUSTOM, degree_fn=lambda n: degree,
-                   log_eval=log_eval, name=name)
+def family_weight(family: str, p: float,
+                  beta: float) -> tuple[WeightFn, float]:
+    """The weight and exponent of a family's law, from FAMILIES.  The
+    matrix families, H and M, take beta in {1, 2, 4}: real symmetric,
+    complex Hermitian and quaternionic self-dual matrices."""
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}")
+    kind, d = FAMILIES[family]
+    if family != "euclid" and beta not in (1.0, 2.0, 4.0):
+        raise ParameterError(f"beta must be 1, 2, or 4, got {beta}")
+    return WeightFn(kind, beta), p / d

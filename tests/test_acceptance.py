@@ -117,7 +117,7 @@ def test_criterion_04_matrix_cross_check():
     # Dirac mixing rescales every spectrum to the sphere, so the statistic
     # is computed directly on the chain output.
     cfg = ChainConfig(n_samples=20000, thin=6, n_chains=4)
-    res_h = mcmc_sample(4, 2.0, WeightFn.delta_beta(2.0),
+    res_h = mcmc_sample(4, 2.0, WeightFn("delta", 2.0),
                         RngStream(SEED, stream_id=200), cfg)
     stat_h = res_h.samples[:, -1] / np.linalg.norm(res_h.samples, axis=1)
     oracle = beta_ensemble_spectra("H", 4, 2.0,
@@ -126,7 +126,7 @@ def test_criterion_04_matrix_cross_check():
                           / np.linalg.norm(oracle, axis=1)).statistic
 
     cfg = ChainConfig(n_samples=20000, thin=6, n_chains=4)
-    res_m = mcmc_sample(3, 1.0, WeightFn.nabla_beta(2.0),
+    res_m = mcmc_sample(3, 1.0, WeightFn("nabla", 2.0),
                         RngStream(SEED, stream_id=202), cfg)  # q = p/2 = 1
     stat_m = res_m.samples[:, -1] / res_m.samples.sum(axis=1)
     oracle = beta_ensemble_spectra("M", 3, 2.0,
@@ -149,7 +149,7 @@ def test_criterion_05_matrix_norm_split():
             itertools.product((1.0, 2.0), (1.0, 2.0))):
         # the chain on the eigen-PH target, which at p = 2 the sampler
         # draws exactly instead
-        s = sample_weighted_pnpw(n, p, WeightFn.delta_beta(beta),
+        s = sample_weighted_pnpw(n, p, WeightFn("delta", beta),
                                  RadialLawW(alpha=alpha),
                                  RngStream(SEED, stream_id=300 + i),
                                  size=4000,

@@ -542,6 +542,25 @@ class TestSample:
         assert "--count" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--target", "cone", "--n", "20", "--count", "2000", "--p", "0.005"),
+        ("--target", "cone", "--n", "20", "--count", "2000", "--p", "2000"),
+        ("--target", "singular-PM", "--n", "4", "--count", "500", "--p",
+         "0.01")], ids=["cone-p0.005", "cone-p2000", "singular-PM-p0.01"])
+    def test_non_finite_cells_exit_3(self, tmp_path, capsys, argv):
+        # the exact sampler overflows at p = 0.005 and divides 0 by 0 in
+        # some rows at p = 2000, and the chain's states are nan at
+        # p = 0.01: the rows are written, and the run fails naming them
+        code, out = run(tmp_path, "sample", *argv, "--seed", "3")
+        assert code == 3
+        rows = read_csv(out / "samples.csv")[1:]
+        bad = sum(not all(math.isfinite(float(c)) for c in r) for r in rows)
+        assert bad > 0
+        err = capsys.readouterr().err
+        assert err.endswith(f"{bad} of {len(rows)} rows of samples.csv hold "
+                            "non-finite cells; outputs retained\n")
+        assert err.count("\n") == 1
+
     def test_manifest_reruns_as_config(self, tmp_path):
         code, out1 = run(tmp_path / "a", "sample", "--target", "uniform",
                          "--n", "2", "--count", "30", "--seed", "5")
@@ -617,6 +636,26 @@ class TestNormLaw:
         assert capsys.readouterr().err == (
             "norm-split law flagged: chain diagnostics failed; "
             "outputs retained\n")
+
+
+    def test_non_finite_b_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a nan B makes the KS p-value nan, which passes every threshold
+        real = cli.norm_split_B
+
+        def with_nan(*args, **kwargs):
+            b = real(*args, **kwargs)
+            b[::100] = np.nan
+            return b
+
+        monkeypatch.setattr(cli, "norm_split_B", with_nan)
+        code, out = run(tmp_path, "test-norm-law", "--target", "euclid",
+                        "--n", "5", "--count", "2000", "--seed", "11")
+        assert code == 3
+        rep = read_strict_json(out / "norm_law_report.json")
+        assert rep["non_finite_b"] == 20
+        assert capsys.readouterr().err == (
+            "norm-split law flagged: 20 non-finite B draws; outputs "
+            "retained\n")
 
 
 class TestRate:
@@ -954,6 +993,26 @@ class TestNormConst:
     def test_unknown_weight(self, tmp_path):
         code, _ = run(tmp_path, "norm-const", "--weight", "frob", "--n", "3")
         assert code == 2
+
+    def test_weights_are_the_kinds(self):
+        prm, = [prm for prm in cli.COMMANDS["norm-const"][2]
+                if prm.name == "weight"]
+        assert prm.choices == ("one", "delta", "nabla", "power")
+
+    # sha16 of norm_const.json, computed with the code in which each
+    # weight carried its degree and evaluator as lambdas, before a weight
+    # became its kind and exponent
+    @pytest.mark.parametrize("weight, digest", [
+        (("one",), "768cb7f637292a97"),
+        (("delta",), "c7b354ea31bf6f56"),
+        (("nabla",), "b48ad94b6760b15e"),
+        (("power", "--m", "2"), "882cd2a31103c2ec")],
+        ids=["one", "delta", "nabla", "power-2"])
+    def test_report_digest(self, tmp_path, weight, digest):
+        code, out = run(tmp_path, "norm-const", "--weight", *weight, "--n",
+                        "3", "--count", "2000", "--seed", "5")
+        assert code == 0
+        assert sha16(out / "norm_const.json") == digest
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         root = tmp_path / "envroot"

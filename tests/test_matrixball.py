@@ -7,9 +7,9 @@ import pytest
 from scipy import stats
 
 from pradial.distributions import ParameterError, RadialLawW, sample_W
-from pradial.matrixball import (EnsembleSpec, beta_ensemble_spectra,
-                                log_weyl_const_H, log_weyl_const_M,
-                                sample_eigenvalues_PH, sample_sq_singular_PM)
+from pradial.matrixball import (beta_ensemble_spectra, log_weyl_const_H,
+                                log_weyl_const_M, sample_eigenvalues_PH,
+                                sample_sq_singular_PM)
 from pradial.mcmc import (ChainConfig, geyer_ess, mcmc_sample,
                           sample_weighted_pnpw)
 from pradial.rng import RngStream
@@ -184,7 +184,7 @@ class TestSamplers:
         # must match the oracle's
         n = 4
         cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_weighted_pnpw(n, 2.0, WeightFn.delta_beta(beta),
+        s = sample_weighted_pnpw(n, 2.0, WeightFn("delta", beta),
                                  RadialLawW.exponential(), rng(6), size=4000,
                                  config=cfg)
         assert s.chain.ok
@@ -204,7 +204,7 @@ class TestSamplers:
         # beta-ensemble density for the squared singular values
         n = 3
         cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_weighted_pnpw(n, 1.0, WeightFn.nabla_beta(beta),
+        s = sample_weighted_pnpw(n, 1.0, WeightFn("nabla", beta),
                                  RadialLawW.exponential(), rng(8), size=4000,
                                  config=cfg)
         assert s.chain.ok
@@ -221,9 +221,8 @@ class TestSamplers:
     def test_ph_norm_split_law(self):
         # B = sum |lambda_i|^p ~ Beta((n + beta n(n-1)/2)/p, alpha)
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
-        spec = EnsembleSpec(n=n, p=p, beta=beta,
-                            law=RadialLawW(alpha=alpha))
-        s = sample_eigenvalues_PH(spec, rng(10), size=4000)  # exact at p = 2
+        s = sample_eigenvalues_PH(n, p, beta, RadialLawW(alpha=alpha),
+                                  rng(10), size=4000)  # exact at p = 2
         assert s.p == p and s.degree == beta * n * (n - 1) / 2.0
         b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
@@ -233,9 +232,8 @@ class TestSamplers:
     def test_pm_norm_split_law(self):
         # B = sum (s_i^2)^(p/2) ~ Beta(beta n^2 / p, alpha)
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
-        spec = EnsembleSpec(n=n, p=p, beta=beta,
-                            law=RadialLawW(alpha=alpha))
-        s = sample_sq_singular_PM(spec, rng(11), size=4000)  # exact at p = 2
+        s = sample_sq_singular_PM(n, p, beta, RadialLawW(alpha=alpha),
+                                  rng(11), size=4000)  # exact at p = 2
         assert s.p == p / 2.0 and s.degree == beta * n * n / 2.0 - n
         b = np.sum(s.points ** (p / 2.0), axis=1)
         a = beta * n * n / p
@@ -243,28 +241,32 @@ class TestSamplers:
         assert ks.statistic < 0.05
 
     def test_dirac_law_on_sphere(self):
-        spec = EnsembleSpec(n=3, p=3.0, beta=2.0, law=RadialLawW.dirac())
-        s = sample_eigenvalues_PH(spec, rng(12), size=200,
-                                  config=ChainConfig(n_samples=200))
+        s = sample_eigenvalues_PH(3, 3.0, 2.0, RadialLawW.dirac(), rng(12),
+                                  size=200, config=ChainConfig(n_samples=200))
         assert np.allclose(np.sum(np.abs(s.points) ** 3.0, axis=1), 1.0,
                            atol=1e-10)
 
     def test_caller_config_not_mutated(self):
         # p = 3: at p = 2 the draw is exact and reads no config
         cfg = ChainConfig(n_samples=7)
-        s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=3.0), rng(18), size=5,
-                                  config=cfg)
+        s = sample_eigenvalues_PH(3, 3.0, 2.0, RadialLawW.exponential(),
+                                  rng(18), size=5, config=cfg)
         assert s.points.shape == (5, 3)
         assert cfg.n_samples == 7
 
     def test_beta_validation(self):
-        with pytest.raises(ParameterError):
-            EnsembleSpec(n=3, p=2.0, beta=3.0)
+        # on the exact path (p = 2) as on the chain
+        for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
+            for p in (2.0, 3.0):
+                with pytest.raises(ParameterError, match="1, 2, or 4"):
+                    sampler(3, p, 3.0, RadialLawW.exponential(), rng(25))
 
     def test_n_validation(self):
         # n = 0 is refused on the exact path as on the chain
-        with pytest.raises(ParameterError):
-            EnsembleSpec(n=0, p=2.0)
+        for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
+            for p in (2.0, 3.0):
+                with pytest.raises(ParameterError, match="n must be >= 1"):
+                    sampler(0, p, 2.0, RadialLawW.exponential(), rng(25))
 
 
 class TestChainAtDefaults:
@@ -280,8 +282,8 @@ class TestChainAtDefaults:
         # keeps the gate able to reject, since KS on a few dozen effective
         # draws passes almost any law
         n, size = 64, 2000
-        weight, q = ((WeightFn.delta_beta(beta), 2.0) if family == "H"
-                     else (WeightFn.nabla_beta(beta), 1.0))
+        weight, q = ((WeightFn("delta", beta), 2.0) if family == "H"
+                     else (WeightFn("nabla", beta), 1.0))
         res = mcmc_sample(n, q, weight, rng(30), ChainConfig(n_samples=size))
         oracle = beta_ensemble_spectra(family, n, beta, rng(31), size=4000)
 
@@ -302,7 +304,7 @@ class TestChainAtDefaults:
         # must follow Beta(n^2 beta / p, 1) = Beta(1024, 1), and acceptance
         # must sit in its window
         n = 32
-        s = sample_weighted_pnpw(n, 1.0, WeightFn.nabla_beta(2.0),
+        s = sample_weighted_pnpw(n, 1.0, WeightFn("nabla", 2.0),
                                  RadialLawW.exponential(), RngStream(1),
                                  size=2000)
         assert s.chain.ok
@@ -340,7 +342,8 @@ class TestExactSpectra:
     def test_matches_dense_oracle(self, dense_spectra, family, beta, n, size):
         sampler = (sample_eigenvalues_PH if family == "H"
                    else sample_sq_singular_PM)
-        s = sampler(EnsembleSpec(n=n, p=2.0, beta=beta), rng(40), size=2000)
+        s = sampler(n, 2.0, beta, RadialLawW.exponential(), rng(40),
+                    size=2000)
         assert s.chain is None
         q = s.p
         oracle = dense_spectra(family, n, beta, size,
@@ -374,7 +377,7 @@ class TestExactSpectra:
         m = beta_ensemble_spectra("M", 1, beta, rng(42), size=4000).ravel()
         assert stats.kstest(m, stats.gamma(beta / 2.0).cdf).pvalue > 1e-3
         for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
-            s = sampler(EnsembleSpec(n=1, p=2.0, beta=beta), rng(43),
+            s = sampler(1, 2.0, beta, RadialLawW.exponential(), rng(43),
                         size=10)
             assert s.points.shape == (10, 1) and s.chain is None
 
@@ -387,8 +390,7 @@ class TestExactSpectra:
         # the spectrum comes from the first of rng.split(2) and W from the
         # second, the streams sample_weighted_pnpw gives its chain and W
         law = RadialLawW(theta=0.3, alpha=2.0)
-        s = sample_eigenvalues_PH(EnsembleSpec(n=3, p=2.0, law=law), rng(45),
-                                  size=300)
+        s = sample_eigenvalues_PH(3, 2.0, 2.0, law, rng(45), size=300)
         r_x, r_w = rng(45).split(2)
         x = beta_ensemble_spectra("H", 3, 2.0, r_x, size=300)
         w = sample_W(law, r_w, size=300)
@@ -403,16 +405,14 @@ class TestEmpiricalMeasure:
     # ell_{p/2} sphere, which an M sample carries as its p
 
     def test_on_sphere_p_moment_is_one(self):
-        spec = EnsembleSpec(n=4, p=2.5, beta=2.0, law=RadialLawW.dirac())
-        s = sample_eigenvalues_PH(spec, rng(17), size=5,
-                                  config=ChainConfig(n_samples=5))
+        s = sample_eigenvalues_PH(4, 2.5, 2.0, RadialLawW.dirac(), rng(17),
+                                  size=5, config=ChainConfig(n_samples=5))
         np.testing.assert_allclose(np.sum(np.abs(s.points) ** 2.5, axis=1),
                                    1.0, rtol=0.0, atol=1e-10)
 
     def test_m_sample_on_sphere_q_moment_is_one(self):
-        spec = EnsembleSpec(n=4, p=3.0, beta=2.0, law=RadialLawW.dirac())
-        s = sample_sq_singular_PM(spec, rng(24), size=5,
-                                  config=ChainConfig(n_samples=5))
+        s = sample_sq_singular_PM(4, 3.0, 2.0, RadialLawW.dirac(), rng(24),
+                                  size=5, config=ChainConfig(n_samples=5))
         assert s.p == 1.5
         np.testing.assert_allclose(np.sum(np.abs(s.points) ** 1.5, axis=1),
                                    1.0, rtol=0.0, atol=1e-10)

@@ -2,13 +2,14 @@
 
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from pradial import _kernels
+from pradial import _kernels, weights
 from pradial.distributions import (ParameterError, RadialLawW,
                                    sample_gen_gaussian)
 from pradial.lpgeom import lp_norm
@@ -17,10 +18,8 @@ from pradial.mcmc import (ChainConfig, estimate_norm_const, geyer_ess,
 from pradial.rng import RngStream
 from pradial.weights import WeightFn
 
-constant_one = WeightFn.constant_one
-delta_beta = WeightFn.delta_beta
-nabla_beta = WeightFn.nabla_beta
-custom = WeightFn.custom
+delta_beta = partial(WeightFn, "delta")
+nabla_beta = partial(WeightFn, "nabla")
 
 
 def rng(stream=0):
@@ -42,10 +41,11 @@ class TestLogTarget:
     @given(st.floats(0.1, 4.0), st.floats(0.5, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_weight_homogeneity(self, scale, beta):
-        # f(c x) = c^m f(x) for the coded homogeneous weights
+        # f(c x) = c^m f(x) for every kind of weight
         x = np.array([0.3, 1.1, 2.4])
-        for w in (delta_beta(beta), nabla_beta(beta)):
-            m = w.degree_fn(3)
+        for w in (WeightFn("one"), delta_beta(beta), nabla_beta(beta),
+                  WeightFn("power", beta)):
+            m = w.degree(3)
             got = w.log_eval(scale * x) - w.log_eval(x)
             assert got == pytest.approx(m * math.log(scale), abs=1e-9)
 
@@ -149,16 +149,16 @@ class TestMcmcSample:
             assert 0.2 <= res.accept_rate <= 0.6
             assert res.ok
 
-    def test_custom_weight_rejected(self):
-        w = custom(lambda x: 0.0, 0.0)
-        with pytest.raises(ParameterError):
-            mcmc_sample(3, 2.0, w, rng(6))
+    def test_power_weight_rejected(self):
+        # the kernel runs the two repulsion weights only
+        with pytest.raises(ParameterError, match=r"not \|x\|\^2\.0"):
+            mcmc_sample(3, 2.0, WeightFn("power", 2.0), rng(6))
 
     def test_constant_weight_rejected(self):
         # f == 1 is the product generalized Gaussian, drawn exactly by
         # lpgeom.sample_pnpw
         with pytest.raises(ParameterError, match="sample_pnpw"):
-            mcmc_sample(3, 2.0, constant_one(), rng(6))
+            mcmc_sample(3, 2.0, WeightFn("one"), rng(6))
 
     def test_kernel_matches_full_target_metropolis(self, log_target):
         # run_chain moves K chains in lockstep and scores each flip with an
@@ -217,7 +217,7 @@ class TestMcmcSample:
             scales = np.full((n_chains, n), 1.0)
             out = np.empty((keep, n_chains, n))
             accepted = np.empty((steps, n_chains), dtype=bool)
-            _kernels.run_chain(x0.copy(), p, weight.kind, weight.beta,
+            _kernels.run_chain(x0.copy(), p, weight.orthant_only, weight.beta,
                                coord_idx, normals, log_unifs, scales,
                                adapt_until, up, down, thin, out, accepted,
                                radii)
@@ -236,8 +236,10 @@ class TestMcmcSample:
         # the benchmark's tracer reads run_chain's arguments by position
         # (coord_idx for the flip count, out for the kept states) and
         # records _kernels.BACKEND in every result file; radii came last so
-        # that neither moved
+        # that neither moved, and the orthant flag took the place of the
+        # weight's integer code
         params = list(inspect.signature(_kernels.run_chain).parameters)
+        assert params[2] == "orthant"
         assert params[4] == "coord_idx" and params[12] == "out"
         assert params[-1] == "radii"
         assert isinstance(_kernels.BACKEND, str)
@@ -285,7 +287,7 @@ class TestNormConst:
     def test_constant_weight_exact(self):
         # f == 1 integrates to (2 Gamma(1+1/p))^n, so log C is exact
         for p in (0.7, 2.0, 3.0):
-            log_c, se, _ = estimate_norm_const(3, p, constant_one(),
+            log_c, se, _ = estimate_norm_const(3, p, WeightFn("one"),
                                                rng(10), size=2000)
             expected = -3.0 * (math.log(2.0) + math.lgamma(1.0 + 1.0 / p))
             assert log_c == pytest.approx(expected, abs=1e-12)
@@ -295,7 +297,7 @@ class TestNormConst:
         # f(x) = x^2: integral of x^2 exp(-x^2) = Gamma(3/2), C = 1/Gamma(3/2).
         # At n = 1 the direction is +-1, where f is 1, so the radius's
         # moment alone carries the integral and the estimate is exact
-        w = custom(lambda x: 2.0 * np.sum(np.log(np.abs(x)), axis=-1), 2.0)
+        w = WeightFn("power", 2.0)
         log_c, se, _ = estimate_norm_const(1, 2.0, w, rng(11), size=400000)
         assert log_c == pytest.approx(-math.log(math.gamma(1.5)), abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
@@ -345,19 +347,21 @@ class TestNormConst:
         v = np.exp(logf - logf.max())
         assert ess == pytest.approx(v.sum() ** 2 / np.sum(v * v), rel=1e-12)
         assert 1.0 <= ess < size
-        _, _, flat = estimate_norm_const(n, p, constant_one(), rng(17),
+        _, _, flat = estimate_norm_const(n, p, WeightFn("one"), rng(17),
                                          size=size)
         assert flat == size
 
-    def test_inputs_are_not_modified(self):
-        # a caller's weight may keep the draws it was handed
+    def test_inputs_are_not_modified(self, monkeypatch):
+        # the weight's evaluator may keep the draws it was handed
         seen = []
+        real = weights.log_delta_beta
 
-        def log_eval(x):
+        def spy(x, beta):
             seen.append((x, x.copy()))
-            return np.zeros(x.shape[0])
+            return real(x, beta)
 
-        weight = custom(log_eval, 0.0)
+        monkeypatch.setattr(weights, "log_delta_beta", spy)
+        weight = delta_beta(2.0)
         keep = repr(weight)
         estimate_norm_const(3, 2.0, weight, rng(18), size=1000)
         (x, copy), = seen
@@ -404,7 +408,7 @@ class TestWeightedPnpw:
                                      config=cfg)
             return np.sum(np.abs(s.points) ** p, axis=1)
 
-        assert delta_beta(2.0).degree_fn(n) == nabla_beta(2.0).degree_fn(n) == 6
+        assert delta_beta(2.0).degree(n) == nabla_beta(2.0).degree(n) == 6
         b1 = b_of(delta_beta(2.0), 15)
         b2 = b_of(nabla_beta(2.0), 16)
         # exact law available: Beta((n+m)/p, 1)

@@ -46,5 +46,5 @@ def test_exact_sampler_holds_output_plus_one_temporary():
 def test_norm_const_holds_its_draws_plus_one_temporary():
     size, n = 200000, 4
     _, peak = traced_peak(lambda: estimate_norm_const(
-        n, 2.0, WeightFn.delta_beta(2.0), RngStream(1), size=size))
+        n, 2.0, WeightFn("delta", 2.0), RngStream(1), size=size))
     assert peak < 2 * size * n * 8

@@ -1,11 +1,14 @@
-"""Tests for the Vandermonde-type weights: the blocked pair sums against a
-dense triu oracle, bit for bit."""
+"""Tests for the weights: the value a kind and an exponent fix, the family
+table, and the Vandermonde-type blocked pair sums against a dense triu
+oracle, bit for bit."""
 
 import numpy as np
 import pytest
 
 from pradial import weights
-from pradial.weights import log_delta_beta, log_nabla_beta
+from pradial.distributions import ParameterError
+from pradial.weights import (WeightFn, family_weight, log_delta_beta,
+                             log_nabla_beta)
 
 
 def dense_log_delta(x, beta):
@@ -91,3 +94,59 @@ class TestBlockedPairs:
         log_delta_beta(x, 2.0)
         log_nabla_beta(x, 1.0)
         assert np.array_equal(x, keep)
+
+
+class TestWeightFn:
+    # the degrees and names each weight had while it carried them as
+    # lambdas and strings: 0, beta n (n-1)/2, (beta/2) n^2 - n and beta n
+    # at beta = 2.5, n = 1..5
+    @pytest.mark.parametrize("kind, degrees, name", [
+        ("one", [0.0] * 5, "constant-one"),
+        ("delta", [0.0, 2.5, 7.5, 15.0, 25.0], "delta-beta(2.5)"),
+        ("nabla", [0.25, 3.0, 8.25, 16.0, 26.25], "nabla-beta(2.5)"),
+        ("power", [2.5, 5.0, 7.5, 10.0, 12.5], "|x|^2.5"),
+    ])
+    def test_degree_and_name(self, kind, degrees, name):
+        w = WeightFn(kind, 2.5)
+        assert [w.degree(n) for n in range(1, 6)] == degrees
+        assert w.name == name
+        assert w.orthant_only == (kind == "nabla")
+
+    def test_two_fields(self):
+        assert list(WeightFn.__dataclass_fields__) == ["kind", "beta"]
+
+    @pytest.mark.parametrize("kind, beta", [
+        ("frob", 2.0), ("delta", 0.0), ("delta", -1.0), ("nabla", 0.0),
+        ("nabla", -2.0)])
+    def test_invalid_weights(self, kind, beta):
+        with pytest.raises(ParameterError):
+            WeightFn(kind, beta)
+
+    def test_log_eval_of_each_kind(self):
+        x = draws((4, 3), seed=7)
+        assert same(WeightFn("one").log_eval(x), np.zeros(4))
+        assert same(WeightFn("delta", 1.5).log_eval(x), log_delta_beta(x, 1.5))
+        assert same(WeightFn("nabla", 1.5).log_eval(x), log_nabla_beta(x, 1.5))
+        assert np.allclose(WeightFn("power", 1.5).log_eval(x),
+                           np.log(np.prod(x ** 1.5, axis=1)), rtol=1e-13)
+
+
+class TestFamilies:
+    # the ell_p ball carries the constant weight at p, the H eigenvalues
+    # Delta_beta at p, and the M squared singular values nabla_beta at p/2
+    @pytest.mark.parametrize("family, weight, q", [
+        ("euclid", WeightFn("one", 2.0), 3.0),
+        ("H", WeightFn("delta", 2.0), 3.0),
+        ("M", WeightFn("nabla", 2.0), 1.5)])
+    def test_weight_and_exponent(self, family, weight, q):
+        assert family_weight(family, 3.0, 2.0) == (weight, q)
+
+    @pytest.mark.parametrize("family", ["H", "M"])
+    @pytest.mark.parametrize("beta", [0.5, 3.0, -1.0])
+    def test_matrix_beta_rule(self, family, beta):
+        with pytest.raises(ParameterError, match="1, 2, or 4"):
+            family_weight(family, 2.0, beta)
+
+    def test_unknown_family(self):
+        with pytest.raises(ParameterError):
+            family_weight("h", 2.0, 2.0)
