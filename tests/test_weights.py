@@ -2,6 +2,8 @@
 table, and the Vandermonde-type blocked pair sums against a dense triu
 oracle, bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,8 @@ class TestWeightFn:
         assert w.orthant_only == (kind == "nabla")
 
     def test_two_fields(self):
-        assert list(WeightFn.__dataclass_fields__) == ["kind", "beta"]
+        names = [f.name for f in dataclasses.fields(WeightFn)]
+        assert names == ["kind", "beta"]
 
     @pytest.mark.parametrize("kind, beta", [
         ("frob", 2.0), ("delta", 0.0), ("delta", -1.0), ("nabla", 0.0),
