@@ -48,7 +48,7 @@ from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import sample_eigenvalues_PH, sample_sq_singular_PM
 from .mcmc import estimate_norm_const
 from .measures import MeasureRep
-from .rng import RngStream
+from .rng import RngStream, _cpus
 from .weights import KINDS, WeightFn
 from . import rates
 
@@ -61,14 +61,6 @@ _CSV_BLOCK_CELLS = 1 << 14
 # tables above this many cells are formatted in worker processes: below
 # it, starting the workers costs more than they save
 _CSV_PARALLEL_CELLS = 1 << 19
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _format_block(block) -> str:
@@ -460,7 +452,11 @@ def cmd_sample(cfg):
     if cfg["orthant"] and cfg["target"] not in _EXACT_LAWS:
         raise ParameterError(
             f"--orthant is not supported for target {cfg['target']!r}")
-    s = _TARGETS[cfg["target"]](cfg, _law_from(cfg), RngStream(cfg["seed"]))
+    # at extreme p a draw overflows or divides 0 by 0: the check below
+    # names the rows, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _TARGETS[cfg["target"]](cfg, _law_from(cfg),
+                                    RngStream(cfg["seed"]))
     outputs = {"samples.csv": ([f"x{i + 1}" for i in range(cfg["n"])],
                                s.points)}
     chain = s.chain
@@ -772,7 +768,11 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by later ones (parsing does not change it); not at import, which each
+    command-line call pays for."""
     ap = argparse.ArgumentParser(
         prog="pradial",
         description="Weighted p-radial distributions on lp and matrix "

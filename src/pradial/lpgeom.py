@@ -12,7 +12,9 @@ Also provides the norm-split statistic
     B = ||X||_p^p / (||X||_p^p + W),
 
 whose law is an explicit Dirac/Beta mixture, and the boundary density
-psi describing how mass accumulates near the sphere.
+psi describing how mass accumulates near the sphere.  For a tabulated W,
+psi integrates its row blocks on one thread per CPU, with the bits of a
+serial loop.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .distributions import (
     sample_W,
     _check_positive,
 )
-from .rng import RngStream
+from .rng import RngStream, _cpus
 
 if TYPE_CHECKING:
     from .mcmc import ChainResult
@@ -191,6 +193,15 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).  Where
     t max w < 1e-8, e^{-t w} is 1 - t w to O((t w)^2) and two polynomial
     moments give the integral.
+
+    The other rows go in blocks of at most _PSI_BLOCK pairs to one worker
+    per CPU (rng._cpus) and at most one per block: worker 0 is the calling
+    thread and the others run in a thread pool.  Worker k takes blocks k,
+    k + workers, ..., works in three block-sized buffers that this call
+    allocates for it, and adds only into val at its own blocks' rows.  The
+    blocks and each row's arithmetic are those of a serial loop, so psi
+    has the same bits on any number of CPUs.  No thread outlives the call,
+    whether it returns or raises.
     """
     from scipy.special import gammainc, gammaln
 
@@ -213,14 +224,45 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
         val[poly] += mom[0] - t[poly] * mom[1]
         rest = np.flatnonzero(~poly)
         rows = max(1, _PSI_BLOCK // w.size)
-        for blk in np.split(rest, range(rows, rest.size, rows)):
-            x = t[blk, None] * w
-            p2 = gammainc(d + 2.0, x)
-            with np.errstate(divide="ignore"):
-                p1 = p2 + np.exp((d + 1.0) * np.log(x) - x - gammaln(d + 2.0))
-            scale = np.exp(gammaln(d + 1.0) - (d + 1.0) * np.log(t[blk]))
-            val[blk] += scale * (np.diff(p1) @ intercept
-                                 + (d + 1.0) / t[blk] * (np.diff(p2) @ slope))
+        blocks = np.split(rest, range(rows, rest.size, rows))
+        workers = min(_cpus(), len(blocks))
+        # three block-sized buffers a worker: t w, P(d+2, t w) and P(d+1,
+        # t w); the first and last then take the rises of P(d+1) and P(d+2)
+        work = np.empty((workers, 3, min(rows, rest.size) * w.size))
+        g1, g2 = gammaln(d + 1.0), gammaln(d + 2.0)
+
+        def run(k):
+            # numpy and scipy.special alone: a thread that called a public
+            # pradial function would share the tracer's span stack
+            for blk in blocks[k::workers]:
+                x, p2, p1 = (a[:blk.size * w.size].reshape(blk.size, w.size)
+                             for a in work[k])
+                np.multiply(t[blk, None], w, out=x)
+                gammainc(d + 2.0, x, out=p2)
+                with np.errstate(divide="ignore"):
+                    np.log(x, out=p1)
+                p1 *= d + 1.0
+                p1 -= x
+                p1 -= g2
+                np.exp(p1, out=p1)
+                p1 += p2
+                rise1, rise2 = (a[:blk.size * (w.size - 1)]
+                                .reshape(blk.size, w.size - 1)
+                                for a in work[k, ::2])
+                np.subtract(p1[:, 1:], p1[:, :-1], out=rise1)
+                part = rise1 @ intercept
+                np.subtract(p2[:, 1:], p2[:, :-1], out=rise2)
+                part += (d + 1.0) / t[blk] * (rise2 @ slope)
+                val[blk] += np.exp(g1 - (d + 1.0) * np.log(t[blk])) * part
+
+        # a one-block call, such as each scalar call that
+        # psi_normalization_defect's quadrature makes, starts no thread
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, k) for k in range(1, workers)]
+            run(0)
+            for future in futures:
+                future.result()
     out = val * np.exp(-(d + 1.0) * np.log1p(-sp) - gammaln(d + 1.0))
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 

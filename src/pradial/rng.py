@@ -4,10 +4,12 @@ Streams are keyed by a (seed, stream_id) pair on top of the counter-based
 Philox generator, so distinct stream ids give statistically independent
 sequences and the same pair always reproduces the same draws.  A single
 stream must not be shared between threads; parallel work splits streams.
+_cpus is the count of CPUs that such work may use.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,14 @@ import numpy as np
 # Children of stream s are s*_SPLIT_FANOUT + 1 + i, so the id space forms a
 # tree and independently split streams never collide.
 _SPLIT_FANOUT = 1 << 20
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass

@@ -9,7 +9,8 @@ homogeneous of some degree m, i.e. f(t*x) = t^m f(x) for t > 0:
              beta n (n - 1) / 2;
     "nabla"  nabla_beta(x) = Delta_beta(x) prod_i x_i^(beta/2 - 1) on the
              positive orthant, degree (beta/2) n^2 - n;
-    "power"  prod_i |x_i|^beta, degree beta n.
+    "power"  prod_i |x_i|^beta, degree beta n, for beta > -1: at
+             beta <= -1 the tilted density is not integrable at 0.
 
 FAMILIES pairs each family with its weight and exponent: the ell_p ball
 carries the constant weight at p, the eigenvalues of the self-adjoint (H)
@@ -86,7 +87,7 @@ def log_nabla_beta(x: np.ndarray, beta: float) -> float:
 @dataclass(frozen=True)
 class WeightFn:
     """A homogeneous weight: its kind, one of KINDS, and its exponent beta
-    (the m of |x|^m for "power", unused by "one")."""
+    (the m > -1 of |x|^m for "power", unused by "one")."""
 
     kind: str
     beta: float = 0.0
@@ -96,6 +97,9 @@ class WeightFn:
             raise ParameterError(f"unknown weight kind {self.kind!r}")
         if self.kind in ("delta", "nabla") and self.beta <= 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
+        if self.kind == "power" and self.beta <= -1:
+            raise ParameterError(
+                f"the power weight needs m > -1, got {self.beta}")
 
     @property
     def orthant_only(self) -> bool:

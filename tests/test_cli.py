@@ -547,6 +547,7 @@ class TestSample:
         ("--target", "cone", "--n", "20", "--count", "2000", "--p", "2000"),
         ("--target", "singular-PM", "--n", "4", "--count", "500", "--p",
          "0.01")], ids=["cone-p0.005", "cone-p2000", "singular-PM-p0.01"])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_cells_exit_3(self, tmp_path, capsys, argv):
         # the exact sampler overflows at p = 0.005 and divides 0 by 0 in
         # some rows at p = 2000, and the chain's states are nan at
@@ -560,6 +561,19 @@ class TestSample:
         assert err.endswith(f"{bad} of {len(rows)} rows of samples.csv hold "
                             "non-finite cells; outputs retained\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["0.005", "2000"])
+    def test_extreme_p_prints_one_stderr_line(self, tmp_path, p):
+        # a fresh process, so that stderr holds any warning numpy prints:
+        # pytest would capture it in process
+        proc = subprocess.run(
+            [sys.executable, "-m", "pradial.cli", "sample", "--target",
+             "cone", "--n", "20", "--count", "2000", "--seed", "3", "--p", p,
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     def test_manifest_reruns_as_config(self, tmp_path):
         code, out1 = run(tmp_path / "a", "sample", "--target", "uniform",
@@ -990,6 +1004,25 @@ class TestNormConst:
         assert rep["se_log"] == 0.0
         assert rep["log_norm_const"] == pytest.approx(log_c, abs=1e-12)
 
+    @pytest.mark.parametrize("m", ["-1", "-1.5"])
+    def test_power_weight_at_or_below_minus_one(self, tmp_path, capsys, m):
+        # |x|^m e^{-|x|^p} is not integrable at 0 for m <= -1
+        code, out = run(tmp_path, "norm-const", "--weight", "power", "--m", m,
+                        "--n", "1", "--count", "2000", "--seed", "5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "m > -1" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_power_weight_above_minus_one(self, tmp_path):
+        # at n = 1 the estimate is exact: C = p / (2 Gamma((1 + m)/p))
+        code, out = run(tmp_path, "norm-const", "--weight", "power", "--m",
+                        "-0.5", "--n", "1", "--count", "2000", "--seed", "5")
+        assert code == 0
+        rep = read_json(out / "norm_const.json")
+        assert rep["log_norm_const"] == pytest.approx(-math.lgamma(0.25),
+                                                      abs=1e-12)
+
     def test_unknown_weight(self, tmp_path):
         code, _ = run(tmp_path, "norm-const", "--weight", "frob", "--n", "3")
         assert code == 2
@@ -1025,6 +1058,10 @@ class TestNormConst:
 
 
 class TestParameterTable:
+    def test_parser_is_built_once(self):
+        # building the six subparsers took about 1.5 ms on every main call
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("argv, files", [
         (["ldp-verify", "--n-list", "20,abc"], {}),
         (["asymptotics", "--n-list", "50,0"], {}),

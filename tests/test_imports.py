@@ -135,6 +135,17 @@ with tempfile.TemporaryDirectory() as out:
         assert cli.main(argv + ["--seed", "1", "--out", out]) == 0, argv
 """
 
+# the tabulated psi runs its blocks on threads, not worker processes
+_PSI_TAB = """
+import numpy as np
+from pradial.distributions import RadialLawW
+from pradial.lpgeom import PsiSpec, psi_density
+g = np.linspace(0.0, 40.0, 401)
+dens = np.exp(-g)
+law = RadialLawW.tabulated(grid=g, density=dens / np.trapezoid(dens, g))
+psi_density(PsiSpec(n=5, p=2.0, law=law), np.linspace(0.0, 0.9, 50))
+"""
+
 # an analytic family is a pdf on a finite support: building one searches
 # for no quantile, and no family needs scipy.stats
 _ANALYTIC = """
@@ -149,7 +160,8 @@ MeasureRep.gen_gaussian_scaled(2.0, 0.5)
     pytest.param("import pradial", STARTUP, id="import-package"),
     pytest.param(_EXACT, STARTUP, id="sample-exact-targets"),
     pytest.param(_RUN, HEAVY, id="sample-norm-const-ldp-verify"),
-    pytest.param(_ANALYTIC, HEAVY, id="analytic-families")])
+    pytest.param(_ANALYTIC, HEAVY, id="analytic-families"),
+    pytest.param(_PSI_TAB, HEAVY, id="tabulated-psi")])
 def test_fresh_process_loads_no_heavy_subpackage(code, names):
     # a fresh interpreter, so that no other test has loaded them; the run
     # cases show that the cost did not move into the first call

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,34 @@ from pradial.rng import RngStream
 
 def rng(k=0):
     return RngStream(20240801, k)
+
+
+def on_cpus(monkeypatch, k):
+    """Make the process's affinity set read as k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def exp_table():
+    """The benchmark's tabulated psi: Exp(1) on 4001 knots of [0, 40],
+    n = 5, p = 2, at 400 sorted points of [0, 0.95)."""
+    g = np.linspace(0.0, 40.0, 4001)
+    dens = np.exp(-g)
+    law = RadialLawW.tabulated(grid=g, density=dens / np.trapezoid(dens, g))
+    s = np.sort(0.95 * np.random.default_rng(1001).random(400))
+    return PsiSpec(n=5, p=2.0, law=law), s
+
+
+def gamma_table(knots):
+    """Gamma(2, 1) tabulated on knots knots of [0, 45]."""
+    g = np.linspace(0.0, 45.0, knots)
+    dens = g * np.exp(-g)
+    return RadialLawW.tabulated(grid=g, density=dens / np.trapezoid(dens, g))
+
+
+# s = 1e-6 and 1e-5 take the polynomial branch (t max w < 1e-8); s = 3e-5
+# is the first point past it
+GAMMA_S = np.array([0.0, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 0.05, 0.3, 0.6, 0.9,
+                    0.95, 0.99])
 
 
 class TestLpNorm:
@@ -239,21 +271,14 @@ class TestPsi:
         # Gamma(2, 1) tabulated on [0, 45] at knot spacings h, h/2, h/4:
         # with d = 2 the tabulation error is a series in h^2, so two
         # Richardson steps leave the closed form (d + 1)(1 - s^2) to 1e-10.
-        # s = 1e-6 and 1e-5 take the polynomial branch (t max w < 1e-8),
-        # whose dropped e^{-t w} term would show at rel t E[w] ~ 4e-10;
-        # s = 3e-5 is the first point past it; at s = 1e-4 every t w is
-        # below 5e-7, where P(d+1) would lose its digits if it came from
-        # P(d+2) by subtraction; from s = 0.9 on, P(d+2, t w) rounds to
-        # 1.0 at the far knots
-        s = np.array([0.0, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 0.05, 0.3, 0.6,
-                      0.9, 0.95, 0.99])
-        tab = []
-        for knots in (9001, 18001, 36001):
-            g = np.linspace(0.0, 45.0, knots)
-            dens = g * np.exp(-g)
-            law = RadialLawW.tabulated(grid=g,
-                                       density=dens / np.trapezoid(dens, g))
-            tab.append(psi_density(PsiSpec(n=4, p=2.0, law=law), s))
+        # The polynomial branch drops an e^{-t w} term that would show at
+        # rel t E[w] ~ 4e-10; at s = 1e-4 every t w is below 5e-7, where
+        # P(d+1) would lose its digits if it came from P(d+2) by
+        # subtraction; from s = 0.9 on, P(d+2, t w) rounds to 1.0 at the
+        # far knots
+        s = GAMMA_S
+        tab = [psi_density(PsiSpec(n=4, p=2.0, law=gamma_table(knots)), s)
+               for knots in (9001, 18001, 36001)]
         r1 = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(tab, tab[1:])]
         limit = (16.0 * r1[1] - r1[0]) / 15.0
         exact = psi_density(PsiSpec(n=4, p=2.0, law=RadialLawW(alpha=2.0)), s)
@@ -274,3 +299,63 @@ class TestPsi:
             # tolerance limited by the grid discretization of the density
             assert psi_density(tab, s) == pytest.approx(
                 psi_density(exact, s), rel=1e-4)
+
+
+class TestPsiThreads:
+    """The tabulated psi runs its row blocks on one thread per CPU."""
+
+    @pytest.mark.parametrize("knots", [None, 9001, 18001, 36001],
+                             ids=["exp-4001", "gamma-9001", "gamma-18001",
+                                  "gamma-36001"])
+    def test_same_bits_on_one_two_and_three_cpus(self, monkeypatch, knots):
+        # 25 blocks of 16 rows for the Exp(1) table; 7, 3 and 1 rows a
+        # block for the Gamma tables, so 3 CPUs split them unevenly
+        spec, s = exp_table() if knots is None else (
+            PsiSpec(n=4, p=2.0, law=gamma_table(knots)), GAMMA_S)
+        got = []
+        for k in (1, 2, 3):
+            on_cpus(monkeypatch, k)
+            got.append(psi_density(spec, s))
+        assert all(np.array_equal(got[0], g) for g in got[1:])
+
+    def test_exp_table_is_pinned(self):
+        # the bytes of the serial loop, before the blocks ran in threads
+        psi = psi_density(*exp_table())
+        assert hashlib.sha256(psi.tobytes()).hexdigest()[:16] == \
+            "81c07435a52046aa"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_worker_per_cpu_and_none_left(self, monkeypatch, cpus):
+        # the calling thread is one of the workers, and the only one of a
+        # one-block call
+        from scipy import special
+
+        real, seen = special.gammainc, set()
+
+        def spy(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(special, "gammainc", spy)
+        on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        spec, s = exp_table()
+        psi_density(spec, s)
+        assert len(seen) == cpus and threading.get_ident() in seen
+        assert threading.active_count() == before
+        seen.clear()
+        psi_density(spec, 0.5)
+        assert seen == {threading.get_ident()}
+
+    def test_no_thread_left_when_a_block_raises(self, monkeypatch):
+        from scipy import special
+
+        def boom(*args, **kwargs):
+            raise FloatingPointError("block failed")
+
+        monkeypatch.setattr(special, "gammainc", boom)
+        on_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="block failed"):
+            psi_density(*exp_table())
+        assert threading.active_count() == before

@@ -120,10 +120,14 @@ class TestWeightFn:
 
     @pytest.mark.parametrize("kind, beta", [
         ("frob", 2.0), ("delta", 0.0), ("delta", -1.0), ("nabla", 0.0),
-        ("nabla", -2.0)])
+        ("nabla", -2.0), ("power", -1.0), ("power", -1.5)])
     def test_invalid_weights(self, kind, beta):
         with pytest.raises(ParameterError):
             WeightFn(kind, beta)
+
+    def test_power_above_minus_one(self):
+        # |x|^m is integrable against e^{-|x|^p} at 0 for every m > -1
+        assert WeightFn("power", -0.5).degree(3) == -1.5
 
     def test_log_eval_of_each_kind(self):
         x = draws((4, 3), seed=7)
