@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .distributions import ParameterError, RadialLawW, beta_log_cdf
 from .lpgeom import norm_split_B, sample_pnpw
-from .matrixball import sample_eigenvalues_PH, sample_sq_singular_PM
+from .matrixball import sample_spectra
 from .mcmc import estimate_norm_const
 from .measures import MeasureRep
 from .rng import RngStream, _cpus
@@ -423,15 +423,16 @@ _EXACT_LAWS = {"cone": RadialLawW.dirac(), "uniform": RadialLawW.exponential(),
 # spectral targets draw exactly, at p = 2), and the
 # norm-split statistic of a row, sum |x_i|^q with q the sample's p, has
 # the Beta shape (n + degree) / q.  The lambdas look samplers up when
-# called, so a rebound module-level name is the one that runs.
+# called, so a rebound module-level name is the one that runs.  A
+# spectral target draws the matrixball family _SPECTRAL names.
+_SPECTRAL = {"eigen-PH": "H", "singular-PM": "M"}
 _TARGETS = {
     **dict.fromkeys(_EXACT_LAWS, lambda c, law, rng: sample_pnpw(
         c["n"], c["p"], _EXACT_LAWS[c["target"]] or law, rng,
         size=c["count"], positive=c["orthant"])),
-    "eigen-PH": lambda c, law, rng: sample_eigenvalues_PH(
-        c["n"], c["p"], c["beta"], law, rng, size=c["count"]),
-    "singular-PM": lambda c, law, rng: sample_sq_singular_PM(
-        c["n"], c["p"], c["beta"], law, rng, size=c["count"]),
+    **dict.fromkeys(_SPECTRAL, lambda c, law, rng: sample_spectra(
+        _SPECTRAL[c["target"]], c["n"], c["p"], c["beta"], law, rng,
+        size=c["count"])),
 }
 
 

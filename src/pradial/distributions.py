@@ -198,12 +198,20 @@ class RadialLawW:
         return self.theta
 
     def _tab_inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF of the grid density part, scaled to unit mass."""
-        cdf = np.concatenate([[0.0], np.cumsum(
-            0.5 * (self.density[1:] + self.density[:-1]) * np.diff(self.grid))])
-        cdf /= cdf[-1]
-        # cdf is monotone by nonnegativity; interp inverts it
-        return np.interp(u, cdf, self.grid)
+        """Inverse CDF of the grid density part, scaled to unit mass.  On a
+        cell the density is linear, r + s y at y past its left knot, so mass
+        c is reached at y = 2c / (r + sqrt(r^2 + 2 s c)), exact at s = 0."""
+        w, r = self.grid, self.density
+        h = np.diff(w)
+        slope = np.diff(r) / h
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * h)])
+        mass = u * cdf[-1]
+        # cdf[k] <= mass < cdf[k + 1], so a cell without mass is never taken
+        k = np.clip(np.searchsorted(cdf, mass, side="right") - 1, 0, h.size - 1)
+        c = mass - cdf[k]
+        root = r[k] + np.sqrt(np.maximum(r[k] ** 2 + 2.0 * slope[k] * c, 0.0))
+        y = np.divide(2.0 * c, root, out=np.zeros_like(c), where=root > 0.0)
+        return w[k] + np.minimum(y, h[k])
 
 
 def sample_W(law: RadialLawW, rng: RngStream, size):
@@ -213,8 +221,7 @@ def sample_W(law: RadialLawW, rng: RngStream, size):
     m = int(np.prod(size))
 
     if law.variant == "tabulated":
-        positions = np.array([x for x, _ in law.atoms], dtype=float)
-        weights = np.array([w for _, w in law.atoms], dtype=float)
+        positions, weights = np.array(law.atoms, dtype=float).reshape(-1, 2).T
         cont = 0.0 if law.grid is None else np.trapezoid(law.density, law.grid)
         probs = np.concatenate([weights, [cont]])
         probs = probs / probs.sum()

@@ -192,16 +192,17 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     gamma P(k+1, t w), one P(d+2, .) per (s, knot) pair and
     P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).  Where
     t max w < 1e-8, e^{-t w} is 1 - t w to O((t w)^2) and two polynomial
-    moments give the integral.
+    moments give the integral.  The atoms are summed over row blocks of at
+    most _PSI_BLOCK (s, atom) pairs.
 
-    The other rows go in blocks of at most _PSI_BLOCK pairs to one worker
-    per CPU (rng._cpus) and at most one per block: worker 0 is the calling
-    thread and the others run in a thread pool.  Worker k takes blocks k,
-    k + workers, ..., works in three block-sized buffers that this call
-    allocates for it, and adds only into val at its own blocks' rows.  The
-    blocks and each row's arithmetic are those of a serial loop, so psi
-    has the same bits on any number of CPUs.  No thread outlives the call,
-    whether it returns or raises.
+    The other rows of the grid part go in blocks of at most _PSI_BLOCK
+    pairs to one worker per CPU (rng._cpus) and at most one per block:
+    worker 0 is the calling thread and the others run in a thread pool.
+    Worker k takes blocks k, k + workers, ..., works in three block-sized
+    buffers that this call allocates for it, and adds only into val at its
+    own blocks' rows.  The blocks and each row's arithmetic are those of a
+    serial loop, so psi has the same bits on any number of CPUs.  No
+    thread outlives the call, whether it returns or raises.
     """
     from scipy.special import gammainc, gammaln
 
@@ -212,7 +213,11 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     if law.atoms:
         at, wgt = np.array(law.atoms, dtype=float).T
         pos = at > 0.0  # an atom at 0 adds w^d = 0 for d > 0
-        val += np.exp(d * np.log(at[pos]) - np.multiply.outer(t, at[pos])) @ wgt[pos]
+        at, wgt, log_at = at[pos], wgt[pos], d * np.log(at[pos])
+        rows = max(1, _PSI_BLOCK // max(1, at.size))
+        for i in range(0, t.size, rows):
+            val[i:i + rows] += np.exp(
+                log_at - np.multiply.outer(t[i:i + rows], at)) @ wgt
     if law.grid is not None:
         w, r = law.grid, law.density
         slope = np.diff(r) / np.diff(w)

@@ -12,15 +12,15 @@ quaternionic self-dual):
   orthant of the ell_q ball, q = p/2, with weight
   nabla_beta(x) = Delta_beta(x) * prod_i x_i^(beta/2 - 1).
 
-weights.FAMILIES pairs each family with its weight and exponent.  Both
-samplers take n, p, beta and the mixing law W, and return the
-lpgeom.PBallSample of the weighted radial mixture, whose p is the
-exponent (p for H, p/2 for M) and whose degree is the weight's
-homogeneity degree.  At p = 2 the spectra under the radial mixture are
-the Hermite and Laguerre beta-ensembles, which beta_ensemble_spectra
-draws exactly from the tridiagonal models of Dumitriu & Edelman; the
-sample's chain is then None.  At every other p the chain of
-mcmc.sample_weighted_pnpw draws them.
+weights.FAMILIES pairs each family with its weight and exponent.  One
+sampler, sample_spectra, takes the family, n, p, beta and the mixing law
+W, and returns the lpgeom.PBallSample of the weighted radial mixture,
+whose p is the exponent (p for H, p/2 for M) and whose degree is the
+weight's homogeneity degree.  At p = 2 the spectra under the radial
+mixture are the Hermite and Laguerre beta-ensembles, which
+beta_ensemble_spectra draws exactly from the tridiagonal models of
+Dumitriu & Edelman; the sample's chain is then None.  At every other p
+the chain of mcmc.mcmc_sample draws them.
 
 Normalization constants from the Weyl integration formula are computed in
 log space.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .distributions import ParameterError, RadialLawW, _check_positive
 from .lpgeom import PBallSample, _finish_sample
-from .mcmc import ChainConfig, sample_weighted_pnpw
+from .mcmc import mcmc_sample
 from .rng import RngStream
 from .weights import family_weight
 
@@ -72,42 +72,26 @@ def log_weyl_const_M(n: int, beta: float) -> float:
                  - ((beta / 2.0) * n * (n - 1) + n) * np.log(2.0))
 
 
-def _sample_family(family: str, n: int, p: float, beta: float,
-                   law: RadialLawW, rng: RngStream, size: int,
-                   config: ChainConfig | None) -> PBallSample:
-    """The weighted radial mixture of one family.  At p = 2 the spectrum
-    and W come from the two streams sample_weighted_pnpw splits off, and
-    config is unused."""
+def sample_spectra(family: str, n: int, p: float, beta: float,
+                   law: RadialLawW, rng: RngStream,
+                   size: int = 1) -> PBallSample:
+    """The weighted radial mixture of family "H" or "M", one sorted row a
+    draw.  The spectrum comes from the first of rng.split(2) and W from
+    the second."""
+    if family not in ("H", "M"):
+        raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     _check_positive("p", p)
     weight, q = family_weight(family, p, beta)
-    if p != 2.0:
-        return sample_weighted_pnpw(n, q, weight, law, rng, size=size,
-                                    config=config)
     r_x, r_w = rng.split(2)
-    x = beta_ensemble_spectra(family, n, beta, r_x, size=size)
-    return _finish_sample(x, q, law, r_w, degree=weight.degree(n))
-
-
-def sample_eigenvalues_PH(n: int, p: float, beta: float, law: RadialLawW,
-                          rng: RngStream, size: int = 1,
-                          config: ChainConfig | None = None) -> PBallSample:
-    """Eigenvalue vectors of the H-family matrix ball law: the weighted
-    radial mixture with weight Delta_beta, exponent p.  Rows are sorted.
-    Exact and independent at p = 2; elsewhere from the chain under
-    config."""
-    return _sample_family("H", n, p, beta, law, rng, size, config)
-
-
-def sample_sq_singular_PM(n: int, p: float, beta: float, law: RadialLawW,
-                          rng: RngStream, size: int = 1,
-                          config: ChainConfig | None = None) -> PBallSample:
-    """Squared singular values of the M-family matrix ball law: the
-    orthant weighted radial mixture with weight nabla_beta and exponent
-    q = p/2, which the sample carries as its p.  Rows are sorted.  Exact
-    and independent at p = 2; elsewhere from the chain under config."""
-    return _sample_family("M", n, p, beta, law, rng, size, config)
+    if p == 2.0:
+        chain, x = None, beta_ensemble_spectra(family, n, beta, r_x, size)
+    else:
+        chain = mcmc_sample(n, q, weight, r_x, size)
+        x = chain.samples.copy()  # the finisher divides it in place
+    return _finish_sample(x, q, law, r_w, chain=chain,
+                          degree=weight.degree(n))
 
 
 # --- exact spectra at p = 2 ---------------------------------------------------

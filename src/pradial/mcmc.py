@@ -3,27 +3,28 @@ densities on R^n and on the positive orthant,
 
     pi(x) proportional to exp(-||x||_p^p) * f(x),
 
-with f a homogeneous weight (see weights.py).  The chain state feeds the
-radial mixture construction: dividing a draw X ~ pi by
-(||X||_p^p + W)^(1/p) produces the weighted law on the ell_p ball.
+with f one of the two repulsion weights (see weights.py).
+matrixball.sample_spectra divides a draw X ~ pi by (||X||_p^p + W)^(1/p)
+to get the weighted law on the ell_p ball.
 
 The hot sweep lives in _kernels.py.  All randomness is pre-generated
 from the counter-based stream, so a seed fixes the chain bit for bit.
 After every sweep the kernel rescales each chain to a radius drawn here
 from the exact law of ||X||_p^p, Gamma((n + m)/p) for f of degree m, so
-only the direction is left to the Metropolis steps; burn-in, adaptation
-and thinning all count sweeps.
+only the direction is left to the Metropolis steps.  The chain has no
+settings: BURN_IN, THIN and N_CHAINS below fix its length, and burn-in,
+adaptation and thinning all count sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .distributions import ParameterError, RadialLawW, _check_positive
-from .lpgeom import PBallSample, _finish_sample, sample_pnpw
+from .lpgeom import sample_pnpw
 from .rng import RngStream
 from .weights import WeightFn
 
@@ -31,23 +32,18 @@ from .weights import WeightFn
 TARGET_ACCEPT = 0.35         # acceptance the proposal scales adapt toward
 INIT_SCALE = 1.0             # proposal scale before adaptation
 ACCEPT_WINDOW = (0.2, 0.6)   # acceptable mean acceptance band
-
-
-@dataclass
-class ChainConfig:
-    n_samples: int = 1000
-    burn_in: int = 100           # adaptation sweeps of n coordinate flips
-    thin: int = 1                # post-burn-in sweeps between kept states
-    n_chains: int = 16           # lockstep chains: burn-in is paid once
+BURN_IN = 100                # adaptation sweeps of n coordinate flips
+THIN = 1                     # post-burn-in sweeps between kept states
+N_CHAINS = 16                # lockstep chains: burn-in is paid once
 
 
 @dataclass
 class ChainResult:
-    samples: np.ndarray          # (n_samples, n), pooled across chains
+    samples: np.ndarray          # (size, n), pooled across chains
     accept_rate: float
     accept_per_chain: np.ndarray  # (n_chains,) post-burn-in acceptance
     states: int                  # kept states the diagnostics cover,
-                                 # n_chains * ceil(n_samples / n_chains)
+                                 # N_CHAINS * ceil(size / N_CHAINS)
     ess: float                   # per-chain ESS of ||x||_p^p, summed
     rhat: float                  # rank-normalised split-R-hat of ||x||_p^p
     ess_dir: float               # ess and rhat of max|x_i| / ||x||_p, the
@@ -129,18 +125,9 @@ def split_rhat(chains: np.ndarray) -> float:
     return float(np.sqrt((half - 1) / half + between / within))
 
 
-def _check_config(cfg: ChainConfig) -> None:
-    if cfg.n_chains < 1:
-        raise ParameterError(f"n_chains must be >= 1, got {cfg.n_chains}")
-    if cfg.thin < 1:
-        raise ParameterError(f"thin must be >= 1, got {cfg.thin}")
-    if cfg.burn_in < 0:
-        raise ParameterError(f"burn_in must be >= 0, got {cfg.burn_in}")
-
-
 def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
-                config: ChainConfig | None = None) -> ChainResult:
-    """Draw from pi(x) ~ exp(-||x||_p^p) f(x).
+                size: int = 1) -> ChainResult:
+    """size draws from pi(x) ~ exp(-||x||_p^p) f(x).
 
     Repulsive weights produce exchangeable coordinates; states are emitted
     sorted ascending so the output is the ordered vector.  The chains run
@@ -149,17 +136,15 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     _check_positive("p", p)
-    cfg = config or ChainConfig()
-    _check_config(cfg)
     if weight.kind not in ("delta", "nabla"):
         raise ParameterError(
             f"the chain runs the delta and nabla weights, not {weight.name}; "
             "the constant weight's law is drawn exactly by lpgeom.sample_pnpw")
 
-    n_chains = cfg.n_chains
-    per_chain = -(-cfg.n_samples // n_chains)  # ceil
-    n_sweeps = cfg.burn_in + per_chain * cfg.thin
-    n_adapt, n_steps = cfg.burn_in * n, n_sweeps * n  # in coordinate flips
+    n_chains, thin = N_CHAINS, THIN
+    per_chain = -(-size // n_chains)  # ceil
+    n_sweeps = BURN_IN + per_chain * thin
+    n_adapt, n_steps = BURN_IN * n, n_sweeps * n  # in coordinate flips
     # R = ||X||_p^p is Gamma((n + m) / p) under pi, whatever the direction
     shape = (n + weight.degree(n)) / p
 
@@ -190,17 +175,17 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     _kernels.run_chain(x0, float(p), weight.orthant_only, float(weight.beta),
                        coord_idx, normals, log_unifs, scales,
                        int(n_adapt), adapt_up, adapt_down,
-                       int(cfg.thin * n), out, accepted, radii)
+                       int(thin * n), out, accepted, radii)
 
     # ordered emission: every state is reported sorted ascending; callers
     # that need exchangeable coordinates apply a uniform permutation
     pooled = out.transpose(1, 0, 2).reshape(n_chains * per_chain, n)
-    samples = np.sort(pooled[:cfg.n_samples], axis=1)
+    samples = np.sort(pooled[:size], axis=1)
     post = accepted[n_adapt:]
     rate = post.sum() / max(post.size, 1)
     per_chain_rate = post.sum(axis=0) / max(len(post), 1)
     # the diagnostics see every kept state of each chain, the few the pool
-    # drops past n_samples included, so the chains have equal lengths
+    # drops past size included, so the chains have equal lengths
     norms = np.sum(np.abs(out) ** p, axis=2).T
     dirs = np.abs(out).max(axis=2).T / norms ** (1.0 / p)
     lo, hi = ACCEPT_WINDOW
@@ -211,19 +196,6 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
                        rhat=split_rhat(norms),
                        ess_dir=sum(geyer_ess(c) for c in dirs),
                        rhat_dir=split_rhat(dirs), ok=bool(lo <= rate <= hi))
-
-
-def sample_weighted_pnpw(n: int, p: float, weight: WeightFn, law: RadialLawW,
-                         rng: RngStream, size: int = 1,
-                         config: ChainConfig | None = None) -> PBallSample:
-    """The weighted radial mixture on the ball: X ~ pi from the chain, then
-    X / (||X||_p^p + W)^(1/p).  The chain's ChainResult rides along as
-    ``chain``; the caller's config is left untouched."""
-    cfg = replace(config or ChainConfig(), n_samples=size)
-    r_chain, r_w = rng.split(2)
-    res = mcmc_sample(n, p, weight, r_chain, cfg)
-    return _finish_sample(res.samples.copy(), p, law, r_w, chain=res,
-                          degree=weight.degree(n))
 
 
 def estimate_norm_const(n: int, p: float, weight: WeightFn, rng: RngStream,

@@ -1,6 +1,7 @@
 """Closed forms and reference implementations that the tests check the
-library against.  Only beta_law touches pradial, to wrap scipy's Beta pdf
-in the library's analytic measure."""
+library against.  Only two touch pradial: beta_law wraps scipy's Beta pdf
+in the library's analytic measure, and chain_ball runs the chain where
+the library draws exactly."""
 
 import math
 
@@ -9,6 +10,8 @@ import pytest
 from scipy import stats
 from scipy.special import gammainc, gammaln
 
+from pradial.lpgeom import _finish_sample
+from pradial.mcmc import mcmc_sample
 from pradial.measures import MeasureRep
 
 
@@ -134,3 +137,19 @@ def _beta_law(a: float, b: float) -> MeasureRep:
 @pytest.fixture(scope="session")
 def beta_law():
     return _beta_law
+
+
+def _chain_ball(n: int, p: float, weight, law, rng, size: int):
+    """The weighted radial mixture with X from the chain at any p, p = 2
+    included, where matrixball.sample_spectra draws the spectrum exactly:
+    the chain runs on the first of rng.split(2) and W on the second, as in
+    sample_spectra, so the two agree wherever both run the chain."""
+    r_x, r_w = rng.split(2)
+    res = mcmc_sample(n, p, weight, r_x, size)
+    return _finish_sample(res.samples.copy(), p, law, r_w, chain=res,
+                          degree=weight.degree(n))
+
+
+@pytest.fixture
+def chain_ball():
+    return _chain_ball

@@ -17,7 +17,7 @@ from pradial.distributions import ParameterError, RadialLawW
 from pradial.lpgeom import (PsiSpec, norm_split_B, psi_density,
                             psi_normalization_defect)
 from pradial.matrixball import beta_ensemble_spectra
-from pradial.mcmc import ChainConfig, mcmc_sample, sample_weighted_pnpw
+from pradial.mcmc import mcmc_sample
 from pradial.measures import MeasureRep, log_energy
 from pradial.rng import RngStream
 from pradial.weights import WeightFn
@@ -116,18 +116,16 @@ def test_criterion_04_matrix_cross_check():
     # scale-invariant statistic < 0.03 with >= 1e4 effective samples.
     # Dirac mixing rescales every spectrum to the sphere, so the statistic
     # is computed directly on the chain output.
-    cfg = ChainConfig(n_samples=20000, thin=6, n_chains=4)
     res_h = mcmc_sample(4, 2.0, WeightFn("delta", 2.0),
-                        RngStream(SEED, stream_id=200), cfg)
+                        RngStream(SEED, stream_id=200), 20000)
     stat_h = res_h.samples[:, -1] / np.linalg.norm(res_h.samples, axis=1)
     oracle = beta_ensemble_spectra("H", 4, 2.0,
                                    RngStream(SEED, stream_id=201), size=20000)
     ks_h = stats.ks_2samp(stat_h, oracle[:, -1]
                           / np.linalg.norm(oracle, axis=1)).statistic
 
-    cfg = ChainConfig(n_samples=20000, thin=6, n_chains=4)
     res_m = mcmc_sample(3, 1.0, WeightFn("nabla", 2.0),
-                        RngStream(SEED, stream_id=202), cfg)  # q = p/2 = 1
+                        RngStream(SEED, stream_id=202), 20000)  # q = p/2 = 1
     stat_m = res_m.samples[:, -1] / res_m.samples.sum(axis=1)
     oracle = beta_ensemble_spectra("M", 3, 2.0,
                                    RngStream(SEED, stream_id=203), size=20000)
@@ -139,7 +137,7 @@ def test_criterion_04_matrix_cross_check():
                   f"Laguerre KS {ks_m:.4f} < 0.03 (ESS {res_m.ess:.0f})")
 
 
-def test_criterion_05_matrix_norm_split():
+def test_criterion_05_matrix_norm_split(chain_ball):
     # eigen-PH statistic ~ Beta((n + beta n(n-1)/2)/p, alpha) at n=3,
     # beta in {1,2}, p in {1,2}, alpha=2; KS p-value > 0.001
     n, alpha = 3, 2.0
@@ -149,11 +147,8 @@ def test_criterion_05_matrix_norm_split():
             itertools.product((1.0, 2.0), (1.0, 2.0))):
         # the chain on the eigen-PH target, which at p = 2 the sampler
         # draws exactly instead
-        s = sample_weighted_pnpw(n, p, WeightFn("delta", beta),
-                                 RadialLawW(alpha=alpha),
-                                 RngStream(SEED, stream_id=300 + i),
-                                 size=4000,
-                                 config=ChainConfig(n_samples=4000, thin=10))
+        s = chain_ball(n, p, WeightFn("delta", beta), RadialLawW(alpha=alpha),
+                       RngStream(SEED, stream_id=300 + i), 4000)
         b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
         ks = stats.kstest(b, lambda t: betainc(a, alpha, t))

@@ -633,14 +633,14 @@ class TestNormLaw:
     def test_failed_chain_exits_3(self, tmp_path, capsys, monkeypatch):
         # the same chain check as `sample`: a chain outside its acceptance
         # window flags the run, whatever the KS test says
-        real = cli.sample_sq_singular_PM
+        real = cli.sample_spectra
 
         def failing(*args, **kwargs):
             s = real(*args, **kwargs)
             return dataclasses.replace(
                 s, chain=dataclasses.replace(s.chain, ok=False))
 
-        monkeypatch.setattr(cli, "sample_sq_singular_PM", failing)
+        monkeypatch.setattr(cli, "sample_spectra", failing)
         code, out = run(tmp_path, "test-norm-law", "--target", "singular-PM",
                         "--n", "3", "--count", "200", "--seed", "3",
                         "--ks-pvalue-threshold", "0", "--p", "3")

@@ -204,6 +204,23 @@ class TestRadialLawW:
         # truncated-exponential reference: small bias from truncation at 10
         assert ks.statistic < 0.02
 
+    def test_tabulated_density_is_piecewise_linear(self):
+        # density w/2 on [0, 2]: CDF w^2/4, mean 4/3, variance 2/9.  An
+        # inverse that interpolates the CDF linearly draws the uniform law
+        # of the same cell masses, mean 1
+        law = RadialLawW.tabulated(grid=[0.0, 2.0], density=[0.0, 1.0])
+        size = 10 ** 5
+        w = sample_W(law, rng(), size=size)
+        assert abs(w.mean() - 4.0 / 3.0) < 3.0 * math.sqrt(2.0 / 9.0 / size)
+        assert stats.kstest(w, lambda t: np.clip(t, 0.0, 2.0) ** 2 / 4.0
+                            ).pvalue > 1e-3
+        # a cell without mass, between two that fall to zero at its ends
+        law = RadialLawW.tabulated(grid=[0.0, 1.0, 2.0, 3.0],
+                                   density=[1.0, 0.0, 0.0, 1.0])
+        w = sample_W(law, rng(), size=size)
+        assert np.all(np.isfinite(w)) and not np.any((w > 1.0) & (w < 2.0))
+        assert abs(w.mean() - 1.5) < 3.0 * w.std() / math.sqrt(size)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             RadialLawW(theta=1.5)

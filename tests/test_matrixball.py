@@ -1,4 +1,4 @@
-"""Tests for the matrix p-ball families and their spectral samplers."""
+"""Tests for the matrix p-ball families and their spectral sampler."""
 
 import math
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pradial import mcmc
 from pradial.distributions import ParameterError, RadialLawW, sample_W
 from pradial.matrixball import (beta_ensemble_spectra, log_weyl_const_H,
-                                log_weyl_const_M, sample_eigenvalues_PH,
-                                sample_sq_singular_PM)
-from pradial.mcmc import (ChainConfig, geyer_ess, mcmc_sample,
-                          sample_weighted_pnpw)
+                                log_weyl_const_M, sample_spectra)
+from pradial.mcmc import geyer_ess, mcmc_sample
 from pradial.rng import RngStream
 from pradial.weights import WeightFn, log_delta_beta, log_nabla_beta
 
@@ -177,16 +176,14 @@ class TestBetaEnsembleOracle:
 
 class TestSamplers:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
-    def test_ph_direction_matches_gue(self, beta):
-        # p = 2: the chain, which sample_eigenvalues_PH runs at p != 2,
+    def test_ph_direction_matches_gue(self, chain_ball, beta):
+        # p = 2: the chain, which sample_spectra runs for H at p != 2,
         # targets the Hermite beta-ensemble eigenvalue
         # density (GUE at beta = 2), so the direction lambda/||lambda||_2
         # must match the oracle's
         n = 4
-        cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_weighted_pnpw(n, 2.0, WeightFn("delta", beta),
-                                 RadialLawW.exponential(), rng(6), size=4000,
-                                 config=cfg)
+        s = chain_ball(n, 2.0, WeightFn("delta", beta),
+                       RadialLawW.exponential(), rng(6), 4000)
         assert s.chain.ok
         oracle = beta_ensemble_spectra("H", n, beta, rng(7), size=4000)
 
@@ -198,15 +195,17 @@ class TestSamplers:
         assert ks.pvalue > 1e-3
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
-    def test_pm_direction_matches_laguerre(self, beta):
-        # p = 2 (q = 1): the chain, which sample_sq_singular_PM runs at
+    def test_pm_direction_matches_laguerre(self, chain_ball, monkeypatch,
+                                           beta):
+        # p = 2 (q = 1): the chain, which sample_spectra runs for M at
         # p != 2, targets the unit-scale Laguerre
-        # beta-ensemble density for the squared singular values
+        # beta-ensemble density for the squared singular values.  KS takes
+        # the draws as independent; kept every sweep, they read p = 9e-4
+        # at beta = 4, so this test keeps every fourth
+        monkeypatch.setattr(mcmc, "THIN", 4)
         n = 3
-        cfg = ChainConfig(n_samples=4000, thin=4)
-        s = sample_weighted_pnpw(n, 1.0, WeightFn("nabla", beta),
-                                 RadialLawW.exponential(), rng(8), size=4000,
-                                 config=cfg)
+        s = chain_ball(n, 1.0, WeightFn("nabla", beta),
+                       RadialLawW.exponential(), rng(8), 4000)
         assert s.chain.ok
         assert np.all(s.points > 0)
         oracle = beta_ensemble_spectra("M", n, beta, rng(9), size=4000)
@@ -221,8 +220,8 @@ class TestSamplers:
     def test_ph_norm_split_law(self):
         # B = sum |lambda_i|^p ~ Beta((n + beta n(n-1)/2)/p, alpha)
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
-        s = sample_eigenvalues_PH(n, p, beta, RadialLawW(alpha=alpha),
-                                  rng(10), size=4000)  # exact at p = 2
+        s = sample_spectra("H", n, p, beta, RadialLawW(alpha=alpha),
+                           rng(10), size=4000)  # exact at p = 2
         assert s.p == p and s.degree == beta * n * (n - 1) / 2.0
         b = np.sum(np.abs(s.points) ** p, axis=1)
         a = (n + beta * n * (n - 1) / 2.0) / p
@@ -232,8 +231,8 @@ class TestSamplers:
     def test_pm_norm_split_law(self):
         # B = sum (s_i^2)^(p/2) ~ Beta(beta n^2 / p, alpha)
         n, p, beta, alpha = 3, 2.0, 2.0, 1.0
-        s = sample_sq_singular_PM(n, p, beta, RadialLawW(alpha=alpha),
-                                  rng(11), size=4000)  # exact at p = 2
+        s = sample_spectra("M", n, p, beta, RadialLawW(alpha=alpha),
+                           rng(11), size=4000)  # exact at p = 2
         assert s.p == p / 2.0 and s.degree == beta * n * n / 2.0 - n
         b = np.sum(s.points ** (p / 2.0), axis=1)
         a = beta * n * n / p
@@ -241,36 +240,38 @@ class TestSamplers:
         assert ks.statistic < 0.05
 
     def test_dirac_law_on_sphere(self):
-        s = sample_eigenvalues_PH(3, 3.0, 2.0, RadialLawW.dirac(), rng(12),
-                                  size=200, config=ChainConfig(n_samples=200))
+        s = sample_spectra("H", 3, 3.0, 2.0, RadialLawW.dirac(), rng(12),
+                           size=200)
         assert np.allclose(np.sum(np.abs(s.points) ** 3.0, axis=1), 1.0,
                            atol=1e-10)
 
-    def test_caller_config_not_mutated(self):
-        # p = 3: at p = 2 the draw is exact and reads no config
-        cfg = ChainConfig(n_samples=7)
-        s = sample_eigenvalues_PH(3, 3.0, 2.0, RadialLawW.exponential(),
-                                  rng(18), size=5, config=cfg)
-        assert s.points.shape == (5, 3)
-        assert cfg.n_samples == 7
-
     def test_beta_validation(self):
         # on the exact path (p = 2) as on the chain
-        for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
+        for family in "HM":
             for p in (2.0, 3.0):
                 with pytest.raises(ParameterError, match="1, 2, or 4"):
-                    sampler(3, p, 3.0, RadialLawW.exponential(), rng(25))
+                    sample_spectra(family, 3, p, 3.0,
+                                   RadialLawW.exponential(), rng(25))
 
     def test_n_validation(self):
         # n = 0 is refused on the exact path as on the chain
-        for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
+        for family in "HM":
             for p in (2.0, 3.0):
                 with pytest.raises(ParameterError, match="n must be >= 1"):
-                    sampler(0, p, 2.0, RadialLawW.exponential(), rng(25))
+                    sample_spectra(family, 0, p, 2.0,
+                                   RadialLawW.exponential(), rng(25))
+
+    @pytest.mark.parametrize("family", ["euclid", "X", "h"])
+    def test_family_validation(self, family):
+        # the ell_p ball's family has no spectrum: sample_pnpw draws it
+        for p in (2.0, 3.0):
+            with pytest.raises(ParameterError, match="'H' or 'M'"):
+                sample_spectra(family, 3, p, 2.0, RadialLawW.exponential(),
+                               rng(25))
 
 
 class TestChainAtDefaults:
-    """The chain at its default config, against exact laws at p = 2."""
+    """The chain, which has no settings, against exact laws at p = 2."""
 
     @pytest.mark.parametrize("family", ["H", "M"])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
@@ -284,7 +285,7 @@ class TestChainAtDefaults:
         n, size = 64, 2000
         weight, q = ((WeightFn("delta", beta), 2.0) if family == "H"
                      else (WeightFn("nabla", beta), 1.0))
-        res = mcmc_sample(n, q, weight, rng(30), ChainConfig(n_samples=size))
+        res = mcmc_sample(n, q, weight, rng(30), size)
         oracle = beta_ensemble_spectra(family, n, beta, rng(31), size=4000)
 
         def direction_stat(v):
@@ -293,20 +294,19 @@ class TestChainAtDefaults:
 
         d = direction_stat(res.samples)
         n_eff = sum(geyer_ess(c)
-                    for c in d.reshape(ChainConfig().n_chains, -1))
+                    for c in d.reshape(mcmc.N_CHAINS, -1))
         assert n_eff >= 0.05 * size
         ks = stats.ks_2samp(d, direction_stat(oracle))
         scale = math.sqrt(n_eff * oracle.shape[0] / (n_eff + oracle.shape[0]))
         assert stats.kstwobign.sf(scale * ks.statistic) > 1e-3
 
-    def test_singular_pm_n32_norm_split(self):
+    def test_singular_pm_n32_norm_split(self, chain_ball):
         # the configuration that failed with a 2000-flip burn-in: B = sum x_i
         # must follow Beta(n^2 beta / p, 1) = Beta(1024, 1), and acceptance
         # must sit in its window
         n = 32
-        s = sample_weighted_pnpw(n, 1.0, WeightFn("nabla", 2.0),
-                                 RadialLawW.exponential(), RngStream(1),
-                                 size=2000)
+        s = chain_ball(n, 1.0, WeightFn("nabla", 2.0),
+                       RadialLawW.exponential(), RngStream(1), 2000)
         assert s.chain.ok
         b = np.sum(s.points ** s.p, axis=1)
         shape = (n + s.degree) / s.p
@@ -328,7 +328,7 @@ def _scale_free_stats(v, q):
 
 
 class TestExactSpectra:
-    """At p = 2 the spectral samplers draw exactly and independently, so
+    """At p = 2 sample_spectra draws exactly and independently, so
     plain two-sample KS tests hold them to dense Gaussian ensembles that
     share no code with them."""
 
@@ -340,10 +340,8 @@ class TestExactSpectra:
 
     @pytest.mark.parametrize("family, beta, n, size", GATES)
     def test_matches_dense_oracle(self, dense_spectra, family, beta, n, size):
-        sampler = (sample_eigenvalues_PH if family == "H"
-                   else sample_sq_singular_PM)
-        s = sampler(n, 2.0, beta, RadialLawW.exponential(), rng(40),
-                    size=2000)
+        s = sample_spectra(family, n, 2.0, beta, RadialLawW.exponential(),
+                           rng(40), size=2000)
         assert s.chain is None
         q = s.p
         oracle = dense_spectra(family, n, beta, size,
@@ -376,9 +374,9 @@ class TestExactSpectra:
                             ).pvalue > 1e-3
         m = beta_ensemble_spectra("M", 1, beta, rng(42), size=4000).ravel()
         assert stats.kstest(m, stats.gamma(beta / 2.0).cdf).pvalue > 1e-3
-        for sampler in (sample_eigenvalues_PH, sample_sq_singular_PM):
-            s = sampler(1, 2.0, beta, RadialLawW.exponential(), rng(43),
-                        size=10)
+        for family in "HM":
+            s = sample_spectra(family, 1, 2.0, beta,
+                               RadialLawW.exponential(), rng(43), size=10)
             assert s.points.shape == (10, 1) and s.chain is None
 
     def test_m_is_nonnegative_at_beta1(self):
@@ -388,9 +386,9 @@ class TestExactSpectra:
 
     def test_spectrum_and_w_streams(self):
         # the spectrum comes from the first of rng.split(2) and W from the
-        # second, the streams sample_weighted_pnpw gives its chain and W
+        # second, the streams the chain and W take at p != 2
         law = RadialLawW(theta=0.3, alpha=2.0)
-        s = sample_eigenvalues_PH(3, 2.0, 2.0, law, rng(45), size=300)
+        s = sample_spectra("H", 3, 2.0, 2.0, law, rng(45), size=300)
         r_x, r_w = rng(45).split(2)
         x = beta_ensemble_spectra("H", 3, 2.0, r_x, size=300)
         w = sample_W(law, r_w, size=300)
@@ -405,14 +403,14 @@ class TestEmpiricalMeasure:
     # ell_{p/2} sphere, which an M sample carries as its p
 
     def test_on_sphere_p_moment_is_one(self):
-        s = sample_eigenvalues_PH(4, 2.5, 2.0, RadialLawW.dirac(), rng(17),
-                                  size=5, config=ChainConfig(n_samples=5))
+        s = sample_spectra("H", 4, 2.5, 2.0, RadialLawW.dirac(), rng(17),
+                           size=5)
         np.testing.assert_allclose(np.sum(np.abs(s.points) ** 2.5, axis=1),
                                    1.0, rtol=0.0, atol=1e-10)
 
     def test_m_sample_on_sphere_q_moment_is_one(self):
-        s = sample_sq_singular_PM(4, 3.0, 2.0, RadialLawW.dirac(), rng(24),
-                                  size=5, config=ChainConfig(n_samples=5))
+        s = sample_spectra("M", 4, 3.0, 2.0, RadialLawW.dirac(), rng(24),
+                           size=5)
         assert s.p == 1.5
         np.testing.assert_allclose(np.sum(np.abs(s.points) ** 1.5, axis=1),
                                    1.0, rtol=0.0, atol=1e-10)

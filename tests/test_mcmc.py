@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from pradial import _kernels, weights
+from pradial import _kernels, mcmc, weights
 from pradial.distributions import (ParameterError, RadialLawW,
                                    sample_gen_gaussian)
 from pradial.lpgeom import lp_norm
-from pradial.mcmc import (ChainConfig, estimate_norm_const, geyer_ess,
-                          mcmc_sample, sample_weighted_pnpw, split_rhat)
+from pradial.matrixball import sample_spectra
+from pradial.mcmc import (estimate_norm_const, geyer_ess, mcmc_sample,
+                          split_rhat)
 from pradial.rng import RngStream
 from pradial.weights import WeightFn
 
@@ -101,9 +102,8 @@ class TestSplitRhat:
 class TestMcmcSample:
     def test_diagnostics_sum_the_chains(self):
         # the pool holds each chain's kept states in turn
-        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(9),
-                          ChainConfig(n_samples=4000, thin=4, n_chains=4))
-        norms = np.sum(res.samples ** 2, axis=1).reshape(4, 1000)
+        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(9), 4000)
+        norms = np.sum(res.samples ** 2, axis=1).reshape(mcmc.N_CHAINS, -1)
         assert res.ess == pytest.approx(sum(geyer_ess(c) for c in norms),
                                         rel=1e-9)
         assert res.rhat == pytest.approx(split_rhat(norms), rel=1e-9)
@@ -113,11 +113,10 @@ class TestMcmcSample:
         # ess_dir and rhat_dir read max|x_i| / ||x||_p chain by chain; the
         # radius refresh leaves this statistic to the Metropolis flips.  The
         # chain sums unsorted states, so ranks of near ties may differ
-        res = mcmc_sample(5, 1.5, nabla_beta(2.0), rng(19),
-                          ChainConfig(n_samples=1600))
+        res = mcmc_sample(5, 1.5, nabla_beta(2.0), rng(19), 1600)
         x = res.samples
         dirs = (x.max(axis=1) / np.sum(x ** 1.5, axis=1) ** (1 / 1.5)
-                ).reshape(16, 100)
+                ).reshape(mcmc.N_CHAINS, -1)
         assert res.ess_dir == pytest.approx(sum(geyer_ess(c) for c in dirs),
                                             rel=1e-9)
         assert res.rhat_dir == pytest.approx(split_rhat(dirs), rel=1e-6)
@@ -127,25 +126,23 @@ class TestMcmcSample:
         # after each sweep R = ||x||_p^p is redrawn from its law under pi,
         # Gamma((n + m) / p), so kept radii are independent Gamma draws
         n, p, w = 6, 1.5, delta_beta(1.0)
-        res = mcmc_sample(n, p, w, rng(21), ChainConfig(n_samples=4000))
+        res = mcmc_sample(n, p, w, rng(21), 4000)
         r = np.sum(np.abs(res.samples) ** p, axis=1)
         shape = (n + w.degree(n)) / p
         assert stats.kstest(r, stats.gamma(shape).cdf).pvalue > 1e-3
         assert res.ess > 0.8 * r.size
 
     def test_emission_sorted(self):
-        res = mcmc_sample(5, 2.0, delta_beta(2.0), rng(3),
-                          ChainConfig(n_samples=500))
+        res = mcmc_sample(5, 2.0, delta_beta(2.0), rng(3), 500)
         assert np.all(np.diff(res.samples, axis=1) >= 0)
 
     def test_orthant_weight_positive(self):
-        res = mcmc_sample(4, 2.0, nabla_beta(1.0), rng(4),
-                          ChainConfig(n_samples=500))
+        res = mcmc_sample(4, 2.0, nabla_beta(1.0), rng(4), 500)
         assert np.all(res.samples > 0)
 
     def test_acceptance_in_window(self):
         for w in (delta_beta(2.0), nabla_beta(2.0)):
-            res = mcmc_sample(6, 2.0, w, rng(5), ChainConfig(n_samples=1000))
+            res = mcmc_sample(6, 2.0, w, rng(5), 1000)
             assert 0.2 <= res.accept_rate <= 0.6
             assert res.ok
 
@@ -249,35 +246,24 @@ class TestMcmcSample:
         with pytest.raises(ParameterError, match="n must be >= 1"):
             mcmc_sample(n, 2.0, delta_beta(2.0), rng(6))
 
-    @pytest.mark.parametrize("field, value", [("n_chains", 0), ("thin", 0),
-                                              ("burn_in", -1)])
-    def test_invalid_config_rejected(self, field, value):
-        cfg = ChainConfig(n_samples=10, **{field: value})
-        with pytest.raises(ParameterError, match=field):
-            mcmc_sample(3, 2.0, delta_beta(2.0), rng(6), cfg)
-
     def test_accept_per_chain(self):
         # one acceptance rate per chain, pooling to the overall rate since
         # every chain makes the same number of post-burn-in proposals
-        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(7),
-                          ChainConfig(n_samples=300, n_chains=3))
-        assert res.accept_per_chain.shape == (3,)
+        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(7), 300)
+        assert res.accept_per_chain.shape == (mcmc.N_CHAINS,)
         assert np.all((0.2 <= res.accept_per_chain)
                       & (res.accept_per_chain <= 0.6))
         assert np.mean(res.accept_per_chain) == pytest.approx(res.accept_rate)
 
     def test_reproducible(self):
-        a = mcmc_sample(4, 1.5, delta_beta(1.0), rng(8),
-                        ChainConfig(n_samples=200))
-        b = mcmc_sample(4, 1.5, delta_beta(1.0), rng(8),
-                        ChainConfig(n_samples=200))
+        a = mcmc_sample(4, 1.5, delta_beta(1.0), rng(8), 200)
+        b = mcmc_sample(4, 1.5, delta_beta(1.0), rng(8), 200)
         assert np.array_equal(a.samples, b.samples)
 
     def test_exchangeable_two_sided_symmetry(self):
         # for the two-sided delta weight the target is symmetric under
         # x -> -x; the pooled coordinate distribution should be symmetric
-        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(9),
-                          ChainConfig(n_samples=4000, thin=4))
+        res = mcmc_sample(4, 2.0, delta_beta(2.0), rng(9), 4000)
         pooled = res.samples.ravel()
         assert abs(np.mean(pooled)) < 4 * np.std(pooled) / math.sqrt(
             geyer_ess(pooled) + 1.0)
@@ -370,42 +356,40 @@ class TestNormConst:
 
 
 class TestWeightedPnpw:
-    def test_inside_ball(self):
+    """The chain's draws divided by (||X||_p^p + W)^(1/p)."""
+
+    def test_inside_ball(self, chain_ball):
         law = RadialLawW.exponential()
-        s = sample_weighted_pnpw(4, 2.0, delta_beta(2.0), law, rng(13),
-                                 size=300)
+        s = chain_ball(4, 2.0, delta_beta(2.0), law, rng(13), 300)
         assert np.all(np.sum(s.points ** 2, axis=1) < 1.0 + 1e-12)
 
-    def test_dirac_on_sphere(self):
+    def test_dirac_on_sphere(self, chain_ball):
         law = RadialLawW.dirac()
-        s = sample_weighted_pnpw(4, 2.0, delta_beta(2.0), law, rng(14),
-                                 size=300)
+        s = chain_ball(4, 2.0, delta_beta(2.0), law, rng(14), 300)
         assert np.allclose(np.sum(s.points ** 2, axis=1), 1.0, atol=1e-10)
 
     def test_points_do_not_alias_the_chain(self):
         # the finisher divides its argument in place; the chain's states
-        # must come through as the chain drew them
+        # must come through sample_spectra as the chain drew them.  M at
+        # p = 4 runs the chain at q = 2 with weight nabla_2
         size, weight = 500, nabla_beta(2.0)
-        s = sample_weighted_pnpw(4, 2.0, weight, RadialLawW.exponential(),
-                                 rng(19), size=size)
+        s = sample_spectra("M", 4, 4.0, 2.0, RadialLawW.exponential(),
+                           rng(19), size=size)
         assert not np.shares_memory(s.points, s.chain.samples)
         r_chain, _ = rng(19).split(2)
-        alone = mcmc_sample(4, 2.0, weight, r_chain,
-                            ChainConfig(n_samples=size))
+        alone = mcmc_sample(4, 2.0, weight, r_chain, size)
         assert np.array_equal(s.chain.samples, alone.samples)
         assert np.all(np.diff(s.chain.samples, axis=1) >= 0.0)
 
-    def test_norm_split_depends_only_on_degree(self):
+    def test_norm_split_depends_only_on_degree(self, chain_ball):
         # B = ||X||_p^p/(||X||_p^p + W) ~ Beta((n+m)/p, alpha) depends on the
         # weight only through its homogeneity degree m.  delta_beta(2) and
         # nabla_beta(2) both have m = 6 at n = 3.
         n, p, size = 3, 2.0, 3000
         law = RadialLawW.exponential()
-        cfg = ChainConfig(n_samples=size, thin=4)
 
         def b_of(weight, stream):
-            s = sample_weighted_pnpw(n, p, weight, law, rng(stream), size=size,
-                                     config=cfg)
+            s = chain_ball(n, p, weight, law, rng(stream), size)
             return np.sum(np.abs(s.points) ** p, axis=1)
 
         assert delta_beta(2.0).degree(n) == nabla_beta(2.0).degree(n) == 6

@@ -2,7 +2,8 @@
 its array buffers to it): each path holds its output plus at most about
 one temporary of the output's size (none beyond row blocks and a bool
 sign per cell for the exact sampler), the pair weights none of size
-n^2 per row, and the tabulated psi three row blocks per worker thread."""
+n^2 per row, and the tabulated psi three row blocks per worker thread
+and one row block for its atoms."""
 
 import os
 import tracemalloc
@@ -65,3 +66,16 @@ def test_tabulated_psi_holds_three_blocks_a_worker(monkeypatch):
                             lambda pid: set(range(cpus)))
         _, peak = traced_peak(lambda: psi_density(spec, s))
         assert peak < 1.25 * cpus * 3 * 2 ** 16 * 8, cpus
+
+
+def test_tabulated_psi_sums_atoms_in_row_blocks():
+    # 2000 points on 4000 atoms: all the (s, atom) pairs at once would take
+    # 64 MB.  A row block of 2^16 pairs takes 0.5 MiB
+    gen = np.random.default_rng(3)
+    at, wgt = 3.0 * gen.exponential(size=4000), gen.random(4000)
+    spec = PsiSpec(n=5, p=2.0, m=1.5, law=RadialLawW.tabulated(
+        atoms=list(zip(at, wgt / wgt.sum()))))
+    s = np.sort(0.97 * gen.random(2000))
+    psi_density(spec, s[:1])  # the first call imports scipy.special
+    _, peak = traced_peak(lambda: psi_density(spec, s))
+    assert peak < 4 * 2 ** 16 * 8

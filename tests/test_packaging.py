@@ -7,6 +7,7 @@ must run, and record the same manifest, from a copy of the modules
 alone."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,10 @@ import pytest
 from pradial import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pradial"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
+
+# numpy calls the package may make, and the release that brought each
+NUMPY_NEEDS = {r"np\.trapezoid\(": (2, 0), r"\.reshape\([^)]*copy=": (2, 1)}
 
 # a small run of each subcommand that exits 0, its parameters otherwise
 # the table's defaults; a subcommand missing here fails with a KeyError
@@ -28,6 +33,16 @@ RUNS = {
     "asymptotics": ("--n-list", "50"),
     "norm-const": ("--n", "2", "--count", "50"),
 }
+
+
+def test_numpy_floor_covers_the_calls_made():
+    # Python 3.10 has no tomllib, so the floor is read with a regex
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', PYPROJECT.read_text())
+    assert floor, "pyproject.toml states no numpy floor"
+    source = "".join(path.read_text() for path in SRC.glob("*.py"))
+    needed = max((version for call, version in NUMPY_NEEDS.items()
+                  if re.search(call, source)), default=(0, 0))
+    assert (int(floor[1]), int(floor[2])) >= needed
 
 
 def test_package_holds_modules_only():
