@@ -2,20 +2,22 @@
 
 Subcommands: sample, test-norm-law, rate, ldp-verify, asymptotics,
 norm-const.  A subcommand's handler computes and writes nothing: it takes
-the resolved configuration and returns (outputs, failure).  outputs maps
+the resolved configuration and returns (outputs, reasons).  outputs maps
 each file name, in write order, to (header, rows) for a .csv or to a JSON
-object for a .json; failure is None or a one-line reason.  main alone
-does the I/O: it makes the output directory, writes the outputs and then
-manifest.json, which records the resolved configuration and lists the
-outputs; a parameter with a fallback is recorded only when something sets
-it.  Running a command again with the same configuration produces
-byte-identical CSV output.
+object for a .json; reasons lists the checks the run failed, one clause
+each, and is empty when it passed.  main alone does the I/O: it makes the
+output directory, writes the outputs and then manifest.json, which
+records the resolved configuration and lists the outputs; a parameter
+with a fallback is recorded only when something sets it.  Running a
+command again with the same configuration produces byte-identical CSV
+output.
 
 Exit codes: 0 success, 2 usage/parameter error (nothing is written), 3
 statistical or chain diagnostic failure, or a non-finite result (the
 outputs are still written).  Every non-zero exit prints one line to
-stderr.  JSON outputs are strict: non-finite floats are written as "inf",
-"-inf" or "nan".
+stderr.  main alone words the exit-3 line: the reasons joined by "; ",
+then a last clause saying that the outputs are kept.  JSON outputs are
+strict: non-finite floats are written as "inf", "-inf" or "nan".
 
 Each subcommand's parameters are declared once, as the rows of its table
 in COMMANDS (name, type, choices, default, fallback, required).  The
@@ -64,12 +66,11 @@ _CSV_PARALLEL_CELLS = 1 << 19
 
 
 def _format_block(block) -> str:
-    """The CSV text of a block of rows.  Private, so that a tracer that
-    wraps the public functions leaves it picklable by name."""
+    """The CSV text of a block of rows, a float array or a list of tuples.
+    Private, so that a tracer that wraps the public functions leaves it
+    picklable by name."""
     if isinstance(block, np.ndarray):
-        if block.dtype.kind == "f":
-            return _float_text(block)
-        block = block.tolist()
+        return _float_text(block)
     return "".join([",".join(map(format, row)) + "\n" for row in block])
 
 
@@ -225,13 +226,13 @@ def _float_text(block) -> str:
 
 
 def write_csv(path: Path, header, rows):
-    """Write a header and rows (an array or a list of tuples) as CSV.
+    """Write a header and rows (a float array or a list of tuples) as CSV.
 
     Cells are numbers or strings free of commas, quotes and newlines, so
     no cell needs quoting.  A float cell, Python or numpy, is the ``repr``
     of its value widened to a Python float: the shortest text that reads
     back to the same bits.  Rows go out in blocks, one write per block.  A
-    block of a float array is formatted in numpy by ``_float_text``, which
+    block of the array is formatted in numpy by ``_float_text``, which
     leaves to ``repr`` only the cells it cannot settle with certainty;
     other rows are boxed into Python scalars and go through the builtin
     ``format``, which gives that same text for numpy scalars too, whatever
@@ -473,8 +474,7 @@ def cmd_sample(cfg):
         rows = np.count_nonzero(~np.isfinite(s.points).all(axis=1))
         reasons.append(f"{rows} of {len(s.points)} rows of samples.csv hold "
                        "non-finite cells")
-    return outputs, (f"{'; '.join(reasons)}; outputs retained" if reasons
-                     else None)
+    return outputs, reasons
 
 
 # --- test-norm-law -----------------------------------------------------------
@@ -548,9 +548,7 @@ def cmd_test_norm_law(cfg):
         reasons.append(report["flag"])
     if chain is not None and not chain["chain_ok"]:
         reasons.append("chain diagnostics failed")
-    return {"norm_law_report.json": report}, (
-        f"norm-split law flagged: {', '.join(reasons)}; outputs retained"
-        if reasons else None)
+    return {"norm_law_report.json": report}, reasons
 
 
 # --- rate -------------------------------------------------------------------
@@ -610,7 +608,7 @@ def cmd_rate(cfg):
     else:
         report.update(rates.rate(spec, _measure_from(cfg), cfg.get("x")))
     outputs["rate_report.json"] = report
-    return outputs, None
+    return outputs, []
 
 
 # --- ldp-verify ---------------------------------------------------------------
@@ -659,8 +657,8 @@ def cmd_ldp_verify(cfg):
         "ldp_report.json": {"rate_infimum": rate_inf, "gap_final": gaps[-1],
                             "gap_monotone_decreasing": all(
                                 g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))}}
-    return outputs, (None if all(np.isfinite(gaps)) else
-                     "decay gap is not finite; outputs retained")
+    return outputs, ([] if all(np.isfinite(gaps)) else
+                     ["decay gap is not finite"])
 
 
 # --- asymptotics ----------------------------------------------------------------
@@ -679,7 +677,7 @@ def cmd_asymptotics(cfg):
     return {"asymptotics.csv": (
         ["n", "laplace_ratio", "breitung_ratio", "adapted_laplace",
          "adapted_laplace_limit", "adapted_laplace_err", "adapted_breitung",
-         "adapted_breitung_limit", "adapted_breitung_err"], rows)}, None
+         "adapted_breitung_limit", "adapted_breitung_err"], rows)}, []
 
 
 # --- norm-const ---------------------------------------------------------------
@@ -696,16 +694,11 @@ def cmd_norm_const(cfg):
     report = {"weight": weight.name, "n": n, "p": p,
               "log_norm_const": log_c, "se_log": se, "ess": ess,
               "ess_floor": floor}
-    if not np.isfinite(log_c):
-        failure = "degenerate estimate: weight vanished on every draw"
-    elif not (np.isfinite(ess) and np.isfinite(se)):
-        failure = "one draw has no spread: ess and se_log are nan"
-    elif ess < floor:
-        failure = (f"importance ess {ess:.3g} below floor {floor:g}; "
-                   "outputs retained")
-    else:
-        failure = None
-    return {"norm_const.json": report}, failure
+    # a weight that vanished on every draw gives ess 0, and one draw, which
+    # has no spread, gives nan: neither passes
+    return {"norm_const.json": report}, (
+        [] if ess >= floor else
+        [f"importance ess {ess:.3g} below floor {floor:g}"])
 
 
 # --- parser -------------------------------------------------------------------
@@ -726,7 +719,7 @@ DEFAULTS_VERSION = 1
 
 # subcommand -> (help, handler, parameter table); the flags follow the
 # table's order, then --out and --config.  handler(cfg) returns (outputs,
-# failure), which main writes; see the module docstring
+# reasons), which main writes and words; see the module docstring
 COMMANDS = {
     "sample": ("draw from one of the ball laws", cmd_sample, (
         Param("target", str, choices=tuple(_TARGETS), required=True),
@@ -805,7 +798,7 @@ def main(argv=None) -> int:
     _, handler, params = COMMANDS[args.command]
     try:
         cfg, overridden = resolve_config(args, params)
-        outputs, failure = handler(cfg)
+        outputs, reasons = handler(cfg)
         out = Path(args.out or os.environ.get("PRADIAL_OUTPUT_ROOT",
                                               "pradial-out"))
         out.mkdir(parents=True, exist_ok=True)
@@ -824,9 +817,9 @@ def main(argv=None) -> int:
         # --grid-csv or --out
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    if failure is None:
+    if not reasons:
         return EXIT_OK
-    print(failure, file=sys.stderr)
+    print("; ".join(reasons) + "; outputs retained", file=sys.stderr)
     return EXIT_STAT
 
 

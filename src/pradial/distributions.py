@@ -27,8 +27,8 @@ def _check_positive(name, value):
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
-def sample_gamma(a: float, b: float, rng: RngStream, size):
-    """Gamma(a, b) draws in the rate parametrization (mean a/b).
+def sample_gamma(a: float, rng: RngStream, size):
+    """Gamma(a, 1) draws (mean a).
 
     Shapes below 1 go through the boosting identity
     Gamma(a) =d= Gamma(a+1) * U^(1/a), which stays exact for small a.  The
@@ -36,7 +36,6 @@ def sample_gamma(a: float, b: float, rng: RngStream, size):
     applied in blocks of at most _BOOST_BLOCK cells.
     """
     _check_positive("shape a", a)
-    _check_positive("rate b", b)
     gen = rng.gen
     g = gen.standard_gamma(a if a >= 1.0 else a + 1.0, size=size)
     if a < 1.0:
@@ -49,7 +48,6 @@ def sample_gamma(a: float, b: float, rng: RngStream, size):
             u /= a
             np.exp(u, out=u)
             flat[i:i + u.size] *= u
-    g /= b
     return g
 
 
@@ -113,7 +111,7 @@ def sample_gen_gaussian(p: float, rng: RngStream, size, positive=False):
         if positive:
             np.abs(g, out=g)
     else:
-        g = sample_gamma(1.0 / p, 1.0, rng, size=size)
+        g = sample_gamma(1.0 / p, rng, size=size)
         g **= 1.0 / p
         if not positive:
             np.negative(g, out=g, where=rng.gen.integers(0, 2, size=size,
@@ -238,6 +236,6 @@ def sample_W(law: RadialLawW, rng: RngStream, size):
             is_zero = gen.random(m) < law.theta
             n_pos = int((~is_zero).sum())
             if n_pos:
-                out[~is_zero] = sample_gamma(law.alpha, 1.0, rng, size=n_pos)
+                out[~is_zero] = sample_gamma(law.alpha, rng, size=n_pos)
         # theta == 1: all zeros, nothing to draw
     return out.reshape(size)

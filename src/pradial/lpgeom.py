@@ -41,21 +41,6 @@ _PSI_BLOCK = 1 << 16  # (s, knot) pairs per row block of the tabulated psi
 _NORM_BLOCK = 1 << 16  # |x|^p cells per row block of _finish_sample
 
 
-def lp_norm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
-    """||x||_p with the max factored out for overflow safety.  The work
-    runs in place on one |x| copy, so x is not modified."""
-    _check_positive("p", p)
-    a = np.abs(np.asarray(x, dtype=float))
-    if a.shape[axis] == 0:
-        raise ParameterError("lp_norm of an empty vector")
-    m = np.max(a, axis=axis, keepdims=True)
-    a /= np.where(m == 0.0, 1.0, m)
-    a **= p
-    s = np.sum(a, axis=axis, keepdims=True)
-    out = np.squeeze(m * s ** (1.0 / p), axis=axis)
-    return out if out.ndim else float(out)
-
-
 @dataclass
 class PBallSample:
     """Draws from a law on the ell_p ball plus bookkeeping.
@@ -116,7 +101,7 @@ def norm_split_B(n: int, p: float, m: float, law: RadialLawW, rng: RngStream,
     directly so it also covers tabulated W.
     """
     _check_positive("n + m", n + m)
-    g = sample_gamma((n + m) / p, 1.0, rng, size=size)
+    g = sample_gamma((n + m) / p, rng, size=size)
     w = sample_W(law, rng, size=size)
     return g / (g + w)
 

@@ -82,6 +82,8 @@ def sample_spectra(family: str, n: int, p: float, beta: float,
         raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if size < 1:
+        raise ParameterError(f"size must be >= 1, got {size}")
     _check_positive("p", p)
     weight, q = family_weight(family, p, beta)
     r_x, r_w = rng.split(2)

@@ -135,6 +135,8 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if size < 1:
+        raise ParameterError(f"size must be >= 1, got {size}")
     _check_positive("p", p)
     if weight.kind not in ("delta", "nabla"):
         raise ParameterError(

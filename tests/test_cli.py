@@ -19,6 +19,7 @@ from scipy.special import betainc
 
 from pradial import cli
 from pradial.cli import main, write_csv
+from pradial.distributions import RadialLawW
 from pradial.measures import MeasureRep
 from pradial.rates import rate_cone
 
@@ -51,6 +52,33 @@ def read_strict_json(path):
 
 def sha16(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+# wrappers of a cli function, each made from the function it replaces
+
+def b_without_atoms(real):
+    """norm_split_B drawing with theta = 0, whatever theta it is given."""
+    def draw(n, p, m, law, rng, size):
+        return real(n, p, m, RadialLawW(alpha=law.alpha), rng, size=size)
+    return draw
+
+
+def b_with_nan(real):
+    """norm_split_B with every hundredth draw nan."""
+    def draw(*args, **kwargs):
+        b = real(*args, **kwargs)
+        b[::100] = np.nan
+        return b
+    return draw
+
+
+def failed_chain(real):
+    """sample_spectra whose chain reads as outside its acceptance window."""
+    def draw(*args, **kwargs):
+        s = real(*args, **kwargs)
+        return dataclasses.replace(
+            s, chain=dataclasses.replace(s.chain, ok=False))
+    return draw
 
 
 def _reference_fmt(v):
@@ -197,7 +225,6 @@ class TestFloatText:
     def test_repr_fallback_is_rare(self, monkeypatch):
         # of 10^4 cone rows, at most one cell in a thousand goes to repr
         from pradial.lpgeom import sample_pnpw
-        from pradial.distributions import RadialLawW
         from pradial.rng import RngStream
 
         real, seen = cli._repr_cells, []
@@ -626,21 +653,15 @@ class TestNormLaw:
             assert code == 3
             rep = read_json(out / "norm_law_report.json")
             assert capsys.readouterr().err == (
-                f"norm-split law flagged: KS p-value {rep['p_value']:.3g} "
-                f"<= threshold {flags[-1]}; outputs retained\n")
+                f"KS p-value {rep['p_value']:.3g} <= threshold {flags[-1]}; "
+                "outputs retained\n")
 
 
     def test_failed_chain_exits_3(self, tmp_path, capsys, monkeypatch):
         # the same chain check as `sample`: a chain outside its acceptance
         # window flags the run, whatever the KS test says
-        real = cli.sample_spectra
-
-        def failing(*args, **kwargs):
-            s = real(*args, **kwargs)
-            return dataclasses.replace(
-                s, chain=dataclasses.replace(s.chain, ok=False))
-
-        monkeypatch.setattr(cli, "sample_spectra", failing)
+        monkeypatch.setattr(cli, "sample_spectra",
+                            failed_chain(cli.sample_spectra))
         code, out = run(tmp_path, "test-norm-law", "--target", "singular-PM",
                         "--n", "3", "--count", "200", "--seed", "3",
                         "--ks-pvalue-threshold", "0", "--p", "3")
@@ -648,28 +669,44 @@ class TestNormLaw:
         rep = read_json(out / "norm_law_report.json")
         assert rep["chain"]["chain_ok"] is False
         assert capsys.readouterr().err == (
-            "norm-split law flagged: chain diagnostics failed; "
-            "outputs retained\n")
+            "chain diagnostics failed; outputs retained\n")
 
 
     def test_non_finite_b_exits_3(self, tmp_path, capsys, monkeypatch):
         # a nan B makes the KS p-value nan, which passes every threshold
-        real = cli.norm_split_B
-
-        def with_nan(*args, **kwargs):
-            b = real(*args, **kwargs)
-            b[::100] = np.nan
-            return b
-
-        monkeypatch.setattr(cli, "norm_split_B", with_nan)
+        monkeypatch.setattr(cli, "norm_split_B", b_with_nan(cli.norm_split_B))
         code, out = run(tmp_path, "test-norm-law", "--target", "euclid",
                         "--n", "5", "--count", "2000", "--seed", "11")
         assert code == 3
         rep = read_strict_json(out / "norm_law_report.json")
         assert rep["non_finite_b"] == 20
         assert capsys.readouterr().err == (
-            "norm-split law flagged: 20 non-finite B draws; outputs "
-            "retained\n")
+            "20 non-finite B draws; outputs retained\n")
+
+    def test_no_continuous_part_exits_3(self, tmp_path):
+        # at theta = 0.9999 five draws of B are all atoms, which leaves
+        # nothing for the KS test
+        code, out = run(tmp_path, "test-norm-law", "--target", "euclid",
+                        "--n", "5", "--theta", "0.9999", "--count", "5",
+                        "--seed", "1")
+        assert code == 3
+        rep = read_json(out / "norm_law_report.json")
+        assert rep["flag"] == "no-continuous-part-samples"
+        assert rep["atom_fraction"] == 1.0 and "p_value" not in rep
+
+    def test_missing_atoms_exit_3(self, tmp_path, monkeypatch):
+        # B drawn without its atom at theta = 0.5: the continuous part
+        # passes the KS test, and the atom count lies outside its interval
+        monkeypatch.setattr(cli, "norm_split_B",
+                            b_without_atoms(cli.norm_split_B))
+        code, out = run(tmp_path, "test-norm-law", "--target", "euclid",
+                        "--n", "5", "--theta", "0.5", "--count", "400",
+                        "--seed", "1")
+        assert code == 3
+        rep = read_json(out / "norm_law_report.json")
+        assert rep["flag"] == "atom-fraction-outside-interval"
+        assert rep["atom_fraction"] == 0.0 and rep["atom_count_interval"][0] > 0
+        assert rep["p_value"] > 0.01
 
 
 class TestRate:
@@ -1269,4 +1306,56 @@ class TestRunProtocol:
                                   ("norm-const", "--n", "2", "--count", "10")
                                   ) == (3, ["norm_const.json"])
         assert capsys.readouterr().err == (
-            "degenerate estimate: weight vanished on every draw\n")
+            "importance ess 0 below floor 0.1; outputs retained\n")
+
+    # each exit-3 gate: argv, {cli name: wrapper of it}, and the reasons,
+    # formatted with the keys of the run's JSON outputs
+    @pytest.mark.parametrize("argv, patches, reasons", [
+        pytest.param(("test-norm-law", "--target", "euclid", "--n", "5",
+                      "--theta", "0.9999", "--count", "5"), {},
+                     ["no-continuous-part-samples"], id="no-continuous-part"),
+        pytest.param(("test-norm-law", "--target", "euclid", "--n", "5",
+                      "--theta", "0.5", "--count", "400"),
+                     {"norm_split_B": b_without_atoms},
+                     ["atom-fraction-outside-interval"], id="atom-fraction"),
+        pytest.param(("test-norm-law", "--target", "euclid", "--n", "5",
+                      "--count", "2000", "--ks-pvalue-threshold", "0.9999"),
+                     {}, ["KS p-value {p_value:.3g} <= threshold 0.9999"],
+                     id="ks"),
+        pytest.param(("test-norm-law", "--target", "singular-PM", "--n", "3",
+                      "--count", "200", "--p", "3",
+                      "--ks-pvalue-threshold", "1"),
+                     {"sample_spectra": failed_chain},
+                     ["KS p-value {p_value:.3g} <= threshold 1.0",
+                      "chain diagnostics failed"], id="ks-and-chain"),
+        pytest.param(("sample", "--target", "cone", "--n", "3", "--count",
+                      "10", "--p", "0.005"), {},
+                     ["10 of 10 rows of samples.csv hold non-finite cells"],
+                     id="non-finite-rows"),
+        pytest.param(("test-norm-law", "--target", "euclid", "--n", "5",
+                      "--count", "2000"), {"norm_split_B": b_with_nan},
+                     ["20 non-finite B draws"], id="non-finite-b"),
+        pytest.param(("ldp-verify", "--n-list", "20,40"),
+                     {"beta_log_cdf": lambda real: lambda *a: -math.inf},
+                     ["decay gap is not finite"], id="decay-gap"),
+        pytest.param(("norm-const", "--n", "2", "--count", "10"),
+                     {"estimate_norm_const": lambda real: lambda *a, **k: (
+                         -math.inf, math.inf, 0.0)},
+                     ["importance ess 0 below floor 0.1"], id="ess-zero"),
+        pytest.param(("norm-const", "--weight", "delta", "--n", "3",
+                      "--count", "1"), {},
+                     ["importance ess nan below floor 0.01"], id="ess-nan"),
+    ])
+    def test_exit_3_is_one_line(self, tmp_path, monkeypatch, capsys, argv,
+                                patches, reasons):
+        # main alone words the line: the reasons, then "outputs retained"
+        for name, wrap in patches.items():
+            monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+        code, outputs = self._run_recorded(tmp_path, monkeypatch, argv)
+        assert code == 3
+        keys = {}
+        for name in outputs:
+            if name.endswith(".json"):
+                keys.update(read_json(tmp_path / "out" / name))
+        assert capsys.readouterr().err == "; ".join(
+            reasons).format(**keys) + "; outputs retained\n"

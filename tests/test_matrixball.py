@@ -186,12 +186,8 @@ class TestSamplers:
                        RadialLawW.exponential(), rng(6), 4000)
         assert s.chain.ok
         oracle = beta_ensemble_spectra("H", n, beta, rng(7), size=4000)
-
-        def direction_stat(v):
-            return v[:, -1] / np.linalg.norm(v, axis=1)
-
-        ks = stats.ks_2samp(direction_stat(s.points),
-                            direction_stat(oracle))
+        ks = stats.ks_2samp(_direction(s.points, 2.0)[:, -1],
+                            _direction(oracle, 2.0)[:, -1])
         assert ks.pvalue > 1e-3
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
@@ -209,12 +205,8 @@ class TestSamplers:
         assert s.chain.ok
         assert np.all(s.points > 0)
         oracle = beta_ensemble_spectra("M", n, beta, rng(9), size=4000)
-
-        def direction_stat(v):
-            return v[:, -1] / v.sum(axis=1)
-
-        ks = stats.ks_2samp(direction_stat(s.points),
-                            direction_stat(oracle))
+        ks = stats.ks_2samp(_direction(s.points, 1.0)[:, -1],
+                            _direction(oracle, 1.0)[:, -1])
         assert ks.pvalue > 1e-3
 
     def test_ph_norm_split_law(self):
@@ -261,6 +253,15 @@ class TestSamplers:
                     sample_spectra(family, 0, p, 2.0,
                                    RadialLawW.exponential(), rng(25))
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_size_validation(self, size):
+        # on the exact path (p = 2) as on the chain
+        for family in "HM":
+            for p in (2.0, 3.0):
+                with pytest.raises(ParameterError, match="size must be >= 1"):
+                    sample_spectra(family, 3, p, 2.0,
+                                   RadialLawW.exponential(), rng(25), size)
+
     @pytest.mark.parametrize("family", ["euclid", "X", "h"])
     def test_family_validation(self, family):
         # the ell_p ball's family has no spectrum: sample_pnpw draws it
@@ -287,16 +288,11 @@ class TestChainAtDefaults:
                      else (WeightFn("nabla", beta), 1.0))
         res = mcmc_sample(n, q, weight, rng(30), size)
         oracle = beta_ensemble_spectra(family, n, beta, rng(31), size=4000)
-
-        def direction_stat(v):
-            return np.abs(v).max(axis=1) / np.sum(np.abs(v) ** q,
-                                                  axis=1) ** (1.0 / q)
-
-        d = direction_stat(res.samples)
+        d = np.abs(_direction(res.samples, q)).max(axis=1)
         n_eff = sum(geyer_ess(c)
                     for c in d.reshape(mcmc.N_CHAINS, -1))
         assert n_eff >= 0.05 * size
-        ks = stats.ks_2samp(d, direction_stat(oracle))
+        ks = stats.ks_2samp(d, np.abs(_direction(oracle, q)).max(axis=1))
         scale = math.sqrt(n_eff * oracle.shape[0] / (n_eff + oracle.shape[0]))
         assert stats.kstwobign.sf(scale * ks.statistic) > 1e-3
 
@@ -314,14 +310,20 @@ class TestChainAtDefaults:
         assert stats.kstest(b, stats.beta(shape, 1.0).cdf).pvalue > 1e-6
 
 
+def _direction(v, q):
+    """Each row divided by its ell_q norm: the direction, which the radial
+    mixture leaves alone.  The tests read its last (largest) or its
+    largest absolute coordinate."""
+    return v / np.sum(np.abs(v) ** q, axis=1, keepdims=True) ** (1.0 / q)
+
+
 def _scale_free_stats(v, q):
     """The largest, smallest and middle |x_i| / ||x||_q per row, and the
     coefficient of variation of the gaps between the sorted x_i, one row
     each: scale free, so the radial mixture leaves their laws alone.  The
     largest alone misses a spectrum whose bulk is off, and the three
     directions miss a 15% shift of beta, which the gaps' spread sees."""
-    a = np.sort(np.abs(v), axis=1)
-    a /= np.sum(a ** q, axis=1, keepdims=True) ** (1.0 / q)
+    a = np.sort(np.abs(_direction(v, q)), axis=1)
     gaps = np.diff(np.sort(v, axis=1), axis=1)
     cv = gaps.std(axis=1) / gaps.mean(axis=1)
     return np.vstack([a[:, [-1, 0, a.shape[1] // 2]].T, cv])

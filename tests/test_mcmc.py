@@ -12,7 +12,6 @@ from scipy import integrate, stats
 from pradial import _kernels, mcmc, weights
 from pradial.distributions import (ParameterError, RadialLawW,
                                    sample_gen_gaussian)
-from pradial.lpgeom import lp_norm
 from pradial.matrixball import sample_spectra
 from pradial.mcmc import (estimate_norm_const, geyer_ess, mcmc_sample,
                           split_rhat)
@@ -246,6 +245,12 @@ class TestMcmcSample:
         with pytest.raises(ParameterError, match="n must be >= 1"):
             mcmc_sample(n, 2.0, delta_beta(2.0), rng(6))
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_size_below_one_rejected(self, size):
+        # refused before the burn-in runs, not answered with an empty pool
+        with pytest.raises(ParameterError, match="size must be >= 1"):
+            mcmc_sample(3, 2.0, delta_beta(2.0), rng(6), size)
+
     def test_accept_per_chain(self):
         # one acceptance rate per chain, pooling to the overall rate since
         # every chain makes the same number of post-burn-in proposals
@@ -329,7 +334,7 @@ class TestNormConst:
         n, p, size, weight = 5, 2.0, 20000, delta_beta(2.0)
         _, _, ess = estimate_norm_const(n, p, weight, rng(17), size=size)
         y = sample_gen_gaussian(p, rng(17), size=(size, n))
-        logf = weight.log_eval(y / lp_norm(y, p)[:, None])
+        logf = weight.log_eval(y / np.linalg.norm(y, axis=1, keepdims=True))
         v = np.exp(logf - logf.max())
         assert ess == pytest.approx(v.sum() ** 2 / np.sum(v * v), rel=1e-12)
         assert 1.0 <= ess < size

@@ -393,6 +393,14 @@ class TestLegendre:
         got = legendre_transform(t, f, xs)
         assert np.max(np.abs(got - _legendre_reference(t, f, xs))) < 1e-10
 
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0],
+                                   [0.0, 2.0, 1.0, 3.0]],
+                             ids=["three-knots", "repeated", "unsorted"])
+    def test_grid_refused(self, t):
+        t = np.array(t)
+        with pytest.raises(ParameterError, match="at least 4 knots"):
+            legendre_transform(t, t ** 2, 0.5)
+
     def test_closed_form_on_coarse_grids(self):
         # the cubic spline reproduces t^2/2 and t^3, so these maxima are
         # exact: 0.8^2/2 (cell left of the discrete maximiser) and

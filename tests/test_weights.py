@@ -137,6 +137,11 @@ class TestWeightFn:
         assert np.allclose(WeightFn("power", 1.5).log_eval(x),
                            np.log(np.prod(x ** 1.5, axis=1)), rtol=1e-13)
 
+    def test_nabla_refuses_negative_coordinates(self):
+        # nabla_beta lives on the closed positive orthant
+        with pytest.raises(ParameterError, match="positive orthant"):
+            log_nabla_beta(np.array([-0.5, 1.0]), 2.0)
+
 
 class TestFamilies:
     # the ell_p ball carries the constant weight at p, the H eigenvalues
