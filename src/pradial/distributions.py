@@ -27,6 +27,12 @@ def _check_positive(name, value):
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_counts(**counts):
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ParameterError(f"{name} must be >= 1 and whole, got {value!r}")
+
+
 def sample_gamma(a: float, rng: RngStream, size):
     """Gamma(a, 1) draws (mean a).
 

@@ -30,9 +30,10 @@ from .distributions import (
     sample_gamma,
     sample_gen_gaussian,
     sample_W,
+    _check_counts,
     _check_positive,
 )
-from .rng import RngStream, _cpus
+from .rng import RngStream, _run_blocks
 
 if TYPE_CHECKING:
     from .mcmc import ChainResult
@@ -88,6 +89,7 @@ def sample_pnpw(n: int, p: float, law: RadialLawW, rng: RngStream,
     the sphere is W = delta_0 (RadialLawW.dirac()) and the uniform measure
     is W = Exp(1) (RadialLawW.exponential()).
     """
+    _check_counts(n=n, size=size)
     x = sample_gen_gaussian(p, rng, size=(size, n), positive=positive)
     return _finish_sample(x, p, law, rng)
 
@@ -100,6 +102,7 @@ def norm_split_B(n: int, p: float, m: float, law: RadialLawW, rng: RngStream,
     the theta/alpha mixture.  This routine samples the construction
     directly so it also covers tabulated W.
     """
+    _check_counts(n=n, size=size)
     _check_positive("n + m", n + m)
     g = sample_gamma((n + m) / p, rng, size=size)
     w = sample_W(law, rng, size=size)
@@ -181,13 +184,10 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     most _PSI_BLOCK (s, atom) pairs.
 
     The other rows of the grid part go in blocks of at most _PSI_BLOCK
-    pairs to one worker per CPU (rng._cpus) and at most one per block:
-    worker 0 is the calling thread and the others run in a thread pool.
-    Worker k takes blocks k, k + workers, ..., works in three block-sized
-    buffers that this call allocates for it, and adds only into val at its
-    own blocks' rows.  The blocks and each row's arithmetic are those of a
-    serial loop, so psi has the same bits on any number of CPUs.  No
-    thread outlives the call, whether it returns or raises.
+    pairs to rng._run_blocks, one worker per CPU.  Each worker works in
+    three block-sized buffers of the runner's scratch and adds only into
+    val at its own blocks' rows.  The blocks and each row's arithmetic are
+    those of a serial loop, so psi has the same bits on any number of CPUs.
     """
     from scipy.special import gammainc, gammaln
 
@@ -215,18 +215,17 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
         rest = np.flatnonzero(~poly)
         rows = max(1, _PSI_BLOCK // w.size)
         blocks = np.split(rest, range(rows, rest.size, rows))
-        workers = min(_cpus(), len(blocks))
-        # three block-sized buffers a worker: t w, P(d+2, t w) and P(d+1,
-        # t w); the first and last then take the rises of P(d+1) and P(d+2)
-        work = np.empty((workers, 3, min(rows, rest.size) * w.size))
         g1, g2 = gammaln(d + 1.0), gammaln(d + 2.0)
 
-        def run(k):
+        def run(mine, work):
             # numpy and scipy.special alone: a thread that called a public
-            # pradial function would share the tracer's span stack
-            for blk in blocks[k::workers]:
+            # pradial function would share the tracer's span stack.  Three
+            # block-sized buffers: t w, P(d+2, t w) and P(d+1, t w); the
+            # first and last then take the rises of P(d+1) and P(d+2)
+            work = work.reshape(3, -1)
+            for blk in mine:
                 x, p2, p1 = (a[:blk.size * w.size].reshape(blk.size, w.size)
-                             for a in work[k])
+                             for a in work)
                 np.multiply(t[blk, None], w, out=x)
                 gammainc(d + 2.0, x, out=p2)
                 with np.errstate(divide="ignore"):
@@ -238,7 +237,7 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
                 p1 += p2
                 rise1, rise2 = (a[:blk.size * (w.size - 1)]
                                 .reshape(blk.size, w.size - 1)
-                                for a in work[k, ::2])
+                                for a in work[::2])
                 np.subtract(p1[:, 1:], p1[:, :-1], out=rise1)
                 part = rise1 @ intercept
                 np.subtract(p2[:, 1:], p2[:, :-1], out=rise2)
@@ -247,12 +246,7 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
 
         # a one-block call, such as each scalar call that
         # psi_normalization_defect's quadrature makes, starts no thread
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run, k) for k in range(1, workers)]
-            run(0)
-            for future in futures:
-                future.result()
+        _run_blocks(blocks, run, 3 * min(rows, rest.size) * w.size)
     out = val * np.exp(-(d + 1.0) * np.log1p(-sp) - gammaln(d + 1.0))
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 

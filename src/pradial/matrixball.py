@@ -19,8 +19,9 @@ whose p is the exponent (p for H, p/2 for M) and whose degree is the
 weight's homogeneity degree.  At p = 2 the spectra under the radial
 mixture are the Hermite and Laguerre beta-ensembles, which
 beta_ensemble_spectra draws exactly from the tridiagonal models of
-Dumitriu & Edelman; the sample's chain is then None.  At every other p
-the chain of mcmc.mcmc_sample draws them.
+Dumitriu & Edelman, one dsterf call a row on one thread per CPU; the
+sample's chain is then None.  At every other p the chain of
+mcmc.mcmc_sample draws them.
 
 Normalization constants from the Weyl integration formula are computed in
 log space.
@@ -28,13 +29,18 @@ log space.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .distributions import ParameterError, RadialLawW, _check_positive
+from .distributions import (ParameterError, RadialLawW, _check_counts,
+                            _check_positive)
 from .lpgeom import PBallSample, _finish_sample
 from .mcmc import mcmc_sample
-from .rng import RngStream
+from .rng import RngStream, _run_blocks
 from .weights import family_weight
+
+_SPECTRA_BLOCK = 1 << 16  # rows times n^2 per block of dsterf calls
 
 
 def _log_weyl_terms(n: int, beta: float) -> tuple[float, float]:
@@ -80,10 +86,6 @@ def sample_spectra(family: str, n: int, p: float, beta: float,
     the second."""
     if family not in ("H", "M"):
         raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
     _check_positive("p", p)
     weight, q = family_weight(family, p, beta)
     r_x, r_w = rng.split(2)
@@ -97,6 +99,26 @@ def sample_spectra(family: str, n: int, p: float, beta: float,
 
 
 # --- exact spectra at p = 2 ---------------------------------------------------
+
+@functools.cache
+def _dsterf():
+    """LAPACK's dsterf(n, d, e, info) of scipy.linalg.cython_lapack as a
+    ctypes function of four addresses: unlike scipy's f2py wrappers, a
+    ctypes call releases the GIL.  Prototypes of its own read the capsule,
+    so ctypes.pythonapi's keep their types, and refuse other signatures."""
+    import ctypes
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule, api, obj = __pyx_capi__["dsterf"], ctypes.pythonapi, ctypes.py_object
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(
+        ("PyCapsule_GetName", api))(capsule)
+    d = b"__pyx_t_5scipy_6linalg_13cython_lapack_d *"  # Cython's double
+    if name != b"void (int *, %s, %s, int *)" % (d, d):
+        raise TypeError(f"not LAPACK's double dsterf: {name!r}")
+    at = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *4 * [ctypes.c_void_p])(at)
+
 
 def beta_ensemble_spectra(family: str, n: int, beta: float, rng: RngStream,
                           size: int = 1) -> np.ndarray:
@@ -116,12 +138,13 @@ def beta_ensemble_spectra(family: str, n: int, beta: float, rng: RngStream,
     smallest below 0, where the law has no mass, so they are clipped at 0.
 
     Each row costs O(n) variates and one LAPACK dsterf call on the
-    tridiagonal; at n = 1 the spectrum is the diagonal.
+    tridiagonal; at n = 1 the spectrum is the diagonal.  Blocks of at most
+    _SPECTRA_BLOCK / n^2 rows go to rng._run_blocks, one thread per CPU,
+    and give the same bits on any number of CPUs.
     """
-    from scipy.linalg.lapack import dsterf
-
     if family not in ("H", "M"):
         raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
+    _check_counts(n=n, size=size)
     _check_positive("beta", beta)
     gen = rng.gen
     sub_dof = beta * np.arange(n - 1, 0, -1)
@@ -138,11 +161,22 @@ def beta_ensemble_spectra(family: str, n: int, beta: float, rng: RngStream,
         diag[:, 1:] += b_sub ** 2 / 2.0
         off = b_diag[:, :-1] * b_sub / 2.0
     if n > 1:
-        # each row of diag becomes its sorted eigenvalues
-        for d, e in zip(diag, off):
-            d[:], info = dsterf(d, e, overwrite_d=True, overwrite_e=True)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dsterf returned info {info}")
+        # each row of diag becomes its sorted eigenvalues, in place
+        dsterf, rows = _dsterf(), max(1, _SPECTRA_BLOCK // n ** 2)
+        d_at, e_at = (range(a.ctypes.data, a.ctypes.data + a.nbytes,
+                            a.strides[0]) for a in (diag, off))
+
+        def run(mine, _):
+            ni = np.array([n, 0], dtype=np.intc)  # n and this worker's info
+            n_at, info_at = ni.ctypes.data, ni.ctypes.data + ni.itemsize
+            for lo in mine:
+                for d, e in zip(d_at[lo:lo + rows], e_at[lo:lo + rows]):
+                    dsterf(n_at, d, e, info_at)
+                    if ni[1]:
+                        raise np.linalg.LinAlgError(
+                            f"dsterf returned info {ni[1]}")
+
+        _run_blocks(range(0, size, rows), run)
     if family == "M":
         np.maximum(diag, 0.0, out=diag)
     return diag

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import ParameterError, RadialLawW, _check_positive
+from .distributions import (ParameterError, RadialLawW, _check_counts,
+                            _check_positive)
 from .lpgeom import sample_pnpw
 from .rng import RngStream
 from .weights import WeightFn
@@ -133,10 +134,7 @@ def mcmc_sample(n: int, p: float, weight: WeightFn, rng: RngStream,
     sorted ascending so the output is the ordered vector.  The chains run
     in lockstep, each on its own substream, and are pooled chain by chain.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
+    _check_counts(n=n, size=size)
     _check_positive("p", p)
     if weight.kind not in ("delta", "nabla"):
         raise ParameterError(

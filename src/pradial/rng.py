@@ -4,12 +4,13 @@ Streams are keyed by a (seed, stream_id) pair on top of the counter-based
 Philox generator, so distinct stream ids give statistically independent
 sequences and the same pair always reproduces the same draws.  A single
 stream must not be shared between threads; parallel work splits streams.
-_cpus is the count of CPUs that such work may use.
+_cpus counts the CPUs such work may use and _run_blocks runs it on them.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,33 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _run_blocks(blocks, run, scratch: int = 0) -> None:
+    """run(blocks[k::workers], buf) for each of one worker per CPU and at
+    most one per block, each on a thread of its own: worker 0 is the
+    calling thread, so a call of one block starts no thread.  buf is the
+    worker's scratch floats, allocated here so that no thread's malloc
+    arena keeps them.  No thread outlives the call, and the first
+    exception of a worker reaches the caller."""
+    workers, failed = min(_cpus(), len(blocks)), []
+    bufs = np.empty((workers, scratch))
+
+    def work(k):
+        try:
+            run(blocks[k::workers], bufs[k])
+        except BaseException as exc:  # raised again in the calling thread
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass

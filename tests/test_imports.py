@@ -55,12 +55,16 @@ def test_no_unused_imports(path):
 # it.  The subpackages below are loaded by no command that does not call
 # them; scipy.special is loaded by the commands that evaluate a special
 # function.  The process pool that formats big CSV tables is imported the
-# same way, so that small outputs never load it.
+# same way, so that small outputs never load it, and so is ctypes, which
+# binds LAPACK's dsterf for the exact spectra.
+POOLS = ("multiprocessing", "concurrent.futures.process")
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
-         "scipy.interpolate", "scipy.linalg", "scipy.fft",
-         "multiprocessing", "concurrent.futures.process")
-# what no module loads at start-up: all of scipy, and the heavy rest
-STARTUP = ("scipy", "multiprocessing", "concurrent.futures.process")
+         "scipy.interpolate", "scipy.linalg", "scipy.fft", *POOLS)
+# what no module imports at start-up: all of scipy, and the heavy rest
+STARTUP = ("scipy", *POOLS, "ctypes")
+# what a fresh process that imports pradial has not loaded: numpy itself
+# imports ctypes (numpy._core._internal, numpy 2.4)
+UNLOADED = ("scipy", *POOLS)
 
 
 def import_time_modules(source: str) -> list[str]:
@@ -146,6 +150,16 @@ law = RadialLawW.tabulated(grid=g, density=dens / np.trapezoid(dens, g))
 psi_density(PsiSpec(n=5, p=2.0, law=law), np.linspace(0.0, 0.9, 50))
 """
 
+# the exact spectra at p = 2 run their dsterf rows on threads
+_EXACT_SPECTRA = """
+import tempfile
+from pradial import cli
+with tempfile.TemporaryDirectory() as out:
+    argv = ["sample", "--target", "eigen-PH", "--n", "16", "--count", "500",
+            "--p", "2", "--seed", "1", "--out", out]
+    assert cli.main(argv) == 0
+"""
+
 # an analytic family is a pdf on a finite support: building one searches
 # for no quantile, and no family needs scipy.stats
 _ANALYTIC = """
@@ -156,9 +170,10 @@ MeasureRep.gen_gaussian_scaled(2.0, 0.5)
 
 
 @pytest.mark.parametrize("code, names", [
-    pytest.param("import pradial.cli", STARTUP, id="import-cli"),
-    pytest.param("import pradial", STARTUP, id="import-package"),
-    pytest.param(_EXACT, STARTUP, id="sample-exact-targets"),
+    pytest.param("import pradial.cli", UNLOADED, id="import-cli"),
+    pytest.param("import pradial", UNLOADED, id="import-package"),
+    pytest.param(_EXACT, UNLOADED, id="sample-exact-targets"),
+    pytest.param(_EXACT_SPECTRA, POOLS, id="exact-spectra"),
     pytest.param(_RUN, HEAVY, id="sample-norm-const-ldp-verify"),
     pytest.param(_ANALYTIC, HEAVY, id="analytic-families"),
     pytest.param(_PSI_TAB, HEAVY, id="tabulated-psi")])

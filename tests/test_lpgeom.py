@@ -158,6 +158,17 @@ class TestPnpw:
         assert ks.statistic < 0.02
 
 
+@pytest.mark.parametrize("n, size", [(0, 5), (-1, 5), (2.5, 5), (3, 0),
+                                     (3, -2), (3, 1.0)])
+def test_exact_samplers_refuse_bad_n_and_size(n, size):
+    # not numpy's "negative dimensions" error, an empty table or a
+    # TypeError from deep inside the draw
+    with pytest.raises(ParameterError, match=">= 1 and whole"):
+        sample_pnpw(n, 2.0, RadialLawW.exponential(), rng(), size=size)
+    with pytest.raises(ParameterError, match=">= 1 and whole"):
+        norm_split_B(n, 2.0, 1.0, RadialLawW.exponential(), rng(), size=size)
+
+
 class TestNormSplitB:
     def test_dirac(self):
         b = norm_split_B(5, 2.0, 0.0, RadialLawW.dirac(), rng(), size=100)

@@ -1,12 +1,17 @@
 """Tests for the matrix p-ball families and their spectral sampler."""
 
+import ctypes
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cython_lapack, lapack
 
-from pradial import mcmc
+from pradial import matrixball, mcmc
 from pradial.distributions import ParameterError, RadialLawW, sample_W
 from pradial.matrixball import (beta_ensemble_spectra, log_weyl_const_H,
                                 log_weyl_const_M, sample_spectra)
@@ -253,6 +258,15 @@ class TestSamplers:
                     sample_spectra(family, 0, p, 2.0,
                                    RadialLawW.exponential(), rng(25))
 
+    @pytest.mark.parametrize("family", ["H", "M"])
+    @pytest.mark.parametrize("n, size", [(0, 5), (-1, 5), (2.5, 5), (3, 0),
+                                         (3, -2), (3, 2.0)])
+    def test_exact_spectra_refuse_bad_n_and_size(self, family, n, size):
+        # not numpy's "negative dimensions" error, an empty table or a
+        # TypeError from deep inside the draw
+        with pytest.raises(ParameterError, match=">= 1 and whole"):
+            beta_ensemble_spectra(family, n, 2.0, rng(25), size)
+
     @pytest.mark.parametrize("size", [0, -5])
     def test_size_validation(self, size):
         # on the exact path (p = 2) as on the chain
@@ -397,6 +411,113 @@ class TestExactSpectra:
         np.testing.assert_allclose(
             s.points, x / np.sqrt(np.sum(x ** 2, axis=1) + w)[:, None],
             rtol=1e-14)
+
+
+def on_cpus(monkeypatch, k):
+    """Make the process's affinity set read as k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def spy_dsterf(monkeypatch, fail=None):
+    """Patch the binding with one that records each calling thread and,
+    on the first call that fail(thread) accepts, reports info 7."""
+    real, seen, failed = matrixball._dsterf(), set(), []
+
+    def spy(n_at, d, e, info_at):
+        seen.add(threading.get_ident())
+        real(n_at, d, e, info_at)
+        if fail is not None and not failed and fail(threading.get_ident()):
+            failed.append(True)
+            ctypes.c_int.from_address(info_at).value = 7
+
+    monkeypatch.setattr(matrixball, "_dsterf", lambda: spy)
+    return seen
+
+
+class TestSpectraThreads:
+    """The dsterf rows of beta_ensemble_spectra run in blocks of at most
+    2^16 / n^2 rows on one thread per CPU."""
+
+    # sizes of 3 to 7 blocks, split unevenly among 2 and 3 CPUs
+    SIZES = {2: 50001, 16: 1001, 33: 241, 300: 7}
+
+    @pytest.mark.parametrize("n", sorted(SIZES))
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("family", ["H", "M"])
+    def test_same_bits_on_one_two_and_three_cpus(self, monkeypatch, family,
+                                                 beta, n):
+        # up to three workers, switching threads often
+        got, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for k in (1, 2, 3):
+                on_cpus(monkeypatch, k)
+                got.append(beta_ensemble_spectra(family, n, beta, rng(60),
+                                                 self.SIZES[n]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(got[0], g) for g in got[1:])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_worker_per_cpu_and_none_left(self, monkeypatch, cpus):
+        # the calling thread is one of the workers, and the only one of a
+        # one-block call such as the benchmark's n = 4 warm-up
+        seen = spy_dsterf(monkeypatch)
+        on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        beta_ensemble_spectra("H", 16, 2.0, rng(61), 1001)
+        assert len(seen) == cpus and threading.get_ident() in seen
+        assert threading.active_count() == before
+        seen.clear()
+        beta_ensemble_spectra("M", 4, 2.0, rng(62), 4096)
+        assert seen == {threading.get_ident()}
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_failed_block_raises_and_leaves_no_thread(self, monkeypatch,
+                                                      where):
+        caller = threading.get_ident()
+        spy_dsterf(monkeypatch, fail=lambda ident: (ident == caller)
+                   == (where == "caller"))
+        on_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="info 7"):
+            beta_ensemble_spectra("H", 16, 2.0, rng(63), 1001)
+        assert threading.active_count() == before
+
+
+class TestDsterfBinding:
+    """The ctypes binding is LAPACK's dsterf, the routine behind
+    scipy.linalg.lapack.dsterf."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    @pytest.mark.parametrize("zero_off", [False, True])
+    def test_rows_match_f2py_dsterf(self, n, zero_off):
+        gen = np.random.default_rng(n)
+        d = gen.standard_normal((50, n))
+        e = np.zeros((50, n - 1)) if zero_off else gen.standard_normal(
+            (50, n - 1))
+        want = [lapack.dsterf(di, ei)[0] for di, ei in zip(d, e)]
+        ni = np.array([n, -1], dtype=np.intc)
+        dsterf = matrixball._dsterf()
+        for di, ei, w in zip(d, e, want):
+            dsterf(ni.ctypes.data, di.ctypes.data, ei.ctypes.data,
+                   ni.ctypes.data + ni.itemsize)
+            assert ni[1] == 0 and di.tobytes() == w.tobytes()
+
+    def test_refuses_other_signature(self, monkeypatch):
+        # ssterf has the same arguments in single precision; binding reads
+        # the capsule without retyping ctypes.pythonapi's shared functions
+        shared = [(f.restype, f.argtypes) for f in (
+            ctypes.pythonapi.PyCapsule_GetName,
+            ctypes.pythonapi.PyCapsule_GetPointer)]
+        matrixball._dsterf.__wrapped__()
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf",
+                            cython_lapack.__pyx_capi__["ssterf"])
+        with pytest.raises(TypeError, match="double dsterf"):
+            matrixball._dsterf.__wrapped__()
+        assert shared == [(f.restype, f.argtypes) for f in (
+            ctypes.pythonapi.PyCapsule_GetName,
+            ctypes.pythonapi.PyCapsule_GetPointer)]
 
 
 class TestEmpiricalMeasure:
