@@ -50,7 +50,7 @@ from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import sample_spectra
 from .mcmc import estimate_norm_const
 from .measures import MeasureRep
-from .rng import RngStream, _cpus
+from .rng import RngStream, _cpus, _row_blocks
 from .weights import KINDS, WeightFn
 from . import rates
 
@@ -58,7 +58,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STAT = 3
 
-# cells formatted per block: bounds the Python objects alive at once
+# cells formatted per block, 48 canvas bytes each: bounds the objects alive
 _CSV_BLOCK_CELLS = 1 << 14
 # tables above this many cells are formatted in worker processes: below
 # it, starting the workers costs more than they save
@@ -246,15 +246,13 @@ def write_csv(path: Path, header, rows):
     serial loop.  No worker outlives the call, whether it returns or
     raises.
     """
-    step = max(1, _CSV_BLOCK_CELLS // len(header))
-    blocks = (rows[i:i + step] for i in range(0, len(rows), step))
-    workers = min(_cpus(), -(-len(rows) // step))
+    blocks = _row_blocks(len(rows), len(header), _CSV_BLOCK_CELLS)
+    workers = min(_cpus(), len(blocks))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         if len(rows) * len(header) <= _CSV_PARALLEL_CELLS or workers < 2:
             try:
-                for block in blocks:
-                    fh.write(_format_block(block))
+                fh.writelines(_format_block(rows[b]) for b in blocks)
             finally:
                 vars(_canvas).pop("buf", None)
             return
@@ -262,8 +260,8 @@ def write_csv(path: Path, header, rows):
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers) as pool:
             pending = deque()
-            for block in blocks:
-                pending.append(pool.submit(_format_block, block))
+            for b in blocks:
+                pending.append(pool.submit(_format_block, rows[b]))
                 if len(pending) == 4 * workers:
                     fh.write(pending.popleft().result())
             for future in pending:
@@ -312,7 +310,7 @@ def _n_list(text: str) -> str:
     return text
 
 
-_EXPECTS = {int: "an integer", float: "a number", bool: "true or false",
+_EXPECTS = {int: "an integer", float: "a finite number", bool: "true or false",
             _positive_int: "an integer >= 1",
             _n_list: "comma-separated integers >= 1"}
 
@@ -345,7 +343,8 @@ class Param:
             except ValueError:
                 pass
             else:
-                if self.choices is None or value in self.choices:
+                if (self.choices is None or value in self.choices) and (
+                        self.type is not float or math.isfinite(value)):
                     return value
         expects = (f"one of {', '.join(self.choices)}" if self.choices
                    else _EXPECTS[self.type])

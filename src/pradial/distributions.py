@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
-
-_BOOST_BLOCK = 1 << 16  # uniforms per block of the Gamma boost
+from .rng import RngStream, _row_blocks
 
 
 class ParameterError(ValueError):
@@ -39,21 +37,21 @@ def sample_gamma(a: float, rng: RngStream, size):
     Shapes below 1 go through the boosting identity
     Gamma(a) =d= Gamma(a+1) * U^(1/a), which stays exact for small a.  The
     uniforms follow all the Gamma draws in the stream, and are drawn and
-    applied in blocks of at most _BOOST_BLOCK cells.
+    applied in the blocks of rng._row_blocks.
     """
     _check_positive("shape a", a)
     gen = rng.gen
     g = gen.standard_gamma(a if a >= 1.0 else a + 1.0, size=size)
     if a < 1.0:
         flat = g.reshape(-1)
-        for i in range(0, flat.size, _BOOST_BLOCK):
-            u = gen.random(min(_BOOST_BLOCK, flat.size - i))
+        for b in _row_blocks(flat.size, 1):
+            u = gen.random(flat[b].size)
             # guard exact zeros from the uniform; measure-zero but log() below
             np.maximum(u, np.nextafter(0.0, 1.0), out=u)
             np.log(u, out=u)
             u /= a
             np.exp(u, out=u)
-            flat[i:i + u.size] *= u
+            flat[b] *= u
     return g
 
 

@@ -5,7 +5,7 @@ radial mixture law obtained by dividing an n-vector of generalized
 Gaussians by (||X||_p^p + W)^(1/p) for a mixing weight W.  The cone
 measure on the sphere is the case W = delta_0 and the uniform measure on
 the ball the case W = Exp(1).  At p = 2 X is drawn as N(0, 1/2); the
-sampler holds its output plus blocks of at most 2^16 cells of |X|^p and,
+sampler holds its output plus row blocks (rng._row_blocks) of |X|^p and,
 on the Gamma boost path (p > 1, p != 2), of uniforms.
 Also provides the norm-split statistic
 
@@ -33,13 +33,10 @@ from .distributions import (
     _check_counts,
     _check_positive,
 )
-from .rng import RngStream, _run_blocks
+from .rng import RngStream, _row_blocks, _run_blocks
 
 if TYPE_CHECKING:
     from .mcmc import ChainResult
-
-_PSI_BLOCK = 1 << 16  # (s, knot) pairs per row block of the tabulated psi
-_NORM_BLOCK = 1 << 16  # |x|^p cells per row block of _finish_sample
 
 
 @dataclass
@@ -67,15 +64,14 @@ def _finish_sample(x: np.ndarray, p: float, law: RadialLawW, rng: RngStream,
 
     The rows are divided in place and x becomes the sample's points, so the
     caller must pass an array it owns and does not read again; |x|^p is
-    summed one row block of at most _NORM_BLOCK cells at a time.
+    summed one row block of rng._row_blocks at a time.
     """
     w = sample_W(law, rng, size=len(x))
     r = np.empty(len(x))
-    step = max(1, _NORM_BLOCK // max(1, x.shape[-1]))
-    for i in range(0, len(x), step):
-        b = np.abs(x[i:i + step])
-        b **= p
-        np.sum(b, axis=-1, out=r[i:i + step])
+    for b in _row_blocks(len(x), x.shape[-1]):
+        a = np.abs(x[b])
+        a **= p
+        np.sum(a, axis=-1, out=r[b])
     x /= ((r + w) ** (1.0 / p))[:, None]
     return PBallSample(points=x, p=p, chain=chain, degree=degree)
 
@@ -122,6 +118,10 @@ class PsiSpec:
     m: float = 0.0
     law: RadialLawW | None = None
 
+    def __post_init__(self):
+        _check_positive("p", self.p)
+        _check_positive("n + m", self.n + self.m)
+
     @property
     def d(self) -> float:
         return (self.n + self.m) / self.p
@@ -141,7 +141,7 @@ def psi_density(spec: PsiSpec, s) -> np.ndarray:
     from scipy.special import gammaln
 
     s = np.asarray(s, dtype=float)
-    if np.any((s < 0) | (s > 1)):
+    if not np.all((s >= 0) & (s <= 1)):  # a nan fails both
         raise ParameterError("psi is defined on [0, 1]")
     law = spec.law or RadialLawW.exponential()
     d = spec.d
@@ -180,11 +180,11 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
     gamma P(k+1, t w), one P(d+2, .) per (s, knot) pair and
     P(d+1, x) = P(d+2, x) + x^(d+1) e^{-x} / Gamma(d+2).  Where
     t max w < 1e-8, e^{-t w} is 1 - t w to O((t w)^2) and two polynomial
-    moments give the integral.  The atoms are summed over row blocks of at
-    most _PSI_BLOCK (s, atom) pairs.
+    moments give the integral.  The atoms are summed over the row blocks of
+    rng._row_blocks, (s, atom) pairs its cells.
 
-    The other rows of the grid part go in blocks of at most _PSI_BLOCK
-    pairs to rng._run_blocks, one worker per CPU.  Each worker works in
+    The other rows of the grid part go in row blocks of (s, knot) pairs to
+    rng._run_blocks, one worker per CPU.  Each worker works in
     three block-sized buffers of the runner's scratch and adds only into
     val at its own blocks' rows.  The blocks and each row's arithmetic are
     those of a serial loop, so psi has the same bits on any number of CPUs.
@@ -199,10 +199,8 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
         at, wgt = np.array(law.atoms, dtype=float).T
         pos = at > 0.0  # an atom at 0 adds w^d = 0 for d > 0
         at, wgt, log_at = at[pos], wgt[pos], d * np.log(at[pos])
-        rows = max(1, _PSI_BLOCK // max(1, at.size))
-        for i in range(0, t.size, rows):
-            val[i:i + rows] += np.exp(
-                log_at - np.multiply.outer(t[i:i + rows], at)) @ wgt
+        for b in _row_blocks(t.size, at.size):
+            val[b] += np.exp(log_at - np.multiply.outer(t[b], at)) @ wgt
     if law.grid is not None:
         w, r = law.grid, law.density
         slope = np.diff(r) / np.diff(w)
@@ -213,8 +211,7 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
                for k in (d, d + 1.0)]  # int w^k (intercept + slope w) dw
         val[poly] += mom[0] - t[poly] * mom[1]
         rest = np.flatnonzero(~poly)
-        rows = max(1, _PSI_BLOCK // w.size)
-        blocks = np.split(rest, range(rows, rest.size, rows))
+        blocks = _row_blocks(rest.size, w.size)
         g1, g2 = gammaln(d + 1.0), gammaln(d + 2.0)
 
         def run(mine, work):
@@ -223,7 +220,7 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
             # block-sized buffers: t w, P(d+2, t w) and P(d+1, t w); the
             # first and last then take the rises of P(d+1) and P(d+2)
             work = work.reshape(3, -1)
-            for blk in mine:
+            for blk in (rest[b] for b in mine):
                 x, p2, p1 = (a[:blk.size * w.size].reshape(blk.size, w.size)
                              for a in work)
                 np.multiply(t[blk, None], w, out=x)
@@ -246,7 +243,7 @@ def _psi_tabulated(spec: PsiSpec, law: RadialLawW, s: np.ndarray) -> np.ndarray:
 
         # a one-block call, such as each scalar call that
         # psi_normalization_defect's quadrature makes, starts no thread
-        _run_blocks(blocks, run, 3 * min(rows, rest.size) * w.size)
+        _run_blocks(blocks, run, 3 * blocks[0].stop * w.size)
     out = val * np.exp(-(d + 1.0) * np.log1p(-sp) - gammaln(d + 1.0))
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 

@@ -37,10 +37,8 @@ from .distributions import (ParameterError, RadialLawW, _check_counts,
                             _check_positive)
 from .lpgeom import PBallSample, _finish_sample
 from .mcmc import mcmc_sample
-from .rng import RngStream, _run_blocks
+from .rng import RngStream, _row_blocks, _run_blocks
 from .weights import family_weight
-
-_SPECTRA_BLOCK = 1 << 16  # rows times n^2 per block of dsterf calls
 
 
 def _log_weyl_terms(n: int, beta: float) -> tuple[float, float]:
@@ -138,9 +136,9 @@ def beta_ensemble_spectra(family: str, n: int, beta: float, rng: RngStream,
     smallest below 0, where the law has no mass, so they are clipped at 0.
 
     Each row costs O(n) variates and one LAPACK dsterf call on the
-    tridiagonal; at n = 1 the spectrum is the diagonal.  Blocks of at most
-    _SPECTRA_BLOCK / n^2 rows go to rng._run_blocks, one thread per CPU,
-    and give the same bits on any number of CPUs.
+    tridiagonal; at n = 1 the spectrum is the diagonal.  The row blocks of
+    rng._row_blocks, n^2 cells a row, go to rng._run_blocks, one thread
+    per CPU, and give the same bits on any number of CPUs.
     """
     if family not in ("H", "M"):
         raise ParameterError(f"family must be 'H' or 'M', got {family!r}")
@@ -162,21 +160,21 @@ def beta_ensemble_spectra(family: str, n: int, beta: float, rng: RngStream,
         off = b_diag[:, :-1] * b_sub / 2.0
     if n > 1:
         # each row of diag becomes its sorted eigenvalues, in place
-        dsterf, rows = _dsterf(), max(1, _SPECTRA_BLOCK // n ** 2)
+        dsterf = _dsterf()
         d_at, e_at = (range(a.ctypes.data, a.ctypes.data + a.nbytes,
                             a.strides[0]) for a in (diag, off))
 
         def run(mine, _):
             ni = np.array([n, 0], dtype=np.intc)  # n and this worker's info
             n_at, info_at = ni.ctypes.data, ni.ctypes.data + ni.itemsize
-            for lo in mine:
-                for d, e in zip(d_at[lo:lo + rows], e_at[lo:lo + rows]):
+            for b in mine:
+                for d, e in zip(d_at[b], e_at[b]):
                     dsterf(n_at, d, e, info_at)
                     if ni[1]:
                         raise np.linalg.LinAlgError(
                             f"dsterf returned info {ni[1]}")
 
-        _run_blocks(range(0, size, rows), run)
+        _run_blocks(_row_blocks(size, n * n), run)
     if family == "M":
         np.maximum(diag, 0.0, out=diag)
     return diag

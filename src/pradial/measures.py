@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .distributions import ParameterError, _check_positive, gen_gaussian_logpdf
+from .rng import _row_blocks
 
-_ATOM_BLOCK = 1 << 18  # pairs per row block of the atom log-energy
 _ENERGY_TOL = 1e-8  # absolute convergence bar of an analytic log-energy
 
 
@@ -209,8 +209,8 @@ def _psi_cell(s: np.ndarray) -> np.ndarray:
 def log_energy(mu: MeasureRep) -> float:
     """The logarithmic energy -int int log|x - y| mu(dx) mu(dy).
 
-    Atoms: pairwise sum off the diagonal, over row blocks of the sorted
-    atoms; coincident atoms give +inf.
+    Atoms: pairwise sum off the diagonal, over the row blocks of
+    rng._row_blocks of the sorted atoms; coincident atoms give +inf.
     Grid: the trapezoid cell masses m, spread uniformly over their cells
     [a_i, b_i] of width w_i, give E = -m^T L m with
 
@@ -234,11 +234,10 @@ def log_energy(mu: MeasureRep) -> float:
             return np.inf
         # the standard convention for empirical measures drops the
         # diagonal; pairs j <= i get distance 1, so a block adds pairs i < j
-        rows = max(1, _ATOM_BLOCK // x.size)
         total = 0.0
-        for lo in range(0, x.size - 1, rows):
-            d = x[lo + 1:] - x[lo:lo + rows, None]
-            total += w[lo:lo + rows] @ np.log(np.where(d > 0.0, d, 1.0)) @ w[lo + 1:]
+        for b in _row_blocks(x.size - 1, x.size):
+            d = x[b.start + 1:] - x[b, None]
+            total += w[b] @ np.log(np.where(d > 0.0, d, 1.0)) @ w[b.start + 1:]
         return float(-2.0 * total)
 
     if mu.kind == "grid":

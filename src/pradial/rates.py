@@ -78,10 +78,10 @@ class RateFnSpec:
         if self.target not in TARGETS:
             raise ParameterError(f"unknown rate target {self.target!r}")
         _check_positive("p", self.p)
-        if self.alpha < 0:
-            raise ParameterError("alpha must be >= 0")
-        if self.c > 0:
-            raise ParameterError("correction c must be <= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ParameterError("alpha must be finite and >= 0")
+        if not -np.inf < self.c <= 0:
+            raise ParameterError("correction c must be finite and <= 0")
         if self.ktheta not in ("critical", "greater"):
             raise ParameterError("ktheta must be 'critical' or 'greater'")
         # the matrix families take beta in {1, 2, 4}

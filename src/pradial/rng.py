@@ -4,7 +4,8 @@ Streams are keyed by a (seed, stream_id) pair on top of the counter-based
 Philox generator, so distinct stream ids give statistically independent
 sequences and the same pair always reproduces the same draws.  A single
 stream must not be shared between threads; parallel work splits streams.
-_cpus counts the CPUs such work may use and _run_blocks runs it on them.
+_row_blocks cuts every row loop of the package into blocks, _cpus counts
+the CPUs such work may use and _run_blocks runs the blocks on them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 # Children of stream s are s*_SPLIT_FANOUT + 1 + i, so the id space forms a
 # tree and independently split streams never collide.
 _SPLIT_FANOUT = 1 << 20
+_BLOCK = 1 << 16  # cells a row block may hold, in every blocked loop
 
 
 def _cpus() -> int:
@@ -26,6 +28,13 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _row_blocks(rows: int, width: int, cells: int = _BLOCK) -> list[slice]:
+    """In-order slices of range(rows) of at most cells cells, width a row
+    (0 counts as 1), and at least one row; one empty slice at rows 0."""
+    step = max(1, cells // max(1, width))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows or 1, step)]
 
 
 def _run_blocks(blocks, run, scratch: int = 0) -> None:

@@ -30,36 +30,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ParameterError
+from .rng import _row_blocks
 
 KINDS = ("one", "delta", "nabla", "power")
 
 # family -> (its weight's kind, d): the family's law has the exponent p / d
 FAMILIES = {"euclid": ("one", 1.0), "H": ("delta", 1.0), "M": ("nabla", 2.0)}
 
-_PAIR_BLOCK = 1 << 16  # (row, pair) cells per row block of log_delta_beta
-
 
 def log_delta_beta(x: np.ndarray, beta: float) -> float:
     """log of prod_{i<j} |x_i - x_j|^beta over the last axis; -inf on ties,
     and 0 for every row when there are no pairs (n < 2).
 
-    The pairs are taken directly as x_i - x_j in triu_indices order, in row
-    blocks of at most _PAIR_BLOCK pair cells, so the work space stays small
-    however many rows x holds.  x is not modified.
+    The pairs are taken directly as x_i - x_j in triu_indices order, in the
+    row blocks of rng._row_blocks, pairs its cells, so the work space stays
+    small however many rows x holds.  x is not modified.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     i, j = np.triu_indices(n, k=1)
     rows = x.reshape(math.prod(x.shape[:-1]), n)
     out = np.empty(rows.shape[0])
-    step = max(1, _PAIR_BLOCK // max(i.size, 1))
     with np.errstate(divide="ignore"):
-        for lo in range(0, rows.shape[0], step):
-            blk = rows[lo:lo + step]
-            d = blk[:, i]
-            d -= blk[:, j]
+        for b in _row_blocks(rows.shape[0], i.size):
+            d = rows[b, i]
+            d -= rows[b, j]
             np.log(np.abs(d, out=d), out=d)
-            np.sum(d, axis=-1, out=out[lo:lo + step])
+            np.sum(d, axis=-1, out=out[b])
     out *= beta
     out = out.reshape(x.shape[:-1])
     return out if out.ndim else float(out)
@@ -95,6 +92,8 @@ class WeightFn:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown weight kind {self.kind!r}")
+        if not np.isfinite(self.beta):
+            raise ParameterError(f"beta must be finite, got {self.beta}")
         if self.kind in ("delta", "nabla") and self.beta <= 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.kind == "power" and self.beta <= -1:

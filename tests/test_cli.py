@@ -1155,6 +1155,35 @@ class TestParameterTable:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        # each ran: these two exited 0 and wrote "nan"
+        (["rate", "--target", "beta-euclid", "--alpha", "nan", "--x", "0.5"],
+         "--alpha"),
+        (["rate", "--target", "beta-H", "--c", "nan", "--x", "0.5"], "--c"),
+        # drew, then exited 3 on an ess of 0
+        (["norm-const", "--weight", "delta", "--beta", "nan", "--n", "3",
+          "--count", "5"], "--beta"),
+        # exited 2 naming an internal b
+        (["ldp-verify", "--alpha-rate", "nan"], "--alpha-rate"),
+        (["sample", "--target", "cone", "--n", "3", "--p", "inf"], "--p"),
+        (["test-norm-law", "--target", "euclid", "--n", "3",
+          "--ks-pvalue-threshold=-inf"], "--ks-pvalue-threshold"),
+        (["rate", "--target", "beta-euclid", "--config", "c.json"], "--x-max"),
+        (["sample", "--target", "cone", "--n", "3", "--config", "c.json"],
+         "--theta"),
+    ])
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        # json reads NaN and Infinity as floats
+        (tmp_path / "c.json").write_text('{"x_max": NaN, "theta": Infinity}')
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{flag} expects a finite number")
+        assert not out.exists()
+
     def test_config_values_parsed_like_flags(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"target": "cone", "n": "3", "p": 2, "count": 5,'

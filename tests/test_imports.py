@@ -1,6 +1,7 @@
 """Every name that a module of src/pradial or of the tests imports is used
-there, importing pradial loads no scipy module, and no command loads
-scipy's heavy subpackages before it needs them.
+there, importing pradial loads no scipy module, no command loads scipy's
+heavy subpackages before it needs them, and one runner alone starts
+threads and one writer alone processes.
 
 The first stands in for a linter's unused-import rule."""
 
@@ -186,3 +187,58 @@ def test_fresh_process_loads_no_heavy_subpackage(code, names):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert heavy(proc.stdout.split(), names) == []
+
+
+# README, "More than one CPU": one runner starts threads and one writer
+# worker processes, and nothing else starts either.  A name in SPAWNERS,
+# read, called or imported, and an import of a module in PROCESSES each
+# count as starting one
+SPAWNERS = ("Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor",
+            "start_new_thread", "fork", "forkpty", "posix_spawn", "system",
+            "popen", "Popen")
+PROCESSES = ("multiprocessing", "subprocess")
+STARTERS = {"rng._run_blocks: Thread", "cli.write_csv: ProcessPoolExecutor"}
+
+
+def spawns(module: str, source: str) -> set[str]:
+    """"where: name" for each thread or process starter a module names,
+    where being the module's top-level function or class it sits in, or
+    the module itself."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] + [a.name for a in child.names]
+            else:
+                names = [getattr(child, "id", getattr(child, "attr", ""))]
+            found.update(f"{where}: {name}" for name in names
+                         if name in SPAWNERS
+                         or name.split(".")[0] in PROCESSES)
+            top = (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)) and where == module)
+            visit(child, f"{module}.{child.name}" if top else where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_checker_finds_spawns():
+    source = ("import threading, subprocess\n"
+              "from concurrent.futures import ProcessPoolExecutor as P\n"
+              "start = threading.local()\n"
+              "def f():\n    t = threading.Thread(target=g)\n"
+              "    def g():\n        os.fork()\n"
+              "class A:\n    def m(self):\n        return P(2)\n")
+    # P(2) in A.m is seen at its import
+    assert spawns("m", source) == {
+        "m: subprocess", "m: ProcessPoolExecutor", "m.f: Thread", "m.f: fork"}
+
+
+def test_only_the_runner_and_the_writer_start_threads_or_processes():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= spawns(path.stem, path.read_text())
+    assert found == STARTERS

@@ -227,6 +227,27 @@ class TestPsi:
             psi_density(tab, [0.5, 1.0])
 
     @pytest.mark.parametrize("law", [
+        RadialLawW(theta=0.2, alpha=2.0),
+        RadialLawW.exponential(),
+        RadialLawW.dirac(),
+        RadialLawW.tabulated(atoms=[(0.5, 1.0)]),
+        RadialLawW.tabulated(grid=[0.0, 2.0], density=[0.5, 0.5]),
+    ])
+    @pytest.mark.parametrize("s", [np.nan, np.inf, [0.5, np.nan]])
+    def test_non_finite_s_is_refused(self, law, s):
+        # a nan passed both bound checks and came back a density: 2.0
+        # for this mixture, 1.0 for Exp(1) and 0.0 for the Dirac law
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            psi_density(PsiSpec(n=3, p=2.0, law=law), s)
+
+    @pytest.mark.parametrize("kw", [dict(n=3, p=-2.0), dict(n=3, p=0.0),
+                                    dict(n=3, p=np.nan), dict(n=2, m=-2.0, p=2.0),
+                                    dict(n=1, m=-3.0, p=2.0)])
+    def test_spec_is_refused(self, kw):
+        with pytest.raises(ParameterError):
+            PsiSpec(**kw)
+
+    @pytest.mark.parametrize("law", [
         RadialLawW.dirac(),
         RadialLawW.exponential(),
         RadialLawW(alpha=2.5),

@@ -13,6 +13,7 @@ import numpy as np
 from pradial.distributions import RadialLawW
 from pradial.lpgeom import PsiSpec, psi_density, sample_pnpw
 from pradial.mcmc import estimate_norm_const
+from pradial.measures import MeasureRep, log_energy
 from pradial.rng import RngStream
 from pradial.weights import WeightFn, log_delta_beta
 
@@ -78,4 +79,13 @@ def test_tabulated_psi_sums_atoms_in_row_blocks():
     s = np.sort(0.97 * gen.random(2000))
     psi_density(spec, s[:1])  # the first call imports scipy.special
     _, peak = traced_peak(lambda: psi_density(spec, s))
+    assert peak < 4 * 2 ** 16 * 8
+
+
+def test_atom_log_energy_sums_in_row_blocks():
+    # 4000 atoms: the pairs of all rows at once would take 128 MB.  A row
+    # block of 2^16 pairs takes 0.5 MiB, and its difference, log and
+    # masked copy 1.5 MiB; blocks of 2^18 pairs took 6 MiB
+    mu = MeasureRep.from_atoms(np.random.default_rng(3).standard_normal(4000))
+    _, peak = traced_peak(lambda: log_energy(mu))
     assert peak < 4 * 2 ** 16 * 8

@@ -35,6 +35,11 @@ class TestRateFnSpec:
             RateFnSpec(target="beta-euclid", p=2.0, ktheta="sometimes")
         with pytest.raises(ParameterError):
             RateFnSpec(target="beta-H", p=2.0, beta=3.0)
+        # alpha < 0 and c > 0 are false for nan, so each constructed
+        for field, value in (("alpha", np.nan), ("alpha", np.inf),
+                             ("c", np.nan), ("c", -np.inf), ("beta", np.nan)):
+            with pytest.raises(ParameterError):
+                RateFnSpec(target="beta-euclid", p=2.0, **{field: value})
 
     def test_gates(self):
         assert RateFnSpec(target="beta-euclid", p=4.0).gate == 0.25

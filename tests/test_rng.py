@@ -1,6 +1,7 @@
 import numpy as np
+from hypothesis import given, strategies as st
 
-from pradial.rng import RngStream
+from pradial.rng import _BLOCK, RngStream, _row_blocks
 
 
 def test_reproducible_bit_pattern():
@@ -44,3 +45,26 @@ def test_split_streams_look_independent():
     y = b.gen.random(20000)
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.03
+
+
+@given(rows=st.integers(0, 400), width=st.integers(0, 60),
+       cells=st.integers(1, 300))
+def test_row_blocks_cut_rows_in_order_within_the_budget(rows, width, cells):
+    blocks = _row_blocks(rows, width, cells)
+    assert blocks[0].start == 0 and blocks[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    # as many rows as fit in cells, at least one, and fewer only at the end
+    step = max(1, cells // max(1, width))
+    assert all(size == step for size in sizes[:-1])
+    assert 1 <= sizes[-1] <= step or rows == 0
+    assert all(size * max(1, width) <= cells or size == 1 for size in sizes)
+
+
+def test_row_blocks_edges():
+    assert _row_blocks(0, 7) == [slice(0, 0)]
+    assert _row_blocks(5, 0, 2) == _row_blocks(5, 1, 2)
+    assert _row_blocks(3, 10, 4) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert _row_blocks(2 * _BLOCK + 1, 1) == [
+        slice(0, _BLOCK), slice(_BLOCK, 2 * _BLOCK),
+        slice(2 * _BLOCK, 2 * _BLOCK + 1)]

@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pradial import weights
+from pradial import rng
 from pradial.distributions import ParameterError
-from pradial.weights import (WeightFn, family_weight, log_delta_beta,
-                             log_nabla_beta)
+from pradial.weights import (KINDS, WeightFn, family_weight,
+                             log_delta_beta, log_nabla_beta)
 
 
 def dense_log_delta(x, beta):
@@ -46,7 +46,7 @@ class TestBlockedPairs:
     def test_rows_not_a_multiple_of_the_block(self, beta):
         # n = 9 has 36 pairs, 1820 rows a block; 5000 rows leave 1360
         x = draws((5000, 9))
-        step = weights._PAIR_BLOCK // 36
+        step = rng._BLOCK // 36
         assert x.shape[0] % step and x.shape[0] > 2 * step
         assert same(log_delta_beta(x, beta), dense_log_delta(x, beta))
         assert same(log_nabla_beta(x, beta), dense_log_nabla(x, beta))
@@ -120,7 +120,9 @@ class TestWeightFn:
 
     @pytest.mark.parametrize("kind, beta", [
         ("frob", 2.0), ("delta", 0.0), ("delta", -1.0), ("nabla", 0.0),
-        ("nabla", -2.0), ("power", -1.0), ("power", -1.5)])
+        ("nabla", -2.0), ("power", -1.0), ("power", -1.5),
+        # each bound check is false for nan, and power took +inf
+        *((kind, beta) for kind in KINDS for beta in (np.nan, np.inf))])
     def test_invalid_weights(self, kind, beta):
         with pytest.raises(ParameterError):
             WeightFn(kind, beta)
