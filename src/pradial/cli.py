@@ -50,7 +50,7 @@ from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import sample_spectra
 from .mcmc import estimate_norm_const
 from .measures import MeasureRep
-from .rng import RngStream, _cpus, _row_blocks
+from .rng import _BLOCK, RngStream, _row_blocks, _run_blocks
 from .weights import KINDS, WeightFn
 from . import rates
 
@@ -60,18 +60,19 @@ EXIT_STAT = 3
 
 # cells formatted per block, 48 canvas bytes each: bounds the objects alive
 _CSV_BLOCK_CELLS = 1 << 14
-# tables above this many cells are formatted in worker processes: below
-# it, starting the workers costs more than they save
-_CSV_PARALLEL_CELLS = 1 << 19
 
 
-def _format_block(block) -> str:
-    """The CSV text of a block of rows, a float array or a list of tuples.
-    Private, so that a tracer that wraps the public functions leaves it
-    picklable by name."""
-    if isinstance(block, np.ndarray):
-        return _float_text(block)
-    return "".join([",".join(map(format, row)) + "\n" for row in block])
+def _format_block(block, scratch=None):
+    """The CSV text of a block of rows, a float array or a list of tuples:
+    bytes, a float array's in scratch (see _float_text), or without
+    scratch a str."""
+    if not isinstance(block, np.ndarray):
+        text = "".join([",".join(map(format, row)) + "\n" for row in block])
+        return text if scratch is None else text.encode()
+    if scratch is None:
+        scratch = np.empty(block.size * _WIDTH // 4)
+        return _float_text(block, scratch).tobytes().decode()
+    return _float_text(block, scratch)
 
 
 # --- shortest round-trip text of float cells, in numpy --------------------------
@@ -134,37 +135,27 @@ def _scale(a, e, hi, lo):
     return p.astype(np.int64) + ft.astype(np.int64), t - ft
 
 
-# the canvas is kept while the block size stays the same, so that each block
-# writes into pages already mapped; one per thread, as two threads
-# formatting at once must not share it.  write_csv drops it when a serial
-# write ends: kept between tables, it pins the heap and raises peak RSS
-_canvas = threading.local()
-
-
-def _canvas_of(cells):
-    """This thread's bytearray of cells * _WIDTH bytes and a (cells, _WIDTH)
-    uint8 view of it."""
-    buf = getattr(_canvas, "buf", None)
-    if buf is None or len(buf) != cells * _WIDTH:
-        buf = _canvas.buf = bytearray(cells * _WIDTH)
-    return buf, np.frombuffer(buf, np.uint8).reshape(cells, _WIDTH)
-
-
 def _repr_cells(values):
-    """repr of each value, NUL-padded to 24 bytes: the kernel's fallback."""
-    return np.array([repr(v) for v in values.tolist()], "S24") \
-        .view(np.uint8).reshape(-1, 24)
+    """repr of each value laid out as _WIDTH canvas bytes: the fallback."""
+    return np.array([repr(v).encode().ljust(44, b"\0") + b","
+                     for v in values.tolist()], "S48").view(np.uint8)
 
 
-def _float_text(block) -> str:
-    """The CSV text of a 2-D float block, each cell ``repr(float(v))``."""
+def _float_text(block, scratch):
+    """The CSV text of a 2-D float block, each cell ``repr(float(v))``, as
+    uint8 in scratch, floats of twice _WIDTH bytes a cell: the first half
+    is a canvas of _WIDTH bytes a cell, zero where no text goes, and the
+    second takes the digit chunks, then the canvas's nonzero bytes."""
     pow_hi, pow_lo, four, expo, layouts = _text_tables()
     rows, cols = block.shape
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    canvas, spare = scratch[:v.size * _WIDTH // 4].reshape(2, -1)
+    canvas = canvas.view(np.uint8).reshape(v.size, _WIDTH)
     a = np.abs(v)
-    mant, ex = np.frexp(a)
-    fast = np.flatnonzero((a > 1e-280) & (a < 1e280) & (mant != 0.5))
-    a, ex = a[fast], ex[fast]
+    # repr writes the other cells; 1.0 stands in for them until it does
+    fast = (a > 1e-280) & (a < 1e280) & (np.frexp(a)[0] != 0.5)
+    a[~fast] = 1.0
+    ex = np.frexp(a)[1]
     e = np.floor(np.log10(a)).astype(np.int64)
     hi, lo = pow_hi[e - _E_MIN], pow_lo[e - _E_MIN]
     N, f = _scale(a, e, hi, lo)
@@ -176,53 +167,54 @@ def _float_text(block) -> str:
     h = np.ldexp(hi, ex - 54)
     # the nearest multiples of 100 and 10: at most one multiple of 100 fits
     # in the interval, and when one does, its trailing zeros set j
-    r100 = N % 100
-    r10 = r100 % 10
+    r100 = N - N // 100 * 100
+    r10 = r100 - r100 // 10 * 10
     lo100, lo10 = r100 + f, r10 + f
     up100, up10 = lo100 > 50, lo10 > 5
-    d100 = np.where(up100, 100 - lo100, lo100)
-    d10 = np.where(up10, 10 - lo10, lo10)
+    d100, d10 = np.minimum(lo100, 100 - lo100), np.minimum(lo10, 10 - lo10)
     sure = ((np.abs(d100 - h) > _MARGIN) & (np.abs(d10 - h) > _MARGIN)
             & (np.abs(lo10 - 5) > _MARGIN) & (np.abs(f - 0.5) > _MARGIN))
     in100, in10 = d100 < h, d10 < h
     m = np.where(in100, N - r100 + 100 * up100,
                  np.where(in10, N - r10 + 10 * up10, N + (f > 0.5)))
-    fast, m, e, in100, in10 = (x[sure] for x in (fast, m, e, in100, in10))
     top = m == 10 ** 17
     m[top] = 10 ** 16
-    decpt = e + 1 + top
     # k significant digits: 17, 16, or 17 less the trailing zeros of m
-    k = np.where(in10, 16, 17)
+    k = 17 - in10
     w = np.flatnonzero(in100)
     q, k[w] = m[w] // 100, 15
     while w.size:
         w, q = w[q % 10 == 0], q[q % 10 == 0] // 10
         k[w] -= 1
+    decpt = e + 1 + top
+    # the digits' temporaries go before the canvas is laid out
+    del a, e, hi, lo, N, f, h, r100, r10, lo100, lo10, d100, d10
     # digit 0, then digits 1-16 in four chunks of four
     d0 = m // 10 ** 16
-    chunks = np.empty((m.size, 4), np.int64)
-    chunks[:, 0] = m - d0 * 10 ** 16
-    chunks[:, 2] = chunks[:, 0] - chunks[:, 0] // 10 ** 8 * 10 ** 8
-    chunks[:, 0] //= 10 ** 8
-    chunks[:, 1::2] = chunks[:, 0::2] - chunks[:, 0::2] // 10 ** 4 * 10 ** 4
-    chunks[:, 0::2] //= 10 ** 4
+    chunks = spare[:4 * m.size].view(np.int64).reshape(4, m.size)
+    chunks[0] = m - d0 * 10 ** 16
+    chunks[2] = chunks[0] - chunks[0] // 10 ** 8 * 10 ** 8
+    chunks[0] //= 10 ** 8
+    chunks[1::2] = chunks[0::2] - chunks[0::2] // 10 ** 4 * 10 ** 4
+    chunks[0::2] //= 10 ** 4
     cls = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
                    np.where(np.abs(decpt - 1) < 100, 20, 21))
-    buf, canvas = _canvas_of(v.size)
     # mode="clip" writes straight into out; the indices are in range
-    body = np.take(layouts, (cls * 17 + k - 1) * 2 + (v[fast] < 0), axis=0,
-                   out=canvas if fast.size == v.size else None, mode="clip")
-    body[:, 6] &= (d0 + ord("0")).astype(np.uint8)
-    body.view(np.uint64)[:, 1:5] &= np.take(four, chunks)
-    body.view(np.uint32)[:, 10] &= expo[decpt + 399]
-    if fast.size < v.size:
-        canvas[fast] = body
-        slow = np.setdiff1d(np.arange(v.size), fast)
-        canvas[slow] = 0
-        canvas[slow, :24] = _repr_cells(v[slow])
-        canvas[slow, 44] = ord(",")
+    np.take(layouts, (cls * 17 + k - 1) * 2 + (v < 0), axis=0, out=canvas,
+            mode="clip")
+    canvas[:, 6] &= (d0 + ord("0")).astype(np.uint8)
+    for c, chunk in enumerate(chunks, 1):  # numpy's loop then runs down rows
+        canvas.view(np.uint64)[:, c] &= four[chunk]
+    canvas.view(np.uint32)[:, 10] &= expo[decpt + 399]
+    slow = np.flatnonzero(~(fast & sure))
+    canvas[slow] = _repr_cells(v[slow]).reshape(-1, _WIDTH)
     canvas.reshape(rows, cols, _WIDTH)[:, -1, 44] = ord("\n")
-    return buf.translate(None, b"\0").decode("ascii")
+    # gathered without the GIL, in pieces that bound the index of kept bytes
+    flat, text, n = canvas.reshape(-1), spare.view(np.uint8), 0
+    for b in _row_blocks(flat.size, 1):
+        i = np.flatnonzero(flat[b] != 0)
+        n += np.take(flat[b], i, out=text[n:n + i.size], mode="clip").size
+    return text[:n]
 
 
 def write_csv(path: Path, header, rows):
@@ -238,34 +230,42 @@ def write_csv(path: Path, header, rows):
     ``format``, which gives that same text for numpy scalars too, whatever
     numpy's print options.
 
-    Formatting still costs more than the exact draws it writes, so a table
-    of more than 2^19 cells, on a process that may use two or more CPUs,
-    has its blocks formatted by one worker process per CPU.  Blocks go to
-    the workers by pickle and come back in order, at most four per worker
-    in flight, so the bytes and the parent's memory are those of the
-    serial loop.  No worker outlives the call, whether it returns or
-    raises.
+    Formatting costs more than the exact draws it writes, so a table of
+    more than rng._BLOCK cells is formatted on rng._run_blocks, one thread
+    per CPU; a smaller one, a few ms of work, stays on the calling thread,
+    where it leaves no second malloc arena behind.  A worker formats each
+    of its blocks into its runner scratch and writes the bytes once the
+    blocks before it are written, so the file is that of a serial loop;
+    a failed worker wakes every waiting one, and the caller gets its error.
     """
-    blocks = _row_blocks(len(rows), len(header), _CSV_BLOCK_CELLS)
-    workers = min(_cpus(), len(blocks))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        if len(rows) * len(header) <= _CSV_PARALLEL_CELLS or workers < 2:
-            try:
-                fh.writelines(_format_block(rows[b]) for b in blocks)
-            finally:
-                vars(_canvas).pop("buf", None)
-            return
-        from collections import deque
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers) as pool:
-            pending = deque()
-            for b in blocks:
-                pending.append(pool.submit(_format_block, rows[b]))
-                if len(pending) == 4 * workers:
-                    fh.write(pending.popleft().result())
-            for future in pending:
-                fh.write(future.result())
+    jobs = list(enumerate(_row_blocks(len(rows), len(header),
+                                      _CSV_BLOCK_CELLS)))
+    size = jobs[0][1].stop * len(header) * _WIDTH // 4  # floats a worker
+    turn, written = threading.Condition(), [0]  # -1 once a worker failed
+
+    def run(mine, scratch):
+        try:
+            for k, b in mine:
+                text = _format_block(rows[b], scratch)
+                with turn:
+                    turn.wait_for(lambda: written[0] in (k, -1))
+                    if written[0] < 0:
+                        return
+                    fh.write(text)
+                    written[0] += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                written[0] = -1
+                turn.notify_all()
+            raise
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if len(rows) * len(header) > _BLOCK:
+            _run_blocks(jobs, run, size)
+        else:
+            run(jobs, np.empty(size))
 
 
 def _strict(o):

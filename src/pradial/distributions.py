@@ -155,22 +155,22 @@ class RadialLawW:
                 _check_positive("alpha", self.alpha)
             return
         self.atoms = list(self.atoms or [])
-        if any(x < 0.0 for x, _ in self.atoms):
-            raise ParameterError("tabulated atoms must lie in [0, inf)")
-        # a negative weight can hide in a total of 1, a nan in any total
-        if not all(0.0 <= w < np.inf for _, w in self.atoms):
-            raise ParameterError("tabulated atom weights must be finite "
-                                 "and nonnegative")
+        # a negative weight can hide in a total of 1; nan fails each test
+        if not all(0.0 <= x < np.inf and 0.0 <= w < np.inf
+                   for x, w in self.atoms):
+            raise ParameterError("tabulated atoms must lie in [0, inf) and "
+                                 "weigh a finite nonnegative mass")
         total = sum(w for _, w in self.atoms)
         if self.grid is not None:
             self.grid = np.asarray(self.grid, dtype=float)
             self.density = np.asarray(self.density, dtype=float)
-            if (self.grid[0] < 0.0 or np.any(np.diff(self.grid) <= 0.0)
+            if (not (0.0 <= self.grid[0] and self.grid[-1] < np.inf
+                     and np.all(np.diff(self.grid) > 0.0))
                     or self.density.shape != self.grid.shape):
-                raise ParameterError("tabulated grid knots must be >= 0, rise "
-                                     "strictly and carry one density value each")
-            if np.any(self.density < 0):
-                raise ParameterError("tabulated density must be nonnegative")
+                raise ParameterError("tabulated grid knots must be finite, "
+                                     ">= 0, rising, one density value each")
+            if not np.all((self.density >= 0.0) & (self.density < np.inf)):
+                raise ParameterError("tabulated density must be finite, >= 0")
             total += np.trapezoid(self.density, self.grid)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"tabulated masses sum to {total}, not 1")

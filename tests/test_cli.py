@@ -5,10 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -236,28 +236,65 @@ class TestFloatText:
         assert sum(seen) <= x.size / 1000
 
 
-def test_float_text_threads_keep_their_own_canvas():
-    # each thread reuses a canvas for blocks of one size: threads that
-    # format same-sized blocks at once, switching often, must not share it
-    from concurrent.futures import ThreadPoolExecutor
+@pytest.fixture
+def switching():
+    """Threads switch every microsecond, so that state two of them share
+    shows in what they write."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+def on_cpus(monkeypatch, k):
+    """Make the process's affinity set read as k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                        raising=False)
+
+
+def within(seconds, call):
+    """What call() raises, None if it returns; fails the test if call has
+    not ended after the given seconds.  It runs on a daemon thread, so a
+    call that hangs does not hold up the test run."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return raised[0] if raised else None
+
+
+def test_float_text_threads_keep_their_own_canvas(monkeypatch, switching):
+    # each worker of the runner formats into its own scratch: six workers
+    # that format same-sized blocks at once, switching often, must not
+    # share it
+    from pradial.rng import _run_blocks
 
     blocks = [np.random.default_rng(s).standard_normal((400, 3)) ** 3
               for s in range(6)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(6) as pool:
-            got = list(pool.map(lambda b: [cli._format_block(b)
-                                           for _ in range(20)], blocks))
-    finally:
-        sys.setswitchinterval(old)
-    for b, texts in zip(blocks, got):
-        assert set(texts) == {repr_text(b)}
+    got = {}
+
+    def run(mine, scratch):
+        for k in mine:
+            got[k] = {cli._format_block(blocks[k], scratch).tobytes()
+                      for _ in range(20)}
+
+    on_cpus(monkeypatch, 6)
+    assert within(120, lambda: _run_blocks(
+        range(6), run, blocks[0].size * cli._WIDTH // 4)) is None
+    assert got == {k: {repr_text(b).encode()} for k, b in enumerate(blocks)}
 
 
 def _big_table(kind):
-    """A table of just over 2^20 cells, big enough to be formatted in
-    worker processes."""
+    """A table of 13 blocks or more: 21 000 rows of 50 floats, or 30 000
+    of 7 mixed cells."""
     rng = np.random.default_rng(9)
     if kind == "float64":
         x = rng.standard_normal((21_000, 50)) ** 9
@@ -267,105 +304,83 @@ def _big_table(kind):
         return x
     if kind == "float32":
         return (rng.standard_normal((21_000, 50)) * 1e-3).astype(np.float32)
-    u = rng.standard_normal(150_000)
+    u = rng.standard_normal(30_000)
     return [(i, float(v), np.float64(v / 3), "" if i % 2 else "a",
              _SPECIAL[i % len(_SPECIAL)], np.int64(-i), np.float32(v))
             for i, v in enumerate(u)]
 
 
-class _SpyPool:
-    """Counts the process pools write_csv starts."""
-
-    def __init__(self):
-        import concurrent.futures
-        self.started = 0
-        self.real = concurrent.futures.ProcessPoolExecutor
-
-    def __call__(self, *args, **kwargs):
-        self.started += 1
-        return self.real(*args, **kwargs)
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """write_csv sees two CPUs, whatever this host has, and its pools are
-    counted."""
-    import concurrent.futures
-    spy = _SpyPool()
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    return spy
+    """write_csv sees two CPUs, whatever this host has."""
+    on_cpus(monkeypatch, 2)
 
 
 @pytest.mark.filterwarnings("error")
 class TestParallelWriteCsv:
-    """A table above 2^19 cells is formatted in worker processes, with the
-    bytes of the serial loop."""
+    """A table of more than one block is formatted on one thread per CPU,
+    with the bytes of the serial loop."""
 
     @pytest.mark.parametrize("kind", ["float64", "float32", "tuples"])
-    def test_bytes_match_reference(self, tmp_path, two_cpus, kind):
+    def test_bytes_match_reference(self, tmp_path, monkeypatch, switching,
+                                   kind):
         rows = _big_table(kind)
-        TestWriteCsv().assert_same(tmp_path,
-                                   [f"c{i}" for i in range(len(rows[0]))],
-                                   rows)
-        assert two_cpus.started == 1
-
-    def test_workers_need_no_fork(self, tmp_path):
-        # blocks and the formatter reach the workers by pickle, so a spawned
-        # worker, which inherits nothing, writes the same bytes; a fresh
-        # interpreter, since a process sets its start method once, and the
-        # threshold lowered there to keep the table small
-        code = ("import multiprocessing, sys, numpy as np\n"
-                "multiprocessing.set_start_method('spawn')\n"
-                "from pradial import cli\n"
-                "cli._CSV_PARALLEL_CELLS = 0\n"
-                "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "import concurrent.futures as cf\n"
-                "pools, real = [], cf.ProcessPoolExecutor\n"
-                "cf.ProcessPoolExecutor = lambda w: pools.append(w) or real(w)\n"
-                "x = np.random.default_rng(3).standard_normal((2000, 50))\n"
-                "cli.write_csv(sys.argv[1], [f'x{i}' for i in range(50)], x)\n"
-                "assert pools == [2] and not multiprocessing.active_children()\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run([sys.executable, "-c", code,
-                               str(tmp_path / "new.csv")], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        x = np.random.default_rng(3).standard_normal((2000, 50))
-        reference_write_csv(tmp_path / "ref.csv",
-                            [f"x{i}" for i in range(50)], x)
-        assert (tmp_path / "new.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        for cpus in (1, 2, 3):
+            on_cpus(monkeypatch, cpus)
+            assert within(120, lambda: write_csv(
+                tmp_path / "new.csv", header, rows)) is None
+            assert (tmp_path / "new.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes(), cpus
 
     def test_no_worker_outlives_a_write(self, tmp_path, two_cpus):
+        before = threading.active_count()
         write_csv(tmp_path / "big.csv", [f"x{i}" for i in range(50)],
                   _big_table("float64"))
-        assert two_cpus.started == 1
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == before
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that refuses every write")
     def test_no_worker_outlives_a_failed_write(self, two_cpus):
-        with pytest.raises(OSError):
-            write_csv("/dev/full", [f"x{i}" for i in range(50)],
-                      _big_table("float64"))
-        assert two_cpus.started == 1
-        assert multiprocessing.active_children() == []
+        x, before = _big_table("float64"), threading.active_count()
+        exc = within(120, lambda: write_csv(
+            "/dev/full", [f"x{i}" for i in range(50)], x))
+        assert isinstance(exc, OSError)
+        assert threading.active_count() == before
+
+    def test_failed_block_reaches_the_caller(self, tmp_path, monkeypatch,
+                                             two_cpus):
+        # worker 1, the thread the runner starts, fails on its second
+        # block, block 3, while worker 0, the calling thread, waits for that
+        # block's turn to write block 4
+        real, caller, calls = cli._format_block, [], []
+
+        def fail_once(block, scratch=None):
+            if threading.get_ident() != caller[0]:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise ValueError("formatter failed")
+            return real(block, scratch)
+
+        def write():
+            caller.append(threading.get_ident())
+            write_csv(tmp_path / "big.csv", [f"x{i}" for i in range(50)], x)
+
+        monkeypatch.setattr(cli, "_format_block", fail_once)
+        x, before = _big_table("float64"), threading.active_count()
+        exc = within(120, write)
+        assert isinstance(exc, ValueError) and len(calls) == 2
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
     def test_one_cpu_stays_in_process(self, tmp_path, monkeypatch, cpus):
-        import concurrent.futures
-
         def refuse(*args, **kwargs):
-            raise AssertionError("a pool was started on one CPU")
+            raise AssertionError("a thread was started on one CPU")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        # every table is big enough, so only the CPU count keeps it serial
-        monkeypatch.setattr(cli, "_CSV_PARALLEL_CELLS", 0)
+        monkeypatch.setattr(threading, "Thread", refuse)
         if cpus == "affinity":
-            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
-                                raising=False)
+            on_cpus(monkeypatch, 1)
         else:
             # a platform without the affinity call falls back to cpu_count
             monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
@@ -374,8 +389,8 @@ class TestParallelWriteCsv:
         TestWriteCsv().assert_same(tmp_path, [f"x{i}" for i in range(50)], x)
 
     def test_parent_streams_in_blocks(self, tmp_path, two_cpus):
-        # the parent holds at most four blocks a worker in flight, each a
-        # few hundred kB of text, never the whole table
+        # the two workers hold a block each in flight, a few hundred kB of
+        # text and its temporaries, never the whole table
         x = _big_table("float64")
         tracemalloc.start()
         try:
@@ -383,7 +398,6 @@ class TestParallelWriteCsv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert two_cpus.started == 1
         assert peak < 16e6
 
 

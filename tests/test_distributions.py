@@ -246,6 +246,17 @@ class TestRadialLawW:
         with pytest.raises(ParameterError):
             RadialLawW.tabulated(grid=grid, density=density)
 
+    @pytest.mark.parametrize("atoms, grid, density", [
+        # each constructed, and psi_density then read [0, 0] or [nan, nan]
+        ([(math.nan, 1.0)], None, None),
+        ([(math.inf, 1.0)], None, None),
+        (None, [0.0, 2.0], [math.nan, 0.5]),
+        (None, [0.0, math.nan], [0.5, 0.5]),
+    ], ids=["nan-atom", "inf-atom", "nan-density", "nan-knot"])
+    def test_tabulated_non_finite_data(self, atoms, grid, density):
+        with pytest.raises(ParameterError):
+            RadialLawW.tabulated(atoms=atoms, grid=grid, density=density)
+
     @pytest.mark.parametrize("atoms", [
         # the masses sum to 1, yet mass_at_zero() read 1.5, psi went
         # negative and sample_W failed inside numpy

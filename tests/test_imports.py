@@ -1,7 +1,7 @@
 """Every name that a module of src/pradial or of the tests imports is used
 there, importing pradial loads no scipy module, no command loads scipy's
 heavy subpackages before it needs them, and one runner alone starts
-threads and one writer alone processes.
+threads and nothing starts processes.
 
 The first stands in for a linter's unused-import rule."""
 
@@ -55,9 +55,9 @@ def test_no_unused_imports(path):
 # call it, so every scipy function is imported in the function that calls
 # it.  The subpackages below are loaded by no command that does not call
 # them; scipy.special is loaded by the commands that evaluate a special
-# function.  The process pool that formats big CSV tables is imported the
-# same way, so that small outputs never load it, and so is ctypes, which
-# binds LAPACK's dsterf for the exact spectra.
+# function.  ctypes, which binds LAPACK's dsterf for the exact spectra, is
+# imported the same way.  No command loads a process pool: the threads of
+# rng._run_blocks do every parallel computation, big CSV tables included.
 POOLS = ("multiprocessing", "concurrent.futures.process")
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
          "scipy.interpolate", "scipy.linalg", "scipy.fft", *POOLS)
@@ -161,6 +161,17 @@ with tempfile.TemporaryDirectory() as out:
     assert cli.main(argv) == 0
 """
 
+# a table of 10^6 cells, far above the 2^16 from which CSV blocks go to
+# threads, loads no process pool
+_BIG_CSV = """
+import tempfile
+from pradial import cli
+with tempfile.TemporaryDirectory() as out:
+    argv = ["sample", "--target", "cone", "--n", "50", "--count", "20000",
+            "--seed", "1", "--out", out]
+    assert cli.main(argv) == 0
+"""
+
 # an analytic family is a pdf on a finite support: building one searches
 # for no quantile, and no family needs scipy.stats
 _ANALYTIC = """
@@ -175,6 +186,7 @@ MeasureRep.gen_gaussian_scaled(2.0, 0.5)
     pytest.param("import pradial", UNLOADED, id="import-package"),
     pytest.param(_EXACT, UNLOADED, id="sample-exact-targets"),
     pytest.param(_EXACT_SPECTRA, POOLS, id="exact-spectra"),
+    pytest.param(_BIG_CSV, POOLS, id="big-csv"),
     pytest.param(_RUN, HEAVY, id="sample-norm-const-ldp-verify"),
     pytest.param(_ANALYTIC, HEAVY, id="analytic-families"),
     pytest.param(_PSI_TAB, HEAVY, id="tabulated-psi")])
@@ -189,15 +201,15 @@ def test_fresh_process_loads_no_heavy_subpackage(code, names):
     assert heavy(proc.stdout.split(), names) == []
 
 
-# README, "More than one CPU": one runner starts threads and one writer
-# worker processes, and nothing else starts either.  A name in SPAWNERS,
-# read, called or imported, and an import of a module in PROCESSES each
-# count as starting one
+# README, "More than one CPU": one runner starts threads, and nothing else
+# starts a thread or a process.  A name in SPAWNERS, read, called or
+# imported, and an import of a module in PROCESSES each count as starting
+# one
 SPAWNERS = ("Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor",
             "start_new_thread", "fork", "forkpty", "posix_spawn", "system",
             "popen", "Popen")
 PROCESSES = ("multiprocessing", "subprocess")
-STARTERS = {"rng._run_blocks: Thread", "cli.write_csv: ProcessPoolExecutor"}
+STARTERS = {"rng._run_blocks: Thread"}
 
 
 def spawns(module: str, source: str) -> set[str]:
@@ -237,7 +249,7 @@ def test_checker_finds_spawns():
         "m: subprocess", "m: ProcessPoolExecutor", "m.f: Thread", "m.f: fork"}
 
 
-def test_only_the_runner_and_the_writer_start_threads_or_processes():
+def test_only_the_runner_starts_threads_or_processes():
     found = set()
     for path in SRC.glob("*.py"):
         found |= spawns(path.stem, path.read_text())
