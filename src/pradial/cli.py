@@ -58,21 +58,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STAT = 3
 
-# cells formatted per block, 48 canvas bytes each: bounds the objects alive
-_CSV_BLOCK_CELLS = 1 << 14
+# cells a block, 96 scratch bytes each, and the most workers: the
+# interpreter lock holds two to 1.3 times one's speed; each holds ~4 MB
+_CSV_BLOCK_CELLS, _CSV_WORKERS = 1 << 14, 2
 
 
-def _format_block(block, scratch=None):
-    """The CSV text of a block of rows, a float array or a list of tuples:
-    bytes, a float array's in scratch (see _float_text), or without
-    scratch a str."""
-    if not isinstance(block, np.ndarray):
-        text = "".join([",".join(map(format, row)) + "\n" for row in block])
-        return text if scratch is None else text.encode()
-    if scratch is None:
-        scratch = np.empty(block.size * _WIDTH // 4)
-        return _float_text(block, scratch).tobytes().decode()
-    return _float_text(block, scratch)
+def _format_block(block, scratch):
+    """The CSV text of a block of rows as bytes: a float array's in
+    scratch (see _float_text), a list of tuples' through format."""
+    if isinstance(block, np.ndarray):
+        return _float_text(block, scratch)
+    return "".join([",".join(map(format, r)) + "\n" for r in block]).encode()
 
 
 # --- shortest round-trip text of float cells, in numpy --------------------------
@@ -231,16 +227,18 @@ def write_csv(path: Path, header, rows):
     numpy's print options.
 
     Formatting costs more than the exact draws it writes, so a table of
-    more than rng._BLOCK cells is formatted on rng._run_blocks, one thread
-    per CPU; a smaller one, a few ms of work, stays on the calling thread,
-    where it leaves no second malloc arena behind.  A worker formats each
-    of its blocks into its runner scratch and writes the bytes once the
-    blocks before it are written, so the file is that of a serial loop;
-    a failed worker wakes every waiting one, and the caller gets its error.
+    more than rng._BLOCK cells, the loops' block budget, is formatted on
+    rng._run_blocks, one thread per CPU up to _CSV_WORKERS; a smaller one
+    stays on the calling thread, where it leaves no second malloc arena.
+    A worker formats each of its blocks into its runner scratch and writes
+    the bytes once the blocks before it are written, so the file is that
+    of a serial loop; a failed worker wakes every waiting one.
     """
     jobs = list(enumerate(_row_blocks(len(rows), len(header),
                                       _CSV_BLOCK_CELLS)))
-    size = jobs[0][1].stop * len(header) * _WIDTH // 4  # floats a worker
+    # a float block's canvas and text; tuples need none
+    size = (jobs[0][1].stop * len(header) * _WIDTH // 4
+            if isinstance(rows, np.ndarray) else 0)
     turn, written = threading.Condition(), [0]  # -1 once a worker failed
 
     def run(mine, scratch):
@@ -263,7 +261,7 @@ def write_csv(path: Path, header, rows):
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if len(rows) * len(header) > _BLOCK:
-            _run_blocks(jobs, run, size)
+            _run_blocks(jobs, run, size, _CSV_WORKERS)
         else:
             run(jobs, np.empty(size))
 

@@ -37,14 +37,14 @@ def _row_blocks(rows: int, width: int, cells: int = _BLOCK) -> list[slice]:
     return [slice(i, min(i + step, rows)) for i in range(0, rows or 1, step)]
 
 
-def _run_blocks(blocks, run, scratch: int = 0) -> None:
-    """run(blocks[k::workers], buf) for each of one worker per CPU and at
-    most one per block, each on a thread of its own: worker 0 is the
-    calling thread, so a call of one block starts no thread.  buf is the
-    worker's scratch floats, allocated here so that no thread's malloc
-    arena keeps them.  No thread outlives the call, and the first
-    exception of a worker reaches the caller."""
-    workers, failed = min(_cpus(), len(blocks)), []
+def _run_blocks(blocks, run, scratch: int = 0, cap: int = 0) -> None:
+    """run(blocks[k::workers], buf) for each of one worker per CPU, at most
+    one per block and at most cap if cap is set, each on a thread of its
+    own: worker 0 is the calling thread, so a call of one block starts no
+    thread.  buf is the worker's scratch floats, allocated here so that no
+    thread's malloc arena keeps them.  No thread outlives the call, and
+    the first exception of a worker reaches the caller."""
+    workers, failed = min(_cpus(), len(blocks), cap or len(blocks)), []
     bufs = np.empty((workers, scratch))
 
     def work(k):

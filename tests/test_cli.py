@@ -163,10 +163,22 @@ class TestWriteCsv:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_streams_in_blocks_on_many_cpus(self, tmp_path, monkeypatch):
+        # the workers are capped, so eight CPUs hold no more blocks in
+        # flight than two
+        on_cpus(monkeypatch, 8)
+        self.test_streams_in_blocks(tmp_path)
+
 
 def repr_text(x):
     """The CSV text of a 2-D array with every cell repr(float(v))."""
     return "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+
+
+def float_text(x):
+    """The text _format_block gives a float block, as str."""
+    scratch = np.empty(x.size * cli._WIDTH // 4)
+    return cli._format_block(x, scratch).tobytes().decode()
 
 
 def _neighbours(x):
@@ -179,7 +191,7 @@ class TestFloatText:
 
     def assert_repr(self, x):
         x = np.asarray(x, dtype=float).reshape(-1, 3)
-        got, want = cli._format_block(x), repr_text(x)
+        got, want = float_text(x), repr_text(x)
         if got != want:
             bad = [(g, w) for g, w in zip(got.replace("\n", ",").split(","),
                                           want.replace("\n", ",").split(","))
@@ -214,7 +226,7 @@ class TestFloatText:
                     1e-38, 0.1, -2.5, 1.0 / 3.0, 1e16, 3.4028235e38]
         x32 = np.concatenate([specials, x.ravel()]).astype(np.float32)
         x32 = x32[:x32.size // 3 * 3].reshape(-1, 3)
-        assert cli._format_block(x32) == repr_text(x32.astype(float))
+        assert float_text(x32) == repr_text(x32.astype(float))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=3, max_size=300))
@@ -232,7 +244,7 @@ class TestFloatText:
                             lambda v: seen.append(v.size) or real(v))
         x = sample_pnpw(50, 2.0, RadialLawW.dirac(), RngStream(13),
                         size=10 ** 4).points
-        assert cli._format_block(x) == repr_text(x)
+        assert float_text(x) == repr_text(x)
         assert sum(seen) <= x.size / 1000
 
 
@@ -356,7 +368,7 @@ class TestParallelWriteCsv:
         # block's turn to write block 4
         real, caller, calls = cli._format_block, [], []
 
-        def fail_once(block, scratch=None):
+        def fail_once(block, scratch):
             if threading.get_ident() != caller[0]:
                 calls.append(1)
                 if len(calls) == 2:

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 from hypothesis import given, strategies as st
 
-from pradial.rng import _BLOCK, RngStream, _row_blocks
+from pradial.rng import _BLOCK, RngStream, _row_blocks, _run_blocks
 
 
 def test_reproducible_bit_pattern():
@@ -68,3 +70,14 @@ def test_row_blocks_edges():
     assert _row_blocks(2 * _BLOCK + 1, 1) == [
         slice(0, _BLOCK), slice(_BLOCK, 2 * _BLOCK),
         slice(2 * _BLOCK, 2 * _BLOCK + 1)]
+
+
+def test_run_blocks_caps_the_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    for cap, want in [(0, 5), (2, 2), (9, 5)]:
+        got = []
+        _run_blocks(range(5), lambda mine, buf: got.append(list(mine)), 3,
+                    cap)
+        assert sorted(got) == sorted([list(range(k, 5, want))
+                                      for k in range(want)])
