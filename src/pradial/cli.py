@@ -50,7 +50,7 @@ from .lpgeom import norm_split_B, sample_pnpw
 from .matrixball import sample_spectra
 from .mcmc import estimate_norm_const
 from .measures import MeasureRep
-from .rng import _BLOCK, RngStream, _row_blocks, _run_blocks
+from .rng import RngStream, _row_blocks, _run_blocks
 from .weights import KINDS, WeightFn
 from . import rates
 
@@ -58,15 +58,15 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STAT = 3
 
-# cells a block, 96 scratch bytes each, and the most workers: the
-# interpreter lock holds two to 1.3 times one's speed; each holds ~4 MB
-_CSV_BLOCK_CELLS, _CSV_WORKERS = 1 << 14, 2
+# the most CSV workers: each holds 6.3 MB of scratch, and two format at
+# 1.5 times one's speed under the interpreter lock
+_CSV_WORKERS = 2
 
 
 def _format_block(block, scratch):
     """The CSV text of a block of rows as bytes: a float array's in
-    scratch (see _float_text), a list of tuples' through format."""
-    if isinstance(block, np.ndarray):
+    scratch (see _float_text), any other rows' through format."""
+    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
         return _float_text(block, scratch)
     return "".join([",".join(map(format, r)) + "\n" for r in block]).encode()
 
@@ -84,12 +84,14 @@ def _format_block(block, scratch):
 _E_MIN, _E_MAX = -290, 290  # decimal exponents of the 10^(16-e) table
 _MARGIN = 1e-9              # in units of X's last digit; X is good to 1e-14
 _WIDTH = 48                 # canvas bytes a cell
+_SLOTS = 12                 # scratch floats a cell: six of canvas, six of text
 
 
 @functools.lru_cache(maxsize=None)
 def _text_tables():
-    """Built from Python ints on first use: 10^(16-e) as hi + lo, the text
-    of 0..9999 and of the exponents, and the canvas of each cell layout."""
+    """Built from Python ints on first use: 10^(16-e) as hi + lo, digit 0
+    and the text of 0..9999 as canvas words, by decpt + 399 the text of the
+    exponent and a row of the layouts, and the canvas of each layout."""
     hi, lo = [], []
     for s in range(16 - _E_MIN, 15 - _E_MAX, -1):
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
@@ -99,6 +101,8 @@ def _text_tables():
     # four digits, each followed by the 0xFF that keeps a "." or "e"
     four = np.frombuffer(b"".join(b"%c\xff%c\xff%c\xff%c\xff" % tuple(b"%04d" % i)
                                   for i in range(10 ** 4)), np.uint64)
+    lead = np.frombuffer(b"".join(b"\xff" * 6 + b"%d\xff" % i for i in range(10)),
+                         np.uint64)
     expo = np.frombuffer(b"".join(b"%+04d" % i for i in range(-400, 400)),
                          np.uint32)
     # "-" "0.000", digit i at column 6 + 2i and a "." after it ("e" after
@@ -117,18 +121,41 @@ def _text_tables():
             | pos & (decpt <= 0) & (c >= 1) & (c < 3 - decpt)  # 0.000ddd
             | ~pos & np.isin(c, [39, 40, 42, 43]) | (cls == 21) & (c == 41))
     keep = np.stack([keep, keep | (c == 0)], axis=2)  # neg
-    return (np.array(hi), np.array(lo), four, expo,
+    # layout (cls, k, neg) is canvas row[decpt + 399] + 2 k + neg
+    d = np.arange(-399, 401)
+    row = np.where((d > -4) & (d <= 16), d + 3,
+                   np.where(np.abs(d - 1) < 100, 20, 21)) * 34 - 2
+    return (np.array(hi), np.array(lo), (lead, four), expo, row,
             (keep * template).reshape(-1, _WIDTH))
 
 
-def _scale(a, e, hi, lo):
-    """a 10^(16-e) as an integer N plus a fraction f in [0, 1)."""
-    p = a * hi
-    (ah, al), (bh, bl) = [(c - (c - v), v - (c - (c - v)))  # Veltkamp
-                          for v in (a, hi) for c in [134217729.0 * v]]
-    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
-    ft = np.floor(t)
-    return p.astype(np.int64) + ft.astype(np.int64), t - ft
+def _scale(a, e, out):
+    """a 10^(16-e) as an integer N plus a fraction f in [0, 1), with
+    10^(16-e) itself: (N, f, hi), rows 0-2 of out, eight float rows of
+    a's size, of which the other five are workspace."""
+    pow_hi, pow_lo = _text_tables()[:2]
+    t, f, hi, p, ah, al, bh, bl = out
+    i = np.subtract(e, _E_MIN, out=t.view(np.int64))  # e's table row
+    np.take(pow_hi, i, out=hi, mode="clip")
+    np.take(pow_lo, i, out=f, mode="clip")  # lo until f
+    np.multiply(a, hi, out=p)
+    for v, vh, vl in ((a, ah, al), (hi, bh, bl)):  # Veltkamp: c = 134217729 v
+        np.multiply(v, 134217729.0, out=vh)
+        np.subtract(vh, v, out=vl)    # c - v
+        np.subtract(vh, vl, out=vh)   # c - (c - v)
+        np.subtract(v, vh, out=vl)
+    # t = ((ah bh - p) + ah bl + al bh) + al bl + a lo, a term at a time
+    np.multiply(ah, bh, out=t)
+    t -= p
+    for x, y in ((ah, bl), (bh, al), (al, bl), (f, a)):
+        x *= y
+        t += x
+    np.subtract(t, np.floor(t, out=ah), out=f)
+    N, ft = t.view(np.int64), al.view(np.int64)
+    np.copyto(N, p, casting="unsafe")
+    np.copyto(ft, ah, casting="unsafe")
+    N += ft
+    return N, f, hi
 
 
 def _repr_cells(values):
@@ -139,74 +166,99 @@ def _repr_cells(values):
 
 def _float_text(block, scratch):
     """The CSV text of a 2-D float block, each cell ``repr(float(v))``, as
-    uint8 in scratch, floats of twice _WIDTH bytes a cell: the first half
-    is a canvas of _WIDTH bytes a cell, zero where no text goes, and the
-    second takes the digit chunks, then the canvas's nonzero bytes."""
-    pow_hi, pow_lo, four, expo, layouts = _text_tables()
+    uint8 in scratch, _SLOTS rows of a float a cell, which hold every
+    block-sized array it makes: slots 0-5 a canvas of _WIDTH bytes a cell,
+    zero where no text goes, and 6-11 the canvas's nonzero bytes.  Until
+    the canvas is laid out, _scale works in 0-5 and 10; 6 holds v, 7 the
+    bools, eight to a slot, 8 e, 9 N and then m, 10 k, 11 |v|, then tmp."""
+    words, expo, row, layouts = _text_tables()[2:]
     rows, cols = block.shape
-    v = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    canvas, spare = scratch[:v.size * _WIDTH // 4].reshape(2, -1)
-    canvas = canvas.view(np.uint8).reshape(v.size, _WIDTH)
-    a = np.abs(v)
+    s = scratch[:_SLOTS * block.size].reshape(_SLOTS, -1)
+    canvas = s[:6].view(np.uint8).reshape(-1, _WIDTH)
+    v, a, tmp = s[6], s[11], s[11]
+    fast, sure, up100, up10, in100, in10, x, y = \
+        s[7].view(np.bool_).reshape(8, -1)
+    e, k = s[8].view(np.int64), s[10].view(np.int64)
+    np.copyto(v.reshape(rows, cols), block)
+    np.abs(v, out=a)
+    mant = np.frexp(a, out=(s[0], s[1].view(np.int32)[:v.size]))[0]
+    np.not_equal(mant, 0.5, out=fast)
+    fast &= np.greater(a, 1e-280, out=x)
+    fast &= np.less(a, 1e280, out=x)
     # repr writes the other cells; 1.0 stands in for them until it does
-    fast = (a > 1e-280) & (a < 1e280) & (np.frexp(a)[0] != 0.5)
-    a[~fast] = 1.0
-    ex = np.frexp(a)[1]
-    e = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = pow_hi[e - _E_MIN], pow_lo[e - _E_MIN]
-    N, f = _scale(a, e, hi, lo)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=x))
+    np.copyto(e, np.floor(np.log10(a, out=s[0]), out=s[0]), casting="unsafe")
+    N, f, hi = _scale(a, e, [s[j] for j in (9, 0, 1, 2, 3, 4, 5, 10)])
     # log10 may misplace X by one decade next to a power of ten
-    off = np.flatnonzero((N < 10 ** 16) | (N >= 10 ** 17))
+    np.less(N, 10 ** 16, out=x)
+    x |= np.greater_equal(N, 10 ** 17, out=y)
+    off = np.flatnonzero(x)
     e[off] += np.where(N[off] < 10 ** 16, -1, 1)
-    hi[off], lo[off] = pow_hi[e[off] - _E_MIN], pow_lo[e[off] - _E_MIN]
-    N[off], f[off] = _scale(a[off], e[off], hi[off], lo[off])
-    h = np.ldexp(hi, ex - 54)
+    N[off], f[off], hi[off] = _scale(a[off], e[off], np.empty((8, off.size)))
+    ex = np.frexp(a, out=(s[3], s[2].view(np.int32)[:v.size]))[1]
+    h = np.ldexp(hi, np.subtract(ex, 54, out=ex), out=hi)
     # the nearest multiples of 100 and 10: at most one multiple of 100 fits
     # in the interval, and when one does, its trailing zeros set j
-    r100 = N - N // 100 * 100
-    r10 = r100 - r100 // 10 * 10
-    lo100, lo10 = r100 + f, r10 + f
-    up100, up10 = lo100 > 50, lo10 > 5
-    d100, d10 = np.minimum(lo100, 100 - lo100), np.minimum(lo10, 10 - lo10)
-    sure = ((np.abs(d100 - h) > _MARGIN) & (np.abs(d10 - h) > _MARGIN)
-            & (np.abs(lo10 - 5) > _MARGIN) & (np.abs(f - 0.5) > _MARGIN))
-    in100, in10 = d100 < h, d10 < h
-    m = np.where(in100, N - r100 + 100 * up100,
-                 np.where(in10, N - r10 + 10 * up10, N + (f > 0.5)))
-    top = m == 10 ** 17
-    m[top] = 10 ** 16
+    r100, r10, d100, d10 = s[2].view(np.int64), s[3].view(np.int64), s[4], s[5]
+    for r, q, unit in ((r100, N, 100), (r10, r100, 10)):
+        np.floor_divide(q, unit, out=r)
+        r *= unit
+        np.subtract(q, r, out=r)
+    for r, d, up, half in ((r100, d100, up100, 50), (r10, d10, up10, 5)):
+        np.greater(np.add(r, f, out=d), half, out=up)  # d is lo100, lo10
+
+    def far(z, mid):  # sure &= |z - mid| > _MARGIN
+        np.abs(np.subtract(z, mid, out=tmp), out=tmp)
+        np.logical_and(sure, np.greater(tmp, _MARGIN, out=x), out=sure)
+
+    np.copyto(sure, fast)
+    far(d10, 5)
+    far(f, 0.5)
+    for d, unit, inside in ((d100, 100, in100), (d10, 10, in10)):
+        np.subtract(unit, d, out=tmp)
+        np.minimum(d, tmp, out=d)
+        far(d, h)
+        np.less(d, h, out=inside)
+    # m: the multiple of 100 or 10 in the interval, else X rounded
+    np.greater(f, 0.5, out=x)
+    for r, unit, up in ((r100, 100, up100), (r10, 10, up10)):
+        np.subtract(N, r, out=r)
+        r += np.multiply(up, unit, out=k)
+    m = N
+    m += x
+    for r, inside in ((r10, in10), (r100, in100)):  # m = where(inside, r, m)
+        r -= m
+        m += np.multiply(r, inside, out=r)
+    top = np.equal(m, 10 ** 17, out=y)
+    np.copyto(m, 10 ** 16, where=top)
     # k significant digits: 17, 16, or 17 less the trailing zeros of m
-    k = 17 - in10
+    np.subtract(17, in10, out=k)
     w = np.flatnonzero(in100)
     q, k[w] = m[w] // 100, 15
     while w.size:
         w, q = w[q % 10 == 0], q[q % 10 == 0] // 10
         k[w] -= 1
-    decpt = e + 1 + top
-    # the digits' temporaries go before the canvas is laid out
-    del a, e, hi, lo, N, f, h, r100, r10, lo100, lo10, d100, d10
-    # digit 0, then digits 1-16 in four chunks of four
-    d0 = m // 10 ** 16
-    chunks = spare[:4 * m.size].view(np.int64).reshape(4, m.size)
-    chunks[0] = m - d0 * 10 ** 16
-    chunks[2] = chunks[0] - chunks[0] // 10 ** 8 * 10 ** 8
-    chunks[0] //= 10 ** 8
-    chunks[1::2] = chunks[0::2] - chunks[0::2] // 10 ** 4 * 10 ** 4
-    chunks[0::2] //= 10 ** 4
-    cls = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
-                   np.where(np.abs(decpt - 1) < 100, 20, 21))
+    decpt = np.add(e, top, out=e)
+    decpt += 400  # e + 1 + top, + 399 as the tables take it
+    lay = np.take(row, decpt, out=s[11].view(np.int64), mode="clip")
+    lay += np.multiply(k, 2, out=k)
+    lay += np.less(v, 0, out=x)
     # mode="clip" writes straight into out; the indices are in range
-    np.take(layouts, (cls * 17 + k - 1) * 2 + (v < 0), axis=0, out=canvas,
-            mode="clip")
-    canvas[:, 6] &= (d0 + ord("0")).astype(np.uint8)
-    for c, chunk in enumerate(chunks, 1):  # numpy's loop then runs down rows
-        canvas.view(np.uint64)[:, c] &= four[chunk]
-    canvas.view(np.uint32)[:, 10] &= expo[decpt + 399]
-    slow = np.flatnonzero(~(fast & sure))
+    np.take(layouts, lay, axis=0, out=canvas, mode="clip")
+    chunk, bytes8 = k, lay.view(np.uint64)
+    canvas.view(np.uint32)[:, 10] &= np.take(
+        expo, decpt, out=bytes8.view(np.uint32)[:v.size], mode="clip")
+    # digit 0, then digits 1-16 in four chunks of four: canvas words 0-4
+    for c, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        np.floor_divide(m, unit, out=chunk)
+        canvas.view(np.uint64)[:, c] &= np.take(words[c > 0], chunk,
+                                                 out=bytes8, mode="clip")
+        m -= np.multiply(chunk, unit, out=chunk)
+    slow = np.flatnonzero(np.logical_not(sure, out=x))
     canvas[slow] = _repr_cells(v[slow]).reshape(-1, _WIDTH)
     canvas.reshape(rows, cols, _WIDTH)[:, -1, 44] = ord("\n")
     # gathered without the GIL, in pieces that bound the index of kept bytes
-    flat, text, n = canvas.reshape(-1), spare.view(np.uint8), 0
+    flat, text, n = canvas.reshape(-1), s[6:].view(np.uint8).reshape(-1), 0
     for b in _row_blocks(flat.size, 1):
         i = np.flatnonzero(flat[b] != 0)
         n += np.take(flat[b], i, out=text[n:n + i.size], mode="clip").size
@@ -214,31 +266,29 @@ def _float_text(block, scratch):
 
 
 def write_csv(path: Path, header, rows):
-    """Write a header and rows (a float array or a list of tuples) as CSV.
+    """Write a header and rows (an array or a list of tuples) as CSV.
 
     Cells are numbers or strings free of commas, quotes and newlines, so
     no cell needs quoting.  A float cell, Python or numpy, is the ``repr``
     of its value widened to a Python float: the shortest text that reads
-    back to the same bits.  Rows go out in blocks, one write per block.  A
-    block of the array is formatted in numpy by ``_float_text``, which
-    leaves to ``repr`` only the cells it cannot settle with certainty;
-    other rows are boxed into Python scalars and go through the builtin
-    ``format``, which gives that same text for numpy scalars too, whatever
-    numpy's print options.
+    back to the same bits.  Rows go out in the blocks of rng._row_blocks,
+    one write per block.  A float array's block is formatted in numpy by
+    ``_float_text``, which leaves to ``repr`` only the cells it cannot
+    settle with certainty; other rows, an integer or bool array's too, go
+    through the builtin ``format``, which gives a numpy scalar the text of
+    its Python scalar, whatever numpy's print options.
 
-    Formatting costs more than the exact draws it writes, so a table of
-    more than rng._BLOCK cells, the loops' block budget, is formatted on
-    rng._run_blocks, one thread per CPU up to _CSV_WORKERS; a smaller one
-    stays on the calling thread, where it leaves no second malloc arena.
-    A worker formats each of its blocks into its runner scratch and writes
-    the bytes once the blocks before it are written, so the file is that
-    of a serial loop; a failed worker wakes every waiting one.
+    Formatting costs more than the exact draws it writes, so the blocks go
+    to rng._run_blocks, one thread per CPU up to _CSV_WORKERS; a table of
+    one block stays on the calling thread, where it leaves no second malloc
+    arena.  A worker formats each of its blocks in its runner scratch and
+    writes the bytes once the blocks before it are written, so the file is
+    that of a serial loop; a failed worker wakes every waiting one.
     """
-    jobs = list(enumerate(_row_blocks(len(rows), len(header),
-                                      _CSV_BLOCK_CELLS)))
-    # a float block's canvas and text; tuples need none
-    size = (jobs[0][1].stop * len(header) * _WIDTH // 4
-            if isinstance(rows, np.ndarray) else 0)
+    jobs = list(enumerate(_row_blocks(len(rows), len(header))))
+    # a float block's slots; other rows need none
+    size = (jobs[0][1].stop * len(header) * _SLOTS
+            if isinstance(rows, np.ndarray) and rows.dtype.kind == "f" else 0)
     turn, written = threading.Condition(), [0]  # -1 once a worker failed
 
     def run(mine, scratch):
@@ -260,10 +310,7 @@ def write_csv(path: Path, header, rows):
 
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if len(rows) * len(header) > _BLOCK:
-            _run_blocks(jobs, run, size, _CSV_WORKERS)
-        else:
-            run(jobs, np.empty(size))
+        _run_blocks(jobs, run, size, _CSV_WORKERS)
 
 
 def _strict(o):
@@ -280,8 +327,8 @@ def _strict(o):
         if math.isfinite(v):
             return v
         return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
-    if isinstance(o, np.integer):
-        return int(o)
+    if isinstance(o, np.generic):  # a numpy bool or integer
+        return o.item()
     return o
 
 

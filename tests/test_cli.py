@@ -22,6 +22,7 @@ from pradial.cli import main, write_csv
 from pradial.distributions import RadialLawW
 from pradial.measures import MeasureRep
 from pradial.rates import rate_cone
+from pradial.rng import _row_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -151,6 +152,15 @@ class TestWriteCsv:
                                         "censored", "rate_infimum", "gap"],
                              rows)
 
+    def test_integer_and_bool_arrays_keep_their_text(self, tmp_path):
+        # an integer cell reads as its digits, as it does in a tuple row,
+        # not as the float it widens to
+        write_csv(tmp_path / "new.csv", ["a", "b"], np.array([[1, 2]]))
+        assert (tmp_path / "new.csv").read_bytes() == b"a,b\n1,2\n"
+        self.assert_same(tmp_path, ["a", "b", "c"],
+                         np.arange(-6, 3000).reshape(-1, 3) * 10 ** 12)
+        self.assert_same(tmp_path, ["a", "b"], np.array([[True, False]]))
+
     def test_streams_in_blocks(self, tmp_path):
         # boxing the whole 20000 x 50 table at once costs about 70 MB of
         # traced Python objects; one block at a time stays near 1 MB
@@ -170,6 +180,13 @@ class TestWriteCsv:
         self.test_streams_in_blocks(tmp_path)
 
 
+def test_json_takes_numpy_scalars_as_plain_values(tmp_path):
+    cli.write_json(tmp_path / "r.json", {"ok": np.bool_(True), "n": np.int64(3),
+                                         "x": [np.float32(-np.inf), 0.5]})
+    assert read_strict_json(tmp_path / "r.json") == {"ok": True, "n": 3,
+                                                     "x": ["-inf", 0.5]}
+
+
 def repr_text(x):
     """The CSV text of a 2-D array with every cell repr(float(v))."""
     return "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
@@ -177,8 +194,26 @@ def repr_text(x):
 
 def float_text(x):
     """The text _format_block gives a float block, as str."""
-    scratch = np.empty(x.size * cli._WIDTH // 4)
+    scratch = np.empty(x.size * cli._SLOTS)
     return cli._format_block(x, scratch).tobytes().decode()
+
+
+def test_float_text_computes_in_its_scratch():
+    # every block-sized array of the formatter is a view of its scratch:
+    # what it allocates besides, on a block of 2^16 cells, is the index of
+    # one piece of the gather and a few small arrays; block-sized
+    # temporaries took 9.6 MB
+    x = np.random.default_rng(14).standard_normal((1 << 10, 64)) ** 3
+    scratch = np.empty(x.size * cli._SLOTS)
+    want = cli._float_text(x, scratch).tobytes()  # builds the tables
+    tracemalloc.start()
+    try:
+        got = cli._float_text(x, scratch).tobytes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want == repr_text(x).encode()
+    assert peak < 1.5e6
 
 
 def _neighbours(x):
@@ -300,19 +335,20 @@ def test_float_text_threads_keep_their_own_canvas(monkeypatch, switching):
 
     on_cpus(monkeypatch, 6)
     assert within(120, lambda: _run_blocks(
-        range(6), run, blocks[0].size * cli._WIDTH // 4)) is None
+        range(6), run, blocks[0].size * cli._SLOTS)) is None
     assert got == {k: {repr_text(b).encode()} for k, b in enumerate(blocks)}
 
 
 def _big_table(kind):
-    """A table of 13 blocks or more: 21 000 rows of 50 floats, or 30 000
-    of 7 mixed cells."""
+    """A table of 4 row blocks or more: 21 000 rows of 50 floats (17
+    blocks), or 30 000 of 7 mixed cells (4)."""
     rng = np.random.default_rng(9)
     if kind == "float64":
         x = rng.standard_normal((21_000, 50)) ** 9
         specials = np.array(_SPECIAL * 10).reshape(-1, 50)
         # at the start, across a block boundary and at the end
-        x[:3] = x[326:329] = x[-3:] = specials
+        b = _row_blocks(len(x), 50)[1].start
+        x[:3] = x[b - 1:b + 2] = x[-3:] = specials
         return x
     if kind == "float32":
         return (rng.standard_normal((21_000, 50)) * 1e-3).astype(np.float32)
