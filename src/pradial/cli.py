@@ -59,14 +59,14 @@ EXIT_USAGE = 2
 EXIT_STAT = 3
 
 # the most CSV workers: each holds 6.3 MB of scratch, and two format at
-# 1.5 times one's speed under the interpreter lock
+# 1.4-1.7 times one's speed under the interpreter lock
 _CSV_WORKERS = 2
 
 
 def _format_block(block, scratch):
     """The CSV text of a block of rows as bytes: a float array's in
     scratch (see _float_text), any other rows' through format."""
-    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+    if isinstance(block, np.ndarray) and block.dtype.kind == "f" and block.size:
         return _float_text(block, scratch)
     return "".join([",".join(map(format, r)) + "\n" for r in block]).encode()
 
@@ -83,50 +83,38 @@ def _format_block(block, scratch):
 
 _E_MIN, _E_MAX = -290, 290  # decimal exponents of the 10^(16-e) table
 _MARGIN = 1e-9              # in units of X's last digit; X is good to 1e-14
-_WIDTH = 48                 # canvas bytes a cell
-_SLOTS = 12                 # scratch floats a cell: six of canvas, six of text
+_SLOTS = 12                 # scratch floats a cell: four of slot, four of text
 
 
 @functools.lru_cache(maxsize=None)
 def _text_tables():
-    """Built from Python ints on first use: 10^(16-e) as hi + lo, digit 0
-    and the text of 0..9999 as canvas words, by decpt + 399 the text of the
-    exponent and a row of the layouts, and the canvas of each layout."""
+    """Built on first use: 10^(16-e) as hi + lo from Python ints; the head
+    words and 8 times their lengths; by decpt + 399 the class's first head,
+    the tails and their lengths; by R the zero digits after R; the ASCII
+    of 0..9999 as a word's low or high half."""
     hi, lo = [], []
     for s in range(16 - _E_MIN, 15 - _E_MAX, -1):
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
         hi.append(num / den)  # correctly rounded, as is every int / int
         h_num, h_den = hi[-1].as_integer_ratio()
         lo.append((num * h_den - h_num * den) / (den * h_den))
-    # four digits, each followed by the 0xFF that keeps a "." or "e"
-    four = np.frombuffer(b"".join(b"%c\xff%c\xff%c\xff%c\xff" % tuple(b"%04d" % i)
-                                  for i in range(10 ** 4)), np.uint64)
-    lead = np.frombuffer(b"".join(b"\xff" * 6 + b"%d\xff" % i for i in range(10)),
-                         np.uint64)
-    expo = np.frombuffer(b"".join(b"%+04d" % i for i in range(-400, 400)),
-                         np.uint32)
-    # "-" "0.000", digit i at column 6 + 2i and a "." after it ("e" after
-    # the last), the exponent's sign and digits, the separator: a layout
-    # keeps some, with 0xFF where a digit goes.  Layout (cls, k, neg): cls
-    # is decpt + 3 for positional text (-4 < decpt <= 16), 20 and 21 for a
-    # two- and three-digit exponent; k significant digits
-    template = np.frombuffer(b"-0.000" + b"\xff." * 16 + b"\xffe\xff\xff\xff\xff,"
-                             + bytes(_WIDTH - 45), np.uint8)
-    cls, k, c = np.ogrid[:22, 1:18, :_WIDTH]
-    decpt, pos = cls - 3, cls < 20
-    digits = np.where(pos & (decpt > 0), np.maximum(k, decpt + 1), k)
-    dot = np.where(pos, np.maximum(decpt, 0), k > 1)  # after digit dot - 1
-    keep = ((c >= 6) & (c < 6 + 2 * digits) & (c % 2 == 0)
-            | (dot > 0) & (c == 5 + 2 * dot) | (c == 44)
-            | pos & (decpt <= 0) & (c >= 1) & (c < 3 - decpt)  # 0.000ddd
-            | ~pos & np.isin(c, [39, 40, 42, 43]) | (cls == 21) & (c == 41))
-    keep = np.stack([keep, keep | (c == 0)], axis=2)  # neg
-    # layout (cls, k, neg) is canvas row[decpt + 399] + 2 k + neg
-    d = np.arange(-399, 401)
-    row = np.where((d > -4) & (d <= 16), d + 3,
-                   np.where(np.abs(d - 1) < 100, 20, 21)) * 34 - 2
-    return (np.array(hi), np.array(lo), (lead, four), expo, row,
-            (keep * template).reshape(-1, _WIDTH))
+    # class c: 0-3 "0." and c zeros (decpt = -c), 4 decpt 1, 5 decpt 2..16
+    # (its point goes in later), 6 an exponent; then digit 0 and its point
+    point = {4: (b".", b".0"), 5: (b"", b""), 6: (b".", b"")}
+    heads = np.array([b"-"[:neg] + (b"0." + b"0" * c + b"%d" % d if c < 4 else
+                                    b"%d" % d + point[c][one])
+                      for c, one, neg, d in np.ndindex(7, 2, 2, 10)], "S8")
+    dp = np.arange(-399, 401)
+    cls = np.select([dp > 16, dp > 1, dp > 0, dp > -4], [6, 5, 4, -dp], 6)
+    tails = np.array([b"," if c < 6 else b"e%+03d," % (i - 1)
+                      for i, c in zip(dp.tolist(), cls.tolist())], "S8")
+    zeros = np.array([b"0" * min(8, 16 - r) for r in range(17)], "S8")
+    four = np.char.zfill(np.arange(10 ** 4).astype("S4"), 4).view(np.uint32)
+    four = [np.left_shift(four, s, dtype=np.uint64) for s in (0, 32)]
+    return (np.array(hi), np.array(lo), heads.view(np.uint64),
+            8 * np.char.str_len(heads).astype(np.uint64), cls * 40,
+            tails.view(np.uint64), np.char.str_len(tails),
+            zeros.view(np.uint64), four)
 
 
 def _scale(a, e, out):
@@ -159,22 +147,22 @@ def _scale(a, e, out):
 
 
 def _repr_cells(values):
-    """repr of each value laid out as _WIDTH canvas bytes: the fallback."""
-    return np.array([repr(v).encode().ljust(44, b"\0") + b","
-                     for v in values.tolist()], "S48").view(np.uint8)
+    """The fallback: repr of each value and a comma, as the four words of a
+    slot, and the lengths."""
+    text = np.array([repr(v).encode() + b"," for v in values.tolist()], "S32")
+    return text.view(np.uint64).reshape(-1, 4).T, np.char.str_len(text)
 
 
 def _float_text(block, scratch):
     """The CSV text of a 2-D float block, each cell ``repr(float(v))``, as
     uint8 in scratch, _SLOTS rows of a float a cell, which hold every
-    block-sized array it makes: slots 0-5 a canvas of _WIDTH bytes a cell,
-    zero where no text goes, and 6-11 the canvas's nonzero bytes.  Until
-    the canvas is laid out, _scale works in 0-5 and 10; 6 holds v, 7 the
-    bools, eight to a slot, 8 e, 9 N and then m, 10 k, 11 |v|, then tmp."""
-    words, expo, row, layouts = _text_tables()[2:]
+    block-sized array it makes.  Until the digits are known, _scale works
+    in 0-5 and 10; 6 holds v, 7 the bools, eight to a slot, 8 e, 9 N and
+    then m, 10 R = k - 1, 11 |v|, then tmp.  Then each cell's text is laid
+    out in a slot of four words in 0-3 and copied a word at a time to 6-9."""
+    heads, shifts, row, tails, tlen, zeros, four = _text_tables()[2:]
     rows, cols = block.shape
     s = scratch[:_SLOTS * block.size].reshape(_SLOTS, -1)
-    canvas = s[:6].view(np.uint8).reshape(-1, _WIDTH)
     v, a, tmp = s[6], s[11], s[11]
     fast, sure, up100, up10, in100, in10, x, y = \
         s[7].view(np.bool_).reshape(8, -1)
@@ -231,38 +219,87 @@ def _float_text(block, scratch):
         m += np.multiply(r, inside, out=r)
     top = np.equal(m, 10 ** 17, out=y)
     np.copyto(m, 10 ** 16, where=top)
-    # k significant digits: 17, 16, or 17 less the trailing zeros of m
-    np.subtract(17, in10, out=k)
+    # R = k - 1, k significant digits: 17, 16, or 17 less m's trailing zeros
+    R = np.subtract(16, in10, out=k)
     w = np.flatnonzero(in100)
-    q, k[w] = m[w] // 100, 15
+    q, R[w] = m[w] // 100, 14
     while w.size:
         w, q = w[q % 10 == 0], q[q % 10 == 0] // 10
-        k[w] -= 1
+        R[w] -= 1
     decpt = np.add(e, top, out=e)
     decpt += 400  # e + 1 + top, + 399 as the tables take it
-    lay = np.take(row, decpt, out=s[11].view(np.int64), mode="clip")
-    lay += np.multiply(k, 2, out=k)
-    lay += np.less(v, 0, out=x)
-    # mode="clip" writes straight into out; the indices are in range
-    np.take(layouts, lay, axis=0, out=canvas, mode="clip")
-    chunk, bytes8 = k, lay.view(np.uint64)
-    canvas.view(np.uint32)[:, 10] &= np.take(
-        expo, decpt, out=bytes8.view(np.uint32)[:v.size], mode="clip")
-    # digit 0, then digits 1-16 in four chunks of four: canvas words 0-4
-    for c, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1)):
-        np.floor_divide(m, unit, out=chunk)
-        canvas.view(np.uint64)[:, c] &= np.take(words[c > 0], chunk,
-                                                 out=bytes8, mode="clip")
-        m -= np.multiply(chunk, unit, out=chunk)
+    # each cell's text left-aligned in four words (slots 0-3): its head, its
+    # digits 1-16 shifted past the head, and over those past R, its tail
+    W, hix, t = s[:4].view(np.uint64), s[5].view(np.int64), s[11].view(np.int64)
+    np.take(row, decpt, out=hix, mode="clip")
+    mid = np.flatnonzero(np.equal(hix, 200, out=x))  # 10 <= |v| < 1e16
+    hix += np.multiply(np.equal(R, 0, out=x), 20, out=t)
+    hix += np.multiply(np.less(v, 0, out=x), 10, out=t)
+    hix += np.floor_divide(m, 10 ** 16, out=t)  # digit 0
+    m -= np.multiply(t, 10 ** 16, out=t)
+    R[mid] = np.maximum(R[mid], decpt[mid] - 399)  # the point goes in later
+    sh = np.take(shifts, hix, out=s[4].view(np.uint64), mode="clip")  # 8 H
+    np.take(heads, hix, out=W[0], mode="clip")
+    np.floor_divide(m, 10 ** 8, out=hix)  # digits 1-8 to W1, 9-16 to W2
+    m -= np.multiply(hix, 10 ** 8, out=t)
+    for q, out in ((hix, W[1]), (m, W[2])):
+        np.floor_divide(q, 10 ** 4, out=t)
+        q -= np.multiply(t, 10 ** 4, out=W[3].view(np.int64))
+        np.take(four[0], t, out=out, mode="clip")
+        out |= np.take(four[1], q, out=W[3], mode="clip")
+    back = np.subtract(64, sh, out=hix.view(np.uint64))
+    for j in (1, 2):
+        W[j - 1] |= np.left_shift(W[j], sh, out=W[3])
+        np.right_shift(W[j], back, out=W[j])
+    # T, the tail, is XOR-ed over the zeros at byte q = H + R: word j gets T
+    # << 8q - 64j and T >> 1 >> 64j - 8q - 1, a count outside 0-63 giving 0
+    T = np.take(tails, decpt, out=m.view(np.uint64), mode="clip")
+    T ^= np.take(zeros, R, out=W[3], mode="clip")
+    q = np.add(np.right_shift(sh, 3, out=sh).view(np.int64), R, out=R)
+    up, down = np.multiply(q, 8, out=sh.view(np.int64)), hix
+    T1 = np.right_shift(T, 1, out=W[3])
+    for j in range(3):  # up = 8 q - 64 j
+        W[j] ^= np.left_shift(T, up.view(np.uint64), out=t.view(np.uint64))
+        np.subtract(-1, up, out=down)
+        W[j] ^= np.right_shift(T1, down.view(np.uint64), out=t.view(np.uint64))
+        up -= 64
+    np.right_shift(T1, np.subtract(-1, up, out=down).view(np.uint64), out=T1)
+    L = np.add(q, np.take(tlen, decpt, out=t, mode="clip"), out=q)
+    if mid.size:  # a point at byte sign + decpt, and the bytes after it
+        at, carry = 8 * ((v[mid] < 0) + decpt[mid] - 399), np.uint64(0)
+        for j in range(3):  # at counts the bits of word j from the point
+            w, high = W[j][mid], [~np.uint64(0) << np.clip(
+                at + b, 0, 64).astype(np.uint64) for b in (0, 8)]
+            W[j][mid] = (w & ~high[0] | (w << np.uint64(8) | carry) & high[1]
+                         | np.left_shift(np.uint64(46), at.view(np.uint64)))
+            carry, at = w >> np.uint64(56), at - 64
+        L[mid] += 1
     slow = np.flatnonzero(np.logical_not(sure, out=x))
-    canvas[slow] = _repr_cells(v[slow]).reshape(-1, _WIDTH)
-    canvas.reshape(rows, cols, _WIDTH)[:, -1, 44] = ord("\n")
-    # gathered without the GIL, in pieces that bound the index of kept bytes
-    flat, text, n = canvas.reshape(-1), s[6:].view(np.uint8).reshape(-1), 0
-    for b in _row_blocks(flat.size, 1):
-        i = np.flatnonzero(flat[b] != 0)
-        n += np.take(flat[b], i, out=text[n:n + i.size], mode="clip").size
-    return text[:n]
+    W[:, slow], L[slow] = _repr_cells(v[slow])
+    # word j of a slot goes to byte o + 8 j of the text (slots 6-9), o =
+    # cumsum(L) - L, for j = 3 (L > 24), 2, 1, 0: each copy writes over what
+    # the ones before it wrote past their cells' ends.  Copies of one numpy
+    # assignment, whose order is not given, overlap only after a cell under
+    # 8 bytes (every cell has 4 or more, "0.0,"), so all its words go to o,
+    # and then its text and the next cell's head again, 4 bytes at a time.
+    short = np.flatnonzero(np.less(L, 8, out=x))
+    big = np.flatnonzero(np.greater(L, 24, out=x))
+    Ls, step = L[short], np.multiply(np.greater_equal(L, 8, out=x), 8, out=t)
+    ends, o, at = np.cumsum(L, out=L), s[4].view(np.int64), hix
+    o[:1], o[1:] = 0, ends[:-1]
+    text = s[6:10].view(np.uint8).reshape(-1)
+    u64, u32 = (np.lib.stride_tricks.as_strided(
+        text.view(d), (text.size - 7,), (1,)) for d in (np.uint64, np.uint32))
+    u64[o[big] + 24] = W[3][big]
+    np.add(o, np.multiply(step, 2, out=at), out=at)
+    for j in (2, 1, 0):
+        u64[at] = W[j]
+        at -= step
+    head = np.concatenate((short, short[short < o.size - 1] + 1))
+    u32[o[head]] = W[0][head]
+    u32[o[short] + Ls - 4] = W[0][short] >> (8 * Ls - 32).view(np.uint64)
+    text[ends.reshape(rows, cols)[:, -1] - 1] = ord("\n")
+    return text[:ends[-1]]
 
 
 def write_csv(path: Path, header, rows):
@@ -574,13 +611,16 @@ def cmd_test_norm_law(cfg):
         report["flag"] = "no-continuous-part-samples"
     else:
         if theta < 1.0:
-            ks = stats.kstest(cont, lambda x: betainc(shape, alpha, x))
-            report["ks_statistic"] = float(ks.statistic)
-            report["p_value"] = float(ks.pvalue)
+            # stats.kstest's D and exact p from one sort; nan if a B is nan
+            n, u = cont.size, betainc(shape, alpha, np.sort(cont))
+            plus = (np.arange(1.0, n + 1) / n - u).max()
+            minus = (u - np.arange(n) / n).max()
+            d = plus if plus > minus else minus
+            p = np.clip(stats.kstwo.sf(d, n), 0.0, 1.0)
+            report["ks_statistic"], report["p_value"] = float(d), float(p)
             threshold = cfg["ks_pvalue_threshold"]
-            if ks.pvalue <= threshold:
-                reasons.append(f"KS p-value {ks.pvalue:.3g} <= "
-                               f"threshold {threshold}")
+            if p <= threshold:
+                reasons.append(f"KS p-value {p:.3g} <= threshold {threshold}")
         # exact binomial interval for the atom count
         lo, hi = stats.binom.interval(_ATOM_CONFIDENCE, b.size,
                                       theta) if 0 < theta < 1 else (

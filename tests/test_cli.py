@@ -200,8 +200,8 @@ def float_text(x):
 
 def test_float_text_computes_in_its_scratch():
     # every block-sized array of the formatter is a view of its scratch:
-    # what it allocates besides, on a block of 2^16 cells, is the index of
-    # one piece of the gather and a few small arrays; block-sized
+    # what it allocates besides, on a block of 2^16 cells, is the index
+    # arrays and temporaries of the few cells on a rarer path; block-sized
     # temporaries took 9.6 MB
     x = np.random.default_rng(14).standard_normal((1 << 10, 64)) ** 3
     scratch = np.empty(x.size * cli._SLOTS)
@@ -214,6 +214,40 @@ def test_float_text_computes_in_its_scratch():
         tracemalloc.stop()
     assert got == want == repr_text(x).encode()
     assert peak < 1.5e6
+
+
+def test_float_text_stays_in_its_scratch():
+    # the text is a view of the scratch, and nothing past the block's
+    # _SLOTS floats a cell is touched
+    x = np.random.default_rng(16).standard_normal((500, 7)) ** 5
+    scratch = np.full((x.size + 3) * cli._SLOTS, -7.25)
+    text = cli._float_text(x, scratch)
+    assert np.shares_memory(text, scratch)
+    assert text.tobytes() == repr_text(x).encode()
+    assert (scratch[x.size * cli._SLOTS:] == -7.25).all()
+
+
+# cells around the 4 bytes the shortest cell has and the 8 a copied word
+# has: runs of short ones, the 25-byte longest, points inside the digits
+_LAYOUT_EDGES = [0.5, 1.0, -0.0, 2.0, 0.25, 0.5, 0.5, -1.2345678901234567e-100,
+                 0.5, 12.5, 1234567890123456.0, -1234567890123456.0, 1.0,
+                 2.0, 1e16, -1.5, 0.0, 12.0, 1e22, 0.001, -9.5e-5]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 7])
+def test_float_text_layout_edges(cols):
+    x = np.tile(np.array(_LAYOUT_EDGES), 3 * cols).reshape(-1, cols)
+    assert float_text(x) == repr_text(x)
+    assert len(repr(-1.2345678901234567e-100) + ",") == 25
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_write_csv_layout_edges(tmp_path, monkeypatch, cpus):
+    # 84 000 edge cells, more than one block, in one column and in five
+    on_cpus(monkeypatch, cpus)
+    for cols in (1, 5):
+        x = np.tile(np.array(_LAYOUT_EDGES), 4000 * cols).reshape(-1, cols)
+        TestWriteCsv().assert_same(tmp_path, [f"c{i}" for i in range(cols)], x)
 
 
 def _neighbours(x):
@@ -674,6 +708,30 @@ class TestSample:
         assert code == 0
         assert (out1 / "samples.csv").read_bytes() == \
             (out2 / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [1, 2000, 10 ** 6, "nan"])
+def test_ks_matches_scipy_bit_for_bit(tmp_path, monkeypatch, count):
+    # the report's D and p-value are those of stats.kstest on the same B
+    # draws, a nan B included, which makes both nan
+    from scipy import stats
+
+    real, drawn = cli.norm_split_B, []
+    if count == "nan":
+        real, count = b_with_nan(real), 2000
+
+    def draw(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "norm_split_B", draw)
+    run(tmp_path, "test-norm-law", "--target", "euclid", "--n", "4",
+        "--count", str(count), "--seed", "15")
+    rep = read_strict_json(tmp_path / "out" / "norm_law_report.json")
+    assert (rep["beta_shape_a"], rep["beta_shape_b"]) == (2.0, 1.0)
+    want = stats.kstest(drawn[0], lambda t: betainc(2.0, 1.0, t))
+    assert [rep["ks_statistic"], rep["p_value"]] == cli._strict(
+        [want.statistic, want.pvalue])
 
 
 class TestNormLaw:
