@@ -73,15 +73,15 @@ def _format_block(block, scratch):
 
 # --- shortest round-trip text of float cells, in numpy --------------------------
 #
-# |x| is scaled to X = |x| 10^(16-e) in [1e16, 1e17) in double-double
-# arithmetic (Dekker's exact product, 10^s held as hi + lo).  The decimal
-# strings that read back to x lie in X +- h, h = ulp(x)/2 10^(16-e) in
-# (0.55, 11.1), and repr writes the multiple of the largest 10^j nearest to
-# X inside it.  Powers of two (an asymmetric interval), |x| outside
-# (1e-280, 1e280) and any X within _MARGIN of an interval end or a tie go
-# to repr itself.
+# |x| in (1e-280, 10) is scaled to X = |x| 10^(16-e) in [1e16, 1e17) in
+# double-double arithmetic (Dekker's exact product, 10^s held as hi + lo).
+# The decimal strings that read back to x lie in X +- h, h = ulp(x)/2
+# 10^(16-e) in (0.55, 11.1), and repr writes the multiple of the largest
+# 10^j nearest to X inside it.  repr itself, the one fallback, writes powers
+# of two (an asymmetric interval), other |x|, any X that log10 put in the
+# wrong decade and any X within _MARGIN of an interval end or a tie.
 
-_E_MIN, _E_MAX = -290, 290  # decimal exponents of the 10^(16-e) table
+_E_MIN, _E_MAX = -290, 1    # decimal exponents of the 10^(16-e) table
 _MARGIN = 1e-9              # in units of X's last digit; X is good to 1e-14
 _SLOTS = 12                 # scratch floats a cell: four of slot, four of text
 
@@ -98,15 +98,15 @@ def _text_tables():
         hi.append(num / den)  # correctly rounded, as is every int / int
         h_num, h_den = hi[-1].as_integer_ratio()
         lo.append((num * h_den - h_num * den) / (den * h_den))
-    # class c: 0-3 "0." and c zeros (decpt = -c), 4 decpt 1, 5 decpt 2..16
-    # (its point goes in later), 6 an exponent; then digit 0 and its point
-    point = {4: (b".", b".0"), 5: (b"", b""), 6: (b".", b"")}
+    # class c: 0-3 "0." and c zeros (decpt = -c), 4 decpt 1, 5 an exponent;
+    # then digit 0 and its point
+    point = {4: (b".", b".0"), 5: (b".", b"")}
     heads = np.array([b"-"[:neg] + (b"0." + b"0" * c + b"%d" % d if c < 4 else
                                     b"%d" % d + point[c][one])
-                      for c, one, neg, d in np.ndindex(7, 2, 2, 10)], "S8")
+                      for c, one, neg, d in np.ndindex(6, 2, 2, 10)], "S8")
     dp = np.arange(-399, 401)
-    cls = np.select([dp > 16, dp > 1, dp > 0, dp > -4], [6, 5, 4, -dp], 6)
-    tails = np.array([b"," if c < 6 else b"e%+03d," % (i - 1)
+    cls = np.select([dp > 0, dp > -4], [4, -dp], 5)
+    tails = np.array([b"," if c < 5 else b"e%+03d," % (i - 1)
                       for i, c in zip(dp.tolist(), cls.tolist())], "S8")
     zeros = np.array([b"0" * min(8, 16 - r) for r in range(17)], "S8")
     four = np.char.zfill(np.arange(10 ** 4).astype("S4"), 4).view(np.uint32)
@@ -156,10 +156,11 @@ def _repr_cells(values):
 def _float_text(block, scratch):
     """The CSV text of a 2-D float block, each cell ``repr(float(v))``, as
     uint8 in scratch, _SLOTS rows of a float a cell, which hold every
-    block-sized array it makes.  Until the digits are known, _scale works
-    in 0-5 and 10; 6 holds v, 7 the bools, eight to a slot, 8 e, 9 N and
-    then m, 10 R = k - 1, 11 |v|, then tmp.  Then each cell's text is laid
-    out in a slot of four words in 0-3 and copied a word at a time to 6-9."""
+    block-sized array it makes.  One pass settles the cells in (1e-280, 10)
+    and repr the rest.  Until the digits are known, _scale works in 0-5 and
+    10; 6 holds v, 7 the bools, eight to a slot, 8 e, 9 N and then m, 10
+    R = k - 1, 11 |v|, then tmp.  Then each cell's text is laid out in a
+    slot of four words in 0-3 and copied a word at a time to 6-9."""
     heads, shifts, row, tails, tlen, zeros, four = _text_tables()[2:]
     rows, cols = block.shape
     s = scratch[:_SLOTS * block.size].reshape(_SLOTS, -1)
@@ -172,17 +173,11 @@ def _float_text(block, scratch):
     mant = np.frexp(a, out=(s[0], s[1].view(np.int32)[:v.size]))[0]
     np.not_equal(mant, 0.5, out=fast)
     fast &= np.greater(a, 1e-280, out=x)
-    fast &= np.less(a, 1e280, out=x)
+    fast &= np.less(a, 10.0, out=x)
     # repr writes the other cells; 1.0 stands in for them until it does
     np.copyto(a, 1.0, where=np.logical_not(fast, out=x))
     np.copyto(e, np.floor(np.log10(a, out=s[0]), out=s[0]), casting="unsafe")
     N, f, hi = _scale(a, e, [s[j] for j in (9, 0, 1, 2, 3, 4, 5, 10)])
-    # log10 may misplace X by one decade next to a power of ten
-    np.less(N, 10 ** 16, out=x)
-    x |= np.greater_equal(N, 10 ** 17, out=y)
-    off = np.flatnonzero(x)
-    e[off] += np.where(N[off] < 10 ** 16, -1, 1)
-    N[off], f[off], hi[off] = _scale(a[off], e[off], np.empty((8, off.size)))
     ex = np.frexp(a, out=(s[3], s[2].view(np.int32)[:v.size]))[1]
     h = np.ldexp(hi, np.subtract(ex, 54, out=ex), out=hi)
     # the nearest multiples of 100 and 10: at most one multiple of 100 fits
@@ -200,6 +195,8 @@ def _float_text(block, scratch):
         np.logical_and(sure, np.greater(tmp, _MARGIN, out=x), out=sure)
 
     np.copyto(sure, fast)
+    sure &= np.greater_equal(N, 10 ** 16, out=x)  # log10 may misplace X by a
+    sure &= np.less(N, 10 ** 17, out=x)           # decade next to 10^j
     far(d10, 5)
     far(f, 0.5)
     for d, unit, inside in ((d100, 100, in100), (d10, 10, in10)):
@@ -232,12 +229,10 @@ def _float_text(block, scratch):
     # digits 1-16 shifted past the head, and over those past R, its tail
     W, hix, t = s[:4].view(np.uint64), s[5].view(np.int64), s[11].view(np.int64)
     np.take(row, decpt, out=hix, mode="clip")
-    mid = np.flatnonzero(np.equal(hix, 200, out=x))  # 10 <= |v| < 1e16
     hix += np.multiply(np.equal(R, 0, out=x), 20, out=t)
     hix += np.multiply(np.less(v, 0, out=x), 10, out=t)
     hix += np.floor_divide(m, 10 ** 16, out=t)  # digit 0
     m -= np.multiply(t, 10 ** 16, out=t)
-    R[mid] = np.maximum(R[mid], decpt[mid] - 399)  # the point goes in later
     sh = np.take(shifts, hix, out=s[4].view(np.uint64), mode="clip")  # 8 H
     np.take(heads, hix, out=W[0], mode="clip")
     np.floor_divide(m, 10 ** 8, out=hix)  # digits 1-8 to W1, 9-16 to W2
@@ -265,15 +260,6 @@ def _float_text(block, scratch):
         up -= 64
     np.right_shift(T1, np.subtract(-1, up, out=down).view(np.uint64), out=T1)
     L = np.add(q, np.take(tlen, decpt, out=t, mode="clip"), out=q)
-    if mid.size:  # a point at byte sign + decpt, and the bytes after it
-        at, carry = 8 * ((v[mid] < 0) + decpt[mid] - 399), np.uint64(0)
-        for j in range(3):  # at counts the bits of word j from the point
-            w, high = W[j][mid], [~np.uint64(0) << np.clip(
-                at + b, 0, 64).astype(np.uint64) for b in (0, 8)]
-            W[j][mid] = (w & ~high[0] | (w << np.uint64(8) | carry) & high[1]
-                         | np.left_shift(np.uint64(46), at.view(np.uint64)))
-            carry, at = w >> np.uint64(56), at - 64
-        L[mid] += 1
     slow = np.flatnonzero(np.logical_not(sure, out=x))
     W[:, slow], L[slow] = _repr_cells(v[slow])
     # word j of a slot goes to byte o + 8 j of the text (slots 6-9), o =

@@ -64,15 +64,21 @@ def _finish_sample(x: np.ndarray, p: float, law: RadialLawW, rng: RngStream,
 
     The rows are divided in place and x becomes the sample's points, so the
     caller must pass an array it owns and does not read again; |x|^p is
-    summed one row block of rng._row_blocks at a time.
+    summed one row block of rng._row_blocks at a time.  Where the divisor
+    overflows (at n = 50, p below about 0.0117) while each |x_i|^p is
+    finite, the row is sign(x_i) (|x_i|^p / (||x||_p^p + W))^(1/p) instead.
     """
-    w = sample_W(law, rng, size=len(x))
-    r = np.empty(len(x))
+    r = sample_W(law, rng, size=len(x))  # W + ||x||_p^p, a row
     for b in _row_blocks(len(x), x.shape[-1]):
         a = np.abs(x[b])
         a **= p
-        np.sum(a, axis=-1, out=r[b])
-    x /= ((r + w) ** (1.0 / p))[:, None]
+        r[b] += np.sum(a, axis=-1)
+    with np.errstate(over="ignore"):
+        scale = r ** (1.0 / p)
+    big = np.isinf(scale)
+    x[big] = np.copysign((np.abs(x[big]) ** p / r[big, None]) ** (1.0 / p),
+                         x[big])
+    x /= np.where(big, 1.0, scale)[:, None]
     return PBallSample(points=x, p=p, chain=chain, degree=degree)
 
 

@@ -20,6 +20,8 @@ from scipy.special import betainc
 from pradial import cli
 from pradial.cli import main, write_csv
 from pradial.distributions import RadialLawW
+from pradial.lpgeom import sample_pnpw
+from pradial.matrixball import sample_spectra
 from pradial.measures import MeasureRep
 from pradial.rates import rate_cone
 from pradial.rng import _row_blocks
@@ -303,16 +305,28 @@ class TestFloatText:
         bits = np.array(bits[:len(bits) // 3 * 3], dtype=np.uint64)
         self.assert_repr(bits.view(np.float64))
 
-    def test_repr_fallback_is_rare(self, monkeypatch):
-        # of 10^4 cone rows, at most one cell in a thousand goes to repr
-        from pradial.lpgeom import sample_pnpw
+    @pytest.mark.parametrize("draw", [
+        lambda g: sample_pnpw(50, 2.0, RadialLawW.dirac(), g, size=10 ** 4),
+        lambda g: sample_pnpw(50, 0.015, RadialLawW.dirac(), g, size=4000),
+        lambda g: sample_pnpw(50, 0.7, RadialLawW(theta=0.3, alpha=2.0), g,
+                              size=4000),
+        lambda g: sample_pnpw(50, 3.0, RadialLawW.exponential(), g,
+                              size=4000),
+        lambda g: sample_spectra("H", 33, 2.0, 2.0, RadialLawW.exponential(),
+                                 g, size=4000),
+        lambda g: sample_spectra("M", 16, 2.0, 2.0, RadialLawW.exponential(),
+                                 g, size=4000),
+    ], ids=["cone-p2", "cone-p0.015", "pnpw-p0.7", "uniform-p3", "H-n33",
+            "M-n16"])
+    def test_repr_fallback_is_rare(self, monkeypatch, draw):
+        # the samplers write points of a ball, in the one pass's range
+        # (1e-280, 10): at most one cell in a thousand goes to repr
         from pradial.rng import RngStream
 
         real, seen = cli._repr_cells, []
         monkeypatch.setattr(cli, "_repr_cells",
                             lambda v: seen.append(v.size) or real(v))
-        x = sample_pnpw(50, 2.0, RadialLawW.dirac(), RngStream(13),
-                        size=10 ** 4).points
+        x = draw(RngStream(13)).points
         assert float_text(x) == repr_text(x)
         assert sum(seen) <= x.size / 1000
 
@@ -616,6 +630,14 @@ class TestSample:
           "--theta", "0.3", "--count", "300", "--p", "3"), "0d326b32f02913c5"),
         (("--target", "eigen-PH", "--n", "8", "--beta", "1", "--seed", "1",
           "--theta", "0.3", "--count", "300", "--p", "3"), "bbc3cb91a0e8ee1a"),
+        # the tables the CLI writes most; at p = 0.015 a fifth of the cells
+        # are 25 bytes long, with 3-digit exponents
+        (("--target", "cone", "--n", "50", "--count", "2000", "--seed", "1",
+          "--p", "0.015"), "7a6cce0cde04253a"),
+        (("--target", "cone", "--n", "50", "--count", "2000", "--seed", "1",
+          "--p", "0.7"), "31a09a3d84d31009"),
+        (("--target", "cone", "--n", "50", "--count", "2000", "--seed", "1",
+          "--p", "3"), "6c5b9e8386c23549"),
     ])
     def test_golden_digest(self, tmp_path, argv, digest):
         code, out = run(tmp_path, "sample", *argv)
@@ -684,6 +706,17 @@ class TestSample:
         assert err.endswith(f"{bad} of {len(rows)} rows of samples.csv hold "
                             "non-finite cells; outputs retained\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_p_rows_are_not_zero(self, tmp_path):
+        # at n = 50, p = 0.01 the divisor (||x||_p^p)^(1/p) overflows while
+        # each |x_i|^p is finite: the rows are on the sphere, not 0
+        code, out = run(tmp_path, "sample", "--target", "cone", "--n", "50",
+                        "--p", "0.01", "--count", "3", "--seed", "1")
+        assert code == 0
+        x = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
+        assert np.all(np.any(x != 0.0, axis=1))
+        assert np.allclose(np.sum(np.abs(x) ** 0.01, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("p", ["0.005", "2000"])
     def test_extreme_p_prints_one_stderr_line(self, tmp_path, p):

@@ -51,8 +51,12 @@ GAMMA_S = np.array([0.0, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 0.05, 0.3, 0.6, 0.9,
 
 
 class TestConeSampler:
-    def test_norm_one(self):
-        s = sample_pnpw(10, 2.0, RadialLawW.dirac(), rng(), size=500)
+    # at (50, 0.01) and (1000, 0.012) (||x||_p^p)^(1/p) overflows, though
+    # each |x_i|^p does not
+    @pytest.mark.parametrize("n, p", [(10, 2.0), (50, 0.01), (1000, 0.012)])
+    @pytest.mark.filterwarnings("error")
+    def test_norm_one(self, n, p):
+        s = sample_pnpw(n, p, RadialLawW.dirac(), rng(), size=500)
         assert np.allclose(np.sum(np.abs(s.points) ** s.p, axis=1), 1.0, atol=1e-12)
 
     def test_coordinate_symmetry(self):
