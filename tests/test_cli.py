@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc
 
-from pradial import cli
+from pradial import _csvtext, cli
 from pradial.cli import main, write_csv
 from pradial.distributions import RadialLawW
 from pradial.lpgeom import sample_pnpw
@@ -72,6 +72,14 @@ def b_with_nan(real):
         b = real(*args, **kwargs)
         b[::100] = np.nan
         return b
+    return draw
+
+
+def b_at_half_alpha(real):
+    """norm_split_B drawing at half the alpha it is given."""
+    def draw(n, p, m, law, rng, size):
+        return real(n, p, m, RadialLawW(theta=law.theta, alpha=law.alpha / 2),
+                    rng, size=size)
     return draw
 
 
@@ -196,8 +204,8 @@ def repr_text(x):
 
 def float_text(x):
     """The text _format_block gives a float block, as str."""
-    scratch = np.empty(x.size * cli._SLOTS)
-    return cli._format_block(x, scratch).tobytes().decode()
+    scratch = np.empty(x.size * _csvtext._SLOTS)
+    return _csvtext._format_block(x, scratch).tobytes().decode()
 
 
 def test_float_text_computes_in_its_scratch():
@@ -206,11 +214,11 @@ def test_float_text_computes_in_its_scratch():
     # arrays and temporaries of the few cells on a rarer path; block-sized
     # temporaries took 9.6 MB
     x = np.random.default_rng(14).standard_normal((1 << 10, 64)) ** 3
-    scratch = np.empty(x.size * cli._SLOTS)
-    want = cli._float_text(x, scratch).tobytes()  # builds the tables
+    scratch = np.empty(x.size * _csvtext._SLOTS)
+    want = _csvtext._float_text(x, scratch).tobytes()  # builds the tables
     tracemalloc.start()
     try:
-        got = cli._float_text(x, scratch).tobytes()
+        got = _csvtext._float_text(x, scratch).tobytes()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -222,15 +230,16 @@ def test_float_text_stays_in_its_scratch():
     # the text is a view of the scratch, and nothing past the block's
     # _SLOTS floats a cell is touched
     x = np.random.default_rng(16).standard_normal((500, 7)) ** 5
-    scratch = np.full((x.size + 3) * cli._SLOTS, -7.25)
-    text = cli._float_text(x, scratch)
+    scratch = np.full((x.size + 3) * _csvtext._SLOTS, -7.25)
+    text = _csvtext._float_text(x, scratch)
     assert np.shares_memory(text, scratch)
     assert text.tobytes() == repr_text(x).encode()
-    assert (scratch[x.size * cli._SLOTS:] == -7.25).all()
+    assert (scratch[x.size * _csvtext._SLOTS:] == -7.25).all()
 
 
 # cells around the 4 bytes the shortest cell has and the 8 a copied word
-# has: runs of short ones, the 25-byte longest, points inside the digits
+# has: runs of short ones, the 25-byte longest, and cells with a point
+# inside their digits, which go to repr
 _LAYOUT_EDGES = [0.5, 1.0, -0.0, 2.0, 0.25, 0.5, 0.5, -1.2345678901234567e-100,
                  0.5, 12.5, 1234567890123456.0, -1234567890123456.0, 1.0,
                  2.0, 1e16, -1.5, 0.0, 12.0, 1e22, 0.001, -9.5e-5]
@@ -323,8 +332,8 @@ class TestFloatText:
         # (1e-280, 10): at most one cell in a thousand goes to repr
         from pradial.rng import RngStream
 
-        real, seen = cli._repr_cells, []
-        monkeypatch.setattr(cli, "_repr_cells",
+        real, seen = _csvtext._repr_cells, []
+        monkeypatch.setattr(_csvtext, "_repr_cells",
                             lambda v: seen.append(v.size) or real(v))
         x = draw(RngStream(13)).points
         assert float_text(x) == repr_text(x)
@@ -378,12 +387,12 @@ def test_float_text_threads_keep_their_own_canvas(monkeypatch, switching):
 
     def run(mine, scratch):
         for k in mine:
-            got[k] = {cli._format_block(blocks[k], scratch).tobytes()
+            got[k] = {_csvtext._format_block(blocks[k], scratch).tobytes()
                       for _ in range(20)}
 
     on_cpus(monkeypatch, 6)
     assert within(120, lambda: _run_blocks(
-        range(6), run, blocks[0].size * cli._SLOTS)) is None
+        range(6), run, blocks[0].size * _csvtext._SLOTS)) is None
     assert got == {k: {repr_text(b).encode()} for k, b in enumerate(blocks)}
 
 
@@ -746,7 +755,8 @@ class TestSample:
 @pytest.mark.parametrize("count", [1, 2000, 10 ** 6, "nan"])
 def test_ks_matches_scipy_bit_for_bit(tmp_path, monkeypatch, count):
     # the report's D and p-value are those of stats.kstest on the same B
-    # draws, a nan B included, which makes both nan
+    # draws below the atom cut, against the Beta law below it, a nan B
+    # included, which makes both nan
     from scipy import stats
 
     real, drawn = cli.norm_split_B, []
@@ -762,7 +772,10 @@ def test_ks_matches_scipy_bit_for_bit(tmp_path, monkeypatch, count):
         "--count", str(count), "--seed", "15")
     rep = read_strict_json(tmp_path / "out" / "norm_law_report.json")
     assert (rep["beta_shape_a"], rep["beta_shape_b"]) == (2.0, 1.0)
-    want = stats.kstest(drawn[0], lambda t: betainc(2.0, 1.0, t))
+    cut = 1.0 - 1e-12
+    below = drawn[0][~(drawn[0] >= cut)]
+    want = stats.kstest(below, lambda t: betainc(2.0, 1.0, t)
+                        / betainc(2.0, 1.0, cut))
     assert [rep["ks_statistic"], rep["p_value"]] == cli._strict(
         [want.statistic, want.pvalue])
 
@@ -792,6 +805,25 @@ class TestNormLaw:
         assert rep["atom_fraction"] == pytest.approx(0.3, abs=0.03)
         lo, hi = rep["atom_count_interval"]
         assert lo <= rep["atom_fraction"] * rep["n_samples"] <= hi
+
+    @pytest.mark.parametrize("alpha, wrapper, code", [
+        (0.05, None, 0), (0.3, None, 0), (0.3, b_at_half_alpha, 3)],
+        ids=["0.05", "0.3", "0.3-drawn-at-half"])
+    def test_small_alpha(self, tmp_path, monkeypatch, alpha, wrapper, code):
+        # at small alpha the Beta part also reaches the atom cut 1 - 1e-12,
+        # I_{1e-12}(alpha, 2) of it: 0.26 at alpha = 0.05.  Those draws are
+        # expected at the cut, and the gate still rejects draws made at
+        # half the alpha it tests
+        if wrapper:
+            monkeypatch.setattr(cli, "norm_split_B",
+                                wrapper(cli.norm_split_B))
+        got, out = run(tmp_path, "test-norm-law", "--target", "euclid",
+                       "--n", "4", "--alpha", str(alpha), "--count", "10000",
+                       "--seed", "1")
+        assert got == code
+        rep = read_json(out / "norm_law_report.json")
+        assert rep["expected_atom_fraction"] == betainc(
+            alpha, 2.0, 1.0 - (1.0 - 1e-12))
 
     def test_flagged_exit_3(self, tmp_path, capsys):
         # an (artificially) extreme p-value threshold trips the gate, with

@@ -4,12 +4,14 @@ A handler returns its outputs and the list of checks the run failed;
 cli.main alone makes the output directory, writes the files and words the
 exit-3 line, so these checks keep per-command I/O and per-command wording
 from creeping back.  Only main's writers and the --config reader open a
-file, so no handler reads one through a helper either."""
+file, so no handler reads one through a helper either; the CSV text
+engine that write_csv calls, src/pradial/_csvtext.py, opens none."""
 
 import ast
 from pathlib import Path
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "pradial" / "cli.py"
+CSVTEXT = CLI.with_name("_csvtext.py")
 
 # called by name (print(...)) or as a method (path.mkdir(...))
 IO_CALLS = {"write_csv", "write_json", "print", "open", "mkdir", "makedirs",
@@ -198,3 +200,16 @@ def test_only_writers_and_config_reader_open_files():
     # test_handlers_do_no_io; this names every function that may open one
     allowed = {"main", "write_csv", "write_json", "_read_config"}
     assert openers(CLI.read_text()) <= allowed
+    assert openers(CSVTEXT.read_text()) == set()
+
+
+def test_text_engine_is_private():
+    # the text engine runs on rng._run_blocks worker threads, and the
+    # benchmark's tracer wraps every public function: a traced call on a
+    # worker thread would push onto the one span stack that the calling
+    # thread's spans use, and corrupt it
+    tree = ast.parse(CSVTEXT.read_text())
+    functions = [fn.name for fn in tree.body
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert "_format_block" in functions
+    assert [name for name in functions if not name.startswith("_")] == []
