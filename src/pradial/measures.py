@@ -46,6 +46,9 @@ class MeasureRep:
                 raise ParameterError("an atom measure needs at least one atom")
             self.weights = (np.full(n, 1.0 / n) if self.weights is None
                             else np.asarray(self.weights, dtype=float))
+            # a negative weight can hide in a total of 1
+            if self.weights.shape != (n,) or np.any(self.weights < 0):
+                raise ParameterError("atom weights must be >= 0, one per atom")
             if abs(self.weights.sum() - 1.0) > 1e-9:
                 raise ParameterError("atom weights must sum to 1")
             self.support = (float(self.positions.min()),

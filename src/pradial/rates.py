@@ -22,11 +22,12 @@ targets); "greater" collapses the rate to the point mass at 1.
 
 Also provided: a numerical Legendre-Fenchel transform that refines each
 discrete maximum to the closed-form maximum of the cubic-spline
-interpolant on the two grid cells beside it, a Monte-Carlo scaled
-cumulant generating function with its analytic counterpart, and
-Laplace / boundary-Laplace (Breitung) checks used by the desk-scale
-verification experiments, each giving its ratio and its adapted
-(estimate, limit) pair from one maximisation and one quadrature.
+interpolant on the two grid cells beside it; the biconjugate, the lower
+convex hull of the samples read at the knots (exact on convex samples);
+a Monte-Carlo scaled CGF with its closed form, whose Psi* is taken at
+its closed-form stationary point; and Laplace / boundary-Laplace
+(Breitung) checks, each giving its ratio and its adapted (estimate,
+limit) pair from one maximisation and one quadrature.
 """
 
 from __future__ import annotations
@@ -216,6 +217,26 @@ def rate_cone(mu: MeasureRep, family: str, p: float,
 
 # --- Legendre-Fenchel transform -------------------------------------------
 
+def _lower_hull(t, f):
+    """(t, f, hull): float arrays of the grid and samples, and the vertex
+    indices of their lower convex hull, by monotone chain.  The grid must be
+    finite and increasing with at least 4 knots, and f finite on it."""
+    t, f = np.asarray(t, dtype=float), np.asarray(f, dtype=float)
+    if t.size < 4 or np.any(np.diff(t) <= 0):
+        raise ParameterError("grid must be increasing with at least 4 knots")
+    if f.shape != t.shape or not np.isfinite(np.stack([t, f])).all():
+        raise ParameterError("grid and samples must be finite, one per knot")
+    tl, fl, hull = t.tolist(), f.tolist(), []
+    for k, (tk, fk) in enumerate(zip(tl, fl)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (fl[j] - fl[i]) * (tk - tl[j]) < (fk - fl[j]) * (tl[j] - tl[i]):
+                break
+            hull.pop()
+        hull.append(k)
+    return t, f, np.array(hull)
+
+
 def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
     """Lambda*(x) = sup_t [x t - Lambda(t)] for Lambda sampled on a grid.
 
@@ -227,21 +248,8 @@ def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
     t[i+1]]: on each, S' = x is a quadratic whose roots inside the cell
     are the interior candidates, and the knot values bound the rest.
     """
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if t.size < 4 or np.any(np.diff(t) <= 0):
-        raise ParameterError("grid must be increasing with at least 4 knots")
+    t, f, hull = _lower_hull(t, f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    # the lower hull's vertex indices, by monotone chain
-    tl, fl, hull = t.tolist(), f.tolist(), []
-    for k, (tk, fk) in enumerate(zip(tl, fl)):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (fl[j] - fl[i]) * (tk - tl[j]) < (fk - fl[j]) * (tl[j] - tl[i]):
-                break
-            hull.pop()
-        hull.append(k)
-    hull = np.array(hull)
     slopes = np.diff(f[hull]) / np.diff(t[hull])
     idx = hull[np.searchsorted(slopes, xs, side="left")]
     best = xs * t[idx] - f[idx]
@@ -269,17 +277,11 @@ def legendre_transform(t: np.ndarray, f: np.ndarray, x) -> np.ndarray:
 
 
 def legendre_biconjugate(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(Lambda*)* evaluated back on the original grid.
-
-    The dual grid is taken over the range of one-sided slopes of Lambda,
-    which is the effective domain of Lambda* seen by the data.
-    """
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    slopes = np.diff(f) / np.diff(t)
-    xs = np.linspace(slopes.min(), slopes.max(), max(8 * t.size, 512))
-    fstar = legendre_transform(t, f, xs)
-    return np.asarray(legendre_transform(xs, fstar, t))
+    """(Lambda*)* on the grid: the lower convex hull of (t, f) read at the
+    knots, the biconjugate exactly with Lambda linear between knots and +inf
+    off [t[0], t[-1]].  It equals f on convex samples."""
+    t, f, hull = _lower_hull(t, f)
+    return np.interp(t, t[hull], f[hull])
 
 
 # --- Gaertner-Ellis -----------------------------------------------------------
@@ -293,33 +295,24 @@ def scaled_cgf_estimate(samples: np.ndarray, t: float, n: int, k: int) -> float:
     b = np.asarray(samples, dtype=float)
     if b.size == 0:
         raise ParameterError("need at least one sample")
-    if np.any((b < 0) | (b > 1)):
-        raise ParameterError("samples must lie in [0, 1]")
+    # a nan sample or t fails this test
+    if not (np.isfinite(t) and np.all((b >= 0) & (b <= 1))):
+        raise ParameterError("samples must lie in [0, 1] and t be finite")
     s = float(n) ** k
     return float((logsumexp(s * t * b) - np.log(b.size)) / s)
 
 
 def _psi_star(t: float, p: float, alpha: float) -> float:
     """Psi*(-t) = sup over y in (0,1) of [-t y + (1/p) log(1-y) + alpha log y],
-    the Legendre term of the analytic scaled CGF."""
+    the Legendre term of the analytic scaled CGF.  The objective is strictly
+    concave; t y^2 - s y + alpha, s = t + 1/p + alpha, is alpha at y = 0 and
+    -1/p at 1, so its one root in (0, 1), alpha/q or q/t with q = (s + sign(s)
+    sqrt(s^2 - 4 t alpha))/2 (no cancellation), is the maximiser."""
     g = 1.0 / p
-
-    def obj(y):
-        return -t * y + g * np.log1p(-y) + alpha * np.log(y)
-
-    # stationary points solve t y^2 - (t + g + alpha) y + alpha = 0
-    if t == 0.0:
-        y = alpha / (g + alpha)
-    else:
-        disc = (t + g + alpha) ** 2 - 4.0 * t * alpha
-        sq = np.sqrt(disc)
-        roots = [(t + g + alpha - sq) / (2.0 * t),
-                 (t + g + alpha + sq) / (2.0 * t)]
-        cands = [y for y in roots if 0.0 < y < 1.0]
-        if not cands:
-            raise ParameterError(f"no stationary point in (0,1) for t={t}")
-        y = max(cands, key=obj)
-    return obj(y)
+    s = t + g + alpha
+    q = 0.5 * (s + np.copysign(np.sqrt(s * s - 4.0 * t * alpha), s))
+    y = alpha / q if s >= 0.0 else q / t
+    return -t * y + g * np.log1p(-y) + alpha * np.log(y)
 
 
 def analytic_scaled_cgf(t: float, p: float, alpha: float, c: float = 0.0) -> float:
@@ -329,7 +322,10 @@ def analytic_scaled_cgf(t: float, p: float, alpha: float, c: float = 0.0) -> flo
         Lambda(t) = t + c - (1/p) log(1/p) - alpha log alpha
                     + (1/p + alpha) log(1/p + alpha) + Psi*(-t).
     """
+    _check_positive("p", p)
     _check_positive("alpha", alpha)
+    if not np.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t!r}")
     g = 1.0 / p
     return (t + c - g * np.log(g) - alpha * np.log(alpha)
             + (g + alpha) * np.log(g + alpha) + _psi_star(t, p, alpha))

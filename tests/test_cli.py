@@ -806,6 +806,16 @@ class TestNormLaw:
         lo, hi = rep["atom_count_interval"]
         assert lo <= rep["atom_fraction"] * rep["n_samples"] <= hi
 
+    def test_all_atoms(self, tmp_path):
+        # theta = 1: every draw is the atom, the binomial interval is the
+        # one point count, and there is no continuous part to KS-test
+        code, out = run(tmp_path, "test-norm-law", "--target", "euclid",
+                        "--n", "5", "--theta", "1", "--count", "50")
+        assert code == 0
+        rep = read_json(out / "norm_law_report.json")
+        assert rep["atom_count_interval"] == [50, 50]
+        assert "ks_statistic" not in rep and "p_value" not in rep
+
     @pytest.mark.parametrize("alpha, wrapper, code", [
         (0.05, None, 0), (0.3, None, 0), (0.3, b_at_half_alpha, 3)],
         ids=["0.05", "0.3", "0.3-drawn-at-half"])

@@ -68,6 +68,10 @@ class TestGeyerEss:
         ess = geyer_ess(x)
         assert 0.5 * n / 19 < ess < 2.0 * n / 19
 
+    def test_constant_series(self):
+        # zero variance: every draw counts
+        assert geyer_ess(np.full(100, 0.3)) == 100.0
+
 
 class TestSplitRhat:
     def iid(self):

@@ -83,6 +83,14 @@ class TestMeasureRep:
         with pytest.raises(ParameterError):
             make()
 
+    @pytest.mark.parametrize("weights", [[1.5, -1.0, 0.5], [0.5, 0.5]],
+                             ids=["signed", "misshapen"])
+    def test_atom_weights_nonnegative_one_per_atom(self, weights):
+        # the signed weights sum to 1, and would give cone-H a finite
+        # negative rate
+        with pytest.raises(ParameterError, match="one per atom"):
+            MeasureRep.from_atoms([0.1, 0.5, 0.9], weights)
+
     def test_support_is_where_the_mass_is(self):
         assert MeasureRep.from_atoms([0.5, -1.0, 2.0]).support == (-1.0, 2.0)
         # the end cells [-1, -0.5] and [1.5, 2] carry no mass; [-0.5, 0]

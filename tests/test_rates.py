@@ -479,6 +479,38 @@ class TestLegendre:
         assert np.all(f2 <= f + 1e-6)
         assert f2[400] < f[400] - 0.1
 
+    @pytest.mark.parametrize("fn", [
+        np.square, np.cosh, lambda t: np.abs(t) ** 1.5 + 0.2 * t],
+        ids=["square", "cosh", "abs-1.5"])
+    def test_biconjugate_exact_on_convex_samples(self, fn):
+        # every convex sample is on its lower hull, the end knots too
+        t = np.linspace(-3, 3, 1201)
+        f = fn(t)
+        assert np.max(np.abs(legendre_biconjugate(t, f) - f)) < 1e-12
+
+    def test_biconjugate_is_the_envelope(self):
+        # f' = 2t (1 - 10 exp(-20 t^2)) vanishes at a = sqrt(ln 10 / 20),
+        # where f = a^2 + 1/20: the envelope is that value on |t| < a and
+        # f elsewhere
+        t = _BUMP_T
+        f = t ** 2 + 0.5 * np.exp(-20 * t ** 2)
+        a = math.sqrt(math.log(10.0) / 20.0)
+        envelope = np.where(np.abs(t) < a, a * a + 0.05, f)
+        assert np.max(np.abs(legendre_biconjugate(t, f) - envelope)) < 1e-5
+
+    @pytest.mark.parametrize("t, f", [
+        ([0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0]),
+        ([0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 4.0, 9.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 4.0, 9.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, -np.inf, 4.0, 9.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0])],
+        ids=["t-nan", "t-inf", "f-nan", "f-inf", "f-short"])
+    def test_non_finite_or_misshapen_refused(self, t, f):
+        with pytest.raises(ParameterError):
+            legendre_transform(t, f, 0.5)
+        with pytest.raises(ParameterError):
+            legendre_biconjugate(t, f)
+
 
 class TestScaledCgf:
     def test_degenerate_sample(self):
@@ -493,6 +525,42 @@ class TestScaledCgf:
             scaled_cgf_estimate(np.array([]), 1.0, 10, 1)
         with pytest.raises(ParameterError):
             scaled_cgf_estimate(np.array([1.5]), 1.0, 10, 1)
+
+    @pytest.mark.parametrize("b, t", [([0.5, np.nan], 1.0), ([0.5], np.nan),
+                                      ([0.5], np.inf), ([0.5], -np.inf)],
+                             ids=["b-nan", "t-nan", "t-inf", "t-minus-inf"])
+    def test_estimate_refuses_non_finite(self, b, t):
+        # nan < 0 and nan > 1 are both false
+        with pytest.raises(ParameterError):
+            scaled_cgf_estimate(np.array(b), t, 10, 1)
+
+    @pytest.mark.parametrize("t, p", [(1.0, 0.0), (1.0, -2.0), (1.0, np.nan),
+                                      (np.nan, 2.0), (np.inf, 2.0),
+                                      (-np.inf, 2.0)],
+                             ids=["p-zero", "p-negative", "p-nan", "t-nan",
+                                  "t-inf", "t-minus-inf"])
+    def test_analytic_refuses_bad_input(self, t, p):
+        with pytest.raises(ParameterError):
+            analytic_scaled_cgf(t, p, 1.0)
+
+    def test_analytic_near_zero_is_c(self):
+        # Lambda(t) = c + t g/(g + alpha) + O(t^2), g = 1/p: 7e-15 from c
+        # at t = 1e-12
+        for t in (1e-12, -1e-12):
+            assert analytic_scaled_cgf(t, 3.0, 50.0) == pytest.approx(
+                0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p, alpha, c", [(2.0, 1.0, 0.0),
+                                             (1.5, 0.7, -0.2),
+                                             (3.0, 50.0, 0.0)])
+    def test_analytic_is_legendre_of_beta_rate(self, p, alpha, c):
+        # Gaertner-Ellis: Lambda is the transform of the closed-form rate
+        spec = RateFnSpec(target="beta-euclid", p=p, alpha=alpha, c=c)
+        x = np.linspace(1e-6, 1.0 - 1e-6, 20001)
+        rate_x = np.array([rate_beta(v, spec) for v in x])
+        ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [1e-12, -1e-12]])
+        want = [analytic_scaled_cgf(t, p, alpha, c) for t in ts]
+        assert np.max(np.abs(legendre_transform(x, rate_x, ts) - want)) < 1e-8
 
     def test_analytic_at_zero_is_c(self):
         for p, alpha, c in ((2.0, 1.0, 0.0), (1.5, 0.7, -0.2)):
